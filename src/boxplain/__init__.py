@@ -6,40 +6,33 @@ accelerated by interval (box) bound propagation and constraint
 simplification.
 """
 
-from .box import (AttributeAssignment, BoundsMap, Interval, ShortcutResult,
-                  affine_bounds, box_propagate, iv_add, iv_relu, iv_scale,
-                  shortcut_check)
+from .box import (AttributeAssignment, BoundsMap, ShortcutResult,
+                  box_propagate, shortcut_check)
 from .bnb import (BranchAndBoundBackend, MilpOutcome, SolverBackend,
-                  milp_to_lp, optimize, oracle_enumerate, solve_feasibility)
-from .encoding import (LinearConstraint, MilpProblem, SimplificationStats,
-                       Variable, attach_rival_query, encode_network,
-                       fix_attributes, merge_bounds, problem_to_lp_text,
+                  milp_to_lp, optimize, solve_feasibility)
+from .encoding import (MilpProblem, SimplificationStats, attach_rival_query,
+                       encode_network, fix_attributes, merge_bounds,
                        tighten_and_simplify)
 from .engine import (Decision, EngineConfig, Explainer, Explanation,
                      ExplainStats, PredictionTieError, VerificationReport,
-                     compute_tight_bounds, explain_baseline, explain_improved,
-                     is_entailed, verify_explanation)
+                     compute_tight_bounds, is_entailed, verify_explanation)
 from .model import (Activations, InputDomain, Layer, ModelFormatError, Network,
                     batch_outputs, forward, load_domain, load_model_file,
                     load_network, predict, to_document)
-from .simplex import (LpOutcome, LpProblem, SolverFailure, solve_fixed_binary,
-                      solve_lp)
+from .simplex import LpOutcome, LpProblem, SolverFailure, solve_lp
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Activations", "AttributeAssignment", "BoundsMap", "BranchAndBoundBackend",
     "Decision", "EngineConfig", "Explainer", "Explanation", "ExplainStats",
-    "InputDomain", "Interval", "Layer", "LinearConstraint", "LpOutcome",
-    "LpProblem", "MilpOutcome", "MilpProblem", "ModelFormatError", "Network",
-    "PredictionTieError", "ShortcutResult", "SimplificationStats",
-    "SolverBackend", "SolverFailure", "Variable", "VerificationReport",
-    "affine_bounds", "attach_rival_query", "batch_outputs", "box_propagate",
-    "compute_tight_bounds", "encode_network", "explain_baseline",
-    "explain_improved", "fix_attributes", "forward", "is_entailed",
-    "iv_add", "iv_relu", "iv_scale", "load_domain", "load_model_file",
-    "load_network", "merge_bounds", "milp_to_lp", "optimize",
-    "oracle_enumerate", "predict", "problem_to_lp_text", "shortcut_check",
-    "solve_feasibility", "solve_fixed_binary", "solve_lp",
+    "InputDomain", "Layer", "LpOutcome", "LpProblem", "MilpOutcome",
+    "MilpProblem", "ModelFormatError", "Network", "PredictionTieError",
+    "ShortcutResult", "SimplificationStats", "SolverBackend", "SolverFailure",
+    "VerificationReport", "attach_rival_query", "batch_outputs",
+    "box_propagate", "compute_tight_bounds", "encode_network",
+    "fix_attributes", "forward", "is_entailed", "load_domain",
+    "load_model_file", "load_network", "merge_bounds", "milp_to_lp",
+    "optimize", "predict", "shortcut_check", "solve_feasibility", "solve_lp",
     "tighten_and_simplify", "to_document", "verify_explanation",
 ]

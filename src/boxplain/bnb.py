@@ -1,4 +1,4 @@
-"""Branch-and-bound over ReLU indicator binaries, plus the enumeration oracle.
+"""Branch-and-bound over ReLU indicator binaries.
 
 Feasibility calls answer entailment queries (a SAT outcome carries the
 counterexample inputs); optimization calls compute tight neuron bounds.  The
@@ -11,22 +11,22 @@ binaries integral within the integrality tolerance.
 from __future__ import annotations
 
 import abc
-import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .encoding import MilpProblem
-from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem,
-                      prepare, solve_prepared)
+from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, prepare,
+                      solve_prepared)
 
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 
-ORACLE_BINARY_CAP = 20
+PIVOT_TOL = 1e-9
+INTEGRALITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -47,23 +47,12 @@ class MilpOutcome:
 
 def milp_to_lp(problem: MilpProblem, objective: Optional[Mapping[int, float]] = None,
                sense: str = "feas") -> LpProblem:
-    """Dense LP relaxation of the problem; binaries relax to their [0, 1] box."""
-    lbs, ubs = problem.bounds_arrays()
-    nvars = len(problem.variables)
-    rows = problem.constraints
-    a = np.zeros((len(rows), nvars))
-    rel = []
-    rhs = np.zeros(len(rows))
-    for i, con in enumerate(rows):
-        for vid, coef in con.coeffs:
-            a[i, vid] = coef
-        rel.append(con.relation)
-        rhs[i] = con.rhs
-    c = np.zeros(nvars)
+    """The problem's LP relaxation with the objective set; binaries relax to
+    their [0, 1] box."""
+    c = np.zeros(problem.lp.a.shape[1])
     if objective:
-        for vid, coef in objective.items():
-            c[vid] = coef
-    return LpProblem(a, tuple(rel), rhs, lbs, ubs, c, sense, problem.binary_vids)
+        c[list(objective)] = list(objective.values())
+    return replace(problem.lp, c=c, sense=sense)
 
 
 def _fractional_binaries(point: np.ndarray, binaries, tol: float) -> Optional[int]:
@@ -76,28 +65,6 @@ def _fractional_binaries(point: np.ndarray, binaries, tol: float) -> Optional[in
     return worst_vid
 
 
-class _NodeSolver:
-    """Re-solves one relaxation under varying binary fixings."""
-
-    def __init__(self, lp: LpProblem, feas_tol: float, pivot_tol: float):
-        self.lp = lp
-        self.prep = prepare(lp)
-        self.feas_tol = feas_tol
-        self.pivot_tol = pivot_tol
-
-    def solve(self, fixings: Mapping[int, int]) -> LpOutcome:
-        lp = self.lp
-        if fixings:
-            lb = lp.lb.copy()
-            ub = lp.ub.copy()
-            for col, val in fixings.items():
-                lb[col] = ub[col] = float(val)
-        else:
-            lb, ub = lp.lb, lp.ub
-        return solve_prepared(self.prep, lb, ub, lp.c, lp.sense,
-                              self.feas_tol, self.pivot_tol)
-
-
 def _result(problem: MilpProblem, status: str, value, point, nodes, start) -> MilpOutcome:
     witness = None
     if point is not None:
@@ -106,125 +73,84 @@ def _result(problem: MilpProblem, status: str, value, point, nodes, start) -> Mi
                        time.perf_counter() - start)
 
 
-def solve_feasibility(problem: MilpProblem, *, time_budget_ms: Optional[float] = None,
-                      feas_tol: float = 1e-6, pivot_tol: float = 1e-9,
-                      integrality_tol: float = 1e-6) -> MilpOutcome:
-    """Depth-first search for any assignment with integral binaries.
+def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, float]],
+                      sense: str, time_budget_ms: Optional[float],
+                      feas_tol: float) -> MilpOutcome:
+    """Depth-first search over the binaries, minimizing ``objective`` (sense
+    ``"min"``), or stopping at the first node whose binaries are all
+    integral (sense ``"feas"``, which skips the simplex's phase 2).
 
-    Branches on the most fractional indicator, exploring the branch matching
-    the LP-relaxation value first.  A node is one LP solve.  On an exhausted
-    time budget the outcome is ``unknown``: callers must treat it as "could
-    be satisfiable".
+    Branches on the most fractional binary, exploring the branch matching
+    the LP-relaxation value first, and drops nodes whose relaxation is no
+    better than the incumbent.  A node is one LP solve.  The returned value
+    is the internal (minimized) one.
     """
     start = time.perf_counter()
     deadline = None if time_budget_ms is None else start + time_budget_ms / 1000.0
-    solver = _NodeSolver(milp_to_lp(problem), feas_tol, pivot_tol)
-    stack: list[dict] = [{}]
-    nodes = 0
-    while stack:
-        if deadline is not None and time.perf_counter() > deadline:
-            return _result(problem, UNKNOWN, None, None, nodes, start)
-        fixings = stack.pop()
-        outcome = solver.solve(fixings)
-        nodes += 1
-        if outcome.status != OPTIMAL:
-            continue
-        vid = _fractional_binaries(outcome.point, problem.binary_vids, integrality_tol)
-        if vid is None:
-            return _result(problem, SAT, None, outcome.point, nodes, start)
-        first = int(round(outcome.point[vid]))
-        stack.append({**fixings, vid: 1 - first})
-        stack.append({**fixings, vid: first})
-    return _result(problem, UNSAT, None, None, nodes, start)
-
-
-def optimize(problem: MilpProblem, objective: Mapping[int, float], sense: str, *,
-             prune: bool = True, time_budget_ms: Optional[float] = None,
-             feas_tol: float = 1e-6, pivot_tol: float = 1e-9,
-             integrality_tol: float = 1e-6) -> MilpOutcome:
-    """Exact MILP optimum by depth-first branch and bound.
-
-    Standard bound pruning against the incumbent; disable via ``prune`` to
-    measure its effect on node counts.
-    """
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be min or max, got {sense!r}")
-    start = time.perf_counter()
-    deadline = None if time_budget_ms is None else start + time_budget_ms / 1000.0
-    flip = -1.0 if sense == "max" else 1.0
-    internal = {vid: flip * coef for vid, coef in objective.items()}
-    solver = _NodeSolver(milp_to_lp(problem, internal, "min"), feas_tol, pivot_tol)
+    lp = milp_to_lp(problem, objective, sense)
+    prep = prepare(lp)
     stack: list[dict] = [{}]
     nodes = 0
     best_value = np.inf
     best_point = None
     while stack:
         if deadline is not None and time.perf_counter() > deadline:
-            # search incomplete: the incumbent is not proven optimal
+            # search incomplete: no answer, and no incumbent proven optimal
             return _result(problem, UNKNOWN, None, None, nodes, start)
         fixings = stack.pop()
-        outcome = solver.solve(fixings)
+        lb, ub = lp.lb, lp.ub
+        if fixings:
+            lb, ub = lb.copy(), ub.copy()
+            for col, val in fixings.items():
+                lb[col] = ub[col] = float(val)
+        outcome = solve_prepared(prep, lb, ub, lp.c, lp.sense, feas_tol, PIVOT_TOL)
         nodes += 1
         if outcome.status == UNBOUNDED:
             return _result(problem, UNBOUNDED, None, None, nodes, start)
         if outcome.status != OPTIMAL:
             continue
-        if prune and outcome.value >= best_value - 1e-9 * max(1.0, abs(best_value)):
+        if best_point is not None and \
+                outcome.value >= best_value - 1e-9 * max(1.0, abs(best_value)):
             continue
-        vid = _fractional_binaries(outcome.point, problem.binary_vids, integrality_tol)
+        vid = _fractional_binaries(outcome.point, lp.binaries, INTEGRALITY_TOL)
         if vid is None:
-            if outcome.value < best_value:
-                best_value = outcome.value
-                best_point = outcome.point
+            if sense == "feas":
+                return _result(problem, SAT, None, outcome.point, nodes, start)
+            best_value = outcome.value
+            best_point = outcome.point
             continue
         first = int(round(outcome.point[vid]))
         stack.append({**fixings, vid: 1 - first})
         stack.append({**fixings, vid: first})
-    if best_point is None:
-        return _result(problem, INFEASIBLE, None, None, nodes, start)
-    return _result(problem, OPTIMAL, flip * best_value, best_point, nodes, start)
-
-
-def oracle_enumerate(problem: MilpProblem,
-                     objective: Optional[Mapping[int, float]] = None,
-                     sense: str = "min", *,
-                     feas_tol: float = 1e-6, pivot_tol: float = 1e-9) -> MilpOutcome:
-    """Ground truth by exhausting every 0/1 assignment of the binaries.
-
-    One LP per assignment; refuses problems with more than
-    ``ORACLE_BINARY_CAP`` binaries.  Without an objective this is a
-    feasibility check (first satisfiable assignment wins); with one it
-    returns the exact optimum.
-    """
-    start = time.perf_counter()
-    binaries = problem.binary_vids
-    if len(binaries) > ORACLE_BINARY_CAP:
-        raise ValueError(
-            f"oracle refuses {len(binaries)} binaries (cap {ORACLE_BINARY_CAP})")
-    feasibility = objective is None
-    flip = -1.0 if sense == "max" else 1.0
-    internal = None if feasibility else {v: flip * c for v, c in objective.items()}
-    solver = _NodeSolver(milp_to_lp(problem, internal, "feas" if feasibility else "min"),
-                         feas_tol, pivot_tol)
-    nodes = 0
-    best_value = np.inf
-    best_point = None
-    for bits in itertools.product((0, 1), repeat=len(binaries)):
-        fixings = dict(zip(binaries, bits))
-        outcome = solver.solve(fixings)
-        nodes += 1
-        if outcome.status != OPTIMAL:
-            continue
-        if feasibility:
-            return _result(problem, SAT, None, outcome.point, nodes, start)
-        if outcome.value < best_value:
-            best_value = outcome.value
-            best_point = outcome.point
-    if feasibility:
+    if sense == "feas":
         return _result(problem, UNSAT, None, None, nodes, start)
     if best_point is None:
         return _result(problem, INFEASIBLE, None, None, nodes, start)
-    return _result(problem, OPTIMAL, flip * best_value, best_point, nodes, start)
+    return _result(problem, OPTIMAL, best_value, best_point, nodes, start)
+
+
+def solve_feasibility(problem: MilpProblem, *, time_budget_ms: Optional[float] = None,
+                      feas_tol: float = 1e-6) -> MilpOutcome:
+    """Search for any assignment with integral binaries.
+
+    On an exhausted time budget the outcome is ``unknown``: callers must
+    treat it as "could be satisfiable".
+    """
+    return _branch_and_bound(problem, None, "feas", time_budget_ms, feas_tol)
+
+
+def optimize(problem: MilpProblem, objective: Mapping[int, float], sense: str, *,
+             time_budget_ms: Optional[float] = None,
+             feas_tol: float = 1e-6) -> MilpOutcome:
+    """Exact MILP optimum of ``objective`` (``sense`` is min or max)."""
+    if sense not in ("min", "max"):
+        raise ValueError(f"sense must be min or max, got {sense!r}")
+    flip = -1.0 if sense == "max" else 1.0
+    internal = {vid: flip * coef for vid, coef in objective.items()}
+    out = _branch_and_bound(problem, internal, "min", time_budget_ms, feas_tol)
+    if out.status != OPTIMAL:
+        return out
+    return replace(out, value=flip * out.value)
 
 
 class SolverBackend(abc.ABC):
@@ -244,18 +170,12 @@ class SolverBackend(abc.ABC):
 class BranchAndBoundBackend(SolverBackend):
     """Default backend: the built-in simplex + branch-and-bound."""
 
-    def __init__(self, feas_tol: float = 1e-6, pivot_tol: float = 1e-9,
-                 integrality_tol: float = 1e-6):
+    def __init__(self, feas_tol: float = 1e-6):
         self.feas_tol = feas_tol
-        self.pivot_tol = pivot_tol
-        self.integrality_tol = integrality_tol
 
     def feasibility(self, problem, *, time_budget_ms=None):
         return solve_feasibility(problem, time_budget_ms=time_budget_ms,
-                                 feas_tol=self.feas_tol, pivot_tol=self.pivot_tol,
-                                 integrality_tol=self.integrality_tol)
+                                 feas_tol=self.feas_tol)
 
     def optimize(self, problem, objective, sense):
-        return optimize(problem, objective, sense, feas_tol=self.feas_tol,
-                        pivot_tol=self.pivot_tol,
-                        integrality_tol=self.integrality_tol)
+        return optimize(problem, objective, sense, feas_tol=self.feas_tol)

@@ -1,4 +1,4 @@
-"""Interval arithmetic and box propagation of neuron bounds.
+"""Box (interval) propagation of neuron bounds.
 
 The propagation treats every neuron input as an independent interval, so the
 result is a sound enclosure of the reachable values (up to float rounding)
@@ -8,59 +8,12 @@ but generally wider than the true range.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .model import InputDomain, Network
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed real interval [lb, ub]; both endpoints finite."""
-
-    lb: float
-    ub: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lb) and math.isfinite(self.ub)):
-            raise ValueError(f"interval endpoints must be finite: [{self.lb}, {self.ub}]")
-        if self.lb > self.ub:
-            raise ValueError(f"empty interval: [{self.lb}, {self.ub}]")
-
-    def contains(self, value: float, tol: float = 0.0) -> bool:
-        return self.lb - tol <= value <= self.ub + tol
-
-    def encloses(self, other: "Interval", tol: float = 0.0) -> bool:
-        return self.lb - tol <= other.lb and other.ub <= self.ub + tol
-
-
-def iv_add(a: Interval, b: Interval) -> Interval:
-    return Interval(a.lb + b.lb, a.ub + b.ub)
-
-
-def iv_scale(c: float, a: Interval) -> Interval:
-    """Scaling by a negative constant swaps and negates the endpoints."""
-    if c >= 0.0:
-        return Interval(c * a.lb, c * a.ub)
-    return Interval(c * a.ub, c * a.lb)
-
-
-def iv_relu(a: Interval) -> Interval:
-    return Interval(max(a.lb, 0.0), max(a.ub, 0.0))
-
-
-def affine_bounds(weights, bias: float, inputs: Sequence[Interval]) -> Interval:
-    """Interval image of ``bias + sum(w_i * inputs_i)`` under independent inputs."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(inputs),):
-        raise ValueError(f"{weights.shape[0]} weights for {len(inputs)} input intervals")
-    acc = Interval(float(bias), float(bias))
-    for w, iv in zip(weights, inputs):
-        acc = iv_add(acc, iv_scale(float(w), iv))
-    return acc
 
 
 @dataclass(frozen=True)
@@ -140,15 +93,6 @@ class BoundsMap:
     @property
     def num_hidden_layers(self) -> int:
         return len(self.pre_lo)
-
-    def hidden_pre(self, layer: int, j: int) -> Interval:
-        return Interval(float(self.pre_lo[layer][j]), float(self.pre_hi[layer][j]))
-
-    def hidden_post(self, layer: int, j: int) -> Interval:
-        return Interval(float(self.post_lo[layer][j]), float(self.post_hi[layer][j]))
-
-    def output(self, j: int) -> Interval:
-        return Interval(float(self.out_lo[j]), float(self.out_hi[j]))
 
     def shapes_match(self, net: Network) -> bool:
         if self.input_lo.shape != (net.input_dim,):

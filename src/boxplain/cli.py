@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -109,18 +108,29 @@ def _parse_order(text: Optional[str], n: int) -> Optional[tuple]:
 def _build_config(args, n: int) -> EngineConfig:
     return EngineConfig(
         tight_bounds_mode=args.tight_bounds,
-        order=_parse_order(getattr(args, "order", None), n),
+        order=_parse_order(args.order, n),
         feas_tol=args.tolerance,
         time_budget_ms=args.time_budget_ms,
     )
 
 
-def _explain_many(explainer: Explainer, instances: InstanceSet, mode: str, jobs: int):
-    rows = instances.rows
-    if jobs > 1 and len(instances) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda r: explainer.explain(r, mode), rows))
-    return [explainer.explain(row, mode) for row in rows]
+def _write_per_instance(writer, instances: InstanceSet, cells) -> int:
+    """Write ``[idx, *cells(row)]`` for each instance as soon as it is done.
+
+    A solver failure costs only its own instance: it is reported on stderr,
+    the row is skipped and the exit code becomes 3 once every instance ran.
+    """
+    code = EXIT_OK
+    for idx, row in enumerate(instances.rows):
+        try:
+            values = cells(row)
+        except SolverFailure as exc:
+            print(f"solver failure: instance {idx}: {exc}", file=sys.stderr)
+            code = EXIT_SOLVER
+            continue
+        writer.writerow([idx, *values])
+        sys.stdout.flush()
+    return code
 
 
 def cmd_explain(args) -> int:
@@ -133,17 +143,17 @@ def cmd_explain(args) -> int:
     writer.writerow(["instance", "predicted_class", "kept_indices", "decisions",
                      "total_time_s", "solver_time_s", "solver_calls",
                      "box_shortcut_hits"])
-    results = _explain_many(explainer, instances, args.mode, args.jobs)
-    for idx, (explanation, stats) in enumerate(results):
+
+    def cells(row):
+        explanation, stats = explainer.explain(row, args.mode)
         decisions = ";".join(f"{i}:{d.value}"
                              for i, d in sorted(explanation.decisions.items()))
-        writer.writerow([
-            idx, explanation.target,
-            ";".join(str(i) for i in explanation.kept_indices),
-            decisions, _fmt(stats.total_time), _fmt(stats.solver_time),
-            stats.solver_calls, stats.box_shortcut_hits,
-        ])
-    return EXIT_OK
+        return [explanation.target,
+                ";".join(str(i) for i in explanation.kept_indices),
+                decisions, _fmt(stats.total_time), _fmt(stats.solver_time),
+                stats.solver_calls, stats.box_shortcut_hits]
+
+    return _write_per_instance(writer, instances, cells)
 
 
 def cmd_bounds(args) -> int:
@@ -181,8 +191,8 @@ def cmd_bench(args) -> int:
     if not len(instances):
         return EXIT_OK
     explainer = Explainer(net, domain, config)
-    base_runs = _explain_many(explainer, instances, MODE_BASELINE, args.jobs)
-    ours_runs = _explain_many(explainer, instances, MODE_IMPROVED, args.jobs)
+    base_runs = [explainer.explain(row, MODE_BASELINE) for row in instances.rows]
+    ours_runs = [explainer.explain(row, MODE_IMPROVED) for row in instances.rows]
     for (base_exp, _), (ours_exp, _) in zip(base_runs, ours_runs):
         if base_exp.kept_indices != ours_exp.kept_indices:
             raise SolverFailure("baseline and improved explanations diverge")
@@ -219,32 +229,33 @@ def cmd_verify(args) -> int:
     writer.writerow(["instance", "predicted_class", "kept_indices",
                      "sufficiency_ok", "minimality_ok", "unverified"])
     rng = np.random.default_rng(args.seed)
-    for idx, row in enumerate(instances.rows):
+
+    def cells(row):
         explanation, _ = explainer.explain(row, args.mode)
         report = verify_explanation(net, row, explanation, domain,
                                     samples=args.samples, rng=rng,
                                     base_problem=explainer.base_problem)
-        writer.writerow([
-            idx, explanation.target,
-            ";".join(str(i) for i in explanation.kept_indices),
-            int(report.sufficiency_ok), int(report.minimality_ok),
-            ";".join(str(i) for i in report.unverified),
-        ])
-    return EXIT_OK
+        return [explanation.target,
+                ";".join(str(i) for i in explanation.kept_indices),
+                int(report.sufficiency_ok), int(report.minimality_ok),
+                ";".join(str(i) for i in report.unverified)]
+
+    return _write_per_instance(writer, instances, cells)
 
 
-def _add_common(sub, with_instances=True, with_mode=True) -> None:
+def _add_tight_bounds(sub) -> None:
+    sub.add_argument("--tight-bounds", choices=["milp", "box"], default="milp")
+
+
+def _add_explainer_args(sub, with_mode=True) -> None:
     sub.add_argument("model", help="model JSON path")
-    if with_instances:
-        sub.add_argument("instances", help="instances CSV path")
+    sub.add_argument("instances", help="instances CSV path")
     if with_mode:
         sub.add_argument("--mode", choices=[MODE_BASELINE, MODE_IMPROVED],
                          default=MODE_IMPROVED)
-        sub.add_argument("--order", default=None,
-                         help="'asc' or comma-separated attribute permutation")
-    sub.add_argument("--tight-bounds", choices=["milp", "box"], default="milp")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--order", default=None,
+                     help="'asc' or comma-separated attribute permutation")
+    _add_tight_bounds(sub)
     sub.add_argument("--time-budget-ms", type=float, default=None)
     sub.add_argument("--tolerance", type=float, default=1e-6,
                      help="solver feasibility tolerance")
@@ -256,12 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimal sufficient-attribute explanations for ReLU "
                     "classifiers, with exact solver checks.")
     subs = parser.add_subparsers(dest="command", required=True)
-    _add_common(subs.add_parser("explain", help="one CSV row per instance"))
-    _add_common(subs.add_parser("bounds", help="per-neuron tight and box bounds"),
-                with_instances=False, with_mode=False)
-    _add_common(subs.add_parser("bench", help="aggregate baseline-vs-improved row"))
+    _add_explainer_args(subs.add_parser("explain", help="one CSV row per instance"))
+    bounds = subs.add_parser("bounds", help="per-neuron tight and box bounds")
+    bounds.add_argument("model", help="model JSON path")
+    _add_tight_bounds(bounds)
+    _add_explainer_args(subs.add_parser("bench",
+                                        help="aggregate baseline-vs-improved row"),
+                        with_mode=False)
     verify = subs.add_parser("verify", help="independently re-check explanations")
-    _add_common(verify)
+    _add_explainer_args(verify)
+    verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--samples", type=int, default=1000)
     return parser
 

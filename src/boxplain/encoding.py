@@ -23,50 +23,15 @@ import numpy as np
 
 from .box import AttributeAssignment, BoundsMap
 from .model import Network
+from .simplex import EQ, GE, LE, LpProblem
 
 logger = logging.getLogger(__name__)
-
-CONTINUOUS = "continuous"
-BINARY = "binary"
-
-LE = "<="
-GE = ">="
-EQ = "=="
-
-# constraint origin tags
-RELU_UPPER_ACTIVE = "relu-upper-active"
-RELU_LOWER = "relu-lower"
-RELU_UPPER_INDICATOR = "relu-upper-indicator"
-RELU_EQ_ACTIVE = "relu-eq-active"
-OUTPUT_AFFINE = "output-affine"
-QUERY = "query"
 
 MODE_SPLIT = "split"
 MODE_ACTIVE = "active"
 MODE_INACTIVE = "inactive"
 
 INF = float("inf")
-
-
-@dataclass(frozen=True)
-class Variable:
-    vid: int
-    name: str
-    kind: str  # continuous | binary
-    lb: float
-    ub: float
-    role: tuple  # ("input", i) | ("post", l, j) | ("z", l, j) | ("output", j)
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    coeffs: tuple  # ((vid, coef), ...) sorted by vid
-    relation: str  # <= | >= | ==
-    rhs: float
-    origin: str
-
-    def coef_map(self) -> dict:
-        return dict(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -101,155 +66,163 @@ class SimplificationStats:
 
 @dataclass(frozen=True)
 class MilpProblem:
-    """Immutable encoded problem; transformations return new values."""
+    """Encoded problem: its LP relaxation as arrays, with the binary columns
+    tagged in ``lp.binaries``, plus per-neuron bookkeeping.
+
+    Transformations return new values.  The arrays are read-only because one
+    base problem is shared by every instance (and thread) an ``Explainer``
+    serves; unchanged arrays are shared between a problem and its edits.
+    """
 
     net: Network
-    variables: tuple
-    constraints: tuple
-    blocks: tuple  # NeuronBlock per hidden neuron, layer-major
+    lp: LpProblem  # objective-free (sense "feas"); column j is vid j
+    blocks: tuple  # NeuronBlock per encoded hidden neuron, layer-major
     input_vids: tuple
     output_vids: tuple
     encode_stats: SimplificationStats
 
+    def __post_init__(self):
+        for arr in (self.lp.a, self.lp.rhs, self.lp.lb, self.lp.ub, self.lp.c):
+            arr.setflags(write=False)
+
     def block(self, layer: int, index: int) -> NeuronBlock:
-        for blk in self.blocks:
-            if blk.layer == layer and blk.index == index:
+        pos = sum(self.net.hidden_widths[:layer]) + index
+        if layer >= 0 and index >= 0 and pos < len(self.blocks):
+            blk = self.blocks[pos]
+            if (blk.layer, blk.index) == (layer, index):
                 return blk
         raise KeyError((layer, index))
 
     @property
     def binary_vids(self) -> tuple:
-        return tuple(v.vid for v in self.variables if v.kind == BINARY)
-
-    def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        lbs = np.array([v.lb for v in self.variables], dtype=np.float64)
-        ubs = np.array([v.ub for v in self.variables], dtype=np.float64)
-        return lbs, ubs
+        return self.lp.binaries
 
 
-def _structural_layout(net: Network) -> tuple[dict, tuple, tuple]:
-    """Fixed vids for inputs, hidden posts and outputs, independent of which
-    neurons carry a binary.  Binaries always number after the structural vars."""
-    post_vid = {}
+def _structural_layout(net: Network) -> tuple[tuple, tuple, tuple]:
+    """Fixed vids for inputs, hidden posts (one range per layer) and outputs,
+    independent of which neurons carry a binary.  Binaries always number
+    after the structural vars."""
+    post_vids = []
     vid = net.input_dim
-    for l, width in enumerate(net.hidden_widths):
-        for j in range(width):
-            post_vid[(l, j)] = vid
-            vid += 1
+    for width in net.hidden_widths:
+        post_vids.append(range(vid, vid + width))
+        vid += width
     input_vids = tuple(range(net.input_dim))
     output_vids = tuple(range(vid, vid + net.class_count))
-    return post_vid, input_vids, output_vids
+    return tuple(post_vids), input_vids, output_vids
+
+
+_ROW_COUNT = {MODE_INACTIVE: 0, MODE_ACTIVE: 1, MODE_SPLIT: 3}
+
+
+def _mode(lb: float, ub: float) -> str:
+    if ub <= 0.0:
+        return MODE_INACTIVE
+    return MODE_ACTIVE if lb > 0.0 else MODE_SPLIT
 
 
 def _encode(net: Network, bounds: BoundsMap,
             input_bounds: Optional[tuple[np.ndarray, np.ndarray]] = None,
-            extra_rows: tuple = (),
+            extra_rows: Optional[tuple] = None,
             hidden_scope: Optional[int] = None,
             with_outputs: bool = True) -> MilpProblem:
     """Shared encoder.  ``hidden_scope`` limits how many hidden layers get
     rows (later posts stay as inert variables); prefix problems for bound
-    optimization drop the output rows entirely."""
+    optimization drop the output rows entirely.  ``extra_rows`` is an
+    ``(a, rel, rhs)`` triple over the structural columns, appended last."""
     if not bounds.shapes_match(net):
         raise ValueError("bounds map does not match network shape")
     if hidden_scope is None:
         hidden_scope = len(net.hidden_layers)
-    post_vid, input_vids, output_vids = _structural_layout(net)
+    post_vids, input_vids, output_vids = _structural_layout(net)
     n_struct = net.input_dim + net.num_hidden_neurons + net.class_count
+    layers = net.hidden_layers[:hidden_scope]
+    modes = [[_mode(float(lo), float(hi))
+              for lo, hi in zip(bounds.pre_lo[l], bounds.pre_hi[l])]
+             for l in range(hidden_scope)]
+    n_binaries = sum(m.count(MODE_SPLIT) for m in modes)
+    n_rows = sum(_ROW_COUNT[m] for layer_modes in modes for m in layer_modes)
+    if with_outputs:
+        n_rows += net.class_count
+    if extra_rows is None:
+        extra_rows = (np.zeros((0, n_struct)), (), np.zeros(0))
+    extra_a, extra_rel, extra_rhs = extra_rows
 
+    n_cols = n_struct + n_binaries
+    a = np.zeros((n_rows + len(extra_rel), n_cols))
+    rhs = np.zeros(a.shape[0])
+    rel: list[str] = []
+    lb = np.zeros(n_cols)
+    ub = np.full(n_cols, INF)  # posts past the hidden scope stay [0, inf]
+    ub[n_struct:] = 1.0
     in_lo = bounds.input_lo if input_bounds is None else input_bounds[0]
     in_hi = bounds.input_hi if input_bounds is None else input_bounds[1]
+    lb[:net.input_dim], ub[:net.input_dim] = in_lo, in_hi
+    out = slice(n_struct - net.class_count, n_struct)
+    if with_outputs:
+        lb[out], ub[out] = bounds.out_lo, bounds.out_hi
+    else:
+        lb[out] = -INF
 
-    variables: list[Optional[Variable]] = [None] * n_struct
-    for i in range(net.input_dim):
-        variables[i] = Variable(i, f"x{i}", CONTINUOUS,
-                                float(in_lo[i]), float(in_hi[i]), ("input", i))
-    for j, vid in enumerate(output_vids):
-        if with_outputs:
-            variables[vid] = Variable(vid, f"o{j}", CONTINUOUS,
-                                      float(bounds.out_lo[j]), float(bounds.out_hi[j]),
-                                      ("output", j))
-        else:
-            variables[vid] = Variable(vid, f"o{j}", CONTINUOUS, -INF, INF,
-                                      ("output", j))
-    for l, width in enumerate(net.hidden_widths):
-        if l < hidden_scope:
-            continue
-        for j in range(width):
-            vid = post_vid[(l, j)]
-            variables[vid] = Variable(vid, f"h{l}_{j}", CONTINUOUS, 0.0, INF,
-                                      ("post", l, j))
-
-    constraints: list[LinearConstraint] = []
+    # columns feeding each layer: the inputs, then each hidden layer's posts
+    feeds = [slice(0, net.input_dim)] + [slice(r.start, r.stop) for r in post_vids]
+    # "0.0 - w" keeps a zero weight's coefficient at +0.0, the value of an
+    # absent term
     blocks: list[NeuronBlock] = []
-    removed_at_encode = 0
-    next_vid = n_struct
-
-    def prev_vid(layer: int, i: int) -> int:
-        return i if layer == 0 else post_vid[(layer - 1, i)]
-
-    for l, layer in enumerate(net.hidden_layers[:hidden_scope]):
-        for j in range(layer.width):
-            vid = post_vid[(l, j)]
-            lb = float(bounds.pre_lo[l][j])
-            ub = float(bounds.pre_hi[l][j])
-            w = layer.weights[j]
+    row = 0
+    next_z = n_struct
+    for l, layer in enumerate(layers):
+        prev = feeds[l]
+        for j, mode in enumerate(modes[l]):
+            vid = post_vids[l][j]
+            pre_lb = float(bounds.pre_lo[l][j])
+            pre_ub = float(bounds.pre_hi[l][j])
             b = float(layer.biases[j])
-            row_ids: list[int] = []
-            wcoefs = tuple((prev_vid(l, i), -float(w[i]))
-                           for i in range(layer.fan_in) if w[i] != 0.0)
-            if ub <= 0.0:
-                mode, z_var = MODE_INACTIVE, None
-                removed_at_encode += 1
-                variables[vid] = Variable(vid, f"h{l}_{j}", CONTINUOUS, 0.0, 0.0,
-                                          ("post", l, j))
-            elif lb > 0.0:
-                mode, z_var = MODE_ACTIVE, None
-                removed_at_encode += 1
-                variables[vid] = Variable(vid, f"h{l}_{j}", CONTINUOUS, lb, ub,
-                                          ("post", l, j))
-                row_ids.append(len(constraints))
-                constraints.append(LinearConstraint(
-                    tuple(sorted(wcoefs + ((vid, 1.0),))), EQ, b, RELU_EQ_ACTIVE))
+            z_var = None
+            if mode == MODE_INACTIVE:
+                ub[vid] = 0.0
+            elif mode == MODE_ACTIVE:
+                lb[vid], ub[vid] = pre_lb, pre_ub
+                a[row, prev] = 0.0 - layer.weights[j]
+                a[row, vid] = 1.0
+                rel.append(EQ)
+                rhs[row] = b
             else:
-                mode = MODE_SPLIT
-                z_var = next_vid
-                next_vid += 1
-                variables[vid] = Variable(vid, f"h{l}_{j}", CONTINUOUS, 0.0, ub,
-                                          ("post", l, j))
-                variables.append(Variable(z_var, f"z{l}_{j}", BINARY, 0.0, 1.0,
-                                          ("z", l, j)))
-                row_ids.append(len(constraints))
-                constraints.append(LinearConstraint(
-                    tuple(sorted(wcoefs + ((vid, 1.0), (z_var, -lb)))),
-                    LE, b - lb, RELU_UPPER_ACTIVE))
-                row_ids.append(len(constraints))
-                constraints.append(LinearConstraint(
-                    tuple(sorted(wcoefs + ((vid, 1.0),))), GE, b, RELU_LOWER))
-                row_ids.append(len(constraints))
-                constraints.append(LinearConstraint(
-                    ((vid, 1.0), (z_var, -ub)), LE, 0.0, RELU_UPPER_INDICATOR))
-            blocks.append(NeuronBlock(l, j, vid, z_var, mode, lb, ub, tuple(row_ids)))
+                z_var = next_z
+                next_z += 1
+                ub[vid] = pre_ub
+                a[row:row + 2, prev] = 0.0 - layer.weights[j]
+                a[row:row + 3, vid] = 1.0
+                a[row, z_var] = -pre_lb
+                a[row + 2, z_var] = -pre_ub
+                rel.extend((LE, GE, LE))
+                rhs[row:row + 2] = b - pre_lb, b
+            count = _ROW_COUNT[mode]
+            blocks.append(NeuronBlock(l, j, vid, z_var, mode, pre_lb, pre_ub,
+                                      tuple(range(row, row + count))))
+            row += count
 
     if with_outputs:
         out_layer = net.layers[-1]
-        layer_idx = len(net.hidden_layers)
         for j in range(out_layer.width):
-            w = out_layer.weights[j]
-            wcoefs = tuple((prev_vid(layer_idx, i), -float(w[i]))
-                           for i in range(out_layer.fan_in) if w[i] != 0.0)
-            constraints.append(LinearConstraint(
-                tuple(sorted(wcoefs + ((output_vids[j], 1.0),))),
-                EQ, float(out_layer.biases[j]), OUTPUT_AFFINE))
+            a[row, feeds[-1]] = 0.0 - out_layer.weights[j]
+            a[row, output_vids[j]] = 1.0
+            rel.append(EQ)
+            rhs[row] = float(out_layer.biases[j])
+            row += 1
 
-    constraints.extend(extra_rows)
+    a[row:, :n_struct] = extra_a
+    rel.extend(extra_rel)
+    rhs[row:] = extra_rhs
     stats = SimplificationStats(
         neurons_total=net.num_hidden_neurons + net.class_count,
         bounds_tightened_count=0,
         binary_total=net.num_hidden_neurons,
-        binary_removed_count=removed_at_encode,
+        binary_removed_count=len(blocks) - n_binaries,
     )
-    return MilpProblem(net, tuple(variables), tuple(constraints), tuple(blocks),
-                       input_vids, output_vids, stats)
+    lp = LpProblem(a, tuple(rel), rhs, lb, ub, np.zeros(n_cols), "feas",
+                   tuple(range(n_struct, n_cols)))
+    return MilpProblem(net, lp, tuple(blocks), input_vids, output_vids, stats)
 
 
 def encode_network(net: Network, bounds: BoundsMap) -> MilpProblem:
@@ -281,11 +254,13 @@ def attach_rival_query(problem: MilpProblem, target: int, rival: int) -> MilpPro
         raise ValueError(f"class index out of range for {k} outputs")
     if target == rival:
         raise ValueError("target and rival must differ")
-    row = LinearConstraint(
-        tuple(sorted(((problem.output_vids[rival], 1.0),
-                      (problem.output_vids[target], -1.0)))),
-        GE, 0.0, QUERY)
-    return replace(problem, constraints=problem.constraints + (row,))
+    lp = problem.lp
+    row = np.zeros(lp.a.shape[1])
+    row[problem.output_vids[rival]] = 1.0
+    row[problem.output_vids[target]] = -1.0
+    return replace(problem, lp=replace(lp, a=np.vstack([lp.a, row]),
+                                       rel=lp.rel + (GE,),
+                                       rhs=np.append(lp.rhs, 0.0)))
 
 
 def fix_attributes(problem: MilpProblem, assign: AttributeAssignment) -> MilpProblem:
@@ -294,16 +269,17 @@ def fix_attributes(problem: MilpProblem, assign: AttributeAssignment) -> MilpPro
         raise ValueError(
             f"assignment covers {assign.size} attributes, problem has "
             f"{len(problem.input_vids)} inputs")
-    variables = list(problem.variables)
+    lb, ub = problem.lp.lb.copy(), problem.lp.ub.copy()
     for i, v in enumerate(assign.values):
         if v is None:
             continue
-        var = variables[problem.input_vids[i]]
-        if not (var.lb <= v <= var.ub):
+        vid = problem.input_vids[i]
+        if not (lb[vid] <= v <= ub[vid]):
             raise ValueError(
-                f"attribute {i}: value {v} outside bounds [{var.lb}, {var.ub}]")
-        variables[var.vid] = replace(var, lb=float(v), ub=float(v))
-    return replace(problem, variables=tuple(variables))
+                f"attribute {i}: value {v} outside bounds "
+                f"[{float(lb[vid])}, {float(ub[vid])}]")
+        lb[vid] = ub[vid] = float(v)
+    return replace(problem, lp=replace(problem.lp, lb=lb, ub=ub))
 
 
 def merge_bounds(tight: BoundsMap, boxed: BoundsMap) -> tuple[BoundsMap, int]:
@@ -355,17 +331,24 @@ def tighten_and_simplify(problem: MilpProblem, tight: BoundsMap,
     Big-M constants take the merged values; a hidden neuron with merged
     lb > 0 becomes the affine equality, merged ub <= 0 becomes post = 0, and
     either way its binary disappears.  The input problem is left untouched;
-    its current input bounds and any query rows carry over.  Stats count
+    its current input bounds and the rows past the structural ones (query
+    rows, which touch structural columns only) carry over.  Stats count
     strictly narrowed neurons and binaries absent from the result.
     """
     net = problem.net
     if not (tight.shapes_match(net) and boxed.shapes_match(net)):
         raise ValueError("bounds maps do not match the problem's network")
     merged, tightened = merge_bounds(tight, boxed)
-    in_lo = np.array([problem.variables[v].lb for v in problem.input_vids])
-    in_hi = np.array([problem.variables[v].ub for v in problem.input_vids])
-    extra = tuple(c for c in problem.constraints if c.origin == QUERY)
-    rebuilt = _encode(net, merged, input_bounds=(in_lo, in_hi), extra_rows=extra)
+    lp = problem.lp
+    inputs = slice(0, net.input_dim)
+    # a full encoding's neuron and output rows; query rows follow them
+    struct_rows = sum(len(blk.constraint_ids) for blk in problem.blocks) + \
+        len(problem.output_vids)
+    n_struct = lp.a.shape[1] - len(lp.binaries)
+    extra = (lp.a[struct_rows:, :n_struct], lp.rel[struct_rows:],
+             lp.rhs[struct_rows:])
+    rebuilt = _encode(net, merged, input_bounds=(lp.lb[inputs], lp.ub[inputs]),
+                      extra_rows=extra)
     stats = SimplificationStats(
         neurons_total=rebuilt.encode_stats.neurons_total,
         bounds_tightened_count=tightened,
@@ -373,29 +356,3 @@ def tighten_and_simplify(problem: MilpProblem, tight: BoundsMap,
         binary_removed_count=rebuilt.encode_stats.binary_removed_count,
     )
     return replace(rebuilt, encode_stats=problem.encode_stats), stats
-
-
-def problem_to_lp_text(problem: MilpProblem) -> str:
-    """Objective-free LP-format dump for cross-checking with external tools."""
-
-    def term(vid: int, coef: float) -> str:
-        name = problem.variables[vid].name
-        sign = "+" if coef >= 0 else "-"
-        return f"{sign} {abs(coef):.17g} {name}"
-
-    lines = ["Minimize", " obj: 0", "Subject To"]
-    rel_text = {LE: "<=", GE: ">=", EQ: "="}
-    for idx, con in enumerate(problem.constraints):
-        terms = " ".join(term(vid, coef) for vid, coef in con.coeffs)
-        lines.append(f" c{idx}: {terms} {rel_text[con.relation]} {con.rhs:.17g}")
-    lines.append("Bounds")
-    for var in problem.variables:
-        lo = f"{var.lb:.17g}" if var.lb != -INF else "-inf"
-        hi = f"{var.ub:.17g}" if var.ub != INF else "+inf"
-        lines.append(f" {lo} <= {var.name} <= {hi}")
-    binaries = [problem.variables[v].name for v in problem.binary_vids]
-    if binaries:
-        lines.append("Binaries")
-        lines.append(" " + " ".join(binaries))
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -22,8 +22,9 @@ from .box import (AttributeAssignment, BoundsMap, ShortcutResult, box_propagate,
                   shortcut_check)
 from .bnb import (SAT, UNKNOWN, UNSAT, BranchAndBoundBackend, MilpOutcome,
                   SolverBackend)
-from .encoding import (MilpProblem, attach_rival_query, encode_network,
-                       encode_prefix, fix_attributes, tighten_and_simplify)
+from .encoding import (MilpProblem, _structural_layout, attach_rival_query,
+                       encode_network, encode_prefix, fix_attributes,
+                       tighten_and_simplify)
 from .model import InputDomain, Network, batch_outputs, forward
 
 MODE_BASELINE = "baseline"
@@ -92,16 +93,13 @@ class EngineConfig:
     tight_bounds_mode: str = TIGHT_MILP
     order: Optional[tuple] = None  # permutation of attribute indices, or None
     feas_tol: float = 1e-6
-    pivot_tol: float = 1e-9
-    integrality_tol: float = 1e-6
     time_budget_ms: Optional[float] = None
     backend: Optional[SolverBackend] = None
 
     def resolve_backend(self) -> SolverBackend:
         if self.backend is not None:
             return self.backend
-        return BranchAndBoundBackend(self.feas_tol, self.pivot_tol,
-                                     self.integrality_tol)
+        return BranchAndBoundBackend(self.feas_tol)
 
     def resolve_order(self, n: int) -> tuple:
         if self.order is None:
@@ -157,11 +155,8 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
                          np.full(net.class_count, -np.inf),
                          np.full(net.class_count, np.inf))
 
-    def prev_vids(problem: MilpProblem, layer: int) -> Sequence[int]:
-        if layer == 0:
-            return problem.input_vids
-        width = net.hidden_widths[layer - 1]
-        return [problem.block(layer - 1, j).post_var for j in range(width)]
+    post_vids, input_vids, _ = _structural_layout(net)
+    layer_inputs = (input_vids,) + post_vids  # vids feeding each layer
 
     def optimize_affine(problem, vids, weights, bias) -> tuple[float, float]:
         objective = {vid: float(w) for vid, w in zip(vids, weights) if w != 0.0}
@@ -174,18 +169,17 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
 
     for l, layer in enumerate(net.hidden_layers):
         prefix = encode_prefix(net, working_map(), l)
-        vids = prev_vids(prefix, l)
         for j in range(layer.width):
-            lo, hi = optimize_affine(prefix, vids, layer.weights[j],
+            lo, hi = optimize_affine(prefix, layer_inputs[l], layer.weights[j],
                                      float(layer.biases[j]))
             pre_lo[l][j], pre_hi[l][j] = lo, hi
             post_lo[l][j], post_hi[l][j] = max(lo, 0.0), max(hi, 0.0)
 
     out_layer = net.layers[-1]
     prefix = encode_prefix(net, working_map(), len(net.hidden_layers))
-    vids = prev_vids(prefix, len(net.hidden_layers))
     for j in range(out_layer.width):
-        out_lo[j], out_hi[j] = optimize_affine(prefix, vids, out_layer.weights[j],
+        out_lo[j], out_hi[j] = optimize_affine(prefix, layer_inputs[-1],
+                                               out_layer.weights[j],
                                                float(out_layer.biases[j]))
 
     return BoundsMap(boxed.input_lo.copy(), boxed.input_hi.copy(),
@@ -331,18 +325,6 @@ class Explainer:
 
 def _pct(num: int, den: int) -> float:
     return 100.0 * num / den if den else 0.0
-
-
-def explain_baseline(net: Network, instance, domain: InputDomain,
-                     config: Optional[EngineConfig] = None):
-    """Deletion loop with a solver check per attribute, original bounds only."""
-    return Explainer(net, domain, config).explain(instance, MODE_BASELINE)
-
-
-def explain_improved(net: Network, instance, domain: InputDomain,
-                     config: Optional[EngineConfig] = None):
-    """Deletion loop with the box shortcut and per-attribute simplification."""
-    return Explainer(net, domain, config).explain(instance, MODE_IMPROVED)
 
 
 @dataclass(frozen=True)

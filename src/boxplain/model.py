@@ -16,22 +16,22 @@ class ModelFormatError(ValueError):
     """A model document failed schema, shape or finiteness validation."""
 
 
-def _as_matrix(rows, context: str) -> np.ndarray:
+def _as_matrix(rows) -> np.ndarray:
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2:
-        raise ModelFormatError(f"{context}: weights must be a 2-d matrix")
+        raise ModelFormatError("weights must be a 2-d matrix")
     if not np.isfinite(arr).all():
-        raise ModelFormatError(f"{context}: non-finite weight value")
+        raise ModelFormatError("non-finite weight value")
     arr.setflags(write=False)
     return arr
 
 
-def _as_vector(values, context: str) -> np.ndarray:
+def _as_vector(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
-        raise ModelFormatError(f"{context}: biases must be a 1-d vector")
+        raise ModelFormatError("biases must be a 1-d vector")
     if not np.isfinite(arr).all():
-        raise ModelFormatError(f"{context}: non-finite bias value")
+        raise ModelFormatError("non-finite bias value")
     arr.setflags(write=False)
     return arr
 
@@ -166,23 +166,13 @@ def load_network(document: dict) -> Network:
         raise ModelFormatError("'layers' must be a non-empty list")
     layers = []
     for idx, raw in enumerate(raw_layers):
-        ctx = f"layer {idx}"
         try:
-            weights = _as_matrix(raw["weights"], ctx)
-            biases = _as_vector(raw["biases"], ctx)
-            activation = raw["activation"]
+            layers.append(Layer(_as_matrix(raw["weights"]),
+                                _as_vector(raw["biases"]), raw["activation"]))
         except KeyError as exc:
-            raise ModelFormatError(f"{ctx}: missing key {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise ModelFormatError(f"{ctx}: {exc}") from None
-        if activation not in (RELU, IDENTITY):
-            raise ModelFormatError(f"{ctx}: unknown activation {activation!r}")
-        if biases.shape[0] != weights.shape[0]:
-            raise ModelFormatError(
-                f"{ctx}: bias length {biases.shape[0]} does not match "
-                f"width {weights.shape[0]}"
-            )
-        layers.append(Layer(weights, biases, activation))
+            raise ModelFormatError(f"layer {idx}: missing key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:  # ModelFormatError included
+            raise ModelFormatError(f"layer {idx}: {exc}") from None
     return Network(tuple(layers), input_dim)
 
 

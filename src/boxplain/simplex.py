@@ -14,7 +14,7 @@ refactored and re-priced once, so stale arithmetic cannot end a solve early.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -173,6 +173,7 @@ class _Simplex:
         bland = False
         stall = 0
         best = INF
+        movable = (hi - lo) > 0.0  # bounds stay fixed within one run
         while True:
             if self.iterations >= self.max_iter:
                 raise SolverFailure("simplex iteration limit exceeded")
@@ -180,11 +181,9 @@ class _Simplex:
 
             y = self.binv.T @ cost[self.basis]
             d = cost - A.T @ y
-            movable = (hi - lo) > 0.0
-            eligible = (((stat == _AT_LOWER) & (d < -tol) & movable)
-                        | ((stat == _AT_UPPER) & (d > tol) & movable)
+            eligible = ((((stat == _AT_LOWER) & (d < -tol))
+                         | ((stat == _AT_UPPER) & (d > tol))) & movable
                         | ((stat == _FREE) & (np.abs(d) > tol)))
-            eligible &= stat != _BASIC
             if not eligible.any():
                 if self.pivots_since_refactor == 0:
                     return OPTIMAL
@@ -192,11 +191,11 @@ class _Simplex:
                 self._refactor()
                 continue
 
-            idx = np.nonzero(eligible)[0]
+            idx = eligible.nonzero()[0]
             if bland:
                 q = int(idx[0])
             else:
-                q = int(idx[int(np.argmax(np.abs(d[idx])))])
+                q = int(idx[np.abs(d[idx]).argmax()])
             dq = float(d[q])
             if stat[q] == _AT_UPPER:
                 sigma = -1.0
@@ -244,11 +243,11 @@ class _Simplex:
                     stat[q] = _AT_LOWER
                 continue
 
-            blocking = np.nonzero(steps <= t_basic + 1e-12)[0]
+            blocking = (steps <= t_basic + 1e-12).nonzero()[0]
             if bland:
-                r = int(blocking[int(np.argmin(self.basis[blocking]))])
+                r = int(blocking[self.basis[blocking].argmin()])
             else:
-                r = int(blocking[int(np.argmax(np.abs(w[blocking])))])
+                r = int(blocking[np.abs(w[blocking]).argmax()])
             leaving = int(self.basis[r])
             x[self.basis] = xb - sigma * t_basic * w
             x[q] = (lo[q] if stat[q] == _AT_LOWER
@@ -260,7 +259,7 @@ class _Simplex:
             # eta update of the inverse: column r of the new basis is A[:, q]
             wr = w[r]
             row_r = self.binv[r] / wr
-            self.binv -= np.outer(w, row_r)
+            self.binv -= w[:, None] * row_r
             self.binv[r] = row_r
             self.pivots_since_refactor += 1
             if self.pivots_since_refactor >= _REFACTOR_EVERY:
@@ -363,21 +362,3 @@ def solve_lp(p: LpProblem, feas_tol: float = 1e-6,
     identical results."""
     return solve_prepared(prepare(p), p.lb, p.ub, p.c, p.sense,
                           feas_tol, pivot_tol)
-
-
-def solve_fixed_binary(p: LpProblem, fixings: Mapping[int, int],
-                       feas_tol: float = 1e-6,
-                       pivot_tol: float = 1e-9) -> LpOutcome:
-    """solve_lp with the given binary columns pinned to 0 or 1."""
-    if not fixings:
-        return solve_lp(p, feas_tol, pivot_tol)
-    allowed = set(p.binaries)
-    lb = p.lb.copy()
-    ub = p.ub.copy()
-    for col, val in fixings.items():
-        if col not in allowed:
-            raise ValueError(f"column {col} is not tagged binary")
-        if val not in (0, 1):
-            raise ValueError(f"binary fixing must be 0 or 1, got {val!r}")
-        lb[col] = ub[col] = float(val)
-    return solve_prepared(prepare(p), lb, ub, p.c, p.sense, feas_tol, pivot_tol)

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 
-from boxplain.simplex import EQ, GE, LE, LpProblem
+from boxplain.bnb import SAT, UNSAT, MilpOutcome, milp_to_lp
+from boxplain.simplex import (EQ, GE, INFEASIBLE, LE, OPTIMAL, LpProblem,
+                              prepare, solve_prepared)
+
+ORACLE_BINARY_CAP = 20
 
 
 def vertex_enumerate(p: LpProblem):
@@ -90,3 +95,77 @@ def eq2_style_milp():
     ub = np.array([3.0, np.inf, 1.0])
     c = np.array([0.0, 1.0, 0.0])
     return LpProblem(a, rel, rhs, lb, ub, c, "min", binaries=(2,))
+
+
+def _forced_violation(lp: LpProblem, lb, ub) -> float:
+    """Least violation of the worst row over every point in the box.
+
+    Each row's activity ranges over ``[act_lo, act_hi]`` when the variables
+    roam their bounds; a ``<=`` row is violated by at least
+    ``act_lo - rhs``, a ``>=`` row by ``rhs - act_hi``, an equality by
+    either.
+    """
+    if not lp.rhs.size:
+        return 0.0
+    a = lp.a
+    with np.errstate(invalid="ignore"):
+        act_lo = np.where(a > 0, a * lb, np.where(a < 0, a * ub, 0.0)).sum(axis=1)
+        act_hi = np.where(a > 0, a * ub, np.where(a < 0, a * lb, 0.0)).sum(axis=1)
+    rel = np.array(lp.rel)
+    over = np.where(rel != GE, act_lo - lp.rhs, -np.inf)
+    under = np.where(rel != LE, lp.rhs - act_hi, -np.inf)
+    return float(np.maximum(over, under).max())
+
+
+def oracle_enumerate(problem, objective=None, sense="min", *,
+                     feas_tol=1e-6, pivot_tol=1e-9) -> MilpOutcome:
+    """Ground truth by exhausting every 0/1 assignment of the binaries.
+
+    One LP per assignment; refuses problems with more than
+    ``ORACLE_BINARY_CAP`` binaries.  Without an objective this is a
+    feasibility check (first satisfiable assignment wins); with one it
+    returns the exact optimum.  The loop is its own, not branch and bound's,
+    because branch and bound is what it checks.  An assignment whose box
+    already forces some row past the simplex's phase-one tolerance is
+    counted but not solved: the LP would report it infeasible.
+    """
+    start = time.perf_counter()
+    binaries = list(problem.binary_vids)
+    if len(binaries) > ORACLE_BINARY_CAP:
+        raise ValueError(
+            f"oracle refuses {len(binaries)} binaries (cap {ORACLE_BINARY_CAP})")
+    feasibility = objective is None
+    flip = -1.0 if sense == "max" else 1.0
+    internal = None if feasibility else {v: flip * c for v, c in objective.items()}
+    lp = milp_to_lp(problem, internal, "feas" if feasibility else "min")
+    prep = prepare(lp)
+    infeas_tol = feas_tol * max(1.0, float(np.abs(lp.rhs).max(initial=0.0)))
+    nodes = 0
+    best_value = np.inf
+    best_point = None
+    for bits in itertools.product((0.0, 1.0), repeat=len(binaries)):
+        lb, ub = lp.lb.copy(), lp.ub.copy()
+        lb[binaries] = ub[binaries] = bits
+        nodes += 1
+        if _forced_violation(lp, lb, ub) > infeas_tol:
+            continue
+        outcome = solve_prepared(prep, lb, ub, lp.c, lp.sense, feas_tol, pivot_tol)
+        if outcome.status != OPTIMAL:
+            continue
+        if feasibility:
+            best_point = outcome.point
+            break
+        if outcome.value < best_value:
+            best_value = outcome.value
+            best_point = outcome.point
+    if feasibility:
+        status, value = (SAT if best_point is not None else UNSAT), None
+    elif best_point is None:
+        status, value = INFEASIBLE, None
+    else:
+        status, value = OPTIMAL, flip * best_value
+    witness = None
+    if best_point is not None:
+        witness = best_point[np.array(problem.input_vids, dtype=int)].copy()
+    return MilpOutcome(status, value, best_point, witness, nodes,
+                       time.perf_counter() - start)

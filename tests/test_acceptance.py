@@ -26,8 +26,7 @@ import numpy as np
 import pytest
 
 from boxplain.box import AttributeAssignment, box_propagate, shortcut_check, ShortcutResult
-from boxplain.bnb import (BranchAndBoundBackend, optimize, oracle_enumerate,
-                          solve_feasibility)
+from boxplain.bnb import BranchAndBoundBackend, optimize, solve_feasibility
 from boxplain.encoding import (MODE_ACTIVE, attach_rival_query, encode_network,
                                fix_attributes, tighten_and_simplify)
 from boxplain.engine import (Decision, EngineConfig, Explainer,
@@ -36,7 +35,7 @@ from boxplain.model import forward, load_domain, load_network
 from boxplain.simplex import LpProblem, solve_lp
 from conftest import DEMO_DOC
 from netgen import random_instance, random_network
-from oracles import random_bounded_lp, vertex_enumerate
+from oracles import oracle_enumerate, random_bounded_lp, vertex_enumerate
 from test_bnb import worked_milp  # noqa: F401  (fixture reuse)
 
 CORPUS_SEED = 92
@@ -172,9 +171,9 @@ def test_criterion_03_pinned_refinement_values(demo):
     expect("box output0 upper", boxed.out_hi[0], 1.4)
     expect("box output1 lower", boxed.out_lo[1], -0.3)
     expect("box output1 upper", boxed.out_hi[1], 0.9)
-    merged_out1 = simplified.variables[simplified.output_vids[1]]
-    expect("merged output1 lower", merged_out1.lb, 0.2)
-    expect("merged output1 upper", merged_out1.ub, 0.9)
+    merged_out1 = simplified.output_vids[1]
+    expect("merged output1 lower", simplified.lp.lb[merged_out1], 0.2)
+    expect("merged output1 upper", simplified.lp.ub[merged_out1], 0.9)
     assert not failures, "; ".join(failures)
 
 

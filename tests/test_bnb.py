@@ -1,41 +1,39 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from boxplain.box import AttributeAssignment, box_propagate
-from boxplain.bnb import (ORACLE_BINARY_CAP, BranchAndBoundBackend,
-                          optimize, oracle_enumerate, solve_feasibility)
-from boxplain.encoding import (BINARY, CONTINUOUS, GE, LE, LinearConstraint,
-                               MilpProblem, SimplificationStats, Variable,
+from boxplain.bnb import BranchAndBoundBackend, optimize, solve_feasibility
+from boxplain.encoding import (MilpProblem, SimplificationStats,
                                attach_rival_query, encode_network,
                                fix_attributes)
 from boxplain.model import forward, predict
+from boxplain.simplex import GE, LE, LpProblem
 from netgen import random_instance, random_network
-
-INF = float("inf")
+from oracles import ORACLE_BINARY_CAP, eq2_style_milp, oracle_enumerate
 
 _NO_STATS = SimplificationStats(0, 0, 0, 0)
 
 
-def make_problem(variables, constraints, input_vids=(), output_vids=()):
-    """Hand-built problem; the network reference is not needed for solving."""
-    return MilpProblem(None, tuple(variables), tuple(constraints), (),
-                       tuple(input_vids), tuple(output_vids), _NO_STATS)
+def make_problem(lp, input_vids=()):
+    """Hand-built problem around ``lp``'s rows and bounds (its objective is
+    dropped); the network reference is not needed for solving."""
+    lp = replace(lp, c=np.zeros_like(lp.c), sense="feas")
+    return MilpProblem(None, lp, (), tuple(input_vids), (), _NO_STATS)
+
+
+def make_lp(a, rel, rhs, lb, ub, binaries=()):
+    n = len(lb)
+    return LpProblem(np.array(a, dtype=float).reshape(len(rel), n), rel,
+                     np.array(rhs, dtype=float), np.array(lb, dtype=float),
+                     np.array(ub, dtype=float), np.zeros(n), "feas", binaries)
 
 
 @pytest.fixture()
 def worked_milp():
     """min y1 s.t. 1<=x1<=3, 3x1-2 <= y1 <= 3x1-2-0.5(1-z1), 0<=y1<=8z1."""
-    variables = (
-        Variable(0, "x1", CONTINUOUS, 1.0, 3.0, ("input", 0)),
-        Variable(1, "y1", CONTINUOUS, 0.0, INF, ("aux", 0)),
-        Variable(2, "z1", BINARY, 0.0, 1.0, ("z", 0, 0)),
-    )
-    constraints = (
-        LinearConstraint(((0, 3.0), (1, -1.0)), LE, 2.0, "aux"),
-        LinearConstraint(((0, -3.0), (1, 1.0), (2, -0.5)), LE, -2.5, "aux"),
-        LinearConstraint(((1, 1.0), (2, -8.0)), LE, 0.0, "aux"),
-    )
-    return make_problem(variables, constraints, input_vids=(0,))
+    return make_problem(eq2_style_milp(), input_vids=(0,))
 
 
 def domain_box(net, domain):
@@ -70,20 +68,15 @@ class TestWorkedMilp:
 
 class TestTrivial:
     def test_root_infeasible(self):
-        p = make_problem(
-            (Variable(0, "x", CONTINUOUS, -10.0, 10.0, ("input", 0)),),
-            (LinearConstraint(((0, 1.0),), GE, 2.0, "aux"),
-             LinearConstraint(((0, 1.0),), LE, 1.0, "aux")),
-            input_vids=(0,))
+        p = make_problem(make_lp([[1.0], [1.0]], (GE, LE), [2.0, 1.0],
+                                 [-10.0], [10.0]), input_vids=(0,))
         out = solve_feasibility(p)
         assert out.status == "unsat"
         assert out.node_count == 1
 
     def test_no_binaries_single_lp(self):
-        p = make_problem(
-            (Variable(0, "x", CONTINUOUS, 0.0, 1.0, ("input", 0)),),
-            (LinearConstraint(((0, 1.0),), GE, 0.5, "aux"),),
-            input_vids=(0,))
+        p = make_problem(make_lp([[1.0]], (GE,), [0.5], [0.0], [1.0]),
+                         input_vids=(0,))
         out = solve_feasibility(p)
         assert out.status == "sat" and out.node_count == 1
         best = oracle_enumerate(p, {0: 1.0}, "min")
@@ -91,10 +84,9 @@ class TestTrivial:
         assert best.node_count == 1
 
     def test_oracle_binary_cap(self):
-        variables = [Variable(i, f"z{i}", BINARY, 0.0, 1.0, ("z", 0, i))
-                     for i in range(ORACLE_BINARY_CAP + 1)]
-        p = make_problem(variables,
-                         (LinearConstraint(((0, 1.0),), GE, 0.0, "aux"),))
+        n = ORACLE_BINARY_CAP + 1
+        p = make_problem(make_lp(np.eye(1, n), (GE,), [0.0], np.zeros(n),
+                                 np.ones(n), binaries=tuple(range(n))))
         with pytest.raises(ValueError, match="cap"):
             oracle_enumerate(p)
 
@@ -160,25 +152,11 @@ class TestRandomAgreement:
                 assert got.value == pytest.approx(truth.value, rel=1e-6, abs=1e-6)
         assert checked >= 25
 
-    def test_pruning_never_increases_nodes(self):
-        rng = np.random.default_rng(59)
-        for _ in range(10):
-            net, domain = random_network(rng, max_hidden_total=8)
-            problem = encode_network(net, domain_box(net, domain))
-            obj = {problem.output_vids[0]: 1.0}
-            pruned = optimize(problem, obj, "min", prune=True)
-            full = optimize(problem, obj, "min", prune=False)
-            assert pruned.value == pytest.approx(full.value, rel=1e-6, abs=1e-6)
-            assert pruned.node_count <= full.node_count
-
 
 def test_backend_contract():
     backend = BranchAndBoundBackend()
-    p = make_problem(
-        (Variable(0, "x", CONTINUOUS, 0.0, 1.0, ("input", 0)),
-         Variable(1, "z", BINARY, 0.0, 1.0, ("z", 0, 0))),
-        (LinearConstraint(((0, 1.0), (1, 1.0)), GE, 1.5, "aux"),),
-        input_vids=(0,))
+    p = make_problem(make_lp([[1.0, 1.0]], (GE,), [1.5], [0.0, 0.0], [1.0, 1.0],
+                             binaries=(1,)), input_vids=(0,))
     out = backend.feasibility(p)
     assert out.status == "sat"
     assert out.witness.shape == (1,)

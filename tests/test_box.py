@@ -3,36 +3,62 @@ import itertools
 import numpy as np
 import pytest
 
-from boxplain.box import (AttributeAssignment, BoundsMap, Interval,
-                          ShortcutResult, affine_bounds, box_propagate, iv_add,
-                          iv_relu, iv_scale, shortcut_check)
-from boxplain.bnb import oracle_enumerate
+from boxplain.box import (AttributeAssignment, BoundsMap, ShortcutResult,
+                          box_propagate, shortcut_check)
 from boxplain.encoding import attach_rival_query, encode_network, fix_attributes
-from boxplain.model import forward, predict
+from boxplain.model import (IDENTITY, RELU, InputDomain, Layer, Network,
+                            forward, predict)
 from netgen import random_instance, random_network
+from oracles import oracle_enumerate
+
+
+def affine_image(weights, bias, lo, hi):
+    """Output-0 enclosure of ``bias + weights @ x`` over the box [lo, hi],
+    from box_propagate on a one-layer identity network."""
+    n = len(lo)
+    w = np.vstack([np.asarray(weights, dtype=np.float64), np.zeros(n)])
+    net = Network((Layer(w, np.array([bias, 0.0]), IDENTITY),), n)
+    domain = InputDomain(np.asarray(lo, dtype=np.float64),
+                         np.asarray(hi, dtype=np.float64))
+    bounds = box_propagate(net, AttributeAssignment.all_free(n), domain)
+    return bounds.out_lo[0], bounds.out_hi[0]
+
+
+def relu_image(lo, hi):
+    """Post-activation enclosure of one relu neuron whose pre-activation
+    ranges over [lo, hi], from box_propagate."""
+    net = Network((Layer(np.eye(1), np.zeros(1), RELU),
+                   Layer(np.zeros((2, 1)), np.zeros(2), IDENTITY)), 1)
+    domain = InputDomain(np.array([lo]), np.array([hi]))
+    bounds = box_propagate(net, AttributeAssignment.all_free(1), domain)
+    return bounds.post_lo[0][0], bounds.post_hi[0][0]
 
 
 class TestIntervalOps:
+    """Interval sum, scaling and relu as box propagation applies them."""
+
     def test_add(self):
-        assert iv_add(Interval(0.0, 0.7), Interval(0.2, 0.5)) == Interval(0.2, 1.2)
-        assert iv_add(Interval(0.0, 0.0), Interval(-3.0, 4.0)) == Interval(-3.0, 4.0)
-        assert iv_add(Interval(-1.0, 2.0), Interval(-3.0, -1.0)) == Interval(-4.0, 1.0)
+        assert affine_image([1.0, 1.0], 0.0, [0.0, 0.2], [0.7, 0.5]) == (0.2, 1.2)
+        assert affine_image([1.0, 1.0], 0.0, [0.0, -3.0], [0.0, 4.0]) == (-3.0, 4.0)
+        assert affine_image([1.0, 1.0], 0.0, [-1.0, -3.0], [2.0, -1.0]) == (-4.0, 1.0)
 
     def test_scale(self):
-        assert iv_scale(-1.0, Interval(0.2, 0.5)) == Interval(-0.5, -0.2)
-        assert iv_scale(0.0, Interval(-7.0, 3.0)) == Interval(0.0, 0.0)
-        assert iv_scale(2.0, Interval(-1.0, 3.0)) == Interval(-2.0, 6.0)
+        assert affine_image([-1.0], 0.0, [0.2], [0.5]) == (-0.5, -0.2)
+        assert affine_image([0.0], 0.0, [-7.0], [3.0]) == (0.0, 0.0)
+        assert affine_image([2.0], 0.0, [-1.0], [3.0]) == (-2.0, 6.0)
 
     def test_relu(self):
-        assert iv_relu(Interval(-0.5, 0.5)) == Interval(0.0, 0.5)
-        assert iv_relu(Interval(0.2, 1.2)) == Interval(0.2, 1.2)
-        assert iv_relu(Interval(-3.0, -1.0)) == Interval(0.0, 0.0)
+        assert relu_image(-0.5, 0.5) == (0.0, 0.5)
+        assert relu_image(0.2, 1.2) == (0.2, 1.2)
+        assert relu_image(-3.0, -1.0) == (0.0, 0.0)
 
     def test_invalid_interval(self):
+        # the propagated input intervals come from the domain, which rejects
+        # inverted and infinite endpoints
         with pytest.raises(ValueError):
-            Interval(1.0, 0.0)
+            InputDomain(np.array([1.0]), np.array([0.0]))
         with pytest.raises(ValueError):
-            Interval(0.0, float("inf"))
+            InputDomain(np.array([0.0]), np.array([np.inf]))
 
     def test_ops_preserve_ordering(self):
         rng = np.random.default_rng(5)
@@ -40,28 +66,27 @@ class TestIntervalOps:
             a = sorted(rng.normal(size=2))
             b = sorted(rng.normal(size=2))
             c = float(rng.normal())
-            for iv in (iv_add(Interval(*a), Interval(*b)),
-                       iv_scale(c, Interval(*a)),
-                       iv_relu(Interval(*a))):
-                assert iv.lb <= iv.ub
+            for lo, hi in (affine_image([1.0, 1.0], 0.0, [a[0], b[0]], [a[1], b[1]]),
+                           affine_image([c], 0.0, [a[0]], [a[1]]),
+                           relu_image(*a)):
+                assert lo <= hi
 
 
 class TestAffineBounds:
     def test_demo_rows(self):
-        inputs = [Interval(0.0, 0.7), Interval(0.2, 0.5)]
-        assert affine_bounds([1.0, 1.0], 0.0, inputs) == Interval(0.2, 1.2)
-        got = affine_bounds([1.0, -1.0], 0.0, inputs)
-        assert got.lb == pytest.approx(-0.5, abs=1e-12)
-        assert got.ub == pytest.approx(0.5, abs=1e-12)
+        lo, hi = [0.0, 0.2], [0.7, 0.5]
+        assert affine_image([1.0, 1.0], 0.0, lo, hi) == \
+            pytest.approx((0.2, 1.2), abs=1e-12)
+        assert affine_image([1.0, -1.0], 0.0, lo, hi) == \
+            pytest.approx((-0.5, 0.5), abs=1e-12)
 
     def test_matches_corner_enumeration(self):
         w, b = np.array([2.0, -3.0]), 1.0
-        inputs = [Interval(0.0, 1.0), Interval(0.0, 1.0)]
         corners = [b + w @ np.array(pt)
                    for pt in itertools.product([0.0, 1.0], repeat=2)]
-        got = affine_bounds(w, b, inputs)
-        assert got == Interval(min(corners), max(corners))
-        assert got == Interval(-2.0, 3.0)
+        got = affine_image(w, b, [0.0, 0.0], [1.0, 1.0])
+        assert got == (min(corners), max(corners))
+        assert got == (-2.0, 3.0)
 
     def test_corner_enumeration_random(self):
         rng = np.random.default_rng(6)
@@ -71,16 +96,15 @@ class TestAffineBounds:
             b = float(rng.normal())
             lo = rng.normal(size=n)
             hi = lo + rng.uniform(0, 2, size=n)
-            inputs = [Interval(float(a), float(c)) for a, c in zip(lo, hi)]
             corners = [b + w @ np.array(pt)
                        for pt in itertools.product(*zip(lo, hi))]
-            got = affine_bounds(w, b, inputs)
-            assert got.lb == pytest.approx(min(corners), abs=1e-9)
-            assert got.ub == pytest.approx(max(corners), abs=1e-9)
+            got_lo, got_hi = affine_image(w, b, lo, hi)
+            assert got_lo == pytest.approx(min(corners), abs=1e-9)
+            assert got_hi == pytest.approx(max(corners), abs=1e-9)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            affine_bounds([1.0], 0.0, [Interval(0, 1), Interval(0, 1)])
+    def test_length_mismatch(self, demo_net, demo_domain):
+        with pytest.raises(ValueError, match="covers 1 attributes"):
+            box_propagate(demo_net, AttributeAssignment.all_free(1), demo_domain)
 
 
 class TestBoxPropagate:

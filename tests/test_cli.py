@@ -5,6 +5,8 @@ import json
 import pytest
 
 from boxplain.cli import InputError, ingest_csv, main
+from boxplain.engine import Explainer
+from boxplain.simplex import SolverFailure
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +126,28 @@ class TestExplain:
         assert code == 2
         assert "permutation" in err
 
+    def test_solver_failure_costs_one_instance(self, capsys, monkeypatch,
+                                               demo_model_path, demo_instances):
+        original = Explainer.explain
+        calls = []
+
+        def explain(self, instance, mode="improved"):
+            calls.append(list(instance))
+            if len(calls) == 2:
+                raise SolverFailure("row 9 violated")
+            return original(self, instance, mode)
+
+        monkeypatch.setattr(Explainer, "explain", explain)
+        for command in ("explain", "verify"):
+            calls.clear()
+            code, out, err = run_cli(capsys, command, str(demo_model_path),
+                                     str(demo_instances))
+            assert code == 3
+            assert "solver failure: instance 1: row 9 violated" in err
+            _, rows = parse_csv(out)
+            assert [row[:3] for row in rows] == [["0", "0", "0"]]
+            assert calls == [[0.7, 0.2], [0.5, 0.3]]
+
 
 class TestBounds:
     def test_demo_output_neurons(self, capsys, demo_model_path):
@@ -209,8 +233,7 @@ class TestBench:
 
     def test_determinism_excluding_times(self, capsys, demo_model_path,
                                          demo_instances):
-        args = ("bench", str(demo_model_path), str(demo_instances),
-                "--seed", "7", "--jobs", "1")
+        args = ("bench", str(demo_model_path), str(demo_instances))
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         header, rows1 = parse_csv(out1)
@@ -234,14 +257,3 @@ class TestVerify:
                           "sufficiency_ok", "minimality_ok", "unverified"]
         for row in rows:
             assert row[3] == "1" and row[4] == "1"
-
-
-def test_jobs_flag_matches_serial(capsys, demo_model_path, demo_instances):
-    _, serial, _ = run_cli(capsys, "explain", str(demo_model_path),
-                           str(demo_instances), "--jobs", "1")
-    _, threaded, _ = run_cli(capsys, "explain", str(demo_model_path),
-                             str(demo_instances), "--jobs", "4")
-    _, rows_a = parse_csv(serial)
-    _, rows_b = parse_csv(threaded)
-    for a, b in zip(rows_a, rows_b):
-        assert a[:4] == b[:4]

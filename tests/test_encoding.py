@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from boxplain.box import AttributeAssignment, BoundsMap, box_propagate
-from boxplain.bnb import solve_feasibility
-from boxplain.encoding import (BINARY, EQ, GE, LE, MODE_ACTIVE, MODE_INACTIVE,
-                               MODE_SPLIT, OUTPUT_AFFINE, QUERY,
-                               RELU_EQ_ACTIVE, RELU_LOWER, RELU_UPPER_ACTIVE,
-                               RELU_UPPER_INDICATOR, attach_rival_query,
-                               encode_network, fix_attributes, merge_bounds,
-                               problem_to_lp_text, tighten_and_simplify)
+from boxplain.bnb import milp_to_lp, solve_feasibility
+from boxplain.encoding import (MODE_ACTIVE, MODE_INACTIVE, MODE_SPLIT,
+                               attach_rival_query, encode_network,
+                               fix_attributes, merge_bounds,
+                               tighten_and_simplify)
+from boxplain.simplex import EQ, GE, LE
 from boxplain.engine import compute_tight_bounds
 from boxplain.model import IDENTITY, RELU, InputDomain, Layer, Network, forward
 from netgen import random_instance, random_network
@@ -28,29 +27,50 @@ def domain_box(net, domain):
     return box_propagate(net, AttributeAssignment.all_free(net.input_dim), domain)
 
 
+def row_terms(problem, i):
+    """Row ``i`` as ({vid: coefficient} over its nonzeros, relation, rhs)."""
+    lp = problem.lp
+    cols = np.nonzero(lp.a[i])[0]
+    return {int(c): lp.a[i, c] for c in cols}, lp.rel[i], lp.rhs[i]
+
+
+def structural_rows(problem):
+    return sum(len(b.constraint_ids) for b in problem.blocks) + \
+        len(problem.output_vids)
+
+
 class TestEncode:
     def test_stable_active_neuron_collapses(self, demo_problem):
         # first hidden neuron has tight pre-bounds [0.2, 1.2]: always active
         blk = demo_problem.block(0, 0)
         assert blk.mode == MODE_ACTIVE
         assert blk.z_var is None
-        rows = [demo_problem.constraints[i] for i in blk.constraint_ids]
-        assert [r.origin for r in rows] == [RELU_EQ_ACTIVE]
-        assert rows[0].relation == EQ
+        # the affine equality post - x0 - x1 == 0
+        rows = [row_terms(demo_problem, i) for i in blk.constraint_ids]
+        assert rows == [({0: -1.0, 1: -1.0, blk.post_var: 1.0}, EQ, 0.0)]
 
     def test_unstable_neuron_carries_indicator(self, demo_problem):
         blk = demo_problem.block(0, 1)
         assert blk.mode == MODE_SPLIT
         assert blk.z_var is not None
-        rows = [demo_problem.constraints[i] for i in blk.constraint_ids]
-        assert [r.origin for r in rows] == [RELU_UPPER_ACTIVE, RELU_LOWER,
-                                            RELU_UPPER_INDICATOR]
-        indicator = rows[2].coef_map()
+        rows = [row_terms(demo_problem, i) for i in blk.constraint_ids]
+        weights = {0: -1.0, 1: 1.0, blk.post_var: 1.0}  # post - (x0 - x1)
+        # upper side, active branch: post - w.x - lb*z <= b - lb
+        active, rel, rhs = rows[0]
+        assert rel == LE
+        assert active[blk.z_var] == pytest.approx(0.5, abs=1e-12)
+        assert {v: c for v, c in active.items() if v != blk.z_var} == weights
+        assert rhs == pytest.approx(0.5, abs=1e-12)
+        # lower side: post - w.x >= b
+        assert rows[1] == (weights, GE, 0.0)
+        # upper side, indicator: post - ub*z <= 0
+        indicator, rel, rhs = rows[2]
+        assert (rel, rhs) == (LE, 0.0)
+        assert set(indicator) == {blk.post_var, blk.z_var}
         assert indicator[blk.post_var] == 1.0
         assert indicator[blk.z_var] == pytest.approx(-0.5, abs=1e-12)
         # relu lower bound rides on the variable, not a row
-        post = demo_problem.variables[blk.post_var]
-        assert post.lb == 0.0
+        assert demo_problem.lp.lb[blk.post_var] == 0.0
 
     def test_always_inactive_neuron_pins_post_to_zero(self):
         net = Network((
@@ -63,14 +83,16 @@ class TestEncode:
         assert blk.mode == MODE_INACTIVE
         assert blk.z_var is None
         assert blk.constraint_ids == ()
-        post = problem.variables[blk.post_var]
-        assert (post.lb, post.ub) == (0.0, 0.0)
+        assert (problem.lp.lb[blk.post_var], problem.lp.ub[blk.post_var]) == \
+            (0.0, 0.0)
         assert problem.encode_stats.binary_removed_count == 1
 
     def test_output_rows(self, demo_problem, demo_net):
-        rows = [c for c in demo_problem.constraints if c.origin == OUTPUT_AFFINE]
+        lp = demo_problem.lp
+        rows = [i for i in range(lp.a.shape[0])
+                if lp.a[i, list(demo_problem.output_vids)].any()]
         assert len(rows) == demo_net.class_count
-        assert all(r.relation == EQ for r in rows)
+        assert all(lp.rel[i] == EQ for i in rows)
 
     def test_encode_time_stats(self, demo_problem):
         stats = demo_problem.encode_stats
@@ -85,10 +107,10 @@ class TestEncode:
             problem = encode_network(net, domain_box(net, domain))
             z_count = 0
             for blk in problem.blocks:
-                rows = [problem.constraints[i] for i in blk.constraint_ids]
+                rows = blk.constraint_ids
                 if blk.mode == MODE_SPLIT:
                     z_count += 1
-                    assert problem.variables[blk.z_var].kind == BINARY
+                    assert blk.z_var in problem.binary_vids
                     assert len(rows) == 3
                 else:
                     assert blk.z_var is None
@@ -117,12 +139,10 @@ class TestEncode:
 class TestQueryAndFix:
     def test_rival_query_row(self, demo_problem):
         q = attach_rival_query(demo_problem, 0, 1)
-        row = q.constraints[-1]
-        assert row.origin == QUERY
-        assert row.relation == GE and row.rhs == 0.0
-        coeffs = row.coef_map()
-        assert coeffs[q.output_vids[1]] == 1.0
-        assert coeffs[q.output_vids[0]] == -1.0
+        assert q.lp.a.shape[0] == structural_rows(q) + 1
+        coeffs, rel, rhs = row_terms(q, -1)
+        assert rel == GE and rhs == 0.0
+        assert coeffs == {q.output_vids[1]: 1.0, q.output_vids[0]: -1.0}
 
     def test_query_index_validation(self, demo_problem):
         with pytest.raises(ValueError):
@@ -133,19 +153,47 @@ class TestQueryAndFix:
     def test_fix_pins_bounds(self, demo_problem):
         fixed = fix_attributes(demo_problem,
                                AttributeAssignment.fixing(2, {0: 0.7}))
-        var = fixed.variables[fixed.input_vids[0]]
-        assert (var.lb, var.ub) == (0.7, 0.7)
-        free = fixed.variables[fixed.input_vids[1]]
-        assert (free.lb, free.ub) == (0.2, 0.5)
+        pinned, free = fixed.input_vids
+        assert (fixed.lp.lb[pinned], fixed.lp.ub[pinned]) == (0.7, 0.7)
+        assert (fixed.lp.lb[free], fixed.lp.ub[free]) == (0.2, 0.5)
 
     def test_all_free_is_identity(self, demo_problem):
         same = fix_attributes(demo_problem, AttributeAssignment.all_free(2))
-        assert same.variables == demo_problem.variables
-        assert same.constraints is demo_problem.constraints
+        assert (same.lp.lb == demo_problem.lp.lb).all()
+        assert (same.lp.ub == demo_problem.lp.ub).all()
+        assert same.lp.a is demo_problem.lp.a
 
     def test_fix_outside_domain(self, demo_problem):
         with pytest.raises(ValueError, match="attribute 1"):
             fix_attributes(demo_problem, AttributeAssignment.fixing(2, {1: 0.9}))
+
+
+class TestSharedArrays:
+    def test_edits_leave_base_arrays_bit_identical(self, demo_problem,
+                                                   demo_tight, demo_net,
+                                                   demo_domain):
+        lp = demo_problem.lp
+        arrays = (lp.a, lp.rhs, lp.lb, lp.ub, lp.c)
+        before = [arr.copy() for arr in arrays]
+        rel_before = lp.rel
+        assign = AttributeAssignment.fixing(2, {1: 0.2})
+        boxed = box_propagate(demo_net, assign, demo_domain)
+        fix_attributes(demo_problem, assign)
+        attach_rival_query(demo_problem, 0, 1)
+        tighten_and_simplify(demo_problem, demo_tight, boxed)
+        milp_to_lp(demo_problem, {demo_problem.output_vids[0]: 1.0}, "min")
+        assert demo_problem.lp is lp and lp.rel == rel_before
+        for arr, old in zip(arrays, before):
+            assert arr.tobytes() == old.tobytes()
+
+    def test_arrays_are_read_only(self, demo_problem):
+        fixed = fix_attributes(demo_problem, AttributeAssignment.fixing(2, {0: 0.7}))
+        query = attach_rival_query(fixed, 0, 1)
+        for problem in (demo_problem, fixed, query):
+            lp = problem.lp
+            for arr in (lp.a, lp.rhs, lp.lb, lp.ub, lp.c):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1.0
 
 
 class TestMergeAndSimplify:
@@ -188,9 +236,9 @@ class TestMergeAndSimplify:
         assert stats.bounds_tightened_count == 3
         assert stats.neurons_total == 4
         # second output variable bounds merged to [0.2, 0.9]
-        out1 = simplified.variables[simplified.output_vids[1]]
-        assert out1.lb == pytest.approx(0.2, abs=1e-12)
-        assert out1.ub == pytest.approx(0.9, abs=1e-9)
+        out1 = simplified.output_vids[1]
+        assert simplified.lp.lb[out1] == pytest.approx(0.2, abs=1e-12)
+        assert simplified.lp.ub[out1] == pytest.approx(0.9, abs=1e-9)
         # the base problem is untouched
         assert demo_problem.block(0, 0).pre_ub == pytest.approx(1.2, abs=1e-12)
 
@@ -207,7 +255,8 @@ class TestMergeAndSimplify:
         boxed = box_propagate(demo_net, AttributeAssignment.fixing(2, {1: 0.2}),
                               demo_domain)
         simplified, _ = tighten_and_simplify(q, demo_tight, boxed)
-        assert sum(c.origin == QUERY for c in simplified.constraints) == 1
+        assert simplified.lp.a.shape[0] == structural_rows(simplified) + 1
+        assert row_terms(simplified, -1) == row_terms(q, -1)
 
     def test_removed_never_below_encode_time(self):
         rng = np.random.default_rng(37)
@@ -229,7 +278,7 @@ class TestMergeAndSimplify:
 def _feasible_assignment(net, problem, point):
     """Forward activations extended to values for every problem variable."""
     acts = forward(net, point)
-    values = np.zeros(len(problem.variables))
+    values = np.zeros(problem.lp.a.shape[1])
     for i, vid in enumerate(problem.input_vids):
         values[vid] = point[i]
     for blk in problem.blocks:
@@ -242,18 +291,20 @@ def _feasible_assignment(net, problem, point):
 
 
 def _check_feasible(problem, values, tol=1e-6):
-    for var in problem.variables:
-        assert values[var.vid] >= var.lb - tol, var
-        assert values[var.vid] <= var.ub + tol, var
-    for con in problem.constraints:
-        lhs = sum(coef * values[vid] for vid, coef in con.coeffs)
-        slack = tol * max(1.0, abs(con.rhs))
-        if con.relation == LE:
-            assert lhs <= con.rhs + slack, con
-        elif con.relation == GE:
-            assert lhs >= con.rhs - slack, con
+    lp = problem.lp
+    for vid in range(lp.a.shape[1]):
+        assert values[vid] >= lp.lb[vid] - tol, vid
+        assert values[vid] <= lp.ub[vid] + tol, vid
+    for i in range(lp.a.shape[0]):
+        coeffs, rel, rhs = row_terms(problem, i)
+        lhs = sum(coef * values[vid] for vid, coef in coeffs.items())
+        slack = tol * max(1.0, abs(rhs))
+        if rel == LE:
+            assert lhs <= rhs + slack, i
+        elif rel == GE:
+            assert lhs >= rhs - slack, i
         else:
-            assert abs(lhs - con.rhs) <= slack, con
+            assert abs(lhs - rhs) <= slack, i
 
 
 class TestModelPreservation:
@@ -299,11 +350,3 @@ class TestEquisatisfiability:
                                       target, rival)
             assert solve_feasibility(plain).status == \
                 solve_feasibility(simp).status
-
-
-def test_lp_text_dump(demo_problem):
-    text = problem_to_lp_text(attach_rival_query(demo_problem, 0, 1))
-    assert text.startswith("Minimize")
-    assert "Subject To" in text and "Bounds" in text
-    assert "Binaries" in text and "z0_1" in text
-    assert text.rstrip().endswith("End")

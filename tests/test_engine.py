@@ -5,10 +5,14 @@ from boxplain.box import AttributeAssignment
 from boxplain.encoding import fix_attributes
 from boxplain.engine import (Decision, EngineConfig, Explainer, Explanation,
                              PredictionTieError, compute_tight_bounds,
-                             explain_baseline, explain_improved, is_entailed,
-                             verify_explanation)
+                             is_entailed, verify_explanation)
 from boxplain.model import IDENTITY, RELU, InputDomain, Layer, Network, forward, predict
 from netgen import random_instance, random_network
+
+
+def explain(net, instance, domain, mode, config=None):
+    """One explanation from a fresh Explainer (tight bounds computed anew)."""
+    return Explainer(net, domain, config).explain(instance, mode)
 
 
 class TestTightBounds:
@@ -82,7 +86,7 @@ class TestIsEntailed:
 
 class TestExplainDemo:
     def test_baseline(self, demo_net, demo_domain):
-        explanation, stats = explain_baseline(demo_net, [0.7, 0.2], demo_domain)
+        explanation, stats = explain(demo_net, [0.7, 0.2], demo_domain, "baseline")
         assert explanation.target == 0
         assert explanation.kept == ((0, 0.7),)
         assert explanation.decisions == {0: Decision.KEPT_BY_SOLVER,
@@ -91,7 +95,7 @@ class TestExplainDemo:
         assert stats.solver_calls == 2
 
     def test_improved_uses_box_shortcut(self, demo_net, demo_domain):
-        explanation, stats = explain_improved(demo_net, [0.7, 0.2], demo_domain)
+        explanation, stats = explain(demo_net, [0.7, 0.2], demo_domain, "improved")
         assert explanation.kept == ((0, 0.7),)
         assert explanation.decisions == {0: Decision.KEPT_BY_SOLVER,
                                          1: Decision.REMOVED_BY_BOX}
@@ -101,22 +105,22 @@ class TestExplainDemo:
 
     def test_custom_order_same_kept_set(self, demo_net, demo_domain):
         config = EngineConfig(order=(1, 0))
-        explanation, _ = explain_improved(demo_net, [0.7, 0.2], demo_domain,
-                                          config)
+        explanation, _ = explain(demo_net, [0.7, 0.2], demo_domain, "improved",
+                                 config)
         assert explanation.kept_indices == (0,)
 
     def test_instance_outside_domain(self, demo_net, demo_domain):
         with pytest.raises(ValueError, match="domain"):
-            explain_improved(demo_net, [0.9, 0.2], demo_domain)
+            explain(demo_net, [0.9, 0.2], demo_domain, "improved")
 
     def test_exact_tie_rejected(self, demo_net, demo_domain):
         with pytest.raises(PredictionTieError):
-            explain_improved(demo_net, [0.3, 0.3], demo_domain)
+            explain(demo_net, [0.3, 0.3], demo_domain, "improved")
 
     def test_bad_order_rejected(self, demo_net, demo_domain):
         with pytest.raises(ValueError, match="permutation"):
-            explain_improved(demo_net, [0.7, 0.2], demo_domain,
-                             EngineConfig(order=(0, 0)))
+            explain(demo_net, [0.7, 0.2], demo_domain, "improved",
+                    EngineConfig(order=(0, 0)))
 
 
 class TestExplainEdgeCases:
@@ -126,8 +130,8 @@ class TestExplainEdgeCases:
             Layer(np.zeros((2, 2)), np.array([1.0, 0.0]), IDENTITY),
         ), 2)
         domain = InputDomain(np.zeros(2), np.ones(2))
-        for explain in (explain_baseline, explain_improved):
-            explanation, _ = explain(net, [0.4, 0.6], domain)
+        for mode in ("baseline", "improved"):
+            explanation, _ = explain(net, [0.4, 0.6], domain, mode)
             assert explanation.kept == ()
 
     def test_monotone_single_input_keeps_everything(self):
@@ -136,14 +140,14 @@ class TestExplainEdgeCases:
         # freeing the only attribute admits the class-flip point -1
         assert predict(net, [0.5]) == 0
         assert predict(net, [-1.0]) == 1
-        for explain in (explain_baseline, explain_improved):
-            explanation, _ = explain(net, [0.5], domain)
+        for mode in ("baseline", "improved"):
+            explanation, _ = explain(net, [0.5], domain, mode)
             assert explanation.kept == ((0, 0.5),)
 
     def test_timeout_keeps_attribute_flagged(self, demo_net, demo_domain):
         config = EngineConfig(time_budget_ms=0.0)
-        explanation, stats = explain_baseline(demo_net, [0.7, 0.2], demo_domain,
-                                              config)
+        explanation, stats = explain(demo_net, [0.7, 0.2], demo_domain,
+                                     "baseline", config)
         assert explanation.kept_indices == (0, 1)
         assert set(explanation.decisions.values()) == {Decision.KEPT_BY_TIMEOUT}
         assert stats.timeouts == 2
@@ -156,11 +160,11 @@ class TestExplainEdgeCases:
             Layer(np.zeros((3, 2)), np.array([0.0, 1.0, 0.5]), IDENTITY),
         ), 2)
         domain = InputDomain(np.zeros(2), np.ones(2))
-        explanation, stats = explain_baseline(net, [0.4, 0.6], domain)
+        explanation, stats = explain(net, [0.4, 0.6], domain, "baseline")
         assert explanation.target == 1
         assert explanation.kept == ()
         assert stats.solver_calls == 2 * net.input_dim
-        _, improved_stats = explain_improved(net, [0.4, 0.6], domain)
+        _, improved_stats = explain(net, [0.4, 0.6], domain, "improved")
         assert improved_stats.solver_calls == 0
         assert improved_stats.box_shortcut_hits == net.input_dim
 
@@ -201,14 +205,17 @@ class TestModeEquivalenceAndSoundness:
     def test_state_reverts_after_improved_run(self, demo_net, demo_domain):
         ex = Explainer(demo_net, demo_domain)
         tight_before = ex.tight
-        vars_before = ex.base_problem.variables
-        cons_before = ex.base_problem.constraints
+        lp_before = ex.base_problem.lp
+        arrays_before = [arr.copy() for arr in (lp_before.a, lp_before.rhs,
+                                                lp_before.lb, lp_before.ub)]
         snapshot = [a.copy() for a in (tight_before.out_lo, tight_before.out_hi,
                                        tight_before.pre_lo[0], tight_before.pre_hi[0])]
         ex.explain([0.7, 0.2], "improved")
         assert ex.tight is tight_before
-        assert ex.base_problem.variables is vars_before
-        assert ex.base_problem.constraints is cons_before
+        assert ex.base_problem.lp is lp_before
+        for now, before in zip((lp_before.a, lp_before.rhs, lp_before.lb,
+                                lp_before.ub), arrays_before):
+            assert (now == before).all()
         for now, before in zip((tight_before.out_lo, tight_before.out_hi,
                                 tight_before.pre_lo[0], tight_before.pre_hi[0]),
                                snapshot):
@@ -243,7 +250,7 @@ class TestVerification:
             Layer(np.zeros((2, 2)), np.array([1.0, 0.0]), IDENTITY),
         ), 2)
         domain = InputDomain(np.zeros(2), np.ones(2))
-        explanation, _ = explain_improved(net, [0.4, 0.6], domain)
+        explanation, _ = explain(net, [0.4, 0.6], domain, "improved")
         report = verify_explanation(net, [0.4, 0.6], explanation, domain,
                                     samples=500, rng=1)
         assert report.ok and report.minimality == {}
@@ -260,8 +267,8 @@ class TestVerification:
 
     def test_timeout_attributes_reported_unverified(self, demo_net, demo_domain):
         config = EngineConfig(time_budget_ms=0.0)
-        explanation, _ = explain_baseline(demo_net, [0.7, 0.2], demo_domain,
-                                          config)
+        explanation, _ = explain(demo_net, [0.7, 0.2], demo_domain, "baseline",
+                                 config)
         report = verify_explanation(demo_net, [0.7, 0.2], explanation,
                                     demo_domain, samples=200, rng=3)
         assert report.unverified == (0, 1)

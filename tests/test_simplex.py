@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from boxplain.simplex import (GE, LE, INFEASIBLE, OPTIMAL, UNBOUNDED,
-                              LpProblem, solve_fixed_binary, solve_lp)
+                              LpProblem, solve_lp)
 from oracles import eq2_style_milp, random_bounded_lp, vertex_enumerate
 
 
@@ -19,28 +19,6 @@ class TestWorkedMilpRelaxation:
         # the relaxation is already tight here: optimum 1.0 at x1=1, z1=1
         assert out.value == pytest.approx(1.0, abs=1e-9)
         assert out.point[0] == pytest.approx(1.0, abs=1e-6)
-
-    def test_fix_binary_high(self):
-        out = solve_fixed_binary(eq2_style_milp(), {2: 1})
-        assert out.status == OPTIMAL
-        assert out.value == pytest.approx(1.0, abs=1e-9)
-        assert out.point[0] == pytest.approx(1.0, abs=1e-6)
-
-    def test_fix_binary_low_infeasible(self):
-        assert solve_fixed_binary(eq2_style_milp(), {2: 0}).status == INFEASIBLE
-
-    def test_empty_fixings_is_solve_lp(self):
-        p = eq2_style_milp()
-        a, b = solve_lp(p), solve_fixed_binary(p, {})
-        assert a.status == b.status and a.value == b.value
-        assert (a.point == b.point).all()
-
-    def test_fixing_validation(self):
-        p = eq2_style_milp()
-        with pytest.raises(ValueError, match="not tagged binary"):
-            solve_fixed_binary(p, {0: 1})
-        with pytest.raises(ValueError, match="0 or 1"):
-            solve_fixed_binary(p, {2: 2})
 
 
 class TestStatuses:
