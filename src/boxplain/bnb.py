@@ -25,7 +25,6 @@ SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 
-PIVOT_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
 
 
@@ -74,8 +73,7 @@ def _result(problem: MilpProblem, status: str, value, point, nodes, start) -> Mi
 
 
 def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, float]],
-                      sense: str, time_budget_ms: Optional[float],
-                      feas_tol: float) -> MilpOutcome:
+                      sense: str, time_budget_ms: Optional[float]) -> MilpOutcome:
     """Depth-first search over the binaries, minimizing ``objective`` (sense
     ``"min"``), or stopping at the first node whose binaries are all
     integral (sense ``"feas"``, which skips the simplex's phase 2).
@@ -103,7 +101,7 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
             lb, ub = lb.copy(), ub.copy()
             for col, val in fixings.items():
                 lb[col] = ub[col] = float(val)
-        outcome = solve_prepared(prep, lb, ub, lp.c, lp.sense, feas_tol, PIVOT_TOL)
+        outcome = solve_prepared(prep, lb, ub, lp.c, lp.sense)
         nodes += 1
         if outcome.status == UNBOUNDED:
             return _result(problem, UNBOUNDED, None, None, nodes, start)
@@ -129,25 +127,24 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
     return _result(problem, OPTIMAL, best_value, best_point, nodes, start)
 
 
-def solve_feasibility(problem: MilpProblem, *, time_budget_ms: Optional[float] = None,
-                      feas_tol: float = 1e-6) -> MilpOutcome:
+def solve_feasibility(problem: MilpProblem, *,
+                      time_budget_ms: Optional[float] = None) -> MilpOutcome:
     """Search for any assignment with integral binaries.
 
     On an exhausted time budget the outcome is ``unknown``: callers must
     treat it as "could be satisfiable".
     """
-    return _branch_and_bound(problem, None, "feas", time_budget_ms, feas_tol)
+    return _branch_and_bound(problem, None, "feas", time_budget_ms)
 
 
 def optimize(problem: MilpProblem, objective: Mapping[int, float], sense: str, *,
-             time_budget_ms: Optional[float] = None,
-             feas_tol: float = 1e-6) -> MilpOutcome:
+             time_budget_ms: Optional[float] = None) -> MilpOutcome:
     """Exact MILP optimum of ``objective`` (``sense`` is min or max)."""
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be min or max, got {sense!r}")
     flip = -1.0 if sense == "max" else 1.0
     internal = {vid: flip * coef for vid, coef in objective.items()}
-    out = _branch_and_bound(problem, internal, "min", time_budget_ms, feas_tol)
+    out = _branch_and_bound(problem, internal, "min", time_budget_ms)
     if out.status != OPTIMAL:
         return out
     return replace(out, value=flip * out.value)
@@ -170,12 +167,11 @@ class SolverBackend(abc.ABC):
 class BranchAndBoundBackend(SolverBackend):
     """Default backend: the built-in simplex + branch-and-bound."""
 
-    def __init__(self, feas_tol: float = 1e-6):
-        self.feas_tol = feas_tol
-
     def feasibility(self, problem, *, time_budget_ms=None):
-        return solve_feasibility(problem, time_budget_ms=time_budget_ms,
-                                 feas_tol=self.feas_tol)
+        return solve_feasibility(problem, time_budget_ms=time_budget_ms)
 
     def optimize(self, problem, objective, sense):
-        return optimize(problem, objective, sense, feas_tol=self.feas_tol)
+        return optimize(problem, objective, sense)
+
+
+DEFAULT_BACKEND = BranchAndBoundBackend()

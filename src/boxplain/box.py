@@ -70,24 +70,23 @@ class AttributeAssignment:
 
 @dataclass(frozen=True)
 class BoundsMap:
-    """Per-neuron interval bounds: inputs, hidden pre/post, outputs.
+    """Per-neuron interval bounds: inputs, hidden pre-activations, outputs.
 
     Hidden-layer arrays are indexed 0..L-2 in network order; each entry is a
-    vector over that layer's neurons.
+    vector over that layer's neurons.  A hidden neuron's post-activation
+    bounds are the relu of its pre-activation bounds.
     """
 
     input_lo: np.ndarray
     input_hi: np.ndarray
     pre_lo: tuple[np.ndarray, ...]
     pre_hi: tuple[np.ndarray, ...]
-    post_lo: tuple[np.ndarray, ...]
-    post_hi: tuple[np.ndarray, ...]
     out_lo: np.ndarray
     out_hi: np.ndarray
 
     def __post_init__(self):
         for arr in (self.input_lo, self.input_hi, self.out_lo, self.out_hi,
-                    *self.pre_lo, *self.pre_hi, *self.post_lo, *self.post_hi):
+                    *self.pre_lo, *self.pre_hi):
             arr.setflags(write=False)
 
     @property
@@ -108,7 +107,6 @@ class BoundsMap:
         pairs = [(self.input_lo, other.input_lo), (self.input_hi, other.input_hi),
                  (self.out_lo, other.out_lo), (self.out_hi, other.out_hi)]
         pairs += list(zip(self.pre_lo, other.pre_lo)) + list(zip(self.pre_hi, other.pre_hi))
-        pairs += list(zip(self.post_lo, other.post_lo)) + list(zip(self.post_hi, other.post_hi))
         return all(a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= tol
                    for a, b in pairs)
 
@@ -136,21 +134,17 @@ def box_propagate(net: Network, assign: AttributeAssignment,
     layer stays affine.
     """
     assign.validate(domain)
-    lo, hi = assign.input_intervals(domain)
-    input_lo, input_hi = lo.copy(), hi.copy()
-    pre_lo, pre_hi, post_lo, post_hi = [], [], [], []
+    input_lo, input_hi = assign.input_intervals(domain)
+    lo, hi = input_lo, input_hi
+    pre_lo, pre_hi = [], []
     for layer in net.hidden_layers:
         zl, zh = _affine_box(layer.weights, layer.biases, lo, hi)
         pre_lo.append(zl)
         pre_hi.append(zh)
         lo, hi = np.maximum(zl, 0.0), np.maximum(zh, 0.0)
-        post_lo.append(lo)
-        post_hi.append(hi)
     out = net.layers[-1]
     out_lo, out_hi = _affine_box(out.weights, out.biases, lo, hi)
-    return BoundsMap(input_lo, input_hi,
-                     tuple(pre_lo), tuple(pre_hi),
-                     tuple(post_lo), tuple(post_hi),
+    return BoundsMap(input_lo, input_hi, tuple(pre_lo), tuple(pre_hi),
                      out_lo, out_hi)
 
 

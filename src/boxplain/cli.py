@@ -109,26 +109,27 @@ def _build_config(args, n: int) -> EngineConfig:
     return EngineConfig(
         tight_bounds_mode=args.tight_bounds,
         order=_parse_order(args.order, n),
-        feas_tol=args.tolerance,
         time_budget_ms=args.time_budget_ms,
     )
 
 
-def _write_per_instance(writer, instances: InstanceSet, cells) -> int:
-    """Write ``[idx, *cells(row)]`` for each instance as soon as it is done.
+def _each_instance(instances: InstanceSet, run, done) -> int:
+    """Call ``done(idx, run(row))`` for each instance as soon as it is done,
+    then flush stdout.
 
     A solver failure costs only its own instance: it is reported on stderr,
-    the row is skipped and the exit code becomes 3 once every instance ran.
+    the instance is skipped and the exit code becomes 3 once every instance
+    ran.
     """
     code = EXIT_OK
     for idx, row in enumerate(instances.rows):
         try:
-            values = cells(row)
+            result = run(row)
         except SolverFailure as exc:
             print(f"solver failure: instance {idx}: {exc}", file=sys.stderr)
             code = EXIT_SOLVER
             continue
-        writer.writerow([idx, *values])
+        done(idx, result)
         sys.stdout.flush()
     return code
 
@@ -153,7 +154,8 @@ def cmd_explain(args) -> int:
                 decisions, _fmt(stats.total_time), _fmt(stats.solver_time),
                 stats.solver_calls, stats.box_shortcut_hits]
 
-    return _write_per_instance(writer, instances, cells)
+    return _each_instance(instances, cells,
+                          lambda idx, values: writer.writerow([idx, *values]))
 
 
 def cmd_bounds(args) -> int:
@@ -191,13 +193,17 @@ def cmd_bench(args) -> int:
     if not len(instances):
         return EXIT_OK
     explainer = Explainer(net, domain, config)
-    base_runs = [explainer.explain(row, MODE_BASELINE) for row in instances.rows]
-    ours_runs = [explainer.explain(row, MODE_IMPROVED) for row in instances.rows]
-    for (base_exp, _), (ours_exp, _) in zip(base_runs, ours_runs):
+    runs = []  # (baseline, improved) per instance that ran to the end
+    code = _each_instance(
+        instances,
+        lambda row: (explainer.explain(row, MODE_BASELINE),
+                     explainer.explain(row, MODE_IMPROVED)),
+        lambda idx, pair: runs.append(pair))
+    for (base_exp, _), (ours_exp, _) in runs:
         if base_exp.kept_indices != ours_exp.kept_indices:
             raise SolverFailure("baseline and improved explanations diverge")
-    base_stats = [s for _, s in base_runs]
-    ours_stats = [s for _, s in ours_runs]
+    base_stats = [base[1] for base, _ in runs]
+    ours_stats = [ours[1] for _, ours in runs]
 
     def pooled_pct(num_attr, den_attr):
         num = sum(getattr(s, num_attr) for s in ours_stats)
@@ -216,7 +222,7 @@ def cmd_bench(args) -> int:
         sum(s.solver_calls for s in base_stats),
         sum(s.solver_calls for s in ours_stats),
     ])
-    return EXIT_OK
+    return code
 
 
 def cmd_verify(args) -> int:
@@ -240,7 +246,8 @@ def cmd_verify(args) -> int:
                 int(report.sufficiency_ok), int(report.minimality_ok),
                 ";".join(str(i) for i in report.unverified)]
 
-    return _write_per_instance(writer, instances, cells)
+    return _each_instance(instances, cells,
+                          lambda idx, values: writer.writerow([idx, *values]))
 
 
 def _add_tight_bounds(sub) -> None:
@@ -257,8 +264,6 @@ def _add_explainer_args(sub, with_mode=True) -> None:
                      help="'asc' or comma-separated attribute permutation")
     _add_tight_bounds(sub)
     sub.add_argument("--time-budget-ms", type=float, default=None)
-    sub.add_argument("--tolerance", type=float, default=1e-6,
-                     help="solver feasibility tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:

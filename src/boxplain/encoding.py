@@ -79,7 +79,6 @@ class MilpProblem:
     blocks: tuple  # NeuronBlock per encoded hidden neuron, layer-major
     input_vids: tuple
     output_vids: tuple
-    encode_stats: SimplificationStats
 
     def __post_init__(self):
         for arr in (self.lp.a, self.lp.rhs, self.lp.lb, self.lp.ub, self.lp.c):
@@ -122,14 +121,11 @@ def _mode(lb: float, ub: float) -> str:
 
 
 def _encode(net: Network, bounds: BoundsMap,
-            input_bounds: Optional[tuple[np.ndarray, np.ndarray]] = None,
-            extra_rows: Optional[tuple] = None,
             hidden_scope: Optional[int] = None,
             with_outputs: bool = True) -> MilpProblem:
     """Shared encoder.  ``hidden_scope`` limits how many hidden layers get
     rows (later posts stay as inert variables); prefix problems for bound
-    optimization drop the output rows entirely.  ``extra_rows`` is an
-    ``(a, rel, rhs)`` triple over the structural columns, appended last."""
+    optimization drop the output rows entirely."""
     if not bounds.shapes_match(net):
         raise ValueError("bounds map does not match network shape")
     if hidden_scope is None:
@@ -144,20 +140,15 @@ def _encode(net: Network, bounds: BoundsMap,
     n_rows = sum(_ROW_COUNT[m] for layer_modes in modes for m in layer_modes)
     if with_outputs:
         n_rows += net.class_count
-    if extra_rows is None:
-        extra_rows = (np.zeros((0, n_struct)), (), np.zeros(0))
-    extra_a, extra_rel, extra_rhs = extra_rows
 
     n_cols = n_struct + n_binaries
-    a = np.zeros((n_rows + len(extra_rel), n_cols))
-    rhs = np.zeros(a.shape[0])
+    a = np.zeros((n_rows, n_cols))
+    rhs = np.zeros(n_rows)
     rel: list[str] = []
     lb = np.zeros(n_cols)
     ub = np.full(n_cols, INF)  # posts past the hidden scope stay [0, inf]
     ub[n_struct:] = 1.0
-    in_lo = bounds.input_lo if input_bounds is None else input_bounds[0]
-    in_hi = bounds.input_hi if input_bounds is None else input_bounds[1]
-    lb[:net.input_dim], ub[:net.input_dim] = in_lo, in_hi
+    lb[:net.input_dim], ub[:net.input_dim] = bounds.input_lo, bounds.input_hi
     out = slice(n_struct - net.class_count, n_struct)
     if with_outputs:
         lb[out], ub[out] = bounds.out_lo, bounds.out_hi
@@ -211,25 +202,16 @@ def _encode(net: Network, bounds: BoundsMap,
             rhs[row] = float(out_layer.biases[j])
             row += 1
 
-    a[row:, :n_struct] = extra_a
-    rel.extend(extra_rel)
-    rhs[row:] = extra_rhs
-    stats = SimplificationStats(
-        neurons_total=net.num_hidden_neurons + net.class_count,
-        bounds_tightened_count=0,
-        binary_total=net.num_hidden_neurons,
-        binary_removed_count=len(blocks) - n_binaries,
-    )
     lp = LpProblem(a, tuple(rel), rhs, lb, ub, np.zeros(n_cols), "feas",
                    tuple(range(n_struct, n_cols)))
-    return MilpProblem(net, lp, tuple(blocks), input_vids, output_vids, stats)
+    return MilpProblem(net, lp, tuple(blocks), input_vids, output_vids)
 
 
 def encode_network(net: Network, bounds: BoundsMap) -> MilpProblem:
     """Encode the whole network using ``bounds`` for big-M constants.
 
-    Neurons already stable under these bounds are emitted simplified and
-    counted in the encode-time statistics.
+    Neurons already stable under these bounds are emitted simplified, without
+    a binary.
     """
     return _encode(net, bounds)
 
@@ -306,53 +288,39 @@ def merge_bounds(tight: BoundsMap, boxed: BoundsMap) -> tuple[BoundsMap, int]:
             m_hi = np.where(bad, t_hi, m_hi)
         narrower = (~bad) & ((m_lo > t_lo) | (m_hi < t_hi))
         tightened += int(narrower.sum())
-        return m_lo, m_hi, narrower
+        return m_lo, m_hi
 
-    pre_lo, pre_hi, post_lo, post_hi = [], [], [], []
+    pre_lo, pre_hi = [], []
     for l in range(tight.num_hidden_layers):
-        m_lo, m_hi, narrow = merge_pair(tight.pre_lo[l], tight.pre_hi[l],
-                                        boxed.pre_lo[l], boxed.pre_hi[l])
+        m_lo, m_hi = merge_pair(tight.pre_lo[l], tight.pre_hi[l],
+                                boxed.pre_lo[l], boxed.pre_hi[l])
         pre_lo.append(m_lo)
         pre_hi.append(m_hi)
-        post_lo.append(np.maximum(m_lo, 0.0))
-        post_hi.append(np.maximum(m_hi, 0.0))
-    out_lo, out_hi, _ = merge_pair(tight.out_lo, tight.out_hi,
-                                   boxed.out_lo, boxed.out_hi)
-    merged = BoundsMap(boxed.input_lo.copy(), boxed.input_hi.copy(),
-                       tuple(pre_lo), tuple(pre_hi),
-                       tuple(post_lo), tuple(post_hi), out_lo, out_hi)
+    out_lo, out_hi = merge_pair(tight.out_lo, tight.out_hi,
+                                boxed.out_lo, boxed.out_hi)
+    merged = BoundsMap(boxed.input_lo, boxed.input_hi, tuple(pre_lo),
+                       tuple(pre_hi), out_lo, out_hi)
     return merged, tightened
 
 
-def tighten_and_simplify(problem: MilpProblem, tight: BoundsMap,
+def tighten_and_simplify(net: Network, tight: BoundsMap,
                          boxed: BoundsMap) -> tuple[MilpProblem, SimplificationStats]:
-    """Rewrite the encoding with merged bounds and collapse stable neurons.
+    """Encode ``net`` afresh from the merge of tight and boxed bounds.
 
     Big-M constants take the merged values; a hidden neuron with merged
     lb > 0 becomes the affine equality, merged ub <= 0 becomes post = 0, and
-    either way its binary disappears.  The input problem is left untouched;
-    its current input bounds and the rows past the structural ones (query
-    rows, which touch structural columns only) carry over.  Stats count
-    strictly narrowed neurons and binaries absent from the result.
+    either way its binary disappears.  The inputs take boxed's bounds, so the
+    attributes its assignment fixed are pinned.  Stats count strictly
+    narrowed neurons and binaries absent from the result.
     """
-    net = problem.net
     if not (tight.shapes_match(net) and boxed.shapes_match(net)):
-        raise ValueError("bounds maps do not match the problem's network")
+        raise ValueError("bounds maps do not match the network")
     merged, tightened = merge_bounds(tight, boxed)
-    lp = problem.lp
-    inputs = slice(0, net.input_dim)
-    # a full encoding's neuron and output rows; query rows follow them
-    struct_rows = sum(len(blk.constraint_ids) for blk in problem.blocks) + \
-        len(problem.output_vids)
-    n_struct = lp.a.shape[1] - len(lp.binaries)
-    extra = (lp.a[struct_rows:, :n_struct], lp.rel[struct_rows:],
-             lp.rhs[struct_rows:])
-    rebuilt = _encode(net, merged, input_bounds=(lp.lb[inputs], lp.ub[inputs]),
-                      extra_rows=extra)
+    problem = _encode(net, merged)
     stats = SimplificationStats(
-        neurons_total=rebuilt.encode_stats.neurons_total,
+        neurons_total=net.num_hidden_neurons + net.class_count,
         bounds_tightened_count=tightened,
-        binary_total=rebuilt.encode_stats.binary_total,
-        binary_removed_count=rebuilt.encode_stats.binary_removed_count,
+        binary_total=net.num_hidden_neurons,
+        binary_removed_count=net.num_hidden_neurons - len(problem.binary_vids),
     )
-    return replace(rebuilt, encode_stats=problem.encode_stats), stats
+    return problem, stats

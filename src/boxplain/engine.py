@@ -4,23 +4,24 @@ Two modes share one deletion loop over the input attributes.  The baseline
 consults the solver for every attribute against the original tight bounds.
 The improved mode first propagates boxes for the candidate assignment: when
 the target output provably dominates, the attribute drops without a solver
-call; otherwise the box bounds tighten and simplify the encoding before the
-solver runs.  Bounds always revert to the originals between attributes, so
-every iteration starts from the same base problem.
+call; otherwise the network is encoded afresh from the box bounds merged
+with the tight ones before the solver runs.  Bounds always revert to the
+originals between attributes, so every iteration starts from the same tight
+bounds.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .box import (AttributeAssignment, BoundsMap, ShortcutResult, box_propagate,
                   shortcut_check)
-from .bnb import (SAT, UNKNOWN, UNSAT, BranchAndBoundBackend, MilpOutcome,
+from .bnb import (DEFAULT_BACKEND, SAT, UNKNOWN, UNSAT, MilpOutcome,
                   SolverBackend)
 from .encoding import (MilpProblem, _structural_layout, attach_rival_query,
                        encode_network, encode_prefix, fix_attributes,
@@ -92,14 +93,8 @@ class ExplainStats:
 class EngineConfig:
     tight_bounds_mode: str = TIGHT_MILP
     order: Optional[tuple] = None  # permutation of attribute indices, or None
-    feas_tol: float = 1e-6
     time_budget_ms: Optional[float] = None
-    backend: Optional[SolverBackend] = None
-
-    def resolve_backend(self) -> SolverBackend:
-        if self.backend is not None:
-            return self.backend
-        return BranchAndBoundBackend(self.feas_tol)
+    backend: SolverBackend = DEFAULT_BACKEND
 
     def resolve_order(self, n: int) -> tuple:
         if self.order is None:
@@ -124,7 +119,7 @@ class _Accounting:
 
 def compute_tight_bounds(net: Network, domain: InputDomain,
                          mode: str = TIGHT_MILP,
-                         backend: Optional[SolverBackend] = None) -> BoundsMap:
+                         backend: SolverBackend = DEFAULT_BACKEND) -> BoundsMap:
     """Per-neuron bounds over the whole input domain.
 
     ``milp`` optimizes each pre-activation exactly, layer by layer, reusing
@@ -137,58 +132,43 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
         return boxed
     if mode != TIGHT_MILP:
         raise ValueError(f"unknown tight-bounds mode {mode!r}")
-    backend = backend or BranchAndBoundBackend()
 
-    pre_lo = [np.zeros(w) for w in net.hidden_widths]
-    pre_hi = [np.zeros(w) for w in net.hidden_widths]
-    post_lo = [np.zeros(w) for w in net.hidden_widths]
-    post_hi = [np.zeros(w) for w in net.hidden_widths]
-    out_lo = np.zeros(net.class_count)
-    out_hi = np.zeros(net.class_count)
+    # proven layers, passed on as they are; layers past them keep their box
+    # bounds, which a prefix encoding never reads
+    pre_lo, pre_hi = [], []
 
-    def working_map() -> BoundsMap:
-        return BoundsMap(boxed.input_lo.copy(), boxed.input_hi.copy(),
-                         tuple(a.copy() for a in pre_lo),
-                         tuple(a.copy() for a in pre_hi),
-                         tuple(a.copy() for a in post_lo),
-                         tuple(a.copy() for a in post_hi),
-                         np.full(net.class_count, -np.inf),
-                         np.full(net.class_count, np.inf))
+    def proven(**outputs) -> BoundsMap:
+        return replace(boxed, pre_lo=(*pre_lo, *boxed.pre_lo[len(pre_lo):]),
+                       pre_hi=(*pre_hi, *boxed.pre_hi[len(pre_hi):]), **outputs)
 
     post_vids, input_vids, _ = _structural_layout(net)
     layer_inputs = (input_vids,) + post_vids  # vids feeding each layer
 
-    def optimize_affine(problem, vids, weights, bias) -> tuple[float, float]:
-        objective = {vid: float(w) for vid, w in zip(vids, weights) if w != 0.0}
-        lo_out = backend.optimize(problem, objective, "min")
-        hi_out = backend.optimize(problem, objective, "max")
-        if lo_out.status != "optimal" or hi_out.status != "optimal":
-            raise RuntimeError(
-                f"bound optimization failed: {lo_out.status}/{hi_out.status}")
-        return lo_out.value + bias, hi_out.value + bias
+    def optimize_layer(l: int, layer) -> tuple[np.ndarray, np.ndarray]:
+        prefix = encode_prefix(net, proven(), l)
+        lo, hi = np.zeros(layer.width), np.zeros(layer.width)
+        for j in range(layer.width):
+            objective = {vid: float(w) for vid, w in
+                         zip(layer_inputs[l], layer.weights[j]) if w != 0.0}
+            lo_out = backend.optimize(prefix, objective, "min")
+            hi_out = backend.optimize(prefix, objective, "max")
+            if lo_out.status != "optimal" or hi_out.status != "optimal":
+                raise RuntimeError(
+                    f"bound optimization failed: {lo_out.status}/{hi_out.status}")
+            bias = float(layer.biases[j])
+            lo[j], hi[j] = lo_out.value + bias, hi_out.value + bias
+        return lo, hi
 
     for l, layer in enumerate(net.hidden_layers):
-        prefix = encode_prefix(net, working_map(), l)
-        for j in range(layer.width):
-            lo, hi = optimize_affine(prefix, layer_inputs[l], layer.weights[j],
-                                     float(layer.biases[j]))
-            pre_lo[l][j], pre_hi[l][j] = lo, hi
-            post_lo[l][j], post_hi[l][j] = max(lo, 0.0), max(hi, 0.0)
-
-    out_layer = net.layers[-1]
-    prefix = encode_prefix(net, working_map(), len(net.hidden_layers))
-    for j in range(out_layer.width):
-        out_lo[j], out_hi[j] = optimize_affine(prefix, layer_inputs[-1],
-                                               out_layer.weights[j],
-                                               float(out_layer.biases[j]))
-
-    return BoundsMap(boxed.input_lo.copy(), boxed.input_hi.copy(),
-                     tuple(pre_lo), tuple(pre_hi),
-                     tuple(post_lo), tuple(post_hi), out_lo, out_hi)
+        lo, hi = optimize_layer(l, layer)
+        pre_lo.append(lo)
+        pre_hi.append(hi)
+    out_lo, out_hi = optimize_layer(len(net.hidden_layers), net.layers[-1])
+    return proven(out_lo=out_lo, out_hi=out_hi)
 
 
 def is_entailed(problem: MilpProblem, target: int, *,
-                backend: Optional[SolverBackend] = None,
+                backend: SolverBackend = DEFAULT_BACKEND,
                 time_budget_ms: Optional[float] = None,
                 accounting: Optional[_Accounting] = None):
     """Check that the target class wins for every point feasible in ``problem``.
@@ -198,7 +178,6 @@ def is_entailed(problem: MilpProblem, target: int, *,
     Returns ``(True, None)``, ``(False, witness)``, or ``(None, None)`` when
     a time budget ran out before a decision.
     """
-    backend = backend or BranchAndBoundBackend()
     k = len(problem.output_vids)
     if not 0 <= target < k:
         raise ValueError(f"target class {target} out of range")
@@ -231,13 +210,16 @@ class Explainer:
         self.net = net
         self.domain = domain
         self.config = config or EngineConfig()
-        self.backend = self.config.resolve_backend()
+        self.backend = self.config.backend
         if tight is None:
             tight = compute_tight_bounds(net, domain,
                                          self.config.tight_bounds_mode,
                                          self.backend)
         self.tight = tight
         self.base_problem = encode_network(net, tight)
+        # binaries the tight bounds alone remove, counted at encode time
+        self.removed_at_encode = net.num_hidden_neurons - \
+            len(self.base_problem.binary_vids)
 
     def explain(self, instance, mode: str = MODE_IMPROVED):
         """Run the deletion loop and return ``(Explanation, ExplainStats)``.
@@ -281,16 +263,15 @@ class Explainer:
                     decisions[i] = Decision.REMOVED_BY_BOX
                     box_hits += 1
                     continue
-                problem, simp = tighten_and_simplify(self.base_problem,
-                                                     self.tight, boxed)
+                # the simplified problem already pins the fixed attributes
+                problem, simp = tighten_and_simplify(net, self.tight, boxed)
                 tightened_sum += simp.bounds_tightened_count
                 neurons_sum += simp.neurons_total
                 removed_ours_sum += simp.binary_removed_count
-                removed_before_sum += self.base_problem.encode_stats.binary_removed_count
+                removed_before_sum += self.removed_at_encode
                 binaries_sum += simp.binary_total
             else:
-                problem = self.base_problem
-            problem = fix_attributes(problem, assign)
+                problem = fix_attributes(self.base_problem, assign)
             entailed, _ = is_entailed(problem, target, backend=self.backend,
                                       time_budget_ms=self.config.time_budget_ms,
                                       accounting=accounting)
@@ -354,7 +335,7 @@ class VerificationReport:
 
 def verify_explanation(net: Network, instance, explanation: Explanation,
                        domain: InputDomain, samples: int = 1000, *,
-                       rng=None, backend: Optional[SolverBackend] = None,
+                       rng=None, backend: SolverBackend = DEFAULT_BACKEND,
                        base_problem: Optional[MilpProblem] = None) -> VerificationReport:
     """Independent checks of an explanation.
 
@@ -367,7 +348,6 @@ def verify_explanation(net: Network, instance, explanation: Explanation,
     bound precomputation.
     """
     rng = np.random.default_rng(rng)
-    backend = backend or BranchAndBoundBackend()
     instance = np.asarray(instance, dtype=np.float64)
     n = net.input_dim
     kept_map = dict(explanation.kept)

@@ -32,6 +32,9 @@ _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
 
 _REFACTOR_EVERY = 40
 
+FEAS_TOL = 1e-6  # per row, scaled by max(1, |rhs|)
+PIVOT_TOL = 1e-9
+
 
 class SolverFailure(RuntimeError):
     """Numerical breakdown or iteration-limit hit inside the LP core."""
@@ -120,11 +123,8 @@ class _Prepared:
 class _Simplex:
     """One solve's worth of mutable state; cheap to construct per node."""
 
-    def __init__(self, prep: _Prepared, lb: np.ndarray, ub: np.ndarray,
-                 feas_tol: float, pivot_tol: float):
+    def __init__(self, prep: _Prepared, lb: np.ndarray, ub: np.ndarray):
         self.prep = prep
-        self.feas_tol = feas_tol
-        self.pivot_tol = pivot_tol
         m, ncols, total = prep.m, prep.ncols, prep.total
         self.m = m
         self.lo = np.concatenate([lb, prep.slack_lo, np.zeros(m)])
@@ -169,7 +169,7 @@ class _Simplex:
         """Minimize ``cost @ x`` from the current state.  Returns a status."""
         A = self.prep.A
         lo, hi, x, stat = self.lo, self.hi, self.x, self.stat
-        tol = self.pivot_tol
+        tol = PIVOT_TOL
         bland = False
         stall = 0
         best = INF
@@ -265,12 +265,16 @@ class _Simplex:
             if self.pivots_since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
 
-    def phase_one(self) -> float:
+    def phase_one(self) -> bool:
+        """Minimize the artificials' total; feasible iff each row's residual
+        is within the tolerance ``_certify`` allows that row."""
+        ncols = self.prep.ncols
         cost = np.zeros(self.prep.total)
-        cost[self.prep.ncols:] = self.art_sign
+        cost[ncols:] = self.art_sign
         self.run(cost, allow_unbounded=False)
         self._refactor()
-        return float(cost[self.prep.ncols:] @ self.x[self.prep.ncols:])
+        allowed = FEAS_TOL * np.maximum(1.0, np.abs(self.prep.rhs))
+        return bool((np.abs(self.x[ncols:]) <= allowed).all())
 
     def close_phase_one(self) -> None:
         """Pin artificials at zero so phase 2 cannot reuse them."""
@@ -315,8 +319,7 @@ def _certify(prep: _Prepared, lb, ub, point: np.ndarray, tol: float) -> None:
                 raise SolverFailure(f"row {i} violated: {lhs[i]} == {prep.rhs[i]}")
 
 
-def solve_prepared(prep: _Prepared, lb, ub, c, sense: str,
-                   feas_tol: float, pivot_tol: float) -> LpOutcome:
+def solve_prepared(prep: _Prepared, lb, ub, c, sense: str) -> LpOutcome:
     """Core solve over prepared constraint data; skips input validation.
 
     Branch-and-bound uses this to re-solve one problem under many bound
@@ -329,9 +332,8 @@ def solve_prepared(prep: _Prepared, lb, ub, c, sense: str,
     if prep.m == 0:
         return _solve_box_only(lb, ub, cmin, sense)
 
-    core = _Simplex(prep, lb, ub, feas_tol, pivot_tol)
-    infeas = core.phase_one()
-    if infeas > feas_tol * max(1.0, float(np.abs(prep.rhs).max())):
+    core = _Simplex(prep, lb, ub)
+    if not core.phase_one():
         return LpOutcome(INFEASIBLE, iterations=core.iterations)
     core.close_phase_one()
 
@@ -344,7 +346,7 @@ def solve_prepared(prep: _Prepared, lb, ub, c, sense: str,
         core._refactor()
 
     point = core.x[:prep.n].copy()
-    _certify(prep, lb, ub, point, feas_tol)
+    _certify(prep, lb, ub, point, FEAS_TOL)
     raw = float(cmin @ point)
     value = -raw if sense == "max" else raw
     return LpOutcome(OPTIMAL, value, point, core.iterations)
@@ -355,10 +357,8 @@ def prepare(p: LpProblem) -> _Prepared:
     return _Prepared(p.a, p.rel, p.rhs)
 
 
-def solve_lp(p: LpProblem, feas_tol: float = 1e-6,
-             pivot_tol: float = 1e-9) -> LpOutcome:
+def solve_lp(p: LpProblem) -> LpOutcome:
     """Solve the LP.  Optimal outcomes are re-checked against every
     constraint before being returned; two runs on identical input produce
     identical results."""
-    return solve_prepared(prepare(p), p.lb, p.ub, p.c, p.sense,
-                          feas_tol, pivot_tol)
+    return solve_prepared(prepare(p), p.lb, p.ub, p.c, p.sense)

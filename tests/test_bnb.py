@@ -5,22 +5,19 @@ import pytest
 
 from boxplain.box import AttributeAssignment, box_propagate
 from boxplain.bnb import BranchAndBoundBackend, optimize, solve_feasibility
-from boxplain.encoding import (MilpProblem, SimplificationStats,
-                               attach_rival_query, encode_network,
-                               fix_attributes)
+from boxplain.encoding import (MilpProblem, attach_rival_query,
+                               encode_network, fix_attributes)
 from boxplain.model import forward, predict
 from boxplain.simplex import GE, LE, LpProblem
 from netgen import random_instance, random_network
 from oracles import ORACLE_BINARY_CAP, eq2_style_milp, oracle_enumerate
-
-_NO_STATS = SimplificationStats(0, 0, 0, 0)
 
 
 def make_problem(lp, input_vids=()):
     """Hand-built problem around ``lp``'s rows and bounds (its objective is
     dropped); the network reference is not needed for solving."""
     lp = replace(lp, c=np.zeros_like(lp.c), sense="feas")
-    return MilpProblem(None, lp, (), tuple(input_vids), (), _NO_STATS)
+    return MilpProblem(None, lp, (), tuple(input_vids), ())
 
 
 def make_lp(a, rel, rhs, lb, ub, binaries=()):

@@ -31,7 +31,8 @@ def relu_image(lo, hi):
                    Layer(np.zeros((2, 1)), np.zeros(2), IDENTITY)), 1)
     domain = InputDomain(np.array([lo]), np.array([hi]))
     bounds = box_propagate(net, AttributeAssignment.all_free(1), domain)
-    return bounds.post_lo[0][0], bounds.post_hi[0][0]
+    return (np.maximum(bounds.pre_lo[0], 0.0)[0],
+            np.maximum(bounds.pre_hi[0], 0.0)[0])
 
 
 class TestIntervalOps:
@@ -112,8 +113,8 @@ class TestBoxPropagate:
         b = box_propagate(demo_net, AttributeAssignment.all_free(2), demo_domain)
         assert b.pre_lo[0] == pytest.approx([0.2, -0.5], abs=1e-12)
         assert b.pre_hi[0] == pytest.approx([1.2, 0.5], abs=1e-12)
-        assert b.post_lo[0] == pytest.approx([0.2, 0.0], abs=1e-12)
-        assert b.post_hi[0] == pytest.approx([1.2, 0.5], abs=1e-12)
+        assert np.maximum(b.pre_lo[0], 0.0) == pytest.approx([0.2, 0.0], abs=1e-12)
+        assert np.maximum(b.pre_hi[0], 0.0) == pytest.approx([1.2, 0.5], abs=1e-12)
         assert b.out_lo == pytest.approx([0.2, -0.3], abs=1e-12)
         assert b.out_hi == pytest.approx([1.7, 1.2], abs=1e-12)
 
@@ -157,8 +158,10 @@ class TestBoxPropagate:
                 for l in range(len(net.hidden_layers)):
                     assert (acts.pre[l] >= bounds.pre_lo[l] - 1e-9).all()
                     assert (acts.pre[l] <= bounds.pre_hi[l] + 1e-9).all()
-                    assert (acts.post[l] >= bounds.post_lo[l] - 1e-9).all()
-                    assert (acts.post[l] <= bounds.post_hi[l] + 1e-9).all()
+                    post_lo = np.maximum(bounds.pre_lo[l], 0.0)
+                    post_hi = np.maximum(bounds.pre_hi[l], 0.0)
+                    assert (acts.post[l] >= post_lo - 1e-9).all()
+                    assert (acts.post[l] <= post_hi + 1e-9).all()
                 assert (acts.outputs >= bounds.out_lo - 1e-9).all()
                 assert (acts.outputs <= bounds.out_hi + 1e-9).all()
 
@@ -185,7 +188,7 @@ class TestBoxPropagate:
 def _outputs_only(pairs) -> BoundsMap:
     lo = np.array([p[0] for p in pairs])
     hi = np.array([p[1] for p in pairs])
-    return BoundsMap(np.zeros(0), np.zeros(0), (), (), (), (), lo, hi)
+    return BoundsMap(np.zeros(0), np.zeros(0), (), (), lo, hi)
 
 
 class TestShortcut:

@@ -127,13 +127,14 @@ class TestExplain:
         assert "permutation" in err
 
     def test_solver_failure_costs_one_instance(self, capsys, monkeypatch,
-                                               demo_model_path, demo_instances):
+                                               demo_model_path, demo_instances,
+                                               tmp_path):
         original = Explainer.explain
         calls = []
 
         def explain(self, instance, mode="improved"):
-            calls.append(list(instance))
-            if len(calls) == 2:
+            calls.append((list(instance), mode))
+            if list(instance) == [0.5, 0.3] and mode == "improved":
                 raise SolverFailure("row 9 violated")
             return original(self, instance, mode)
 
@@ -146,7 +147,28 @@ class TestExplain:
             assert "solver failure: instance 1: row 9 violated" in err
             _, rows = parse_csv(out)
             assert [row[:3] for row in rows] == [["0", "0", "0"]]
-            assert calls == [[0.7, 0.2], [0.5, 0.3]]
+            assert calls == [([0.7, 0.2], "improved"), ([0.5, 0.3], "improved")]
+
+        # bench drops the failed instance from both modes' sums: its counts
+        # are those of a bench over the first instance alone
+        calls.clear()
+        code, out, err = run_cli(capsys, "bench", str(demo_model_path),
+                                 str(demo_instances))
+        assert code == 3
+        assert "solver failure: instance 1: row 9 violated" in err
+        assert calls == [([0.7, 0.2], "baseline"), ([0.7, 0.2], "improved"),
+                         ([0.5, 0.3], "baseline"), ([0.5, 0.3], "improved")]
+        first_only = tmp_path / "first.csv"
+        first_only.write_text("x1,x2\n0.7,0.2\n")
+        code, alone, _ = run_cli(capsys, "bench", str(demo_model_path),
+                                 str(first_only))
+        assert code == 0
+        header, rows = parse_csv(out)
+        _, alone_rows = parse_csv(alone)
+        counts = [i for i, name in enumerate(header)
+                  if not name.startswith(("exp_s_", "solver_s_"))]
+        assert len(rows) == 1
+        assert [rows[0][i] for i in counts] == [alone_rows[0][i] for i in counts]
 
 
 class TestBounds:

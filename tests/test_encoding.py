@@ -85,7 +85,7 @@ class TestEncode:
         assert blk.constraint_ids == ()
         assert (problem.lp.lb[blk.post_var], problem.lp.ub[blk.post_var]) == \
             (0.0, 0.0)
-        assert problem.encode_stats.binary_removed_count == 1
+        assert net.num_hidden_neurons - len(problem.binary_vids) == 1
 
     def test_output_rows(self, demo_problem, demo_net):
         lp = demo_problem.lp
@@ -94,11 +94,11 @@ class TestEncode:
         assert len(rows) == demo_net.class_count
         assert all(lp.rel[i] == EQ for i in rows)
 
-    def test_encode_time_stats(self, demo_problem):
-        stats = demo_problem.encode_stats
-        assert stats.binary_total == 2
-        assert stats.binary_removed_count == 1
-        assert stats.neurons_total == 4
+    def test_encode_time_stats(self, demo_net, demo_problem):
+        # two hidden neurons, one of them stable under the tight bounds
+        assert demo_net.num_hidden_neurons == len(demo_problem.blocks) == 2
+        assert demo_net.num_hidden_neurons - len(demo_problem.binary_vids) == 1
+        assert demo_net.num_hidden_neurons + demo_net.class_count == 4
 
     def test_completeness_one_binary_or_none(self):
         rng = np.random.default_rng(31)
@@ -180,7 +180,7 @@ class TestSharedArrays:
         boxed = box_propagate(demo_net, assign, demo_domain)
         fix_attributes(demo_problem, assign)
         attach_rival_query(demo_problem, 0, 1)
-        tighten_and_simplify(demo_problem, demo_tight, boxed)
+        tighten_and_simplify(demo_net, demo_tight, boxed)
         milp_to_lp(demo_problem, {demo_problem.output_vids[0]: 1.0}, "min")
         assert demo_problem.lp is lp and lp.rel == rel_before
         for arr, old in zip(arrays, before):
@@ -199,9 +199,9 @@ class TestSharedArrays:
 class TestMergeAndSimplify:
     def test_merge_keeps_max_lower_min_upper(self):
         net = Network((Layer(np.eye(2), np.zeros(2), IDENTITY),), 2)
-        tight = BoundsMap(np.zeros(2), np.ones(2), (), (), (), (),
+        tight = BoundsMap(np.zeros(2), np.ones(2), (), (),
                           np.array([0.2, 0.2]), np.array([1.4, 1.0]))
-        boxed = BoundsMap(np.zeros(2), np.ones(2), (), (), (), (),
+        boxed = BoundsMap(np.zeros(2), np.ones(2), (), (),
                           np.array([0.2, -0.3]), np.array([1.0, 0.5]))
         merged, tightened = merge_bounds(tight, boxed)
         assert merged.out_lo == pytest.approx([0.2, 0.2], abs=0)
@@ -209,9 +209,9 @@ class TestMergeAndSimplify:
         assert tightened == 2
 
     def test_disjoint_merge_reverts_to_tight(self):
-        tight = BoundsMap(np.zeros(1), np.ones(1), (), (), (), (),
+        tight = BoundsMap(np.zeros(1), np.ones(1), (), (),
                           np.array([0.0]), np.array([1.0]))
-        boxed = BoundsMap(np.zeros(1), np.ones(1), (), (), (), (),
+        boxed = BoundsMap(np.zeros(1), np.ones(1), (), (),
                           np.array([2.0]), np.array([3.0]))
         merged, tightened = merge_bounds(tight, boxed)
         assert merged.out_lo[0] == 0.0 and merged.out_hi[0] == 1.0
@@ -221,7 +221,7 @@ class TestMergeAndSimplify:
                                           demo_tight, demo_problem):
         boxed = box_propagate(demo_net, AttributeAssignment.fixing(2, {1: 0.2}),
                               demo_domain)
-        simplified, stats = tighten_and_simplify(demo_problem, demo_tight, boxed)
+        simplified, stats = tighten_and_simplify(demo_net, demo_tight, boxed)
         # big-M constant for the first hidden neuron drops 1.2 -> 0.9, and
         # since its merged lower bound stays positive the block remains the
         # plain equality with no binary
@@ -239,24 +239,20 @@ class TestMergeAndSimplify:
         out1 = simplified.output_vids[1]
         assert simplified.lp.lb[out1] == pytest.approx(0.2, abs=1e-12)
         assert simplified.lp.ub[out1] == pytest.approx(0.9, abs=1e-9)
+        # the assignment's input is pinned, the freed one keeps its domain
+        pinned, free = simplified.input_vids[1], simplified.input_vids[0]
+        assert (simplified.lp.lb[pinned], simplified.lp.ub[pinned]) == (0.2, 0.2)
+        assert (simplified.lp.lb[free], simplified.lp.ub[free]) == (0.0, 0.7)
         # the base problem is untouched
         assert demo_problem.block(0, 0).pre_ub == pytest.approx(1.2, abs=1e-12)
 
-    def test_identical_boxed_changes_nothing(self, demo_problem, demo_tight):
-        simplified, stats = tighten_and_simplify(demo_problem, demo_tight,
+    def test_identical_boxed_changes_nothing(self, demo_net, demo_problem,
+                                             demo_tight):
+        simplified, stats = tighten_and_simplify(demo_net, demo_tight,
                                                  demo_tight)
         assert stats.bounds_tightened_count == 0
         assert stats.binary_removed_count == \
-            demo_problem.encode_stats.binary_removed_count
-
-    def test_query_rows_survive_reencode(self, demo_problem, demo_tight,
-                                         demo_net, demo_domain):
-        q = attach_rival_query(demo_problem, 0, 1)
-        boxed = box_propagate(demo_net, AttributeAssignment.fixing(2, {1: 0.2}),
-                              demo_domain)
-        simplified, _ = tighten_and_simplify(q, demo_tight, boxed)
-        assert simplified.lp.a.shape[0] == structural_rows(simplified) + 1
-        assert row_terms(simplified, -1) == row_terms(q, -1)
+            demo_net.num_hidden_neurons - len(demo_problem.binary_vids)
 
     def test_removed_never_below_encode_time(self):
         rng = np.random.default_rng(37)
@@ -270,9 +266,9 @@ class TestMergeAndSimplify:
                                replace=False)
             boxed = box_propagate(
                 net, AttributeAssignment.from_instance(instance, fixed), domain)
-            _, stats = tighten_and_simplify(problem, tight, boxed)
+            _, stats = tighten_and_simplify(net, tight, boxed)
             assert stats.binary_removed_count >= \
-                problem.encode_stats.binary_removed_count
+                net.num_hidden_neurons - len(problem.binary_vids)
 
 
 def _feasible_assignment(net, problem, point):
@@ -319,7 +315,7 @@ class TestModelPreservation:
                                size=rng.integers(0, net.input_dim), replace=False)
             assign = AttributeAssignment.from_instance(instance, fixed)
             boxed = box_propagate(net, assign, domain)
-            simplified, _ = tighten_and_simplify(problem, tight, boxed)
+            simplified, _ = tighten_and_simplify(net, tight, boxed)
             lo, hi = assign.input_intervals(domain)
             for _ in range(5):
                 point = rng.uniform(lo, hi)
@@ -345,7 +341,7 @@ class TestEquisatisfiability:
             rival = int((target + 1 + rng.integers(k - 1)) % k)
             plain = attach_rival_query(fix_attributes(problem, assign),
                                        target, rival)
-            simplified, _ = tighten_and_simplify(problem, tight, boxed)
+            simplified, _ = tighten_and_simplify(net, tight, boxed)
             simp = attach_rival_query(fix_attributes(simplified, assign),
                                       target, rival)
             assert solve_feasibility(plain).status == \

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boxplain.simplex import (GE, LE, INFEASIBLE, OPTIMAL, UNBOUNDED,
+from boxplain.simplex import (EQ, GE, LE, INFEASIBLE, OPTIMAL, UNBOUNDED,
                               LpProblem, solve_lp)
 from oracles import eq2_style_milp, random_bounded_lp, vertex_enumerate
 
@@ -46,6 +46,13 @@ class TestStatuses:
         out = solve_lp(p)
         assert out.status == OPTIMAL
         assert out.point.sum() >= 1.5 - 1e-6
+
+    def test_residual_judged_per_row(self):
+        # x >= 2.5e-6 with x pinned to 0 misses by more than its row allows
+        # (1e-6), though the total residual is within 1e-6 * max|rhs| = 5e-6
+        p = LpProblem(np.eye(2), (GE, EQ), np.array([2.5e-6, 5.0]),
+                      np.zeros(2), np.array([0.0, 10.0]), np.zeros(2), "feas")
+        assert solve_lp(p).status == INFEASIBLE
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
