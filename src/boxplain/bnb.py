@@ -137,14 +137,14 @@ def solve_feasibility(problem: MilpProblem, *,
     return _branch_and_bound(problem, None, "feas", time_budget_ms)
 
 
-def optimize(problem: MilpProblem, objective: Mapping[int, float], sense: str, *,
-             time_budget_ms: Optional[float] = None) -> MilpOutcome:
+def optimize(problem: MilpProblem, objective: Mapping[int, float],
+             sense: str) -> MilpOutcome:
     """Exact MILP optimum of ``objective`` (``sense`` is min or max)."""
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be min or max, got {sense!r}")
     flip = -1.0 if sense == "max" else 1.0
     internal = {vid: flip * coef for vid, coef in objective.items()}
-    out = _branch_and_bound(problem, internal, "min", time_budget_ms)
+    out = _branch_and_bound(problem, internal, "min", None)
     if out.status != OPTIMAL:
         return out
     return replace(out, value=flip * out.value)

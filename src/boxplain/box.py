@@ -34,20 +34,16 @@ class AttributeAssignment:
         return cls(tuple(vals))
 
     @classmethod
-    def from_instance(cls, instance, fixed_indices: Iterable[int]) -> "AttributeAssignment":
+    def from_instance(cls, instance, fixed: Iterable[int]) -> "AttributeAssignment":
         instance = np.asarray(instance, dtype=np.float64)
         vals = [None] * instance.shape[0]
-        for i in fixed_indices:
+        for i in fixed:
             vals[i] = float(instance[i])
         return cls(tuple(vals))
 
     @property
     def size(self) -> int:
         return len(self.values)
-
-    @property
-    def fixed_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.values) if v is not None)
 
     def validate(self, domain: InputDomain) -> None:
         if self.size != domain.size:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .box import AttributeAssignment, box_propagate
 from .engine import (MODE_BASELINE, MODE_IMPROVED, EngineConfig, Explainer,
-                     compute_tight_bounds, verify_explanation)
+                     ExplainStats, compute_tight_bounds, verify_explanation)
 from .model import ModelFormatError, load_model_file
 from .simplex import SolverFailure
 
@@ -28,7 +28,6 @@ EXIT_SOLVER = 3
 @dataclass(frozen=True)
 class InstanceSet:
     rows: np.ndarray  # (m, width)
-    labels: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.rows.shape[0]
@@ -202,25 +201,14 @@ def cmd_bench(args) -> int:
     for (base_exp, _), (ours_exp, _) in runs:
         if base_exp.kept_indices != ours_exp.kept_indices:
             raise SolverFailure("baseline and improved explanations diverge")
-    base_stats = [base[1] for base, _ in runs]
-    ours_stats = [ours[1] for _, ours in runs]
-
-    def pooled_pct(num_attr, den_attr):
-        num = sum(getattr(s, num_attr) for s in ours_stats)
-        den = sum(getattr(s, den_attr) for s in ours_stats)
-        return 100.0 * num / den if den else 0.0
-
+    base = ExplainStats.pooled([base[1] for base, _ in runs])
+    ours = ExplainStats.pooled([ours[1] for _, ours in runs])
     writer.writerow([
-        _fmt(sum(s.total_time for s in base_stats)),
-        _fmt(sum(s.total_time for s in ours_stats)),
-        _fmt(sum(s.solver_time for s in base_stats)),
-        _fmt(sum(s.solver_time for s in ours_stats)),
-        _fmt(pooled_pct("tightened_count", "neurons_counted")),
-        _fmt(pooled_pct("removed_before_count", "binaries_counted")),
-        _fmt(pooled_pct("removed_ours_count", "binaries_counted")),
-        sum(s.box_shortcut_hits for s in ours_stats),
-        sum(s.solver_calls for s in base_stats),
-        sum(s.solver_calls for s in ours_stats),
+        _fmt(base.total_time), _fmt(ours.total_time),
+        _fmt(base.solver_time), _fmt(ours.solver_time),
+        _fmt(ours.bounds_tightened_pct), _fmt(ours.bin_vars_removed_before_pct),
+        _fmt(ours.bin_vars_removed_ours_pct), ours.box_shortcut_hits,
+        base.solver_calls, ours.solver_calls,
     ])
     return code
 

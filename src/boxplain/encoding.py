@@ -52,16 +52,8 @@ class NeuronBlock:
 class SimplificationStats:
     """Counters behind the bounds-tightened / binaries-removed percentages."""
 
-    neurons_total: int
     bounds_tightened_count: int
-    binary_total: int
     binary_removed_count: int
-
-    def __post_init__(self):
-        if self.bounds_tightened_count > self.neurons_total:
-            raise ValueError("tightened count exceeds neuron total")
-        if self.binary_removed_count > self.binary_total:
-            raise ValueError("removed count exceeds binary total")
 
 
 @dataclass(frozen=True)
@@ -74,7 +66,6 @@ class MilpProblem:
     serves; unchanged arrays are shared between a problem and its edits.
     """
 
-    net: Network
     lp: LpProblem  # objective-free (sense "feas"); column j is vid j
     blocks: tuple  # NeuronBlock per encoded hidden neuron, layer-major
     input_vids: tuple
@@ -83,14 +74,6 @@ class MilpProblem:
     def __post_init__(self):
         for arr in (self.lp.a, self.lp.rhs, self.lp.lb, self.lp.ub, self.lp.c):
             arr.setflags(write=False)
-
-    def block(self, layer: int, index: int) -> NeuronBlock:
-        pos = sum(self.net.hidden_widths[:layer]) + index
-        if layer >= 0 and index >= 0 and pos < len(self.blocks):
-            blk = self.blocks[pos]
-            if (blk.layer, blk.index) == (layer, index):
-                return blk
-        raise KeyError((layer, index))
 
     @property
     def binary_vids(self) -> tuple:
@@ -121,14 +104,14 @@ def _mode(lb: float, ub: float) -> str:
 
 
 def _encode(net: Network, bounds: BoundsMap,
-            hidden_scope: Optional[int] = None,
-            with_outputs: bool = True) -> MilpProblem:
-    """Shared encoder.  ``hidden_scope`` limits how many hidden layers get
-    rows (later posts stay as inert variables); prefix problems for bound
-    optimization drop the output rows entirely."""
+            hidden_scope: Optional[int] = None) -> MilpProblem:
+    """Shared encoder.  A ``hidden_scope`` makes a prefix problem for bound
+    optimization: only that many hidden layers get rows (later posts stay as
+    inert variables) and the output rows are dropped entirely."""
     if not bounds.shapes_match(net):
         raise ValueError("bounds map does not match network shape")
-    if hidden_scope is None:
+    full = hidden_scope is None
+    if full:
         hidden_scope = len(net.hidden_layers)
     post_vids, input_vids, output_vids = _structural_layout(net)
     n_struct = net.input_dim + net.num_hidden_neurons + net.class_count
@@ -138,7 +121,7 @@ def _encode(net: Network, bounds: BoundsMap,
              for l in range(hidden_scope)]
     n_binaries = sum(m.count(MODE_SPLIT) for m in modes)
     n_rows = sum(_ROW_COUNT[m] for layer_modes in modes for m in layer_modes)
-    if with_outputs:
+    if full:
         n_rows += net.class_count
 
     n_cols = n_struct + n_binaries
@@ -150,7 +133,7 @@ def _encode(net: Network, bounds: BoundsMap,
     ub[n_struct:] = 1.0
     lb[:net.input_dim], ub[:net.input_dim] = bounds.input_lo, bounds.input_hi
     out = slice(n_struct - net.class_count, n_struct)
-    if with_outputs:
+    if full:
         lb[out], ub[out] = bounds.out_lo, bounds.out_hi
     else:
         lb[out] = -INF
@@ -193,7 +176,7 @@ def _encode(net: Network, bounds: BoundsMap,
                                       tuple(range(row, row + count))))
             row += count
 
-    if with_outputs:
+    if full:
         out_layer = net.layers[-1]
         for j in range(out_layer.width):
             a[row, feeds[-1]] = 0.0 - out_layer.weights[j]
@@ -204,7 +187,7 @@ def _encode(net: Network, bounds: BoundsMap,
 
     lp = LpProblem(a, tuple(rel), rhs, lb, ub, np.zeros(n_cols), "feas",
                    tuple(range(n_struct, n_cols)))
-    return MilpProblem(net, lp, tuple(blocks), input_vids, output_vids)
+    return MilpProblem(lp, tuple(blocks), input_vids, output_vids)
 
 
 def encode_network(net: Network, bounds: BoundsMap) -> MilpProblem:
@@ -225,7 +208,7 @@ def encode_prefix(net: Network, bounds: BoundsMap, upto_layer: int) -> MilpProbl
     over the previous layer's post variables, or the inputs when
     ``upto_layer`` is 0).
     """
-    return _encode(net, bounds, hidden_scope=upto_layer, with_outputs=False)
+    return _encode(net, bounds, hidden_scope=upto_layer)
 
 
 def attach_rival_query(problem: MilpProblem, target: int, rival: int) -> MilpProblem:
@@ -318,9 +301,7 @@ def tighten_and_simplify(net: Network, tight: BoundsMap,
     merged, tightened = merge_bounds(tight, boxed)
     problem = _encode(net, merged)
     stats = SimplificationStats(
-        neurons_total=net.num_hidden_neurons + net.class_count,
         bounds_tightened_count=tightened,
-        binary_total=net.num_hidden_neurons,
         binary_removed_count=net.num_hidden_neurons - len(problem.binary_vids),
     )
     return problem, stats

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -62,12 +63,12 @@ class Explanation:
 
 @dataclass(frozen=True)
 class ExplainStats:
-    """Run counters.
+    """Run counters, every one a sum, so that runs pool field by field.
 
-    The raw ``*_count`` fields accumulate over solver-bound iterations only
-    (each neuron or binary is counted once per such iteration), so several
-    runs can be pooled before forming percentages; the ``*_pct`` fields are
-    this run's own ratios, 0 when the solver was never needed.
+    The ``*_count`` fields accumulate over solver-bound improved iterations
+    only (each neuron or binary is counted once per such iteration); the
+    ``*_pct`` properties are ratios of those counts, 0 when the solver was
+    never needed.
     """
 
     total_time: float
@@ -80,13 +81,23 @@ class ExplainStats:
     removed_before_count: int
     removed_ours_count: int
     binaries_counted: int
-    bounds_tightened_pct: float
-    bin_vars_removed_before_pct: float
-    bin_vars_removed_ours_pct: float
 
-    def __post_init__(self):
-        if self.solver_time > self.total_time + 1e-9:
-            raise ValueError("solver time exceeds total time")
+    @classmethod
+    def pooled(cls, runs) -> "ExplainStats":
+        """The field-wise sums of several runs' stats."""
+        return cls(*(sum(getattr(s, f.name) for s in runs) for f in fields(cls)))
+
+    @property
+    def bounds_tightened_pct(self) -> float:
+        return _pct(self.tightened_count, self.neurons_counted)
+
+    @property
+    def bin_vars_removed_before_pct(self) -> float:
+        return _pct(self.removed_before_count, self.binaries_counted)
+
+    @property
+    def bin_vars_removed_ours_pct(self) -> float:
+        return _pct(self.removed_ours_count, self.binaries_counted)
 
 
 @dataclass(frozen=True)
@@ -103,18 +114,6 @@ class EngineConfig:
         if sorted(order) != list(range(n)):
             raise ValueError(f"order must be a permutation of 0..{n - 1}")
         return order
-
-
-class _Accounting:
-    __slots__ = ("calls", "time")
-
-    def __init__(self):
-        self.calls = 0
-        self.time = 0.0
-
-    def add(self, outcome: MilpOutcome) -> None:
-        self.calls += 1
-        self.time += outcome.wall_time
 
 
 def compute_tight_bounds(net: Network, domain: InputDomain,
@@ -170,11 +169,12 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
 def is_entailed(problem: MilpProblem, target: int, *,
                 backend: SolverBackend = DEFAULT_BACKEND,
                 time_budget_ms: Optional[float] = None,
-                accounting: Optional[_Accounting] = None):
+                outcomes: Optional[list] = None):
     """Check that the target class wins for every point feasible in ``problem``.
 
     ``problem`` must already have its attributes fixed.  Runs one rival
-    feasibility query per other class, stopping at the first counterexample.
+    feasibility query per other class, stopping at the first counterexample,
+    and appends each query's ``MilpOutcome`` to ``outcomes`` when given.
     Returns ``(True, None)``, ``(False, witness)``, or ``(None, None)`` when
     a time budget ran out before a decision.
     """
@@ -186,8 +186,8 @@ def is_entailed(problem: MilpProblem, target: int, *,
             continue
         query = attach_rival_query(problem, target, rival)
         outcome = backend.feasibility(query, time_budget_ms=time_budget_ms)
-        if accounting is not None:
-            accounting.add(outcome)
+        if outcomes is not None:
+            outcomes.append(outcome)
         if outcome.status == SAT:
             return False, outcome.witness
         if outcome.status == UNKNOWN:
@@ -244,14 +244,11 @@ class Explainer:
 
         start = time.perf_counter()
         order = self.config.resolve_order(net.input_dim)
-        accounting = _Accounting()
+        outcomes: list[MilpOutcome] = []
         removed: set[int] = set()
         decisions: dict[int, Decision] = {}
-        box_hits = 0
-        timeouts = 0
-        # per solver-bound iteration accumulators
-        tightened_sum = neurons_sum = 0
-        removed_ours_sum = removed_before_sum = binaries_sum = 0
+        # per solver-bound improved iteration accumulators
+        simplified = tightened = removed_ours = 0
 
         for i in order:
             fixed = [j for j in range(net.input_dim) if j != i and j not in removed]
@@ -261,23 +258,19 @@ class Explainer:
                 if shortcut_check(boxed, target) is ShortcutResult.REMOVABLE:
                     removed.add(i)
                     decisions[i] = Decision.REMOVED_BY_BOX
-                    box_hits += 1
                     continue
                 # the simplified problem already pins the fixed attributes
                 problem, simp = tighten_and_simplify(net, self.tight, boxed)
-                tightened_sum += simp.bounds_tightened_count
-                neurons_sum += simp.neurons_total
-                removed_ours_sum += simp.binary_removed_count
-                removed_before_sum += self.removed_at_encode
-                binaries_sum += simp.binary_total
+                simplified += 1
+                tightened += simp.bounds_tightened_count
+                removed_ours += simp.binary_removed_count
             else:
                 problem = fix_attributes(self.base_problem, assign)
             entailed, _ = is_entailed(problem, target, backend=self.backend,
                                       time_budget_ms=self.config.time_budget_ms,
-                                      accounting=accounting)
+                                      outcomes=outcomes)
             if entailed is None:
                 decisions[i] = Decision.KEPT_BY_TIMEOUT
-                timeouts += 1
             elif entailed:
                 removed.add(i)
                 decisions[i] = Decision.REMOVED_BY_SOLVER
@@ -286,20 +279,19 @@ class Explainer:
 
         kept = tuple((i, float(instance[i])) for i in order if i not in removed)
         total_time = time.perf_counter() - start
+        tally = Counter(decisions.values())
+        hidden = net.num_hidden_neurons
         stats = ExplainStats(
             total_time=total_time,
-            solver_time=min(accounting.time, total_time),
-            solver_calls=accounting.calls,
-            box_shortcut_hits=box_hits,
-            timeouts=timeouts,
-            tightened_count=tightened_sum,
-            neurons_counted=neurons_sum,
-            removed_before_count=removed_before_sum,
-            removed_ours_count=removed_ours_sum,
-            binaries_counted=binaries_sum,
-            bounds_tightened_pct=_pct(tightened_sum, neurons_sum),
-            bin_vars_removed_before_pct=_pct(removed_before_sum, binaries_sum),
-            bin_vars_removed_ours_pct=_pct(removed_ours_sum, binaries_sum),
+            solver_time=min(sum((o.wall_time for o in outcomes), 0.0), total_time),
+            solver_calls=len(outcomes),
+            box_shortcut_hits=tally[Decision.REMOVED_BY_BOX],
+            timeouts=tally[Decision.KEPT_BY_TIMEOUT],
+            tightened_count=tightened,
+            neurons_counted=simplified * (hidden + net.class_count),
+            removed_before_count=simplified * self.removed_at_encode,
+            removed_ours_count=removed_ours,
+            binaries_counted=simplified * hidden,
         )
         return Explanation(kept, decisions, target), stats
 

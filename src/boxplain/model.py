@@ -91,9 +91,9 @@ class InputDomain:
     def size(self) -> int:
         return self.lows.shape[0]
 
-    def contains(self, point: np.ndarray, tol: float = 0.0) -> bool:
+    def contains(self, point: np.ndarray) -> bool:
         p = np.asarray(point, dtype=np.float64)
-        return bool((p >= self.lows - tol).all() and (p <= self.highs + tol).all())
+        return bool((p >= self.lows).all() and (p <= self.highs).all())
 
     def pairs(self) -> list[list[float]]:
         return [[float(a), float(b)] for a, b in zip(self.lows, self.highs)]

@@ -22,6 +22,11 @@ DEMO_DOC = {
 DEMO_INSTANCE = np.array([0.7, 0.2])
 
 
+def block(problem, layer, index):
+    """The ``NeuronBlock`` of hidden neuron ``index`` in ``layer``."""
+    return next(b for b in problem.blocks if (b.layer, b.index) == (layer, index))
+
+
 @pytest.fixture(scope="session")
 def demo_net():
     return load_network(DEMO_DOC)

@@ -33,7 +33,7 @@ from boxplain.engine import (Decision, EngineConfig, Explainer,
                              compute_tight_bounds, verify_explanation)
 from boxplain.model import forward, load_domain, load_network
 from boxplain.simplex import LpProblem, solve_lp
-from conftest import DEMO_DOC
+from conftest import DEMO_DOC, block
 from netgen import random_instance, random_network
 from oracles import oracle_enumerate, random_bounded_lp, vertex_enumerate
 from test_bnb import worked_milp  # noqa: F401  (fixture reuse)
@@ -145,10 +145,10 @@ def test_criterion_03_pinned_refinement_values(demo):
     simplified, _ = tighten_and_simplify(net, tight, boxed)
     # big-M constant of the first hidden neuron refines 1.2 -> 0.9, then the
     # still-positive lower bound collapses the block and drops its binary
-    assert base.block(0, 0).pre_ub == pytest.approx(1.2, abs=1e-9)
-    assert simplified.block(0, 0).pre_ub == pytest.approx(0.9, abs=1e-9)
-    assert simplified.block(0, 0).mode == MODE_ACTIVE
-    assert simplified.block(0, 0).z_var is None
+    assert block(base, 0, 0).pre_ub == pytest.approx(1.2, abs=1e-9)
+    assert block(simplified, 0, 0).pre_ub == pytest.approx(0.9, abs=1e-9)
+    assert block(simplified, 0, 0).mode == MODE_ACTIVE
+    assert block(simplified, 0, 0).z_var is None
 
     # The box must enclose every reachable output, or the merged bounds could
     # cut off a real counterexample.  (0.7, 0.2) evaluates to (1.4, 0.4), so

@@ -15,9 +15,9 @@ from oracles import ORACLE_BINARY_CAP, eq2_style_milp, oracle_enumerate
 
 def make_problem(lp, input_vids=()):
     """Hand-built problem around ``lp``'s rows and bounds (its objective is
-    dropped); the network reference is not needed for solving."""
+    dropped)."""
     lp = replace(lp, c=np.zeros_like(lp.c), sense="feas")
-    return MilpProblem(None, lp, (), tuple(input_vids), ())
+    return MilpProblem(lp, (), tuple(input_vids), ())
 
 
 def make_lp(a, rel, rhs, lb, ub, binaries=()):

@@ -243,15 +243,18 @@ class TestBench:
                                   str(demo_instances))
         header, rows = parse_csv(bench_out)
         record = dict(zip(header, rows[0]))
-        _, ours_out, _ = run_cli(capsys, "explain", str(demo_model_path),
-                                 str(demo_instances), "--mode", "improved")
-        ours_header, ours_rows = parse_csv(ours_out)
-        calls = sum(int(dict(zip(ours_header, r))["solver_calls"])
-                    for r in ours_rows)
-        hits = sum(int(dict(zip(ours_header, r))["box_shortcut_hits"])
-                   for r in ours_rows)
-        assert int(record["solver_calls_ours"]) == calls
-        assert int(record["box_shortcut_hits"]) == hits
+
+        def fold(mode, column):
+            _, out, _ = run_cli(capsys, "explain", str(demo_model_path),
+                                str(demo_instances), "--mode", mode)
+            head, body = parse_csv(out)
+            return sum(int(dict(zip(head, r))[column]) for r in body)
+
+        assert int(record["solver_calls_ours"]) == fold("improved", "solver_calls")
+        assert int(record["box_shortcut_hits"]) == \
+            fold("improved", "box_shortcut_hits")
+        assert int(record["solver_calls_baseline"]) == \
+            fold("baseline", "solver_calls")
 
     def test_determinism_excluding_times(self, capsys, demo_model_path,
                                          demo_instances):

@@ -10,6 +10,7 @@ from boxplain.encoding import (MODE_ACTIVE, MODE_INACTIVE, MODE_SPLIT,
 from boxplain.simplex import EQ, GE, LE
 from boxplain.engine import compute_tight_bounds
 from boxplain.model import IDENTITY, RELU, InputDomain, Layer, Network, forward
+from conftest import block
 from netgen import random_instance, random_network
 
 
@@ -42,7 +43,7 @@ def structural_rows(problem):
 class TestEncode:
     def test_stable_active_neuron_collapses(self, demo_problem):
         # first hidden neuron has tight pre-bounds [0.2, 1.2]: always active
-        blk = demo_problem.block(0, 0)
+        blk = block(demo_problem, 0, 0)
         assert blk.mode == MODE_ACTIVE
         assert blk.z_var is None
         # the affine equality post - x0 - x1 == 0
@@ -50,7 +51,7 @@ class TestEncode:
         assert rows == [({0: -1.0, 1: -1.0, blk.post_var: 1.0}, EQ, 0.0)]
 
     def test_unstable_neuron_carries_indicator(self, demo_problem):
-        blk = demo_problem.block(0, 1)
+        blk = block(demo_problem, 0, 1)
         assert blk.mode == MODE_SPLIT
         assert blk.z_var is not None
         rows = [row_terms(demo_problem, i) for i in blk.constraint_ids]
@@ -79,7 +80,7 @@ class TestEncode:
         ), 1)
         domain = InputDomain(np.zeros(1), np.ones(1))
         problem = encode_network(net, domain_box(net, domain))
-        blk = problem.block(0, 0)
+        blk = block(problem, 0, 0)
         assert blk.mode == MODE_INACTIVE
         assert blk.z_var is None
         assert blk.constraint_ids == ()
@@ -132,8 +133,8 @@ class TestEncode:
         ), 1)
         domain = InputDomain(np.zeros(1), np.ones(1))
         problem = encode_network(net, domain_box(net, domain))
-        assert problem.block(0, 0).mode == MODE_INACTIVE  # pre in [-1, 0]
-        assert problem.block(0, 1).mode == MODE_SPLIT     # pre in [0, 1]
+        assert block(problem, 0, 0).mode == MODE_INACTIVE  # pre in [-1, 0]
+        assert block(problem, 0, 1).mode == MODE_SPLIT     # pre in [0, 1]
 
 
 class TestQueryAndFix:
@@ -225,16 +226,15 @@ class TestMergeAndSimplify:
         # big-M constant for the first hidden neuron drops 1.2 -> 0.9, and
         # since its merged lower bound stays positive the block remains the
         # plain equality with no binary
-        base_blk = demo_problem.block(0, 0)
-        new_blk = simplified.block(0, 0)
+        base_blk = block(demo_problem, 0, 0)
+        new_blk = block(simplified, 0, 0)
         assert base_blk.pre_ub == pytest.approx(1.2, abs=1e-12)
         assert new_blk.pre_ub == pytest.approx(0.9, abs=1e-9)
         assert new_blk.mode == MODE_ACTIVE and new_blk.z_var is None
         # second hidden neuron still straddles zero: binary survives
-        assert simplified.block(0, 1).mode == MODE_SPLIT
+        assert block(simplified, 0, 1).mode == MODE_SPLIT
         assert stats.binary_removed_count == 1
         assert stats.bounds_tightened_count == 3
-        assert stats.neurons_total == 4
         # second output variable bounds merged to [0.2, 0.9]
         out1 = simplified.output_vids[1]
         assert simplified.lp.lb[out1] == pytest.approx(0.2, abs=1e-12)
@@ -244,7 +244,7 @@ class TestMergeAndSimplify:
         assert (simplified.lp.lb[pinned], simplified.lp.ub[pinned]) == (0.2, 0.2)
         assert (simplified.lp.lb[free], simplified.lp.ub[free]) == (0.0, 0.7)
         # the base problem is untouched
-        assert demo_problem.block(0, 0).pre_ub == pytest.approx(1.2, abs=1e-12)
+        assert block(demo_problem, 0, 0).pre_ub == pytest.approx(1.2, abs=1e-12)
 
     def test_identical_boxed_changes_nothing(self, demo_net, demo_problem,
                                              demo_tight):

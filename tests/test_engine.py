@@ -1,10 +1,12 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from boxplain.box import AttributeAssignment
 from boxplain.encoding import fix_attributes
 from boxplain.engine import (Decision, EngineConfig, Explainer, Explanation,
-                             PredictionTieError, compute_tight_bounds,
+                             ExplainStats, PredictionTieError, compute_tight_bounds,
                              is_entailed, verify_explanation)
 from boxplain.model import IDENTITY, RELU, InputDomain, Layer, Network, forward, predict
 from netgen import random_instance, random_network
@@ -231,6 +233,35 @@ class TestModeEquivalenceAndSoundness:
             assert stats.bin_vars_removed_ours_pct >= \
                 stats.bin_vars_removed_before_pct
             assert stats.removed_ours_count >= stats.removed_before_count
+
+
+class TestExplainStats:
+    def test_pooled_nothing_is_zero(self):
+        # the bench row when every instance failed
+        pooled = ExplainStats.pooled([])
+        assert all(v == 0 for v in asdict(pooled).values())
+        assert pooled.bounds_tightened_pct == 0.0
+        assert pooled.bin_vars_removed_before_pct == 0.0
+        assert pooled.bin_vars_removed_ours_pct == 0.0
+
+    def test_pooled_sums_fields_and_takes_ratios_of_sums(self):
+        a = ExplainStats(total_time=0.5, solver_time=0.25, solver_calls=3,
+                         box_shortcut_hits=1, timeouts=0, tightened_count=1,
+                         neurons_counted=4, removed_before_count=1,
+                         removed_ours_count=2, binaries_counted=2)
+        b = ExplainStats(total_time=1.0, solver_time=0.5, solver_calls=5,
+                         box_shortcut_hits=2, timeouts=1, tightened_count=6,
+                         neurons_counted=8, removed_before_count=0,
+                         removed_ours_count=1, binaries_counted=4)
+        pooled = ExplainStats.pooled([a, b])
+        da, db = asdict(a), asdict(b)
+        assert asdict(pooled) == {k: da[k] + db[k] for k in da}
+        # ratios of the sums (7/12, 1/6, 3/6), not means of the two runs'
+        # own percentages (50, 25, 62.5)
+        assert pooled.bounds_tightened_pct == pytest.approx(700.0 / 12)
+        assert pooled.bin_vars_removed_before_pct == pytest.approx(100.0 / 6)
+        assert pooled.bin_vars_removed_ours_pct == pytest.approx(50.0)
+        assert (a.bounds_tightened_pct + b.bounds_tightened_pct) / 2 == 50.0
 
 
 class TestVerification:
