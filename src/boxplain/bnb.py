@@ -18,8 +18,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .encoding import MilpProblem
-from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, prepare,
-                      solve_prepared)
+from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem,
+                      _replace_unchecked, prepare, solve_prepared)
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -33,7 +33,8 @@ class MilpOutcome:
     """Result of a MILP solve.
 
     ``point`` holds a value for every problem variable (vid-indexed);
-    ``witness`` is its restriction to the input attributes.
+    ``witness`` is its restriction to the input attributes;
+    ``lp_iterations`` sums the simplex iterations of every node.
     """
 
     status: str
@@ -42,6 +43,7 @@ class MilpOutcome:
     witness: Optional[np.ndarray] = None
     node_count: int = 0
     wall_time: float = 0.0
+    lp_iterations: int = 0
 
 
 def milp_to_lp(problem: MilpProblem, objective: Optional[Mapping[int, float]] = None,
@@ -51,7 +53,7 @@ def milp_to_lp(problem: MilpProblem, objective: Optional[Mapping[int, float]] = 
     c = np.zeros(problem.lp.a.shape[1])
     if objective:
         c[list(objective)] = list(objective.values())
-    return replace(problem.lp, c=c, sense=sense)
+    return _replace_unchecked(problem.lp, c=c, sense=sense)
 
 
 def _fractional_binaries(point: np.ndarray, binaries, tol: float) -> Optional[int]:
@@ -64,14 +66,6 @@ def _fractional_binaries(point: np.ndarray, binaries, tol: float) -> Optional[in
     return worst_vid
 
 
-def _result(problem: MilpProblem, status: str, value, point, nodes, start) -> MilpOutcome:
-    witness = None
-    if point is not None:
-        witness = point[np.array(problem.input_vids, dtype=int)].copy()
-    return MilpOutcome(status, value, point, witness, nodes,
-                       time.perf_counter() - start)
-
-
 def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, float]],
                       sense: str, time_budget_ms: Optional[float]) -> MilpOutcome:
     """Depth-first search over the binaries, minimizing ``objective`` (sense
@@ -80,31 +74,41 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
 
     Branches on the most fractional binary, exploring the branch matching
     the LP-relaxation value first, and drops nodes whose relaxation is no
-    better than the incumbent.  A node is one LP solve.  The returned value
-    is the internal (minimized) one.
+    better than the incumbent.  A node is one LP solve; the root's is cold,
+    and both children re-solve warm from their parent's final basis.  The
+    returned value is the internal (minimized) one.
     """
     start = time.perf_counter()
     deadline = None if time_budget_ms is None else start + time_budget_ms / 1000.0
     lp = milp_to_lp(problem, objective, sense)
     prep = prepare(lp)
-    stack: list[dict] = [{}]
-    nodes = 0
+    stack: list[tuple] = [({}, None)]  # (fixings, parent's basis)
+    nodes = iterations = 0
     best_value = np.inf
     best_point = None
+
+    def result(status, value=None, point=None):
+        witness = None
+        if point is not None:
+            witness = point[np.array(problem.input_vids, dtype=int)].copy()
+        return MilpOutcome(status, value, point, witness, nodes,
+                           time.perf_counter() - start, iterations)
+
     while stack:
         if deadline is not None and time.perf_counter() > deadline:
             # search incomplete: no answer, and no incumbent proven optimal
-            return _result(problem, UNKNOWN, None, None, nodes, start)
-        fixings = stack.pop()
+            return result(UNKNOWN)
+        fixings, basis = stack.pop()
         lb, ub = lp.lb, lp.ub
         if fixings:
             lb, ub = lb.copy(), ub.copy()
             for col, val in fixings.items():
                 lb[col] = ub[col] = float(val)
-        outcome = solve_prepared(prep, lb, ub, lp.c, lp.sense)
+        outcome = solve_prepared(prep, lb, ub, lp.c, lp.sense, basis)
         nodes += 1
+        iterations += outcome.iterations
         if outcome.status == UNBOUNDED:
-            return _result(problem, UNBOUNDED, None, None, nodes, start)
+            return result(UNBOUNDED)
         if outcome.status != OPTIMAL:
             continue
         if best_point is not None and \
@@ -113,18 +117,18 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
         vid = _fractional_binaries(outcome.point, lp.binaries, INTEGRALITY_TOL)
         if vid is None:
             if sense == "feas":
-                return _result(problem, SAT, None, outcome.point, nodes, start)
+                return result(SAT, None, outcome.point)
             best_value = outcome.value
             best_point = outcome.point
             continue
         first = int(round(outcome.point[vid]))
-        stack.append({**fixings, vid: 1 - first})
-        stack.append({**fixings, vid: first})
+        stack.append(({**fixings, vid: 1 - first}, outcome.basis))
+        stack.append(({**fixings, vid: first}, outcome.basis))
     if sense == "feas":
-        return _result(problem, UNSAT, None, None, nodes, start)
+        return result(UNSAT)
     if best_point is None:
-        return _result(problem, INFEASIBLE, None, None, nodes, start)
-    return _result(problem, OPTIMAL, best_value, best_point, nodes, start)
+        return result(INFEASIBLE)
+    return result(OPTIMAL, best_value, best_point)
 
 
 def solve_feasibility(problem: MilpProblem, *,

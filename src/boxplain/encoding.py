@@ -23,7 +23,7 @@ import numpy as np
 
 from .box import AttributeAssignment, BoundsMap
 from .model import Network
-from .simplex import EQ, GE, LE, LpProblem
+from .simplex import EQ, GE, LE, LpProblem, _replace_unchecked
 
 logger = logging.getLogger(__name__)
 
@@ -223,9 +223,9 @@ def attach_rival_query(problem: MilpProblem, target: int, rival: int) -> MilpPro
     row = np.zeros(lp.a.shape[1])
     row[problem.output_vids[rival]] = 1.0
     row[problem.output_vids[target]] = -1.0
-    return replace(problem, lp=replace(lp, a=np.vstack([lp.a, row]),
-                                       rel=lp.rel + (GE,),
-                                       rhs=np.append(lp.rhs, 0.0)))
+    return replace(problem, lp=_replace_unchecked(lp, a=np.vstack([lp.a, row]),
+                                                  rel=lp.rel + (GE,),
+                                                  rhs=np.append(lp.rhs, 0.0)))
 
 
 def fix_attributes(problem: MilpProblem, assign: AttributeAssignment) -> MilpProblem:
@@ -244,7 +244,7 @@ def fix_attributes(problem: MilpProblem, assign: AttributeAssignment) -> MilpPro
                 f"attribute {i}: value {v} outside bounds "
                 f"[{float(lb[vid])}, {float(ub[vid])}]")
         lb[vid] = ub[vid] = float(v)
-    return replace(problem, lp=replace(problem.lp, lb=lb, ub=ub))
+    return replace(problem, lp=_replace_unchecked(problem.lp, lb=lb, ub=ub))
 
 
 def merge_bounds(tight: BoundsMap, boxed: BoundsMap) -> tuple[BoundsMap, int]:

@@ -1,20 +1,31 @@
-"""Dense two-phase primal simplex for small bounded-variable LPs.
+"""Dense bounded-variable simplex for small LPs, cold or warm-started.
 
 Geared to the LP relaxations coming out of network encodings: tens of rows,
-dense data, every solve independent.  Dantzig pricing by default, switching
-permanently to Bland's rule after a stall so degenerate problems terminate.
-Phase 1 drives one artificial variable per row to zero, which gives uniform
-handling of equality rows.
+dense data.  A cold solve is a two-phase primal simplex: Dantzig pricing by
+default, switching permanently to Bland's rule after a stall so degenerate
+problems terminate.  Phase 1 drives one artificial variable per row to zero,
+which gives uniform handling of equality rows.
+
+A warm solve re-solves the same rows under new variable bounds from an
+earlier optimal ``Basis`` (branch and bound hands each child its parent's).
+That basis stays dual feasible: the costs are unchanged, or zero for sense
+``"feas"``.  A bounded dual simplex restores primal feasibility, and for an
+objective the primal loop then confirms optimality.  The dual loop proves
+infeasibility only when a row stays out of reach even with every row given
+its feasibility tolerance, the rule phase 1 judges by; on an iteration cap, a
+stall, a singular basis or an undecided row it gives up, and the solve starts
+again cold.
 
 The basis inverse is kept explicitly and updated per pivot, with periodic
-refactorization for drift control; before declaring optimality the state is
-refactored and re-priced once, so stale arithmetic cannot end a solve early.
+refactorization for drift control; before declaring optimality (or primal
+feasibility, in the dual loop) the state is refactored and re-priced once, so
+stale arithmetic cannot end a solve early.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -76,12 +87,31 @@ class LpProblem:
                 raise ValueError(f"binary tag {col} out of range")
 
 
+def _replace_unchecked(p: LpProblem, **changes) -> LpProblem:
+    """``dataclasses.replace`` without re-running ``__post_init__``, for
+    edits that keep already-checked data valid."""
+    edited = object.__new__(LpProblem)
+    edited.__dict__.update(p.__dict__, **changes)
+    return edited
+
+
+class Basis(NamedTuple):
+    """Final basis of an optimal solve, enough to warm-start another solve of
+    the same rows: the basic column of each row, every column's status and
+    the basis inverse.  Solves copy it, so one value can seed many."""
+
+    columns: np.ndarray
+    status: np.ndarray
+    inverse: np.ndarray
+
+
 @dataclass(frozen=True)
 class LpOutcome:
     status: str
     value: Optional[float] = None
     point: Optional[np.ndarray] = None
     iterations: int = 0
+    basis: Optional[Basis] = None  # set on optimal solves with rows
 
 
 class _Prepared:
@@ -89,11 +119,12 @@ class _Prepared:
 
     Columns are laid out structural | slack | artificial, with both the slack
     and artificial blocks as identity matrices; artificial signs live in
-    their bounds instead of their columns.
+    their bounds instead of their columns.  ``row_tol`` is each row's
+    feasibility tolerance, ``FEAS_TOL`` scaled by ``max(1, |rhs|)``.
     """
 
     __slots__ = ("A", "rhs", "rel", "m", "n", "ncols", "total",
-                 "slack_lo", "slack_hi")
+                 "slack_lo", "slack_hi", "row_tol", "is_le", "is_ge")
 
     def __init__(self, a: np.ndarray, rel, rhs: np.ndarray):
         m, n = a.shape
@@ -118,41 +149,73 @@ class _Prepared:
                 raise ValueError(f"unknown relation {r!r}")
         self.slack_lo = slack_lo
         self.slack_hi = slack_hi
+        self.row_tol = FEAS_TOL * np.maximum(1.0, np.abs(self.rhs))
+        self.is_le = np.array([r == LE for r in self.rel], dtype=bool)
+        self.is_ge = np.array([r == GE for r in self.rel], dtype=bool)
 
 
 class _Simplex:
-    """One solve's worth of mutable state; cheap to construct per node."""
+    """One solve's worth of mutable state; cheap to construct per node.
 
-    def __init__(self, prep: _Prepared, lb: np.ndarray, ub: np.ndarray):
+    Starts cold from the all-artificial basis, or warm from ``start``, an
+    earlier solve's final basis, with the artificials already closed.
+    """
+
+    def __init__(self, prep: _Prepared, lb: np.ndarray, ub: np.ndarray,
+                 start: Optional[Basis] = None):
         self.prep = prep
-        m, ncols, total = prep.m, prep.ncols, prep.total
+        m, total = prep.m, prep.total
         self.m = m
         self.lo = np.concatenate([lb, prep.slack_lo, np.zeros(m)])
         self.hi = np.concatenate([ub, prep.slack_hi, np.zeros(m)])
+        self.iterations = 0
+        self.pivots_since_refactor = 0
+        self.max_iter = 500 + 60 * total
+        self.dual_max_iter = 50 + 4 * m
+        self.stall_limit = 40
+        if start is None:
+            self._start_cold()
+        else:
+            self._start_warm(start)
 
+    def _start_cold(self) -> None:
+        prep, lo, hi = self.prep, self.lo, self.hi
+        m, ncols, total = prep.m, prep.ncols, prep.total
         x = np.zeros(total)
         stat = np.full(total, _AT_LOWER, dtype=np.int8)
-        finite_lo = np.isfinite(self.lo[:ncols])
-        finite_hi = np.isfinite(self.hi[:ncols])
-        x[:ncols] = np.where(finite_lo, self.lo[:ncols],
-                             np.where(finite_hi, self.hi[:ncols], 0.0))
+        finite_lo = np.isfinite(lo[:ncols])
+        finite_hi = np.isfinite(hi[:ncols])
+        x[:ncols] = np.where(finite_lo, lo[:ncols],
+                             np.where(finite_hi, hi[:ncols], 0.0))
         stat[:ncols] = np.where(finite_lo, _AT_LOWER,
                                 np.where(finite_hi, _AT_UPPER, _FREE))
 
         resid = prep.rhs - prep.A[:, :ncols] @ x[:ncols]
         self.art_sign = np.where(resid >= 0.0, 1.0, -1.0)
-        self.lo[ncols:] = np.where(resid >= 0.0, 0.0, -INF)
-        self.hi[ncols:] = np.where(resid >= 0.0, INF, 0.0)
+        lo[ncols:] = np.where(resid >= 0.0, 0.0, -INF)
+        hi[ncols:] = np.where(resid >= 0.0, INF, 0.0)
         x[ncols:] = resid
         stat[ncols:] = _BASIC
         self.x = x
         self.stat = stat
         self.basis = np.arange(ncols, total)
         self.binv = np.eye(m)  # initial basis is the artificial identity
-        self.iterations = 0
-        self.pivots_since_refactor = 0
-        self.max_iter = 500 + 60 * total
-        self.stall_limit = 40
+
+    def _start_warm(self, start: Basis) -> None:
+        """Nonbasic columns sit at the bound their status names (which
+        ``_fits`` has checked); the basics follow from the rows."""
+        stat = start.status.copy()
+        self.x = np.where(stat == _AT_LOWER, self.lo,
+                          np.where(stat == _AT_UPPER, self.hi, 0.0))
+        self.stat = stat
+        self.basis = start.columns.copy()
+        self.binv = start.inverse.copy()
+        self._solve_basics()
+
+    def _solve_basics(self) -> None:
+        xn = self.x.copy()
+        xn[self.basis] = 0.0
+        self.x[self.basis] = self.binv @ (self.prep.rhs - self.prep.A @ xn)
 
     def _refactor(self) -> None:
         B = self.prep.A[:, self.basis]
@@ -160,10 +223,22 @@ class _Simplex:
             self.binv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
             raise SolverFailure("singular basis matrix") from None
-        xn = self.x.copy()
-        xn[self.basis] = 0.0
-        self.x[self.basis] = self.binv @ (self.prep.rhs - self.prep.A @ xn)
+        self._solve_basics()
         self.pivots_since_refactor = 0
+
+    def _pivot(self, r: int, q: int, w: np.ndarray) -> None:
+        """Column ``q`` becomes basic in row ``r``, where ``w`` is
+        ``binv @ A[:, q]``; the caller has moved the values and set the
+        leaving column's status."""
+        self.stat[q] = _BASIC
+        self.basis[r] = q
+        # eta update of the inverse: column r of the new basis is A[:, q]
+        row_r = self.binv[r] / w[r]
+        self.binv -= w[:, None] * row_r
+        self.binv[r] = row_r
+        self.pivots_since_refactor += 1
+        if self.pivots_since_refactor >= _REFACTOR_EVERY:
+            self._refactor()
 
     def run(self, cost: np.ndarray, allow_unbounded: bool) -> str:
         """Minimize ``cost @ x`` from the current state.  Returns a status."""
@@ -254,16 +329,105 @@ class _Simplex:
                     else hi[q] if stat[q] == _AT_UPPER else x[q]) + sigma * t_basic
             x[leaving] = hi[leaving] if delta[r] > 0 else lo[leaving]
             stat[leaving] = _AT_UPPER if delta[r] > 0 else _AT_LOWER
-            stat[q] = _BASIC
-            self.basis[r] = q
-            # eta update of the inverse: column r of the new basis is A[:, q]
-            wr = w[r]
-            row_r = self.binv[r] / wr
-            self.binv -= w[:, None] * row_r
-            self.binv[r] = row_r
-            self.pivots_since_refactor += 1
-            if self.pivots_since_refactor >= _REFACTOR_EVERY:
+            self._pivot(r, q, w)
+
+    def run_dual(self, cost: Optional[np.ndarray]) -> Optional[bool]:
+        """Bounded dual simplex: pivot basic columns out of their bound
+        violations, the largest first, keeping the reduced costs of ``cost``
+        (all zero when None) sign-feasible.
+
+        True once every basic column is within its bounds (up to
+        ``PIVOT_TOL`` scaled by its magnitude).  False when a violated row
+        has no entering column and its violation exceeds what the rows'
+        feasibility tolerances (``row_tol``) and any near-zero tableau entry
+        could make up: the problem is then infeasible by the rule phase 1
+        applies.  None to give up: the iteration cap, a stall, or a violated
+        row that tolerance might still close.
+        """
+        prep = self.prep
+        A, ncols = prep.A, prep.ncols
+        lo, hi, x, stat = self.lo, self.hi, self.x, self.stat
+        tol = PIVOT_TOL
+        span = hi - lo
+        movable = span > 0.0
+        best, stall = INF, 0
+        limit = self.iterations + self.dual_max_iter
+        while True:
+            xb = x[self.basis]
+            below = lo[self.basis] - xb
+            above = xb - hi[self.basis]
+            viol = np.maximum(below, above)
+            bad = viol > tol * np.maximum(1.0, np.abs(xb))
+            if not bad.any():
+                if self.pivots_since_refactor == 0:
+                    return True
+                # rule out stale arithmetic before declaring feasibility
                 self._refactor()
+                continue
+            total = float(viol[bad].sum())
+            if total < best:
+                best, stall = total, 0
+            else:
+                stall += 1
+                if stall > self.stall_limit:
+                    return None
+            if self.iterations >= limit:
+                return None
+
+            r = int(np.where(bad, viol, -INF).argmax())
+            p = int(self.basis[r])
+            rise = bool(below[r] > above[r])
+            alpha = self.binv[r] @ A
+            # how far x_p moves toward its violated bound per unit rise of x_j
+            g = -alpha if rise else alpha
+            at_lo, at_hi, free = stat == _AT_LOWER, stat == _AT_UPPER, stat == _FREE
+            eligible = movable & ((at_lo & (g > tol)) | (at_hi & (g < -tol))
+                                  | (free & (np.abs(g) > tol)))
+            if not eligible.any():
+                if self.pivots_since_refactor:
+                    self._refactor()
+                    continue
+                helps = movable & ((at_lo & (g > 0)) | (at_hi & (g < 0))
+                                   | (free & (g != 0)))
+                room = span.copy()
+                room[prep.n:ncols] = np.minimum(span[prep.n:ncols],
+                                                self._slack_room())
+                reach = (np.abs(self.binv[r]) @ prep.row_tol
+                         + float((np.abs(g[helps]) * room[helps]).sum()))
+                if p >= ncols:  # an artificial's own row may miss by row_tol
+                    reach += prep.row_tol[p - ncols]
+                return False if viol[r] > reach else None
+            self.iterations += 1
+
+            idx = eligible.nonzero()[0]
+            if cost is None:
+                ratio = np.zeros(idx.size)
+            else:
+                d = cost - A.T @ (self.binv.T @ cost[self.basis])
+                ratio = np.abs(d[idx]) / np.abs(g[idx])
+            # among tied ratios the largest pivot, then the lowest column
+            tied = ratio <= ratio.min() + tol
+            q = int(idx[np.where(tied, np.abs(g[idx]), -1.0).argmax()])
+            w = self.binv @ A[:, q]
+            target = lo[p] if rise else hi[p]
+            t = (x[p] - target) / w[r]
+            x[self.basis] -= t * w
+            x[q] += t
+            x[p] = target
+            stat[p] = _AT_LOWER if rise else _AT_UPPER
+            self._pivot(r, q, w)
+
+    def _slack_room(self) -> np.ndarray:
+        """How far each row's slack can move off zero, the bound it sits at
+        when nonbasic: its row's activity range over the structural bounds,
+        widened by the row's tolerance."""
+        prep, n = self.prep, self.prep.n
+        a, lb, ub = prep.A[:, :n], self.lo[:n], self.hi[:n]
+        with np.errstate(invalid="ignore"):  # 0 * inf, discarded by where
+            act_lo = np.where(a > 0, a * lb, np.where(a < 0, a * ub, 0.0)).sum(axis=1)
+            act_hi = np.where(a > 0, a * ub, np.where(a < 0, a * lb, 0.0)).sum(axis=1)
+        room = np.where(prep.is_le, prep.rhs - act_lo, act_hi - prep.rhs)
+        return np.maximum(room, 0.0) + prep.row_tol
 
     def phase_one(self) -> bool:
         """Minimize the artificials' total; feasible iff each row's residual
@@ -273,8 +437,7 @@ class _Simplex:
         cost[ncols:] = self.art_sign
         self.run(cost, allow_unbounded=False)
         self._refactor()
-        allowed = FEAS_TOL * np.maximum(1.0, np.abs(self.prep.rhs))
-        return bool((np.abs(self.x[ncols:]) <= allowed).all())
+        return bool((np.abs(self.x[ncols:]) <= self.prep.row_tol).all())
 
     def close_phase_one(self) -> None:
         """Pin artificials at zero so phase 2 cannot reuse them."""
@@ -304,26 +467,60 @@ def _solve_box_only(lb, ub, c, sense: str) -> LpOutcome:
     return LpOutcome(OPTIMAL, -value if sense == "max" else value, point)
 
 
-def _certify(prep: _Prepared, lb, ub, point: np.ndarray, tol: float) -> None:
-    if (point < lb - tol).any() or (point > ub + tol).any():
+def _certify(prep: _Prepared, lb, ub, point: np.ndarray) -> None:
+    """Raise unless ``point`` is within ``FEAS_TOL`` of its bounds and each
+    row within its ``row_tol``; names the first violated row."""
+    if (point < lb - FEAS_TOL).any() or (point > ub + FEAS_TOL).any():
         raise SolverFailure("solution violates variable bounds")
-    if prep.m:
-        lhs = prep.A[:, :prep.n] @ point
-        for i, r in enumerate(prep.rel):
-            slack = tol * max(1.0, abs(prep.rhs[i]))
-            if r == LE and lhs[i] > prep.rhs[i] + slack:
-                raise SolverFailure(f"row {i} violated: {lhs[i]} <= {prep.rhs[i]}")
-            if r == GE and lhs[i] < prep.rhs[i] - slack:
-                raise SolverFailure(f"row {i} violated: {lhs[i]} >= {prep.rhs[i]}")
-            if r == EQ and abs(lhs[i] - prep.rhs[i]) > slack:
-                raise SolverFailure(f"row {i} violated: {lhs[i]} == {prep.rhs[i]}")
+    if not prep.m:
+        return
+    lhs = prep.A[:, :prep.n] @ point
+    rhs, slack = prep.rhs, prep.row_tol
+    violated = np.where(prep.is_le, lhs > rhs + slack,
+                        np.where(prep.is_ge, lhs < rhs - slack,
+                                 np.abs(lhs - rhs) > slack))
+    if violated.any():
+        i = int(violated.argmax())
+        raise SolverFailure(f"row {i} violated: {lhs[i]} {prep.rel[i]} {rhs[i]}")
 
 
-def solve_prepared(prep: _Prepared, lb, ub, c, sense: str) -> LpOutcome:
+def _fits(status: np.ndarray, lb, ub) -> bool:
+    """Whether each nonbasic column can sit where ``status`` puts it: at a
+    finite bound, or at zero when free of both."""
+    finite_lo, finite_hi = np.isfinite(lb), np.isfinite(ub)
+    return not (((status == _AT_LOWER) & ~finite_lo).any()
+                or ((status == _AT_UPPER) & ~finite_hi).any()
+                or ((status == _FREE) & (finite_lo | finite_hi)).any())
+
+
+def _finish(core: _Simplex, lb, ub, cmin, cost, sense: str,
+            spent: int = 0) -> LpOutcome:
+    """Phase 2 from a primal feasible state, then the certificate check.
+    ``spent`` counts iterations of an abandoned warm attempt."""
+    prep = core.prep
+    if cost is not None:
+        status = core.run(cost, allow_unbounded=True)
+        if status == UNBOUNDED:
+            return LpOutcome(UNBOUNDED, iterations=spent + core.iterations)
+        core._refactor()
+
+    point = core.x[:prep.n].copy()
+    _certify(prep, lb, ub, point)
+    raw = float(cmin @ point)
+    value = -raw if sense == "max" else raw
+    return LpOutcome(OPTIMAL, value, point, spent + core.iterations,
+                     Basis(core.basis, core.stat, core.binv))
+
+
+def solve_prepared(prep: _Prepared, lb, ub, c, sense: str,
+                   warm: Optional[Basis] = None) -> LpOutcome:
     """Core solve over prepared constraint data; skips input validation.
 
     Branch-and-bound uses this to re-solve one problem under many bound
-    vectors without re-validating or re-assembling the constraint matrix.
+    vectors without re-validating or re-assembling the constraint matrix,
+    warm-starting each from ``warm``, the basis of an earlier optimal solve
+    with the same costs.  A warm attempt that gives up or fails is dropped
+    for a cold solve; its iterations still count.
     """
     if (lb > ub).any():
         return LpOutcome(INFEASIBLE)
@@ -331,25 +528,33 @@ def solve_prepared(prep: _Prepared, lb, ub, c, sense: str) -> LpOutcome:
         (-c if sense == "max" else c).astype(np.float64)
     if prep.m == 0:
         return _solve_box_only(lb, ub, cmin, sense)
-
-    core = _Simplex(prep, lb, ub)
-    if not core.phase_one():
-        return LpOutcome(INFEASIBLE, iterations=core.iterations)
-    core.close_phase_one()
-
+    cost = None
     if sense != "feas":
         cost = np.zeros(prep.total)
         cost[:prep.n] = cmin
-        status = core.run(cost, allow_unbounded=True)
-        if status == UNBOUNDED:
-            return LpOutcome(UNBOUNDED, iterations=core.iterations)
-        core._refactor()
 
-    point = core.x[:prep.n].copy()
-    _certify(prep, lb, ub, point, FEAS_TOL)
-    raw = float(cmin @ point)
-    value = -raw if sense == "max" else raw
-    return LpOutcome(OPTIMAL, value, point, core.iterations)
+    spent = 0
+    if warm is not None and _fits(warm.status[:prep.n], lb, ub):
+        core = _Simplex(prep, lb, ub, warm)
+        try:
+            feasible = core.run_dual(cost)
+            if feasible is False:
+                return LpOutcome(INFEASIBLE, iterations=core.iterations)
+            if feasible:
+                # the parent's costs were bounded, so an unbounded answer here
+                # is numerical noise: start again cold
+                outcome = _finish(core, lb, ub, cmin, cost, sense)
+                if outcome.status != UNBOUNDED:
+                    return outcome
+        except SolverFailure:
+            pass
+        spent = core.iterations
+
+    core = _Simplex(prep, lb, ub)
+    if not core.phase_one():
+        return LpOutcome(INFEASIBLE, iterations=spent + core.iterations)
+    core.close_phase_one()
+    return _finish(core, lb, ub, cmin, cost, sense, spent)
 
 
 def prepare(p: LpProblem) -> _Prepared:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import boxplain.bnb as bnb
 from boxplain.box import AttributeAssignment, box_propagate
 from boxplain.bnb import BranchAndBoundBackend, optimize, solve_feasibility
 from boxplain.encoding import (MilpProblem, attach_rival_query,
@@ -148,6 +149,34 @@ class TestRandomAgreement:
                 assert got.status == truth.status == "optimal"
                 assert got.value == pytest.approx(truth.value, rel=1e-6, abs=1e-6)
         assert checked >= 25
+
+
+def test_lp_iterations_sum_over_nodes(monkeypatch):
+    per_node = []
+    solve_prepared = bnb.solve_prepared
+
+    def counted(*args):
+        outcome = solve_prepared(*args)
+        per_node.append(outcome.iterations)
+        return outcome
+
+    monkeypatch.setattr(bnb, "solve_prepared", counted)
+    rng = np.random.default_rng(61)
+    branched = 0
+    for _ in range(8):
+        net, domain = random_network(rng, max_hidden_total=8)
+        problem = encode_network(net, domain_box(net, domain))
+        target = predict(net, random_instance(rng, net, domain))
+        rival = (target + 1) % net.class_count
+        calls = (lambda: solve_feasibility(attach_rival_query(problem, target, rival)),
+                 lambda: optimize(problem, {problem.output_vids[0]: 1.0}, "max"))
+        for call in calls:
+            per_node.clear()
+            out = call()
+            assert out.node_count == len(per_node)
+            assert out.lp_iterations == sum(per_node) > 0
+            branched += out.node_count > 1
+    assert branched >= 3
 
 
 def test_backend_contract():

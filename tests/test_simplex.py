@@ -1,9 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from boxplain.simplex import (EQ, GE, LE, INFEASIBLE, OPTIMAL, UNBOUNDED,
-                              LpProblem, solve_lp)
+from boxplain.simplex import (EQ, FEAS_TOL, GE, LE, INFEASIBLE, OPTIMAL,
+                              UNBOUNDED, LpProblem, SolverFailure, _certify,
+                              _Simplex, prepare, solve_lp, solve_prepared)
 from oracles import eq2_style_milp, random_bounded_lp, vertex_enumerate
+
+BEALE = dict(a=np.array([[0.25, -60.0, -0.04, 9.0],
+                         [0.5, -90.0, -0.02, 3.0],
+                         [0.0, 0.0, 1.0, 0.0]]),
+             rel=(LE, LE, LE), rhs=np.array([0.0, 0.0, 1.0]),
+             lb=np.zeros(4), ub=np.full(4, np.inf),
+             c=np.array([-0.75, 150.0, -0.02, 6.0]))
 
 
 class TestWorkedMilpRelaxation:
@@ -90,23 +100,171 @@ def test_determinism_bit_for_bit():
 
 def test_beale_degenerate_cycle_terminates():
     # classic cycling instance for textbook pivoting rules
-    a = np.array([
-        [0.25, -60.0, -0.04, 9.0],
-        [0.5, -90.0, -0.02, 3.0],
-        [0.0, 0.0, 1.0, 0.0],
-    ])
-    rel = (LE, LE, LE)
-    rhs = np.array([0.0, 0.0, 1.0])
-    lb = np.zeros(4)
-    ub = np.full(4, np.inf)
-    c = np.array([-0.75, 150.0, -0.02, 6.0])
-    p = LpProblem(a, rel, rhs, lb, ub, c, "min")
+    p = LpProblem(sense="min", **BEALE)
     out = solve_lp(p)
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(-0.05, abs=1e-9)
     assert out.iterations < 200
 
     # same optimum as the enumeration oracle over a bounding box
-    boxed = LpProblem(a, rel, rhs, lb, np.full(4, 50.0), c, "min")
+    boxed = LpProblem(**{**BEALE, "ub": np.full(4, 50.0)}, sense="min")
     feasible, best = vertex_enumerate(boxed)
     assert feasible and best == pytest.approx(-0.05, abs=1e-9)
+
+
+def _certify_by_rows(p: LpProblem, point):
+    """Reference for ``_certify``'s row check: one row at a time."""
+    lhs = p.a @ point
+    for i, r in enumerate(p.rel):
+        slack = FEAS_TOL * max(1.0, abs(p.rhs[i]))
+        if r == LE and lhs[i] > p.rhs[i] + slack:
+            return f"row {i} violated: {lhs[i]} <= {p.rhs[i]}"
+        if r == GE and lhs[i] < p.rhs[i] - slack:
+            return f"row {i} violated: {lhs[i]} >= {p.rhs[i]}"
+        if r == EQ and abs(lhs[i] - p.rhs[i]) > slack:
+            return f"row {i} violated: {lhs[i]} == {p.rhs[i]}"
+    return None
+
+
+def test_certify_names_the_first_violated_row():
+    rng = np.random.default_rng(227)
+    raised = 0
+    for k in range(300):
+        p = random_bounded_lp(rng)
+        point = p.lb + rng.uniform(size=p.lb.size) * (p.ub - p.lb)
+        if k % 2:
+            # put every row's rhs within a few tolerances of the point's lhs
+            lhs = p.a @ point
+            steps = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0], size=lhs.size)
+            p = replace(p, rhs=lhs + steps * FEAS_TOL * np.maximum(1.0, np.abs(lhs)))
+        prep = prepare(p)
+        expected = _certify_by_rows(p, point)
+        try:
+            _certify(prep, p.lb, p.ub, point)
+            message = None
+        except SolverFailure as exc:
+            message = str(exc)
+        assert message == expected
+        raised += message is not None
+    assert 0 < raised < 300
+
+
+def _tightened(rng, p):
+    """Bounds of a child LP: one variable fixed at either bound, or its
+    range cut at a random point."""
+    lb, ub = p.lb.copy(), p.ub.copy()
+    j = int(rng.integers(lb.size))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        ub[j] = lb[j]
+    elif kind == 1:
+        lb[j] = ub[j]
+    else:
+        cut = lb[j] + rng.uniform() * (ub[j] - lb[j])
+        if kind == 2:
+            ub[j] = cut
+        else:
+            lb[j] = cut
+    return lb, ub
+
+
+def _children(rng, parents):
+    """(prep, sense, parent outcome, child bounds) for two children of each
+    random parent LP with an optimal basis, alternating the sense."""
+    for k in range(parents):
+        p = random_bounded_lp(rng)
+        sense = ("min", "feas")[k % 2]
+        prep = prepare(p)
+        parent = solve_prepared(prep, p.lb, p.ub, p.c, sense)
+        if parent.basis is None:
+            continue
+        for _ in range(2):
+            yield p, prep, sense, parent, _tightened(rng, p)
+
+
+def _same_answer(warm, cold):
+    assert warm.status == cold.status
+    if cold.status == OPTIMAL:
+        assert abs(warm.value - cold.value) <= 1e-6 * max(1.0, abs(cold.value))
+
+
+class TestWarmStart:
+    def test_warm_children_match_cold_solves(self):
+        pairs = warm_iterations = cold_iterations = 0
+        statuses = set()
+        for p, prep, sense, parent, (lb, ub) in _children(
+                np.random.default_rng(211), 1200):
+            warm = solve_prepared(prep, lb, ub, p.c, sense, parent.basis)
+            cold = solve_prepared(prep, lb, ub, p.c, sense)
+            _same_answer(warm, cold)
+            statuses.add((sense, cold.status))
+            pairs += 1
+            warm_iterations += warm.iterations
+            cold_iterations += cold.iterations
+        assert pairs >= 1000
+        assert statuses == {(s, t) for s in ("min", "feas")
+                            for t in (OPTIMAL, INFEASIBLE)}
+        assert warm_iterations < cold_iterations
+
+    def test_abandoned_warm_attempt_gives_the_cold_answer(self, monkeypatch):
+        # cap the dual loop at one iteration, so most attempts give up
+        tried = []
+        run_dual = _Simplex.run_dual
+
+        def capped(core, cost):
+            core.dual_max_iter = 1
+            verdict = run_dual(core, cost)
+            tried.append((verdict, core.iterations))
+            return verdict
+
+        monkeypatch.setattr(_Simplex, "run_dual", capped)
+        abandoned = 0
+        for p, prep, sense, parent, (lb, ub) in _children(
+                np.random.default_rng(223), 300):
+            tried.clear()
+            warm = solve_prepared(prep, lb, ub, p.c, sense, parent.basis)
+            cold = solve_prepared(prep, lb, ub, p.c, sense)
+            _same_answer(warm, cold)
+            (verdict, spent), = tried
+            if verdict is None:
+                abandoned += 1
+                assert warm.iterations == spent + cold.iterations
+                if cold.status == OPTIMAL:
+                    assert (warm.point == cold.point).all()
+        assert abandoned >= 10
+
+    def test_singular_basis_gives_the_cold_answer(self, monkeypatch):
+        p = eq2_style_milp()
+        prep = prepare(p)
+        parent = solve_prepared(prep, p.lb, p.ub, p.c, "min")
+        lb = p.lb.copy()
+        lb[0] = 2.0  # x1 >= 2 moves the optimum to y1 = 4
+        cold = solve_prepared(prep, lb, p.ub, p.c, "min")
+        inverse = np.linalg.inv
+        calls = []
+
+        def singular_once(matrix):
+            calls.append(matrix)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("singular matrix")
+            return inverse(matrix)
+
+        monkeypatch.setattr(np.linalg, "inv", singular_once)
+        warm = solve_prepared(prep, lb, p.ub, p.c, "min", parent.basis)
+        assert len(calls) > 1  # the cold solve ran after the failure
+        assert warm.status == cold.status == OPTIMAL
+        assert warm.value == cold.value == pytest.approx(4.0, abs=1e-9)
+        assert (warm.point == cold.point).all()
+        assert warm.iterations > cold.iterations
+
+    def test_beale_child_terminates(self):
+        p = LpProblem(sense="min", **BEALE)
+        prep = prepare(p)
+        parent = solve_prepared(prep, p.lb, p.ub, p.c, "min")
+        ub = p.ub.copy()
+        ub[2] = 0.5  # the optimum has x3 = 1
+        warm = solve_prepared(prep, p.lb, ub, p.c, "min", parent.basis)
+        cold = solve_prepared(prep, p.lb, ub, p.c, "min")
+        assert warm.status == cold.status == OPTIMAL
+        assert warm.value == pytest.approx(cold.value, abs=1e-9)
+        assert warm.iterations < 200
