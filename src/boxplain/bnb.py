@@ -57,13 +57,14 @@ def milp_to_lp(problem: MilpProblem, objective: Optional[Mapping[int, float]] = 
 
 
 def _fractional_binaries(point: np.ndarray, binaries, tol: float) -> Optional[int]:
-    """Vid of the most fractional binary, or None when all are integral."""
-    worst_vid, worst_frac = None, tol
-    for vid in binaries:
-        frac = abs(point[vid] - round(point[vid]))
-        if frac > worst_frac:
-            worst_vid, worst_frac = vid, frac
-    return worst_vid
+    """Vid of the most fractional binary (the first on a tie), or None when
+    all are integral."""
+    if not binaries:
+        return None
+    values = point[list(binaries)]
+    frac = np.abs(values - np.round(values))
+    k = int(frac.argmax())
+    return binaries[k] if frac[k] > tol else None
 
 
 def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, float]],

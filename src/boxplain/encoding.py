@@ -31,8 +31,6 @@ MODE_SPLIT = "split"
 MODE_ACTIVE = "active"
 MODE_INACTIVE = "inactive"
 
-INF = float("inf")
-
 
 @dataclass(frozen=True)
 class NeuronBlock:
@@ -106,8 +104,9 @@ def _mode(lb: float, ub: float) -> str:
 def _encode(net: Network, bounds: BoundsMap,
             hidden_scope: Optional[int] = None) -> MilpProblem:
     """Shared encoder.  A ``hidden_scope`` makes a prefix problem for bound
-    optimization: only that many hidden layers get rows (later posts stay as
-    inert variables) and the output rows are dropped entirely."""
+    optimization: only that many hidden layers get rows (later posts and the
+    outputs stay as inert variables pinned at 0) and the output rows are
+    dropped entirely."""
     if not bounds.shapes_match(net):
         raise ValueError("bounds map does not match network shape")
     full = hidden_scope is None
@@ -129,14 +128,12 @@ def _encode(net: Network, bounds: BoundsMap,
     rhs = np.zeros(n_rows)
     rel: list[str] = []
     lb = np.zeros(n_cols)
-    ub = np.full(n_cols, INF)  # posts past the hidden scope stay [0, inf]
+    ub = np.zeros(n_cols)  # columns past the hidden scope stay [0, 0]
     ub[n_struct:] = 1.0
     lb[:net.input_dim], ub[:net.input_dim] = bounds.input_lo, bounds.input_hi
     out = slice(n_struct - net.class_count, n_struct)
     if full:
         lb[out], ub[out] = bounds.out_lo, bounds.out_hi
-    else:
-        lb[out] = -INF
 
     # columns feeding each layer: the inputs, then each hidden layer's posts
     feeds = [slice(0, net.input_dim)] + [slice(r.start, r.stop) for r in post_vids]
@@ -203,9 +200,10 @@ def encode_prefix(net: Network, bounds: BoundsMap, upto_layer: int) -> MilpProbl
     """Encode only hidden layers 0..upto_layer-1, with no output rows.
 
     Bounds entries for layers at or past ``upto_layer`` are never read, so a
-    partially filled map is fine.  The result is the search space for
-    optimizing layer ``upto_layer``'s pre-activations (an affine objective
-    over the previous layer's post variables, or the inputs when
+    partially filled map is fine: the posts of those layers and the outputs
+    are pinned at 0, and no row mentions them.  The result is the search
+    space for optimizing layer ``upto_layer``'s pre-activations (an affine
+    objective over the previous layer's post variables, or the inputs when
     ``upto_layer`` is 0).
     """
     return _encode(net, bounds, hidden_scope=upto_layer)

@@ -1,10 +1,13 @@
 """Dense bounded-variable simplex for small LPs, cold or warm-started.
 
 Geared to the LP relaxations coming out of network encodings: tens of rows,
-dense data.  A cold solve is a two-phase primal simplex: Dantzig pricing by
-default, switching permanently to Bland's rule after a stall so degenerate
-problems terminate.  Phase 1 drives one artificial variable per row to zero,
-which gives uniform handling of equality rows.
+dense data.  Every column has a finite bound, where it sits while nonbasic.
+A cold solve is a two-phase primal simplex: Dantzig pricing by default,
+switching permanently to Bland's rule once more than ``stall_limit``
+iterations in a row have not lowered the objective, so degenerate problems
+terminate.  Phase 1 drives one artificial variable per row to zero, which
+gives uniform handling of equality rows.  A problem without rows takes the
+same path, and its primal loop ends by bound flips alone.
 
 A warm solve re-solves the same rows under new variable bounds from an
 earlier optimal ``Basis`` (branch and bound hands each child its parent's).
@@ -18,8 +21,10 @@ again cold.
 
 The basis inverse is kept explicitly and updated per pivot, with periodic
 refactorization for drift control; before declaring optimality (or primal
-feasibility, in the dual loop) the state is refactored and re-priced once, so
-stale arithmetic cannot end a solve early.
+feasibility, in the dual loop) a state that pivoted since its last
+refactorization is refactored and re-priced once, so stale arithmetic cannot
+end a solve early.  A solve therefore ends on an exact inverse, and only the
+basic values, moved by bound flips since, are computed again.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-_AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
+_AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
 _REFACTOR_EVERY = 40
 
@@ -80,6 +85,8 @@ class LpProblem:
             raise ValueError("non-finite objective data")
         if np.isnan(self.lb).any() or np.isnan(self.ub).any():
             raise ValueError("NaN variable bound")
+        if (np.isneginf(self.lb) & np.isposinf(self.ub)).any():
+            raise ValueError("free column: every column needs a finite bound")
         if self.sense not in ("min", "max", "feas"):
             raise ValueError(f"unknown sense {self.sense!r}")
         for col in self.binaries:
@@ -111,7 +118,7 @@ class LpOutcome:
     value: Optional[float] = None
     point: Optional[np.ndarray] = None
     iterations: int = 0
-    basis: Optional[Basis] = None  # set on optimal solves with rows
+    basis: Optional[Basis] = None  # set on every optimal solve
 
 
 class _Prepared:
@@ -136,22 +143,14 @@ class _Prepared:
         self.A.setflags(write=False)
         self.rhs = rhs.astype(np.float64)
         self.rel = tuple(rel)
-        slack_lo = np.zeros(m)
-        slack_hi = np.zeros(m)
-        for i, r in enumerate(rel):
-            if r == LE:
-                slack_lo[i], slack_hi[i] = 0.0, INF
-            elif r == GE:
-                slack_lo[i], slack_hi[i] = -INF, 0.0
-            elif r == EQ:
-                slack_lo[i], slack_hi[i] = 0.0, 0.0
-            else:
+        for r in self.rel:
+            if r not in (LE, GE, EQ):
                 raise ValueError(f"unknown relation {r!r}")
-        self.slack_lo = slack_lo
-        self.slack_hi = slack_hi
-        self.row_tol = FEAS_TOL * np.maximum(1.0, np.abs(self.rhs))
         self.is_le = np.array([r == LE for r in self.rel], dtype=bool)
         self.is_ge = np.array([r == GE for r in self.rel], dtype=bool)
+        self.slack_lo = np.where(self.is_ge, -INF, 0.0)
+        self.slack_hi = np.where(self.is_le, INF, 0.0)
+        self.row_tol = FEAS_TOL * np.maximum(1.0, np.abs(self.rhs))
 
 
 class _Simplex:
@@ -184,11 +183,8 @@ class _Simplex:
         x = np.zeros(total)
         stat = np.full(total, _AT_LOWER, dtype=np.int8)
         finite_lo = np.isfinite(lo[:ncols])
-        finite_hi = np.isfinite(hi[:ncols])
-        x[:ncols] = np.where(finite_lo, lo[:ncols],
-                             np.where(finite_hi, hi[:ncols], 0.0))
-        stat[:ncols] = np.where(finite_lo, _AT_LOWER,
-                                np.where(finite_hi, _AT_UPPER, _FREE))
+        x[:ncols] = np.where(finite_lo, lo[:ncols], hi[:ncols])
+        stat[:ncols] = np.where(finite_lo, _AT_LOWER, _AT_UPPER)
 
         resid = prep.rhs - prep.A[:, :ncols] @ x[:ncols]
         self.art_sign = np.where(resid >= 0.0, 1.0, -1.0)
@@ -205,8 +201,7 @@ class _Simplex:
         """Nonbasic columns sit at the bound their status names (which
         ``_fits`` has checked); the basics follow from the rows."""
         stat = start.status.copy()
-        self.x = np.where(stat == _AT_LOWER, self.lo,
-                          np.where(stat == _AT_UPPER, self.hi, 0.0))
+        self.x = np.where(stat == _AT_UPPER, self.hi, self.lo)
         self.stat = stat
         self.basis = start.columns.copy()
         self.binv = start.inverse.copy()
@@ -247,7 +242,7 @@ class _Simplex:
         tol = PIVOT_TOL
         bland = False
         stall = 0
-        best = INF
+        best = None  # objective at the last improving iteration
         movable = (hi - lo) > 0.0  # bounds stay fixed within one run
         while True:
             if self.iterations >= self.max_iter:
@@ -256,9 +251,8 @@ class _Simplex:
 
             y = self.binv.T @ cost[self.basis]
             d = cost - A.T @ y
-            eligible = ((((stat == _AT_LOWER) & (d < -tol))
-                         | ((stat == _AT_UPPER) & (d > tol))) & movable
-                        | ((stat == _FREE) & (np.abs(d) > tol)))
+            eligible = (((stat == _AT_LOWER) & (d < -tol))
+                        | ((stat == _AT_UPPER) & (d > tol))) & movable
             if not eligible.any():
                 if self.pivots_since_refactor == 0:
                     return OPTIMAL
@@ -271,16 +265,10 @@ class _Simplex:
                 q = int(idx[0])
             else:
                 q = int(idx[np.abs(d[idx]).argmax()])
-            dq = float(d[q])
-            if stat[q] == _AT_UPPER:
-                sigma = -1.0
-            elif stat[q] == _AT_LOWER:
-                sigma = 1.0
-            else:
-                sigma = 1.0 if dq < 0 else -1.0
+            sigma = 1.0 if stat[q] == _AT_LOWER else -1.0
 
             z = float(cost @ x)
-            if z < best - 1e-11 * max(1.0, abs(best)):
+            if best is None or z < best - 1e-11 * max(1.0, abs(best)):
                 best, stall = z, 0
             else:
                 stall += 1
@@ -325,8 +313,7 @@ class _Simplex:
                 r = int(blocking[np.abs(w[blocking]).argmax()])
             leaving = int(self.basis[r])
             x[self.basis] = xb - sigma * t_basic * w
-            x[q] = (lo[q] if stat[q] == _AT_LOWER
-                    else hi[q] if stat[q] == _AT_UPPER else x[q]) + sigma * t_basic
+            x[q] = (lo[q] if stat[q] == _AT_LOWER else hi[q]) + sigma * t_basic
             x[leaving] = hi[leaving] if delta[r] > 0 else lo[leaving]
             stat[leaving] = _AT_UPPER if delta[r] > 0 else _AT_LOWER
             self._pivot(r, q, w)
@@ -380,15 +367,13 @@ class _Simplex:
             alpha = self.binv[r] @ A
             # how far x_p moves toward its violated bound per unit rise of x_j
             g = -alpha if rise else alpha
-            at_lo, at_hi, free = stat == _AT_LOWER, stat == _AT_UPPER, stat == _FREE
-            eligible = movable & ((at_lo & (g > tol)) | (at_hi & (g < -tol))
-                                  | (free & (np.abs(g) > tol)))
+            at_lo, at_hi = stat == _AT_LOWER, stat == _AT_UPPER
+            eligible = movable & ((at_lo & (g > tol)) | (at_hi & (g < -tol)))
             if not eligible.any():
                 if self.pivots_since_refactor:
                     self._refactor()
                     continue
-                helps = movable & ((at_lo & (g > 0)) | (at_hi & (g < 0))
-                                   | (free & (g != 0)))
+                helps = movable & ((at_lo & (g > 0)) | (at_hi & (g < 0)))
                 room = span.copy()
                 room[prep.n:ncols] = np.minimum(span[prep.n:ncols],
                                                 self._slack_room())
@@ -436,7 +421,7 @@ class _Simplex:
         cost = np.zeros(self.prep.total)
         cost[ncols:] = self.art_sign
         self.run(cost, allow_unbounded=False)
-        self._refactor()
+        self._solve_basics()
         return bool((np.abs(self.x[ncols:]) <= self.prep.row_tol).all())
 
     def close_phase_one(self) -> None:
@@ -449,31 +434,11 @@ class _Simplex:
         self.stat[ncols:][nb_art] = _AT_LOWER
 
 
-def _solve_box_only(lb, ub, c, sense: str) -> LpOutcome:
-    """No rows: optimize each coordinate against its own bounds."""
-    if (lb > ub).any():
-        return LpOutcome(INFEASIBLE)
-    point = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
-    for j in range(c.shape[0]):
-        if c[j] > 0:
-            if not np.isfinite(lb[j]):
-                return LpOutcome(UNBOUNDED)
-            point[j] = lb[j]
-        elif c[j] < 0:
-            if not np.isfinite(ub[j]):
-                return LpOutcome(UNBOUNDED)
-            point[j] = ub[j]
-    value = float(c @ point)
-    return LpOutcome(OPTIMAL, -value if sense == "max" else value, point)
-
-
 def _certify(prep: _Prepared, lb, ub, point: np.ndarray) -> None:
     """Raise unless ``point`` is within ``FEAS_TOL`` of its bounds and each
     row within its ``row_tol``; names the first violated row."""
     if (point < lb - FEAS_TOL).any() or (point > ub + FEAS_TOL).any():
         raise SolverFailure("solution violates variable bounds")
-    if not prep.m:
-        return
     lhs = prep.A[:, :prep.n] @ point
     rhs, slack = prep.rhs, prep.row_tol
     violated = np.where(prep.is_le, lhs > rhs + slack,
@@ -485,12 +450,9 @@ def _certify(prep: _Prepared, lb, ub, point: np.ndarray) -> None:
 
 
 def _fits(status: np.ndarray, lb, ub) -> bool:
-    """Whether each nonbasic column can sit where ``status`` puts it: at a
-    finite bound, or at zero when free of both."""
-    finite_lo, finite_hi = np.isfinite(lb), np.isfinite(ub)
-    return not (((status == _AT_LOWER) & ~finite_lo).any()
-                or ((status == _AT_UPPER) & ~finite_hi).any()
-                or ((status == _FREE) & (finite_lo | finite_hi)).any())
+    """Whether each nonbasic column's bound that ``status`` names is finite."""
+    return not (((status == _AT_LOWER) & ~np.isfinite(lb)).any()
+                or ((status == _AT_UPPER) & ~np.isfinite(ub)).any())
 
 
 def _finish(core: _Simplex, lb, ub, cmin, cost, sense: str,
@@ -502,7 +464,7 @@ def _finish(core: _Simplex, lb, ub, cmin, cost, sense: str,
         status = core.run(cost, allow_unbounded=True)
         if status == UNBOUNDED:
             return LpOutcome(UNBOUNDED, iterations=spent + core.iterations)
-        core._refactor()
+        core._solve_basics()
 
     point = core.x[:prep.n].copy()
     _certify(prep, lb, ub, point)
@@ -526,8 +488,6 @@ def solve_prepared(prep: _Prepared, lb, ub, c, sense: str,
         return LpOutcome(INFEASIBLE)
     cmin = np.zeros(prep.n) if sense == "feas" else \
         (-c if sense == "max" else c).astype(np.float64)
-    if prep.m == 0:
-        return _solve_box_only(lb, ub, cmin, sense)
     cost = None
     if sense != "feas":
         cost = np.zeros(prep.total)

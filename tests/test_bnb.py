@@ -179,6 +179,27 @@ def test_lp_iterations_sum_over_nodes(monkeypatch):
     assert branched >= 3
 
 
+def _most_fractional_by_loop(point, binaries, tol):
+    """Reference for ``_fractional_binaries``: the first strictly largest."""
+    worst_vid, worst_frac = None, tol
+    for vid in binaries:
+        frac = abs(point[vid] - round(point[vid]))
+        if frac > worst_frac:
+            worst_vid, worst_frac = vid, frac
+    return worst_vid
+
+
+def test_most_fractional_binary_matches_the_loop():
+    rng = np.random.default_rng(67)
+    # ties, exact halves (round half to even) and near-integral values
+    choices = np.array([0.0, 1.0, 0.5, 1.5, 0.25, 0.75, 1e-7, 1 - 1e-7, 0.3, 0.7])
+    for _ in range(500):
+        point = rng.choice(choices, size=6)
+        binaries = tuple(int(v) for v in rng.permutation(6)[:int(rng.integers(0, 7))])
+        assert bnb._fractional_binaries(point, binaries, bnb.INTEGRALITY_TOL) == \
+            _most_fractional_by_loop(point, binaries, bnb.INTEGRALITY_TOL)
+
+
 def test_backend_contract():
     backend = BranchAndBoundBackend()
     p = make_problem(make_lp([[1.0, 1.0]], (GE,), [1.5], [0.0, 0.0], [1.0, 1.0],

@@ -5,7 +5,7 @@ from boxplain.box import AttributeAssignment, BoundsMap, box_propagate
 from boxplain.bnb import milp_to_lp, solve_feasibility
 from boxplain.encoding import (MODE_ACTIVE, MODE_INACTIVE, MODE_SPLIT,
                                attach_rival_query, encode_network,
-                               fix_attributes, merge_bounds,
+                               encode_prefix, fix_attributes, merge_bounds,
                                tighten_and_simplify)
 from boxplain.simplex import EQ, GE, LE
 from boxplain.engine import compute_tight_bounds
@@ -117,6 +117,23 @@ class TestEncode:
                     assert blk.z_var is None
                     assert len(rows) <= 1
             assert z_count == len(problem.binary_vids)
+
+    def test_every_column_has_a_finite_bound(self):
+        # the LP core takes no free column; a prefix pins every column past
+        # its scope (later posts and the outputs) at [0, 0]
+        rng = np.random.default_rng(37)
+        for _ in range(5):
+            net, domain = random_network(rng, depth=3)
+            bounds = domain_box(net, domain)
+            full = encode_network(net, bounds).lp
+            assert (np.isfinite(full.lb) | np.isfinite(full.ub)).all()
+            for upto in range(len(net.hidden_layers)):
+                lp = encode_prefix(net, bounds, upto).lp
+                assert (np.isfinite(lp.lb) | np.isfinite(lp.ub)).all()
+                scope = net.input_dim + sum(net.hidden_widths[:upto])
+                past = slice(scope, net.input_dim + net.num_hidden_neurons
+                             + net.class_count)
+                assert (lp.lb[past] == 0.0).all() and (lp.ub[past] == 0.0).all()
 
     def test_bounds_shape_mismatch(self, demo_net):
         other_net, other_domain = random_network(np.random.default_rng(1))

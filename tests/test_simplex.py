@@ -43,6 +43,33 @@ class TestStatuses:
                       np.array([np.inf]), np.array([-1.0]), "min")
         assert solve_lp(p).status == UNBOUNDED
 
+    @pytest.mark.parametrize("sense, value, point", [
+        # min x1 - 2 x2: x1 at its lower bound -1, x2 at its upper bound 4
+        ("min", -9.0, [-1.0, 4.0, 2.0]),
+        # max x1 - 2 x2: x1 at its upper bound 3, x2 at its lower bound 0
+        ("max", 3.0, [3.0, 0.0, 2.0]),
+    ])
+    def test_rowless_objective(self, sense, value, point):
+        # no rows: each column goes to the bound its cost favours, and the
+        # cost-free x3 stays at its lower bound 2
+        p = LpProblem(np.zeros((0, 3)), (), np.zeros(0), np.array([-1.0, 0.0, 2.0]),
+                      np.array([3.0, 4.0, 5.0]), np.array([1.0, -2.0, 0.0]), sense)
+        out = solve_lp(p)
+        assert out.status == OPTIMAL
+        assert out.value == value
+        assert out.point.tolist() == point
+
+    def test_rowless_feasibility(self):
+        # a cold start puts each column at its finite bound, the lower one
+        # when both are finite
+        p = LpProblem(np.zeros((0, 3)), (), np.zeros(0),
+                      np.array([1.0, -np.inf, -2.0]), np.array([np.inf, 0.5, 2.0]),
+                      np.zeros(3), "feas")
+        out = solve_lp(p)
+        assert out.status == OPTIMAL
+        assert out.value == 0.0
+        assert out.point.tolist() == [1.0, 0.5, -2.0]
+
     def test_max_sense(self):
         p = LpProblem(np.array([[1.0, 1.0]]), (LE,), np.array([1.0]),
                       np.zeros(2), np.ones(2), np.array([1.0, 2.0]), "max")
@@ -68,6 +95,24 @@ class TestStatuses:
         with pytest.raises(ValueError):
             LpProblem(np.array([[np.inf]]), (LE,), np.array([1.0]),
                       np.zeros(1), np.ones(1), np.zeros(1), "min")
+
+    def test_free_column_rejected(self):
+        with pytest.raises(ValueError, match="free column"):
+            LpProblem(np.array([[1.0, 1.0]]), (LE,), np.array([1.0]),
+                      np.array([0.0, -np.inf]), np.array([1.0, np.inf]),
+                      np.zeros(2), "min")
+
+    def test_unknown_relation_rejected(self):
+        p = LpProblem(np.array([[1.0]]), ("<",), np.array([1.0]),
+                      np.zeros(1), np.ones(1), np.zeros(1), "min")
+        with pytest.raises(ValueError, match="unknown relation '<'"):
+            solve_lp(p)
+
+    def test_slack_bounds_follow_relations(self):
+        prep = prepare(LpProblem(np.eye(3), (LE, GE, EQ), np.ones(3), np.zeros(3),
+                                 np.ones(3), np.zeros(3), "min"))
+        assert prep.slack_lo.tolist() == [0.0, -np.inf, 0.0]
+        assert prep.slack_hi.tolist() == [np.inf, 0.0, 0.0]
 
 
 def test_oracle_agreement_random_lps():
@@ -110,6 +155,28 @@ def test_beale_degenerate_cycle_terminates():
     boxed = LpProblem(**{**BEALE, "ub": np.full(4, 50.0)}, sense="min")
     feasible, best = vertex_enumerate(boxed)
     assert feasible and best == pytest.approx(-0.05, abs=1e-9)
+
+
+def test_stall_counts_only_iterations_that_do_not_improve():
+    # Phase 1 on two >= rows: every pivot strictly lowers the artificials'
+    # total.  Dantzig pricing enters x4 (|d| = 3), then x2 (|d| = 2), where
+    # Bland's rule would enter x1; with no stall allowed, phase 1 must still
+    # pivot exactly as pure Dantzig pricing does.
+    p = LpProblem(np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 3.0]]),
+                  (GE, GE), np.array([4.0, 6.0]), np.zeros(4), np.full(4, 10.0),
+                  np.zeros(4), "feas")
+    prep = prepare(p)
+    cores = []
+    for stall_limit in (0, 10**9):
+        core = _Simplex(prep, p.lb, p.ub)
+        core.stall_limit = stall_limit
+        assert core.phase_one()
+        cores.append(core)
+    strict, dantzig = cores
+    assert dantzig.basis.tolist() == [1, 3]
+    assert (strict.basis == dantzig.basis).all()
+    assert (strict.x == dantzig.x).all()
+    assert strict.iterations == dantzig.iterations
 
 
 def _certify_by_rows(p: LpProblem, point):
@@ -238,7 +305,10 @@ class TestWarmStart:
         prep = prepare(p)
         parent = solve_prepared(prep, p.lb, p.ub, p.c, "min")
         lb = p.lb.copy()
-        lb[0] = 2.0  # x1 >= 2 moves the optimum to y1 = 4
+        # y1 >= 4 moves the optimum to y1 = 4; the warm attempt pivots the
+        # basic y1 (1 at the parent) out, so its first inversion is the
+        # refactor that would confirm feasibility
+        lb[1] = 4.0
         cold = solve_prepared(prep, lb, p.ub, p.c, "min")
         inverse = np.linalg.inv
         calls = []
@@ -256,6 +326,37 @@ class TestWarmStart:
         assert warm.value == cold.value == pytest.approx(4.0, abs=1e-9)
         assert (warm.point == cold.point).all()
         assert warm.iterations > cold.iterations
+
+    def test_warm_child_inverts_only_after_pivots(self, monkeypatch):
+        # an optimal run ends on a fresh inverse, so a warm "min" child calls
+        # np.linalg.inv once per refactor, and refactors only after a pivot
+        inverse, refactor = np.linalg.inv, _Simplex._refactor
+        inversions, stale = [], []  # stale: pivots since the last refactor
+
+        def counted(matrix):
+            inversions.append(matrix)
+            return inverse(matrix)
+
+        def tracked(core):
+            stale.append(core.pivots_since_refactor)
+            refactor(core)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        monkeypatch.setattr(_Simplex, "_refactor", tracked)
+        children = idle = 0
+        for p, prep, sense, parent, (lb, ub) in _children(
+                np.random.default_rng(229), 300):
+            if sense != "min":
+                continue
+            inversions.clear()
+            stale.clear()
+            solve_prepared(prep, lb, ub, p.c, sense, parent.basis)
+            assert len(inversions) == len(stale)
+            assert 0 not in stale
+            children += 1
+            idle += not stale
+        assert children >= 150
+        assert 0 < idle < children
 
     def test_beale_child_terminates(self):
         p = LpProblem(sense="min", **BEALE)
