@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .encoding import MilpProblem
+from .encoding import MilpProblem, forward_basis
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem,
                       _replace_unchecked, prepare, solve_prepared)
 
@@ -75,15 +75,15 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
 
     Branches on the most fractional binary, exploring the branch matching
     the LP-relaxation value first, and drops nodes whose relaxation is no
-    better than the incumbent.  A node is one LP solve; the root's is cold,
-    and both children re-solve warm from their parent's final basis.  The
-    returned value is the internal (minimized) one.
+    better than the incumbent.  A node is one LP solve, each warm-started:
+    the root from ``forward_basis``, both children from their parent's final
+    basis.  The returned value is the internal (minimized) one.
     """
     start = time.perf_counter()
     deadline = None if time_budget_ms is None else start + time_budget_ms / 1000.0
     lp = milp_to_lp(problem, objective, sense)
     prep = prepare(lp)
-    stack: list[tuple] = [({}, None)]  # (fixings, parent's basis)
+    stack: list[tuple] = [({}, forward_basis(problem))]  # (fixings, start)
     nodes = iterations = 0
     best_value = np.inf
     best_point = None

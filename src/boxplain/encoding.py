@@ -23,7 +23,7 @@ import numpy as np
 
 from .box import AttributeAssignment, BoundsMap
 from .model import Network
-from .simplex import EQ, GE, LE, LpProblem, _replace_unchecked
+from .simplex import EQ, GE, LE, Basis, LpProblem, _replace_unchecked, crash_basis
 
 logger = logging.getLogger(__name__)
 
@@ -207,6 +207,54 @@ def encode_prefix(net: Network, bounds: BoundsMap, upto_layer: int) -> MilpProbl
     ``upto_layer`` is 0).
     """
     return _encode(net, bounds, hidden_scope=upto_layer)
+
+
+def forward_basis(problem: MilpProblem) -> Basis:
+    """A starting basis that a forward pass through ``problem``'s rows gives.
+
+    The inputs sit at their lower bounds, so a pinned attribute at its
+    value, and each block's rows define its pre-activation there.  A split
+    neuron with pre > 0 has z at 1 and its post basic in the lower-side row,
+    the two upper-side rows keeping their slacks; with pre <= 0 it has z at
+    0 and its post basic in the indicator row, the other two rows keeping
+    their slacks.  An active neuron's post is basic in its equality, each
+    output in its own row, and every other row (a rival query's, or any row
+    of a problem without blocks) keeps its slack.  Layer by layer the basis
+    matrix is triangular with unit diagonal blocks, so it is nonsingular,
+    and its basic solution is the forward pass: primal feasible for a
+    prefix or a plain encoding, up to rounding, and off only in its rival
+    row for a rival query.
+    """
+    lp = problem.lp
+    m = lp.a.shape[0]
+    x = np.zeros(lp.a.shape[1])
+    inputs = list(problem.input_vids)
+    lo = lp.lb[inputs]
+    x[inputs] = np.where(np.isfinite(lo), lo, lp.ub[inputs])
+    basic = np.full(m, -1)
+    upper = []
+    for block in problem.blocks:  # layer-major: each block's inputs are set
+        if block.mode == MODE_INACTIVE:
+            continue
+        rows = block.constraint_ids
+        # the equality or the lower-side row, post - w.prev REL b, read with
+        # post and z still at 0
+        r = rows[1] if block.mode == MODE_SPLIT else rows[0]
+        pre = float(lp.rhs[r] - lp.a[r] @ x)
+        if block.mode == MODE_ACTIVE or pre > 0.0:
+            basic[r] = block.post_var
+            x[block.post_var] = pre
+            if block.z_var is not None:
+                upper.append(block.z_var)
+        else:
+            basic[rows[2]] = block.post_var
+    first = sum(len(block.constraint_ids) for block in problem.blocks)
+    outputs = problem.output_vids
+    # a full encoding's output rows follow the blocks'; a prefix has none
+    if m >= first + len(outputs) and all(
+            lp.a[first + j, vid] == 1.0 for j, vid in enumerate(outputs)):
+        basic[first:first + len(outputs)] = outputs
+    return crash_basis(lp, basic, upper)
 
 
 def attach_rival_query(problem: MilpProblem, target: int, rival: int) -> MilpProblem:

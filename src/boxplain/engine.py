@@ -122,8 +122,10 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
     """Per-neuron bounds over the whole input domain.
 
     ``milp`` optimizes each pre-activation exactly, layer by layer, reusing
-    the bounds already proven for earlier layers as big-M constants.  ``box``
-    falls back to plain interval propagation.
+    the bounds already proven for earlier layers as big-M constants.  Layer
+    0 sees only the input box, over which interval propagation is already
+    exact (up to rounding), so it takes the box bounds without a solve.
+    ``box`` falls back to plain interval propagation.
     """
     all_free = AttributeAssignment.all_free(net.input_dim)
     boxed = box_propagate(net, all_free, domain)
@@ -134,7 +136,7 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
 
     # proven layers, passed on as they are; layers past them keep their box
     # bounds, which a prefix encoding never reads
-    pre_lo, pre_hi = [], []
+    pre_lo, pre_hi = list(boxed.pre_lo[:1]), list(boxed.pre_hi[:1])
 
     def proven(**outputs) -> BoundsMap:
         return replace(boxed, pre_lo=(*pre_lo, *boxed.pre_lo[len(pre_lo):]),
@@ -158,11 +160,12 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
             lo[j], hi[j] = lo_out.value + bias, hi_out.value + bias
         return lo, hi
 
-    for l, layer in enumerate(net.hidden_layers):
-        lo, hi = optimize_layer(l, layer)
+    hidden = net.hidden_layers
+    for l in range(1, len(hidden)):
+        lo, hi = optimize_layer(l, hidden[l])
         pre_lo.append(lo)
         pre_hi.append(hi)
-    out_lo, out_hi = optimize_layer(len(net.hidden_layers), net.layers[-1])
+    out_lo, out_hi = optimize_layer(len(hidden), net.layers[-1])
     return proven(out_lo=out_lo, out_hi=out_hi)
 
 

@@ -9,11 +9,14 @@ terminate.  Phase 1 drives one artificial variable per row to zero, which
 gives uniform handling of equality rows.  A problem without rows takes the
 same path, and its primal loop ends by bound flips alone.
 
-A warm solve re-solves the same rows under new variable bounds from an
-earlier optimal ``Basis`` (branch and bound hands each child its parent's).
-That basis stays dual feasible: the costs are unchanged, or zero for sense
-``"feas"``.  A bounded dual simplex restores primal feasibility, and for an
-objective the primal loop then confirms optimality.  The dual loop proves
+A warm solve starts from a given ``Basis`` of the same rows.  Either it is
+an earlier optimal solve's (branch and bound hands each child its
+parent's), which stays dual feasible under new variable bounds, since the
+costs are unchanged, or zero for sense ``"feas"``; or it is a crash basis
+(``crash_basis``; branch and bound seeds each root with the forward pass of
+its encoding), which is often primal feasible but need not be dual
+feasible.  A bounded dual simplex restores primal feasibility, and for an
+objective the primal loop then optimizes from there.  The dual loop proves
 infeasibility only when a row stays out of reach even with every row given
 its feasibility tolerance, the rule phase 1 judges by; on an iteration cap, a
 stall, a singular basis or an undecided row it gives up, and the solve starts
@@ -103,13 +106,15 @@ def _replace_unchecked(p: LpProblem, **changes) -> LpProblem:
 
 
 class Basis(NamedTuple):
-    """Final basis of an optimal solve, enough to warm-start another solve of
-    the same rows: the basic column of each row, every column's status and
-    the basis inverse.  Solves copy it, so one value can seed many."""
+    """A basis to warm-start a solve of the same rows: the basic column of
+    each row, every column's status and the basis inverse.  An optimal solve
+    returns its final one, inverse included; ``crash_basis`` builds one
+    without an inverse, which the solve computes itself.  Solves copy it, so
+    one value can seed many."""
 
     columns: np.ndarray
     status: np.ndarray
-    inverse: np.ndarray
+    inverse: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,8 @@ class _Simplex:
     """One solve's worth of mutable state; cheap to construct per node.
 
     Starts cold from the all-artificial basis, or warm from ``start``, an
-    earlier solve's final basis, with the artificials already closed.
+    earlier solve's final basis or a crash basis, with the artificials
+    already closed.
     """
 
     def __init__(self, prep: _Prepared, lb: np.ndarray, ub: np.ndarray,
@@ -199,13 +205,17 @@ class _Simplex:
 
     def _start_warm(self, start: Basis) -> None:
         """Nonbasic columns sit at the bound their status names (which
-        ``_fits`` has checked); the basics follow from the rows."""
+        ``_fits`` has checked); the basics follow from the rows.  A basis
+        without an inverse is inverted here."""
         stat = start.status.copy()
         self.x = np.where(stat == _AT_UPPER, self.hi, self.lo)
         self.stat = stat
         self.basis = start.columns.copy()
-        self.binv = start.inverse.copy()
-        self._solve_basics()
+        if start.inverse is None:
+            self._refactor()
+        else:
+            self.binv = start.inverse.copy()
+            self._solve_basics()
 
     def _solve_basics(self) -> None:
         xn = self.x.copy()
@@ -474,15 +484,40 @@ def _finish(core: _Simplex, lb, ub, cmin, cost, sense: str,
                      Basis(core.basis, core.stat, core.binv))
 
 
+def crash_basis(p: LpProblem, basic: np.ndarray, upper) -> Basis:
+    """A starting basis for ``p``'s rows, without an inverse.
+
+    ``basic[i]`` is the structural column basic in row ``i``, or -1 for
+    that row's slack.  Nonbasic structural columns sit at their lower bound,
+    or at their upper bound when they are in ``upper`` or their lower bound
+    is infinite; nonbasic slacks and artificials sit at 0.  The caller
+    vouches that the basic columns give a nonsingular basis matrix; a
+    singular one only costs the solve its warm start.
+    """
+    m, n = p.a.shape
+    basic = np.asarray(basic, dtype=np.int64)
+    columns = np.where(basic >= 0, basic, n + np.arange(m))
+    status = np.full(n + 2 * m, _AT_LOWER, dtype=np.int8)
+    status[:n][~np.isfinite(p.lb)] = _AT_UPPER
+    status[list(upper)] = _AT_UPPER
+    status[n:n + m][np.array([r == GE for r in p.rel], dtype=bool)] = _AT_UPPER
+    status[columns] = _BASIC
+    return Basis(columns, status, None)
+
+
 def solve_prepared(prep: _Prepared, lb, ub, c, sense: str,
                    warm: Optional[Basis] = None) -> LpOutcome:
     """Core solve over prepared constraint data; skips input validation.
 
     Branch-and-bound uses this to re-solve one problem under many bound
     vectors without re-validating or re-assembling the constraint matrix,
-    warm-starting each from ``warm``, the basis of an earlier optimal solve
-    with the same costs.  A warm attempt that gives up or fails is dropped
-    for a cold solve; its iterations still count.
+    warm-starting each from ``warm``.  That is either the basis of an
+    earlier optimal solve with the same costs, which is dual feasible, or a
+    ``crash_basis``, which need not be: the dual loop then only repairs
+    primal infeasibility (immediately done when the crash basis is primal
+    feasible) and the primal loop optimizes from there.  A warm attempt that
+    gives up or fails is dropped for a cold solve; its iterations still
+    count.
     """
     if (lb > ub).any():
         return LpOutcome(INFEASIBLE)
@@ -495,20 +530,22 @@ def solve_prepared(prep: _Prepared, lb, ub, c, sense: str,
 
     spent = 0
     if warm is not None and _fits(warm.status[:prep.n], lb, ub):
-        core = _Simplex(prep, lb, ub, warm)
+        core = None
         try:
+            core = _Simplex(prep, lb, ub, warm)
             feasible = core.run_dual(cost)
             if feasible is False:
                 return LpOutcome(INFEASIBLE, iterations=core.iterations)
             if feasible:
-                # the parent's costs were bounded, so an unbounded answer here
-                # is numerical noise: start again cold
+                # a parent's costs were bounded, so an unbounded answer
+                # after its basis is numerical noise; either way the cold
+                # solve decides
                 outcome = _finish(core, lb, ub, cmin, cost, sense)
                 if outcome.status != UNBOUNDED:
                     return outcome
         except SolverFailure:
             pass
-        spent = core.iterations
+        spent = 0 if core is None else core.iterations
 
     core = _Simplex(prep, lb, ub)
     if not core.phase_one():

@@ -122,9 +122,10 @@ def oracle_enumerate(problem, objective=None, sense="min") -> MilpOutcome:
     ``ORACLE_BINARY_CAP`` binaries.  Without an objective this is a
     feasibility check (first satisfiable assignment wins); with one it
     returns the exact optimum.  The loop is its own, not branch and bound's,
-    because branch and bound is what it checks.  Every LP starts cold, with
-    no ``warm`` basis: branch and bound re-solves each child warm from its
-    parent's basis, and this loop is the independent check of that path
+    because branch and bound is what it checks.  Every LP starts cold from
+    phase 1, with no ``warm`` basis: branch and bound starts each root from
+    the encoding's forward-pass basis and re-solves each child warm from its
+    parent's basis, and this loop is the independent check of both paths
     (criterion 05 runs it against the default backend).  An assignment
     whose box already forces some row past that row's feasibility tolerance
     is counted but not solved: the LP would report it infeasible.

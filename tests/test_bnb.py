@@ -5,13 +5,17 @@ import pytest
 
 import boxplain.bnb as bnb
 from boxplain.box import AttributeAssignment, box_propagate
-from boxplain.bnb import BranchAndBoundBackend, optimize, solve_feasibility
+from boxplain.bnb import (BranchAndBoundBackend, milp_to_lp, optimize,
+                          solve_feasibility)
 from boxplain.encoding import (MilpProblem, attach_rival_query,
-                               encode_network, fix_attributes)
+                               encode_network, encode_prefix, fix_attributes,
+                               forward_basis)
 from boxplain.model import forward, predict
-from boxplain.simplex import GE, LE, LpProblem
+from boxplain.simplex import (GE, LE, OPTIMAL, LpProblem, _Simplex, prepare,
+                              solve_prepared)
 from netgen import random_instance, random_network
-from oracles import ORACLE_BINARY_CAP, eq2_style_milp, oracle_enumerate
+from oracles import (ORACLE_BINARY_CAP, eq2_style_milp, oracle_enumerate,
+                     random_bounded_lp)
 
 
 def make_problem(lp, input_vids=()):
@@ -162,7 +166,7 @@ def test_lp_iterations_sum_over_nodes(monkeypatch):
 
     monkeypatch.setattr(bnb, "solve_prepared", counted)
     rng = np.random.default_rng(61)
-    branched = 0
+    branched = iterated = 0
     for _ in range(8):
         net, domain = random_network(rng, max_hidden_total=8)
         problem = encode_network(net, domain_box(net, domain))
@@ -174,9 +178,108 @@ def test_lp_iterations_sum_over_nodes(monkeypatch):
             per_node.clear()
             out = call()
             assert out.node_count == len(per_node)
-            assert out.lp_iterations == sum(per_node) > 0
+            assert out.lp_iterations == sum(per_node)
+            if out.status == "sat" and out.lp_iterations == 0:
+                # the root's forward-pass basis was already a witness
+                assert out.node_count == 1
             branched += out.node_count > 1
+            iterated += out.lp_iterations > 0
     assert branched >= 3
+    assert iterated >= 12
+
+
+def test_every_root_starts_from_the_forward_basis(monkeypatch):
+    starts = []
+    solve_prepared = bnb.solve_prepared
+
+    def recorded(prep, lb, ub, c, sense, warm=None):
+        starts.append(warm)
+        return solve_prepared(prep, lb, ub, c, sense, warm)
+
+    monkeypatch.setattr(bnb, "solve_prepared", recorded)
+    rng = np.random.default_rng(59)
+    for _ in range(5):
+        net, domain = random_network(rng, max_hidden_total=8)
+        problem = encode_network(net, domain_box(net, domain))
+        query = attach_rival_query(problem, 0, 1)
+        for source, call in ((query, lambda: solve_feasibility(query)),
+                             (problem, lambda: optimize(problem, {0: 1.0}, "min"))):
+            starts.clear()
+            call()
+            expected = forward_basis(source)
+            assert starts[0].inverse is None
+            assert (starts[0].columns == expected.columns).all()
+            assert (starts[0].status == expected.status).all()
+            # children start from their parent's optimal basis
+            assert all(start.inverse is not None for start in starts[1:])
+
+
+def test_problems_without_blocks_match_oracle():
+    # hand-built rows: the forward-pass basis is all slacks
+    rng = np.random.default_rng(73)
+    statuses = set()
+    for _ in range(150):
+        lp = random_bounded_lp(rng)
+        n = lp.lb.size
+        binaries = tuple(int(j) for j in np.nonzero(rng.uniform(size=n) < 0.5)[0])
+        lb, ub = lp.lb.copy(), lp.ub.copy()
+        lb[list(binaries)], ub[list(binaries)] = 0.0, 1.0
+        problem = make_problem(replace(lp, lb=lb, ub=ub, binaries=binaries))
+        assert (forward_basis(problem).columns >= n).all()
+        got = solve_feasibility(problem)
+        truth = oracle_enumerate(problem)
+        assert got.status == truth.status
+        statuses.add(got.status)
+        if got.status == "sat":
+            objective = {j: float(c) for j, c in enumerate(lp.c)}
+            best = optimize(problem, objective, "min")
+            value = oracle_enumerate(problem, objective, "min").value
+            assert best.value == pytest.approx(value, rel=1e-6, abs=1e-6)
+    assert statuses == {"sat", "unsat"}
+
+
+def test_abandoned_forward_root_gives_the_cold_answer(monkeypatch):
+    # cap the dual loop at one iteration, so roots that need more give up
+    tried = []
+    run_dual = _Simplex.run_dual
+
+    def capped(core, cost):
+        core.dual_max_iter = 1
+        verdict = run_dual(core, cost)
+        tried.append((verdict, core.iterations))
+        return verdict
+
+    monkeypatch.setattr(_Simplex, "run_dual", capped)
+    rng = np.random.default_rng(79)
+    abandoned = 0
+    for _ in range(30):
+        net, domain = random_network(rng)
+        bounds = domain_box(net, domain)
+        problem = encode_network(net, bounds)
+        target = predict(net, random_instance(rng, net, domain))
+        query = attach_rival_query(problem, target, (target + 1) % net.class_count)
+        prefix = encode_prefix(net, bounds, 1)
+        out = {query.output_vids[target]: 1.0}
+        roots = ((query, milp_to_lp(query)),
+                 (query, milp_to_lp(query, out, "min")),
+                 (problem, milp_to_lp(problem, out, "min")),
+                 (prefix, milp_to_lp(prefix, {prefix.input_vids[0]: 1.0}, "min")))
+        for source, lp in roots:
+            prep = prepare(lp)
+            tried.clear()
+            warm = solve_prepared(prep, lp.lb, lp.ub, lp.c, lp.sense,
+                                  forward_basis(source))
+            cold = solve_prepared(prep, lp.lb, lp.ub, lp.c, lp.sense)
+            assert warm.status == cold.status
+            if cold.status == OPTIMAL:
+                assert warm.value == pytest.approx(cold.value, rel=1e-6, abs=1e-6)
+            (verdict, spent), = tried
+            if verdict is None:
+                abandoned += 1
+                assert warm.iterations == spent + cold.iterations
+                if cold.status == OPTIMAL:
+                    assert (warm.point == cold.point).all()
+    assert abandoned >= 20
 
 
 def _most_fractional_by_loop(point, binaries, tol):

@@ -5,9 +5,9 @@ from boxplain.box import AttributeAssignment, BoundsMap, box_propagate
 from boxplain.bnb import milp_to_lp, solve_feasibility
 from boxplain.encoding import (MODE_ACTIVE, MODE_INACTIVE, MODE_SPLIT,
                                attach_rival_query, encode_network,
-                               encode_prefix, fix_attributes, merge_bounds,
-                               tighten_and_simplify)
-from boxplain.simplex import EQ, GE, LE
+                               encode_prefix, fix_attributes, forward_basis,
+                               merge_bounds, tighten_and_simplify)
+from boxplain.simplex import EQ, GE, LE, _Simplex, prepare
 from boxplain.engine import compute_tight_bounds
 from boxplain.model import IDENTITY, RELU, InputDomain, Layer, Network, forward
 from conftest import block
@@ -363,3 +363,75 @@ class TestEquisatisfiability:
                                       target, rival)
             assert solve_feasibility(plain).status == \
                 solve_feasibility(simp).status
+
+
+def _forward_cases(rng, count):
+    """(net, problem, kind) over random networks: full encodings with some
+    attributes fixed, their improved-mode re-encodings, rival queries on
+    both, and every prefix with rows."""
+    for _ in range(count):
+        net, domain = random_network(rng)
+        tight = domain_box(net, domain)
+        instance = random_instance(rng, net, domain)
+        fixed = rng.choice(net.input_dim,
+                           size=rng.integers(0, net.input_dim + 1), replace=False)
+        assign = AttributeAssignment.from_instance(instance, fixed)
+        simplified, _ = tighten_and_simplify(net, tight,
+                                             box_propagate(net, assign, domain))
+        k = net.class_count
+        target = int(rng.integers(k))
+        rival = int((target + 1 + rng.integers(k - 1)) % k)
+        for full in (fix_attributes(encode_network(net, tight), assign), simplified):
+            yield net, full, "full"
+            yield net, attach_rival_query(full, target, rival), "rival"
+        for upto in range(1, len(net.hidden_layers) + 1):
+            yield net, encode_prefix(net, tight, upto), "prefix"
+
+
+class TestForwardBasis:
+    def test_basis_is_nonsingular(self):
+        kinds = set()
+        for net, problem, kind in _forward_cases(np.random.default_rng(83), 15):
+            basis = forward_basis(problem)
+            prep = prepare(problem.lp)
+            assert sorted(set(basis.columns)) == sorted(basis.columns)
+            # block triangular with unit diagonal blocks
+            assert abs(np.linalg.det(prep.A[:, basis.columns])) == \
+                pytest.approx(1.0, abs=1e-9)
+            kinds.add(kind)
+        assert kinds == {"full", "rival", "prefix"}
+
+    def test_basic_solution_is_the_forward_pass_at_the_lower_corner(self):
+        for net, problem, kind in _forward_cases(np.random.default_rng(89), 15):
+            lp = problem.lp
+            corner = lp.lb[list(problem.input_vids)]
+            core = _Simplex(prepare(lp), lp.lb, lp.ub, forward_basis(problem))
+            expected = _feasible_assignment(net, problem, corner)
+            vids = list(problem.input_vids)
+            for blk in problem.blocks:
+                vids.append(blk.post_var)
+                if blk.z_var is not None:
+                    vids.append(blk.z_var)
+            if kind != "prefix":
+                vids.extend(problem.output_vids)
+            got = core.x[:lp.a.shape[1]]
+            assert got[vids] == pytest.approx(expected[vids], rel=1e-9, abs=1e-12)
+            assert core.iterations == 0
+
+    def test_only_the_rival_row_is_off(self):
+        dual_checked = 0
+        for net, problem, kind in _forward_cases(np.random.default_rng(97), 15):
+            lp = problem.lp
+            core = _Simplex(prepare(lp), lp.lb, lp.ub, forward_basis(problem))
+            xb = core.x[core.basis]
+            off = (xb < core.lo[core.basis] - 1e-9 * np.maximum(1.0, np.abs(xb))) | \
+                (xb > core.hi[core.basis] + 1e-9 * np.maximum(1.0, np.abs(xb)))
+            if kind == "rival":
+                assert not off[:-1].any()
+                continue
+            assert not off.any()
+            # a prefix (or a plain encoding) is accepted as it stands
+            assert core.run_dual(None) is True
+            assert core.iterations == 0
+            dual_checked += kind == "prefix"
+        assert dual_checked >= 15

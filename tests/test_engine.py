@@ -3,8 +3,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from boxplain.box import AttributeAssignment
-from boxplain.encoding import fix_attributes
+from boxplain.box import AttributeAssignment, box_propagate
+from boxplain.bnb import optimize
+from boxplain.encoding import encode_prefix, fix_attributes
 from boxplain.engine import (Decision, EngineConfig, Explainer, Explanation,
                              ExplainStats, PredictionTieError, compute_tight_bounds,
                              is_entailed, verify_explanation)
@@ -55,6 +56,26 @@ class TestTightBounds:
                 assert (tight.pre_hi[l] <= boxed.pre_hi[l] + 1e-9).all()
             assert (tight.out_lo >= boxed.out_lo - 1e-9).all()
             assert (tight.out_hi <= boxed.out_hi + 1e-9).all()
+
+    def test_layer_zero_is_the_box_and_the_lp_optimum(self):
+        rng = np.random.default_rng(71)
+        for _ in range(6):
+            net, domain = random_network(rng, max_hidden_total=8)
+            tight = compute_tight_bounds(net, domain, "milp")
+            boxed = box_propagate(net, AttributeAssignment.all_free(net.input_dim),
+                                  domain)
+            assert (tight.pre_lo[0] == boxed.pre_lo[0]).all()
+            assert (tight.pre_hi[0] == boxed.pre_hi[0]).all()
+            # the layer-0 prefix has no rows: only the input box
+            prefix = encode_prefix(net, boxed, 0)
+            layer = net.hidden_layers[0]
+            for j in range(layer.width):
+                objective = dict(zip(prefix.input_vids, map(float, layer.weights[j])))
+                bias = float(layer.biases[j])
+                lo = optimize(prefix, objective, "min").value + bias
+                hi = optimize(prefix, objective, "max").value + bias
+                assert lo == pytest.approx(tight.pre_lo[0][j], abs=1e-9)
+                assert hi == pytest.approx(tight.pre_hi[0][j], abs=1e-9)
 
     def test_unknown_mode(self, demo_net, demo_domain):
         with pytest.raises(ValueError):

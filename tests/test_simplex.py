@@ -5,7 +5,8 @@ import pytest
 
 from boxplain.simplex import (EQ, FEAS_TOL, GE, LE, INFEASIBLE, OPTIMAL,
                               UNBOUNDED, LpProblem, SolverFailure, _certify,
-                              _Simplex, prepare, solve_lp, solve_prepared)
+                              _Simplex, crash_basis, prepare, solve_lp,
+                              solve_prepared)
 from oracles import eq2_style_milp, random_bounded_lp, vertex_enumerate
 
 BEALE = dict(a=np.array([[0.25, -60.0, -0.04, 9.0],
@@ -326,6 +327,32 @@ class TestWarmStart:
         assert warm.value == cold.value == pytest.approx(4.0, abs=1e-9)
         assert (warm.point == cold.point).all()
         assert warm.iterations > cold.iterations
+
+    def test_crash_basis_statuses(self):
+        p = LpProblem(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]), (GE, LE),
+                      np.array([1.0, 2.0]), np.array([-np.inf, 0.0, 0.0]),
+                      np.array([3.0, 1.0, 1.0]), np.zeros(3), "feas")
+        basis = crash_basis(p, [-1, 1], [2])
+        assert basis.columns.tolist() == [3, 1]  # row 0's slack, then x2
+        assert basis.inverse is None
+        # x1 at its finite upper bound, x3 as asked, the >= slack at 0 from
+        # above, the <= slack and both artificials at 0 from below
+        assert basis.status.tolist() == [1, 2, 1, 2, 0, 0, 0]
+        core = _Simplex(prepare(p), p.lb, p.ub, basis)
+        assert core.x[:5].tolist() == [3.0, 1.0, 1.0, -3.0, 0.0]
+
+    def test_singular_crash_basis_gives_the_cold_answer(self):
+        # x1 basic in both rows: a singular basis matrix, caught while
+        # inverting it before any iteration
+        for p in (LpProblem(sense="min", **BEALE), eq2_style_milp()):
+            prep = prepare(p)
+            basis = crash_basis(p, [0] * len(p.rel), [])
+            warm = solve_prepared(prep, p.lb, p.ub, p.c, "min", basis)
+            cold = solve_prepared(prep, p.lb, p.ub, p.c, "min")
+            assert warm.status == cold.status == OPTIMAL
+            assert warm.value == cold.value
+            assert (warm.point == cold.point).all()
+            assert warm.iterations == cold.iterations
 
     def test_warm_child_inverts_only_after_pivots(self, monkeypatch):
         # an optimal run ends on a fresh inverse, so a warm "min" child calls
