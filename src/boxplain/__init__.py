@@ -14,7 +14,8 @@ from .encoding import (MilpProblem, SimplificationStats, attach_rival_query,
                        encode_network, fix_attributes, merge_bounds,
                        tighten_and_simplify)
 from .engine import (Decision, EngineConfig, Explainer, Explanation,
-                     ExplainStats, PredictionTieError, VerificationReport,
+                     ExplainStats, InstanceError, PredictionTieError,
+                     VerificationReport,
                      compute_tight_bounds, is_entailed, verify_explanation)
 from .model import (Activations, InputDomain, Layer, ModelFormatError, Network,
                     batch_outputs, forward, load_domain, load_model_file,
@@ -26,13 +27,14 @@ __version__ = "0.1.0"
 __all__ = [
     "Activations", "AttributeAssignment", "BoundsMap", "BranchAndBoundBackend",
     "Decision", "EngineConfig", "Explainer", "Explanation", "ExplainStats",
-    "InputDomain", "Layer", "LpOutcome", "LpProblem", "MilpOutcome",
-    "MilpProblem", "ModelFormatError", "Network", "PredictionTieError",
-    "ShortcutResult", "SimplificationStats", "SolverBackend", "SolverFailure",
-    "VerificationReport", "attach_rival_query", "batch_outputs",
-    "box_propagate", "compute_tight_bounds", "encode_network",
-    "fix_attributes", "forward", "is_entailed", "load_domain",
-    "load_model_file", "load_network", "merge_bounds", "milp_to_lp",
-    "optimize", "predict", "shortcut_check", "solve_feasibility", "solve_lp",
-    "tighten_and_simplify", "to_document", "verify_explanation",
+    "InputDomain", "InstanceError", "Layer", "LpOutcome", "LpProblem",
+    "MilpOutcome", "MilpProblem", "ModelFormatError", "Network",
+    "PredictionTieError", "ShortcutResult", "SimplificationStats",
+    "SolverBackend", "SolverFailure", "VerificationReport",
+    "attach_rival_query", "batch_outputs", "box_propagate",
+    "compute_tight_bounds", "encode_network", "fix_attributes", "forward",
+    "is_entailed", "load_domain", "load_model_file", "load_network",
+    "merge_bounds", "milp_to_lp", "optimize", "predict", "shortcut_check",
+    "solve_feasibility", "solve_lp", "tighten_and_simplify", "to_document",
+    "verify_explanation",
 ]

@@ -75,15 +75,15 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
 
     Branches on the most fractional binary, exploring the branch matching
     the LP-relaxation value first, and drops nodes whose relaxation is no
-    better than the incumbent.  A node is one LP solve, each warm-started:
-    the root from ``forward_basis``, both children from their parent's final
-    basis.  The returned value is the internal (minimized) one.
+    better than the incumbent.  A node is one LP solve under its own bounds,
+    warm-started: the root from ``forward_basis``, each child from its
+    parent's final basis.  The value returned is the internal (minimized) one.
     """
     start = time.perf_counter()
     deadline = None if time_budget_ms is None else start + time_budget_ms / 1000.0
     lp = milp_to_lp(problem, objective, sense)
     prep = prepare(lp)
-    stack: list[tuple] = [({}, forward_basis(problem))]  # (fixings, start)
+    stack: list[tuple] = [(lp.lb, lp.ub, forward_basis(problem))]
     nodes = iterations = 0
     best_value = np.inf
     best_point = None
@@ -99,13 +99,8 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
         if deadline is not None and time.perf_counter() > deadline:
             # search incomplete: no answer, and no incumbent proven optimal
             return result(UNKNOWN)
-        fixings, basis = stack.pop()
-        lb, ub = lp.lb, lp.ub
-        if fixings:
-            lb, ub = lb.copy(), ub.copy()
-            for col, val in fixings.items():
-                lb[col] = ub[col] = float(val)
-        outcome = solve_prepared(prep, lb, ub, lp.c, lp.sense, basis)
+        lb, ub, basis = stack.pop()
+        outcome = solve_prepared(prep, lb, ub, basis)
         nodes += 1
         iterations += outcome.iterations
         if outcome.status == UNBOUNDED:
@@ -123,8 +118,10 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
             best_point = outcome.point
             continue
         first = int(round(outcome.point[vid]))
-        stack.append(({**fixings, vid: 1 - first}, outcome.basis))
-        stack.append(({**fixings, vid: first}, outcome.basis))
+        for value in (1 - first, first):
+            child_lb, child_ub = lb.copy(), ub.copy()
+            child_lb[vid] = child_ub[vid] = value
+            stack.append((child_lb, child_ub, outcome.basis))
     if sense == "feas":
         return result(UNSAT)
     if best_point is None:

@@ -1,7 +1,7 @@
 """Command-line surface: explain / bounds / bench / verify subcommands.
 
 All output is CSV on stdout.  Exit codes: 0 success, 2 input error,
-3 solver failure.
+3 solver failure; a bad instance or a solver failure costs only its row.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import numpy as np
 
 from .box import AttributeAssignment, box_propagate
 from .engine import (MODE_BASELINE, MODE_IMPROVED, EngineConfig, Explainer,
-                     ExplainStats, compute_tight_bounds, verify_explanation)
+                     ExplainStats, InstanceError, compute_tight_bounds,
+                     verify_explanation)
 from .model import ModelFormatError, load_model_file
 from .simplex import SolverFailure
 
@@ -116,14 +117,19 @@ def _each_instance(instances: InstanceSet, run, done) -> int:
     """Call ``done(idx, run(row))`` for each instance as soon as it is done,
     then flush stdout.
 
-    A solver failure costs only its own instance: it is reported on stderr,
-    the instance is skipped and the exit code becomes 3 once every instance
-    ran.
+    A bad instance (outside the domain, or an exact-tie prediction) or a
+    solver failure costs only its own instance: it is reported on stderr,
+    the instance is skipped and, once every instance ran, the exit code is
+    3 if a solver failed, else 2.
     """
     code = EXIT_OK
     for idx, row in enumerate(instances.rows):
         try:
             result = run(row)
+        except InstanceError as exc:
+            print(f"input error: instance {idx}: {exc}", file=sys.stderr)
+            code = max(code, EXIT_INPUT)
+            continue
         except SolverFailure as exc:
             print(f"solver failure: instance {idx}: {exc}", file=sys.stderr)
             code = EXIT_SOLVER

@@ -36,7 +36,12 @@ TIGHT_MILP = "milp"
 TIGHT_BOX = "box"
 
 
-class PredictionTieError(ValueError):
+class InstanceError(ValueError):
+    """The instance itself cannot be explained: it lies outside the input
+    domain, or its prediction is an exact tie."""
+
+
+class PredictionTieError(InstanceError):
     """The instance's top two outputs are exactly equal; there is no unique
     predicted class to explain."""
 
@@ -229,15 +234,16 @@ class Explainer:
 
         When attribute i is tested, exactly the attributes already removed
         plus i are freed; everything else stays at its instance value.  An
-        exact-tie prediction raises PredictionTieError: there is no unique
-        class to explain.
+        instance outside the domain raises InstanceError, and so does an
+        exact-tie prediction, as PredictionTieError, since there is no
+        unique class to explain.
         """
         if mode not in (MODE_BASELINE, MODE_IMPROVED):
             raise ValueError(f"unknown mode {mode!r}")
         net = self.net
         instance = np.asarray(instance, dtype=np.float64)
         if not self.domain.contains(instance):
-            raise ValueError("instance lies outside the input domain")
+            raise InstanceError("instance lies outside the input domain")
         outputs = forward(net, instance).outputs
         target = int(np.argmax(outputs))
         runners_up = np.delete(outputs, target)

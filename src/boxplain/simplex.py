@@ -1,13 +1,15 @@
 """Dense bounded-variable simplex for small LPs, cold or warm-started.
 
 Geared to the LP relaxations coming out of network encodings: tens of rows,
-dense data.  Every column has a finite bound, where it sits while nonbasic.
-A cold solve is a two-phase primal simplex: Dantzig pricing by default,
-switching permanently to Bland's rule once more than ``stall_limit``
-iterations in a row have not lowered the objective, so degenerate problems
-terminate.  Phase 1 drives one artificial variable per row to zero, which
-gives uniform handling of equality rows.  A problem without rows takes the
-same path, and its primal loop ends by bound flips alone.
+dense data.  ``prepare`` fixes the rows and objective; each solve takes its
+own bounds.  A nonbasic column sits at the bound its status names, or at
+the other when that one is infinite (no column is free).  A cold solve is
+a two-phase primal simplex: Dantzig pricing by default, switching
+permanently to Bland's rule once more than ``stall_limit`` iterations in a
+row have not lowered the objective, so degenerate problems terminate.
+Phase 1 drives one artificial variable per row to zero, which gives uniform
+handling of equality rows.  A problem without rows takes the same path, and
+its primal loop ends by bound flips alone.
 
 A warm solve starts from a given ``Basis`` of the same rows.  Either it is
 an earlier optimal solve's (branch and bound hands each child its
@@ -18,16 +20,16 @@ its encoding), which is often primal feasible but need not be dual
 feasible.  A bounded dual simplex restores primal feasibility, and for an
 objective the primal loop then optimizes from there.  The dual loop proves
 infeasibility only when a row stays out of reach even with every row given
-its feasibility tolerance, the rule phase 1 judges by; on an iteration cap, a
-stall, a singular basis or an undecided row it gives up, and the solve starts
-again cold.
+its feasibility tolerance, the rule phase 1 judges by; on its iteration cap,
+a singular basis or an undecided row it gives up, and the solve starts again
+cold.
 
 The basis inverse is kept explicitly and updated per pivot, with periodic
-refactorization for drift control; before declaring optimality (or primal
-feasibility, in the dual loop) a state that pivoted since its last
-refactorization is refactored and re-priced once, so stale arithmetic cannot
-end a solve early.  A solve therefore ends on an exact inverse, and only the
-basic values, moved by bound flips since, are computed again.
+refactorization for drift control; before either loop decides how it ends,
+a state that pivoted since its last refactorization is refactored and
+re-priced once, so stale arithmetic cannot end a solve early.  A solve
+therefore ends on an exact inverse, and only the basic values, moved by
+bound flips since, are computed again.
 """
 
 from __future__ import annotations
@@ -127,27 +129,29 @@ class LpOutcome:
 
 
 class _Prepared:
-    """Constraint data shared by every solve of one problem (bounds vary).
+    """Rows and objective shared by every solve of one problem (bounds vary).
 
     Columns are laid out structural | slack | artificial, with both the slack
     and artificial blocks as identity matrices; artificial signs live in
     their bounds instead of their columns.  ``row_tol`` is each row's
     feasibility tolerance, ``FEAS_TOL`` scaled by ``max(1, |rhs|)``.
+    ``cmin`` is the objective to minimize, ``cost`` the same over every
+    column, None for sense ``"feas"``.
     """
 
-    __slots__ = ("A", "rhs", "rel", "m", "n", "ncols", "total",
-                 "slack_lo", "slack_hi", "row_tol", "is_le", "is_ge")
+    __slots__ = ("A", "rhs", "rel", "m", "n", "ncols", "total", "slack_lo",
+                 "slack_hi", "row_tol", "is_le", "is_ge", "sense", "cmin", "cost")
 
-    def __init__(self, a: np.ndarray, rel, rhs: np.ndarray):
-        m, n = a.shape
+    def __init__(self, p: LpProblem):
+        m, n = p.a.shape
         self.m, self.n = m, n
         self.ncols = n + m
         self.total = n + 2 * m
         eye = np.eye(m)
-        self.A = np.hstack([a, eye, eye])
+        self.A = np.hstack([p.a, eye, eye])
         self.A.setflags(write=False)
-        self.rhs = rhs.astype(np.float64)
-        self.rel = tuple(rel)
+        self.rhs = p.rhs.astype(np.float64)
+        self.rel = tuple(p.rel)
         for r in self.rel:
             if r not in (LE, GE, EQ):
                 raise ValueError(f"unknown relation {r!r}")
@@ -156,6 +160,11 @@ class _Prepared:
         self.slack_lo = np.where(self.is_ge, -INF, 0.0)
         self.slack_hi = np.where(self.is_le, INF, 0.0)
         self.row_tol = FEAS_TOL * np.maximum(1.0, np.abs(self.rhs))
+        self.sense = p.sense
+        self.cmin = np.zeros(n) if p.sense == "feas" else \
+            (-p.c if p.sense == "max" else p.c).astype(np.float64)
+        self.cost = None if p.sense == "feas" else \
+            np.concatenate([self.cmin, np.zeros(2 * m)])
 
 
 class _Simplex:
@@ -163,7 +172,7 @@ class _Simplex:
 
     Starts cold from the all-artificial basis, or warm from ``start``, an
     earlier solve's final basis or a crash basis, with the artificials
-    already closed.
+    already closed; either way ``_place`` puts the nonbasic columns.
     """
 
     def __init__(self, prep: _Prepared, lb: np.ndarray, ub: np.ndarray,
@@ -183,33 +192,33 @@ class _Simplex:
         else:
             self._start_warm(start)
 
+    def _place(self, stat: np.ndarray) -> None:
+        """Nonbasic columns sit at the bound their status in ``stat`` names,
+        or at the other one where that bound is infinite (no column is
+        free); the caller sets the basic values."""
+        lo, hi = self.lo, self.hi
+        upper = np.where(stat == _AT_UPPER, hi < INF, lo == -INF)
+        self.stat = np.where(stat == _BASIC, _BASIC,
+                             np.where(upper, _AT_UPPER, _AT_LOWER)).astype(np.int8)
+        self.x = np.where(upper, hi, lo)
+
     def _start_cold(self) -> None:
         prep, lo, hi = self.prep, self.lo, self.hi
-        m, ncols, total = prep.m, prep.ncols, prep.total
-        x = np.zeros(total)
-        stat = np.full(total, _AT_LOWER, dtype=np.int8)
-        finite_lo = np.isfinite(lo[:ncols])
-        x[:ncols] = np.where(finite_lo, lo[:ncols], hi[:ncols])
-        stat[:ncols] = np.where(finite_lo, _AT_LOWER, _AT_UPPER)
-
-        resid = prep.rhs - prep.A[:, :ncols] @ x[:ncols]
+        ncols = prep.ncols
+        self._place(np.full(prep.total, _AT_LOWER))
+        resid = prep.rhs - prep.A[:, :ncols] @ self.x[:ncols]
         self.art_sign = np.where(resid >= 0.0, 1.0, -1.0)
         lo[ncols:] = np.where(resid >= 0.0, 0.0, -INF)
         hi[ncols:] = np.where(resid >= 0.0, INF, 0.0)
-        x[ncols:] = resid
-        stat[ncols:] = _BASIC
-        self.x = x
-        self.stat = stat
-        self.basis = np.arange(ncols, total)
-        self.binv = np.eye(m)  # initial basis is the artificial identity
+        self.x[ncols:] = resid
+        self.stat[ncols:] = _BASIC
+        self.basis = np.arange(ncols, prep.total)
+        self.binv = np.eye(prep.m)  # initial basis is the artificial identity
 
     def _start_warm(self, start: Basis) -> None:
-        """Nonbasic columns sit at the bound their status names (which
-        ``_fits`` has checked); the basics follow from the rows.  A basis
-        without an inverse is inverted here."""
-        stat = start.status.copy()
-        self.x = np.where(stat == _AT_UPPER, self.hi, self.lo)
-        self.stat = stat
+        """The basics follow from the rows; a basis without an inverse is
+        inverted here."""
+        self._place(start.status)
         self.basis = start.columns.copy()
         if start.inverse is None:
             self._refactor()
@@ -230,6 +239,15 @@ class _Simplex:
             raise SolverFailure("singular basis matrix") from None
         self._solve_basics()
         self.pivots_since_refactor = 0
+
+    def _refreshed(self) -> bool:
+        """Refactor if the inverse has pivoted since its last
+        refactorization, so stale arithmetic cannot decide how a loop ends.
+        True when it did: the caller prices again before deciding."""
+        if self.pivots_since_refactor == 0:
+            return False
+        self._refactor()
+        return True
 
     def _pivot(self, r: int, q: int, w: np.ndarray) -> None:
         """Column ``q`` becomes basic in row ``r``, where ``w`` is
@@ -264,11 +282,9 @@ class _Simplex:
             eligible = (((stat == _AT_LOWER) & (d < -tol))
                         | ((stat == _AT_UPPER) & (d > tol))) & movable
             if not eligible.any():
-                if self.pivots_since_refactor == 0:
-                    return OPTIMAL
-                # rule out stale arithmetic before declaring optimality
-                self._refactor()
-                continue
+                if self._refreshed():
+                    continue
+                return OPTIMAL
 
             idx = eligible.nonzero()[0]
             if bland:
@@ -297,8 +313,7 @@ class _Simplex:
             steps[dn_mask] = (lob[dn_mask] - xb[dn_mask]) / delta[dn_mask]
             np.maximum(steps, 0.0, out=steps)
             t_basic = float(steps.min()) if self.m else INF
-            span = hi[q] - lo[q]
-            t_own = float(span) if np.isfinite(span) else INF
+            t_own = float(hi[q] - lo[q])
 
             if t_basic == INF and t_own == INF:
                 if allow_unbounded:
@@ -338,8 +353,8 @@ class _Simplex:
         has no entering column and its violation exceeds what the rows'
         feasibility tolerances (``row_tol``) and any near-zero tableau entry
         could make up: the problem is then infeasible by the rule phase 1
-        applies.  None to give up: the iteration cap, a stall, or a violated
-        row that tolerance might still close.
+        applies.  None to give up: the cap of ``dual_max_iter`` iterations,
+        or a violated row that tolerance might still close.
         """
         prep = self.prep
         A, ncols = prep.A, prep.ncols
@@ -347,7 +362,6 @@ class _Simplex:
         tol = PIVOT_TOL
         span = hi - lo
         movable = span > 0.0
-        best, stall = INF, 0
         limit = self.iterations + self.dual_max_iter
         while True:
             xb = x[self.basis]
@@ -356,18 +370,9 @@ class _Simplex:
             viol = np.maximum(below, above)
             bad = viol > tol * np.maximum(1.0, np.abs(xb))
             if not bad.any():
-                if self.pivots_since_refactor == 0:
-                    return True
-                # rule out stale arithmetic before declaring feasibility
-                self._refactor()
-                continue
-            total = float(viol[bad].sum())
-            if total < best:
-                best, stall = total, 0
-            else:
-                stall += 1
-                if stall > self.stall_limit:
-                    return None
+                if self._refreshed():
+                    continue
+                return True
             if self.iterations >= limit:
                 return None
 
@@ -380,8 +385,7 @@ class _Simplex:
             at_lo, at_hi = stat == _AT_LOWER, stat == _AT_UPPER
             eligible = movable & ((at_lo & (g > tol)) | (at_hi & (g < -tol)))
             if not eligible.any():
-                if self.pivots_since_refactor:
-                    self._refactor()
+                if self._refreshed():
                     continue
                 helps = movable & ((at_lo & (g > 0)) | (at_hi & (g < 0)))
                 room = span.copy()
@@ -459,27 +463,20 @@ def _certify(prep: _Prepared, lb, ub, point: np.ndarray) -> None:
         raise SolverFailure(f"row {i} violated: {lhs[i]} {prep.rel[i]} {rhs[i]}")
 
 
-def _fits(status: np.ndarray, lb, ub) -> bool:
-    """Whether each nonbasic column's bound that ``status`` names is finite."""
-    return not (((status == _AT_LOWER) & ~np.isfinite(lb)).any()
-                or ((status == _AT_UPPER) & ~np.isfinite(ub)).any())
-
-
-def _finish(core: _Simplex, lb, ub, cmin, cost, sense: str,
-            spent: int = 0) -> LpOutcome:
+def _finish(core: _Simplex, lb, ub, spent: int = 0) -> LpOutcome:
     """Phase 2 from a primal feasible state, then the certificate check.
     ``spent`` counts iterations of an abandoned warm attempt."""
     prep = core.prep
-    if cost is not None:
-        status = core.run(cost, allow_unbounded=True)
+    if prep.cost is not None:
+        status = core.run(prep.cost, allow_unbounded=True)
         if status == UNBOUNDED:
             return LpOutcome(UNBOUNDED, iterations=spent + core.iterations)
         core._solve_basics()
 
     point = core.x[:prep.n].copy()
     _certify(prep, lb, ub, point)
-    raw = float(cmin @ point)
-    value = -raw if sense == "max" else raw
+    raw = float(prep.cmin @ point)
+    value = -raw if prep.sense == "max" else raw
     return LpOutcome(OPTIMAL, value, point, spent + core.iterations,
                      Basis(core.basis, core.stat, core.binv))
 
@@ -488,31 +485,29 @@ def crash_basis(p: LpProblem, basic: np.ndarray, upper) -> Basis:
     """A starting basis for ``p``'s rows, without an inverse.
 
     ``basic[i]`` is the structural column basic in row ``i``, or -1 for
-    that row's slack.  Nonbasic structural columns sit at their lower bound,
-    or at their upper bound when they are in ``upper`` or their lower bound
-    is infinite; nonbasic slacks and artificials sit at 0.  The caller
-    vouches that the basic columns give a nonsingular basis matrix; a
-    singular one only costs the solve its warm start.
+    that row's slack.  The columns in ``upper`` are marked at their upper
+    bound, every other nonbasic column at its lower one, which the solve
+    reads as the other bound where that one is infinite.  The caller vouches
+    that the basic columns give a nonsingular basis matrix; a singular one
+    only costs the solve its warm start.
     """
     m, n = p.a.shape
     basic = np.asarray(basic, dtype=np.int64)
     columns = np.where(basic >= 0, basic, n + np.arange(m))
     status = np.full(n + 2 * m, _AT_LOWER, dtype=np.int8)
-    status[:n][~np.isfinite(p.lb)] = _AT_UPPER
     status[list(upper)] = _AT_UPPER
-    status[n:n + m][np.array([r == GE for r in p.rel], dtype=bool)] = _AT_UPPER
     status[columns] = _BASIC
     return Basis(columns, status, None)
 
 
-def solve_prepared(prep: _Prepared, lb, ub, c, sense: str,
-                   warm: Optional[Basis] = None) -> LpOutcome:
-    """Core solve over prepared constraint data; skips input validation.
+def solve_prepared(prep: _Prepared, lb, ub, warm: Optional[Basis] = None) -> LpOutcome:
+    """Core solve of a prepared problem under bounds ``lb``/``ub``; skips
+    input validation.
 
     Branch-and-bound uses this to re-solve one problem under many bound
     vectors without re-validating or re-assembling the constraint matrix,
     warm-starting each from ``warm``.  That is either the basis of an
-    earlier optimal solve with the same costs, which is dual feasible, or a
+    earlier optimal solve of ``prep``, which is dual feasible, or a
     ``crash_basis``, which need not be: the dual loop then only repairs
     primal infeasibility (immediately done when the crash basis is primal
     feasible) and the primal loop optimizes from there.  A warm attempt that
@@ -521,26 +516,19 @@ def solve_prepared(prep: _Prepared, lb, ub, c, sense: str,
     """
     if (lb > ub).any():
         return LpOutcome(INFEASIBLE)
-    cmin = np.zeros(prep.n) if sense == "feas" else \
-        (-c if sense == "max" else c).astype(np.float64)
-    cost = None
-    if sense != "feas":
-        cost = np.zeros(prep.total)
-        cost[:prep.n] = cmin
-
     spent = 0
-    if warm is not None and _fits(warm.status[:prep.n], lb, ub):
+    if warm is not None:
         core = None
         try:
             core = _Simplex(prep, lb, ub, warm)
-            feasible = core.run_dual(cost)
+            feasible = core.run_dual(prep.cost)
             if feasible is False:
                 return LpOutcome(INFEASIBLE, iterations=core.iterations)
             if feasible:
                 # a parent's costs were bounded, so an unbounded answer
                 # after its basis is numerical noise; either way the cold
                 # solve decides
-                outcome = _finish(core, lb, ub, cmin, cost, sense)
+                outcome = _finish(core, lb, ub)
                 if outcome.status != UNBOUNDED:
                     return outcome
         except SolverFailure:
@@ -551,16 +539,16 @@ def solve_prepared(prep: _Prepared, lb, ub, c, sense: str,
     if not core.phase_one():
         return LpOutcome(INFEASIBLE, iterations=spent + core.iterations)
     core.close_phase_one()
-    return _finish(core, lb, ub, cmin, cost, sense, spent)
+    return _finish(core, lb, ub, spent)
 
 
 def prepare(p: LpProblem) -> _Prepared:
-    """Factor out the per-problem constraint data for repeated solves."""
-    return _Prepared(p.a, p.rel, p.rhs)
+    """Factor out the per-problem rows and objective for repeated solves."""
+    return _Prepared(p)
 
 
 def solve_lp(p: LpProblem) -> LpOutcome:
     """Solve the LP.  Optimal outcomes are re-checked against every
     constraint before being returned; two runs on identical input produce
     identical results."""
-    return solve_prepared(prepare(p), p.lb, p.ub, p.c, p.sense)
+    return solve_prepared(prepare(p), p.lb, p.ub)

@@ -150,7 +150,7 @@ def oracle_enumerate(problem, objective=None, sense="min") -> MilpOutcome:
         nodes += 1
         if (_forced_violation(lp, lb, ub) > row_tol).any():
             continue
-        outcome = solve_prepared(prep, lb, ub, lp.c, lp.sense)
+        outcome = solve_prepared(prep, lb, ub)
         if outcome.status != OPTIMAL:
             continue
         if feasibility:

@@ -192,9 +192,9 @@ def test_every_root_starts_from_the_forward_basis(monkeypatch):
     starts = []
     solve_prepared = bnb.solve_prepared
 
-    def recorded(prep, lb, ub, c, sense, warm=None):
+    def recorded(prep, lb, ub, warm=None):
         starts.append(warm)
-        return solve_prepared(prep, lb, ub, c, sense, warm)
+        return solve_prepared(prep, lb, ub, warm)
 
     monkeypatch.setattr(bnb, "solve_prepared", recorded)
     rng = np.random.default_rng(59)
@@ -267,9 +267,8 @@ def test_abandoned_forward_root_gives_the_cold_answer(monkeypatch):
         for source, lp in roots:
             prep = prepare(lp)
             tried.clear()
-            warm = solve_prepared(prep, lp.lb, lp.ub, lp.c, lp.sense,
-                                  forward_basis(source))
-            cold = solve_prepared(prep, lp.lb, lp.ub, lp.c, lp.sense)
+            warm = solve_prepared(prep, lp.lb, lp.ub, forward_basis(source))
+            cold = solve_prepared(prep, lp.lb, lp.ub)
             assert warm.status == cold.status
             if cold.status == OPTIMAL:
                 assert warm.value == pytest.approx(cold.value, rel=1e-6, abs=1e-6)

@@ -28,6 +28,19 @@ def demo_instances(tmp_path):
 
 
 @pytest.fixture()
+def bad_instances(tmp_path):
+    """Rows 1 and 2 are bad: 0.9,0.9 lies outside the demo domain, and the
+    demo net's outputs at 0.35,0.35 are an exact tie."""
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,x2\n0.7,0.2\n0.9,0.9\n0.35,0.35\n0.5,0.3\n")
+    return path
+
+
+BAD_ROWS = ("input error: instance 1: instance lies outside the input domain",
+            "input error: instance 2: instance prediction is an exact tie")
+
+
+@pytest.fixture()
 def zero_model(tmp_path):
     doc = {
         "input_dim": 2,
@@ -171,6 +184,18 @@ class TestExplain:
         assert [rows[0][i] for i in counts] == [alone_rows[0][i] for i in counts]
 
 
+    def test_bad_instance_costs_one_row(self, capsys, demo_model_path,
+                                        bad_instances):
+        for command in ("explain", "verify"):
+            code, out, err = run_cli(capsys, command, str(demo_model_path),
+                                     str(bad_instances))
+            assert code == 2
+            for line in BAD_ROWS:
+                assert line in err
+            _, rows = parse_csv(out)
+            assert [row[:3] for row in rows] == [["0", "0", "0"], ["3", "0", "0;1"]]
+
+
 class TestBounds:
     def test_demo_output_neurons(self, capsys, demo_model_path):
         code, out, _ = run_cli(capsys, "bounds", str(demo_model_path))
@@ -269,6 +294,42 @@ class TestBench:
             for i, (x, y) in enumerate(zip(a, b)):
                 if i not in time_cols:
                     assert x == y
+
+
+    def test_bad_instance_is_dropped_from_both_sums(self, capsys, monkeypatch,
+                                                    demo_model_path,
+                                                    demo_instances,
+                                                    bad_instances):
+        code, out, err = run_cli(capsys, "bench", str(demo_model_path),
+                                 str(bad_instances))
+        assert code == 2
+        for line in BAD_ROWS:
+            assert line in err
+        # the good rows alone give the same counts
+        _, good, _ = run_cli(capsys, "bench", str(demo_model_path),
+                             str(demo_instances))
+        header, rows = parse_csv(out)
+        _, good_rows = parse_csv(good)
+        counts = [i for i, name in enumerate(header)
+                  if not name.startswith(("exp_s_", "solver_s_"))]
+        assert len(rows) == 1
+        assert [rows[0][i] for i in counts] == [good_rows[0][i] for i in counts]
+
+        # a solver failure as well makes the exit code 3
+        original = Explainer.explain
+
+        def explain(self, instance, mode="improved"):
+            if list(instance) == [0.5, 0.3]:
+                raise SolverFailure("row 9 violated")
+            return original(self, instance, mode)
+
+        monkeypatch.setattr(Explainer, "explain", explain)
+        code, out, err = run_cli(capsys, "bench", str(demo_model_path),
+                                 str(bad_instances))
+        assert code == 3
+        assert "solver failure: instance 3: row 9 violated" in err
+        assert BAD_ROWS[0] in err
+        assert len(parse_csv(out)[1]) == 1
 
 
 class TestVerify:

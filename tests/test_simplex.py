@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from boxplain.simplex import (EQ, FEAS_TOL, GE, LE, INFEASIBLE, OPTIMAL,
-                              UNBOUNDED, LpProblem, SolverFailure, _certify,
-                              _Simplex, crash_basis, prepare, solve_lp,
-                              solve_prepared)
+                              UNBOUNDED, Basis, LpProblem, SolverFailure,
+                              _certify, _Simplex, crash_basis, prepare,
+                              solve_lp, solve_prepared)
 from oracles import eq2_style_milp, random_bounded_lp, vertex_enumerate
 
 BEALE = dict(a=np.array([[0.25, -60.0, -0.04, 9.0],
@@ -242,8 +242,8 @@ def _children(rng, parents):
     for k in range(parents):
         p = random_bounded_lp(rng)
         sense = ("min", "feas")[k % 2]
-        prep = prepare(p)
-        parent = solve_prepared(prep, p.lb, p.ub, p.c, sense)
+        prep = prepare(replace(p, sense=sense))
+        parent = solve_prepared(prep, p.lb, p.ub)
         if parent.basis is None:
             continue
         for _ in range(2):
@@ -262,8 +262,8 @@ class TestWarmStart:
         statuses = set()
         for p, prep, sense, parent, (lb, ub) in _children(
                 np.random.default_rng(211), 1200):
-            warm = solve_prepared(prep, lb, ub, p.c, sense, parent.basis)
-            cold = solve_prepared(prep, lb, ub, p.c, sense)
+            warm = solve_prepared(prep, lb, ub, parent.basis)
+            cold = solve_prepared(prep, lb, ub)
             _same_answer(warm, cold)
             statuses.add((sense, cold.status))
             pairs += 1
@@ -290,8 +290,8 @@ class TestWarmStart:
         for p, prep, sense, parent, (lb, ub) in _children(
                 np.random.default_rng(223), 300):
             tried.clear()
-            warm = solve_prepared(prep, lb, ub, p.c, sense, parent.basis)
-            cold = solve_prepared(prep, lb, ub, p.c, sense)
+            warm = solve_prepared(prep, lb, ub, parent.basis)
+            cold = solve_prepared(prep, lb, ub)
             _same_answer(warm, cold)
             (verdict, spent), = tried
             if verdict is None:
@@ -304,13 +304,13 @@ class TestWarmStart:
     def test_singular_basis_gives_the_cold_answer(self, monkeypatch):
         p = eq2_style_milp()
         prep = prepare(p)
-        parent = solve_prepared(prep, p.lb, p.ub, p.c, "min")
+        parent = solve_prepared(prep, p.lb, p.ub)
         lb = p.lb.copy()
         # y1 >= 4 moves the optimum to y1 = 4; the warm attempt pivots the
         # basic y1 (1 at the parent) out, so its first inversion is the
         # refactor that would confirm feasibility
         lb[1] = 4.0
-        cold = solve_prepared(prep, lb, p.ub, p.c, "min")
+        cold = solve_prepared(prep, lb, p.ub)
         inverse = np.linalg.inv
         calls = []
 
@@ -321,7 +321,7 @@ class TestWarmStart:
             return inverse(matrix)
 
         monkeypatch.setattr(np.linalg, "inv", singular_once)
-        warm = solve_prepared(prep, lb, p.ub, p.c, "min", parent.basis)
+        warm = solve_prepared(prep, lb, p.ub, parent.basis)
         assert len(calls) > 1  # the cold solve ran after the failure
         assert warm.status == cold.status == OPTIMAL
         assert warm.value == cold.value == pytest.approx(4.0, abs=1e-9)
@@ -335,11 +335,40 @@ class TestWarmStart:
         basis = crash_basis(p, [-1, 1], [2])
         assert basis.columns.tolist() == [3, 1]  # row 0's slack, then x2
         assert basis.inverse is None
-        # x1 at its finite upper bound, x3 as asked, the >= slack at 0 from
-        # above, the <= slack and both artificials at 0 from below
-        assert basis.status.tolist() == [1, 2, 1, 2, 0, 0, 0]
+        # x3 as asked; every other nonbasic column is marked at its lower
+        # bound, and the solve places it
+        assert basis.status.tolist() == [0, 2, 1, 2, 0, 0, 0]
         core = _Simplex(prepare(p), p.lb, p.ub, basis)
+        # x1 at its finite upper bound, the <= slack and both artificials at
+        # 0 from below
+        assert core.stat.tolist() == [1, 2, 1, 2, 0, 0, 0]
         assert core.x[:5].tolist() == [3.0, 1.0, 1.0, -3.0, 0.0]
+
+    def test_infinite_named_bound_places_at_the_other(self):
+        # x1 has no lower bound, the >= row's slack none either: both are
+        # marked at their lower bound, and both sit at their upper one
+        p = LpProblem(np.array([[1.0, 1.0], [0.0, 1.0]]), (GE, LE),
+                      np.array([1.0, 2.0]), np.array([-np.inf, 0.0]),
+                      np.array([3.0, 1.0]), np.zeros(2), "feas")
+        basis = Basis(np.array([1, 3]), np.array([0, 2, 0, 2, 0, 0], dtype=np.int8),
+                      None)
+        core = _Simplex(prepare(p), p.lb, p.ub, basis)
+        assert core.stat.tolist() == [1, 2, 1, 2, 0, 0]
+        assert core.x[:4].tolist() == [3.0, -2.0, 0.0, 4.0]
+
+    def test_slack_marked_at_infinite_bound_gives_the_cold_answer(self):
+        # row 0's >= slack nonbasic and marked at its lower bound, -inf
+        p = LpProblem(np.array([[1.0, 1.0], [1.0, -1.0]]), (GE, LE),
+                      np.array([1.0, 0.5]), np.zeros(2), np.full(2, 2.0),
+                      np.array([1.0, 0.5]), "min")
+        prep = prepare(p)
+        basis = Basis(np.array([1, 0]), np.array([2, 2, 0, 0, 0, 0], dtype=np.int8),
+                      None)
+        warm = solve_prepared(prep, p.lb, p.ub, basis)
+        cold = solve_prepared(prep, p.lb, p.ub)
+        assert warm.status == cold.status == OPTIMAL
+        assert warm.value == pytest.approx(cold.value, abs=1e-12)
+        assert cold.value == pytest.approx(0.5, abs=1e-12)
 
     def test_singular_crash_basis_gives_the_cold_answer(self):
         # x1 basic in both rows: a singular basis matrix, caught while
@@ -347,8 +376,8 @@ class TestWarmStart:
         for p in (LpProblem(sense="min", **BEALE), eq2_style_milp()):
             prep = prepare(p)
             basis = crash_basis(p, [0] * len(p.rel), [])
-            warm = solve_prepared(prep, p.lb, p.ub, p.c, "min", basis)
-            cold = solve_prepared(prep, p.lb, p.ub, p.c, "min")
+            warm = solve_prepared(prep, p.lb, p.ub, basis)
+            cold = solve_prepared(prep, p.lb, p.ub)
             assert warm.status == cold.status == OPTIMAL
             assert warm.value == cold.value
             assert (warm.point == cold.point).all()
@@ -377,7 +406,7 @@ class TestWarmStart:
                 continue
             inversions.clear()
             stale.clear()
-            solve_prepared(prep, lb, ub, p.c, sense, parent.basis)
+            solve_prepared(prep, lb, ub, parent.basis)
             assert len(inversions) == len(stale)
             assert 0 not in stale
             children += 1
@@ -388,11 +417,11 @@ class TestWarmStart:
     def test_beale_child_terminates(self):
         p = LpProblem(sense="min", **BEALE)
         prep = prepare(p)
-        parent = solve_prepared(prep, p.lb, p.ub, p.c, "min")
+        parent = solve_prepared(prep, p.lb, p.ub)
         ub = p.ub.copy()
         ub[2] = 0.5  # the optimum has x3 = 1
-        warm = solve_prepared(prep, p.lb, ub, p.c, "min", parent.basis)
-        cold = solve_prepared(prep, p.lb, ub, p.c, "min")
+        warm = solve_prepared(prep, p.lb, ub, parent.basis)
+        cold = solve_prepared(prep, p.lb, ub)
         assert warm.status == cold.status == OPTIMAL
         assert warm.value == pytest.approx(cold.value, abs=1e-9)
         assert warm.iterations < 200
