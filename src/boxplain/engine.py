@@ -1,13 +1,17 @@
 """Minimal sufficient-attribute explanations for network predictions.
 
 Two modes share one deletion loop over the input attributes.  The baseline
-consults the solver for every attribute against the original tight bounds.
-The improved mode first propagates boxes for the candidate assignment: when
-the target output provably dominates, the attribute drops without a solver
-call; otherwise the network is encoded afresh from the box bounds merged
-with the tight ones before the solver runs.  Bounds always revert to the
-originals between attributes, so every iteration starts from the same tight
-bounds.
+consults the solver for every attribute against the original tight bounds,
+querying the rivals in index order.  The improved mode first propagates
+boxes for the candidate assignment: when the target output provably
+dominates, the attribute drops without a solver call.  Otherwise it tries to
+falsify the candidate with a forward pass over ``FALSIFY_SAMPLES`` points of
+the query's input box: a point that puts a rival at or above the target is a
+counterexample the solver would also find, so the attribute is kept without
+a solver call.  Only then is the network encoded afresh from the box bounds
+merged with the tight ones, and the solver queries the rivals in descending
+order of their box upper bound.  Bounds always revert to the originals
+between attributes, so every iteration starts from the same tight bounds.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
+# numpy loads its random module on first use, which would land in the first
+# explanation's time
+from numpy.random import default_rng
 
 from .box import (AttributeAssignment, BoundsMap, ShortcutResult, box_propagate,
                   shortcut_check)
@@ -35,6 +42,10 @@ MODE_IMPROVED = "improved"
 TIGHT_MILP = "milp"
 TIGHT_BOX = "box"
 
+# uniform points of the query's input box tried before each improved-mode
+# solver call
+FALSIFY_SAMPLES = 512
+
 
 class InstanceError(ValueError):
     """The instance itself cannot be explained: it lies outside the input
@@ -50,6 +61,7 @@ class Decision(enum.Enum):
     REMOVED_BY_BOX = "RemovedByBox"
     REMOVED_BY_SOLVER = "RemovedBySolver"
     KEPT_BY_SOLVER = "KeptBySolver"
+    KEPT_BY_COUNTEREXAMPLE = "KeptByCounterexample"
     KEPT_BY_TIMEOUT = "KeptByTimeout"
 
 
@@ -73,13 +85,15 @@ class ExplainStats:
     The ``*_count`` fields accumulate over solver-bound improved iterations
     only (each neuron or binary is counted once per such iteration); the
     ``*_pct`` properties are ratios of those counts, 0 when the solver was
-    never needed.
+    never needed.  An iteration that a forward-pass counterexample decides
+    never encodes, so it is not among them.
     """
 
     total_time: float
     solver_time: float
     solver_calls: int
     box_shortcut_hits: int
+    counterexample_hits: int
     timeouts: int
     tightened_count: int
     neurons_counted: int
@@ -177,21 +191,26 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
 def is_entailed(problem: MilpProblem, target: int, *,
                 backend: SolverBackend = DEFAULT_BACKEND,
                 time_budget_ms: Optional[float] = None,
-                outcomes: Optional[list] = None):
+                outcomes: Optional[list] = None,
+                rivals: Optional[tuple] = None):
     """Check that the target class wins for every point feasible in ``problem``.
 
     ``problem`` must already have its attributes fixed.  Runs one rival
-    feasibility query per other class, stopping at the first counterexample,
-    and appends each query's ``MilpOutcome`` to ``outcomes`` when given.
-    Returns ``(True, None)``, ``(False, witness)``, or ``(None, None)`` when
-    a time budget ran out before a decision.
+    feasibility query per other class, in the order ``rivals`` gives (every
+    class but the target, index order by default), stopping at the first
+    counterexample, and appends each query's ``MilpOutcome`` to ``outcomes``
+    when given.  Returns ``(True, None)``, ``(False, witness)``, or
+    ``(None, None)`` when a time budget ran out before a decision.
     """
     k = len(problem.output_vids)
     if not 0 <= target < k:
         raise ValueError(f"target class {target} out of range")
-    for rival in range(k):
-        if rival == target:
-            continue
+    others = [r for r in range(k) if r != target]
+    if rivals is None:
+        rivals = others
+    elif sorted(rivals) != others:
+        raise ValueError(f"rivals must order every class but {target}")
+    for rival in rivals:
         query = attach_rival_query(problem, target, rival)
         outcome = backend.feasibility(query, time_budget_ms=time_budget_ms)
         if outcomes is not None:
@@ -268,16 +287,23 @@ class Explainer:
                     removed.add(i)
                     decisions[i] = Decision.REMOVED_BY_BOX
                     continue
+                if _falsified(net, boxed, i, target):
+                    decisions[i] = Decision.KEPT_BY_COUNTEREXAMPLE
+                    continue
                 # the simplified problem already pins the fixed attributes
                 problem, simp = tighten_and_simplify(net, self.tight, boxed)
                 simplified += 1
                 tightened += simp.bounds_tightened_count
                 removed_ours += simp.binary_removed_count
+                # the rival most likely to win first
+                rivals = tuple(sorted((r for r in range(net.class_count) if r != target),
+                                      key=lambda r: (-boxed.out_hi[r], r)))
             else:
                 problem = fix_attributes(self.base_problem, assign)
+                rivals = None
             entailed, _ = is_entailed(problem, target, backend=self.backend,
                                       time_budget_ms=self.config.time_budget_ms,
-                                      outcomes=outcomes)
+                                      outcomes=outcomes, rivals=rivals)
             if entailed is None:
                 decisions[i] = Decision.KEPT_BY_TIMEOUT
             elif entailed:
@@ -295,6 +321,7 @@ class Explainer:
             solver_time=min(sum((o.wall_time for o in outcomes), 0.0), total_time),
             solver_calls=len(outcomes),
             box_shortcut_hits=tally[Decision.REMOVED_BY_BOX],
+            counterexample_hits=tally[Decision.KEPT_BY_COUNTEREXAMPLE],
             timeouts=tally[Decision.KEPT_BY_TIMEOUT],
             tightened_count=tightened,
             neurons_counted=simplified * (hidden + net.class_count),
@@ -307,6 +334,33 @@ class Explainer:
 
 def _pct(num: int, den: int) -> float:
     return 100.0 * num / den if den else 0.0
+
+
+def _falsified(net: Network, boxed: BoundsMap, attribute: int,
+               target: int) -> bool:
+    """Whether a forward pass finds a counterexample in the query's input box.
+
+    The points are ``FALSIFY_SAMPLES`` uniform points of the box
+    ``boxed.input_lo``/``input_hi``, whose fixed attributes are point
+    intervals, drawn from a generator seeded by ``attribute``, so a call
+    depends on its arguments alone.  The batch evaluation only nominates the
+    point with the largest rival margin; it counts once an exact forward
+    pass puts a rival at or above the target (ties count, as in
+    ``attach_rival_query``).  Every such point satisfies the rows of the
+    rival query, whose hidden values follow from the inputs, so the solver
+    would answer SAT as well.
+    """
+    lo, hi = boxed.input_lo, boxed.input_hi
+    unit = default_rng(attribute).random((FALSIFY_SAMPLES, lo.size))
+    # rounding could carry lo + u * width one ulp past hi
+    points = np.minimum(lo + unit * (hi - lo), hi)
+    outs = batch_outputs(net, points)
+    margins = np.delete(outs, target, axis=1).max(axis=1) - outs[:, target]
+    best = int(np.argmax(margins))
+    if margins[best] < 0.0:
+        return False
+    exact = forward(net, points[best]).outputs
+    return bool(np.delete(exact, target).max() >= exact[target])
 
 
 @dataclass(frozen=True)
@@ -341,14 +395,15 @@ def verify_explanation(net: Network, instance, explanation: Explanation,
     """Independent checks of an explanation.
 
     Sufficiency: random completions of the free attributes must all predict
-    the target class.  Minimality: re-freeing each solver-kept attribute must
-    admit a counterexample whose forward evaluation puts some rival at or
-    above the target (within 1e-6).  Timeout-kept attributes are reported
+    the target class.  Minimality: re-freeing each attribute kept by the
+    solver or by a forward-pass counterexample must admit a solver
+    counterexample whose forward evaluation puts some rival at or above the
+    target (within 1e-6).  Timeout-kept attributes are reported
     unverified.  When no base problem is supplied the check encodes the
     network with box bounds, which is exact for feasibility and needs no
     bound precomputation.
     """
-    rng = np.random.default_rng(rng)
+    rng = default_rng(rng)
     instance = np.asarray(instance, dtype=np.float64)
     n = net.input_dim
     kept_map = dict(explanation.kept)
@@ -369,7 +424,8 @@ def verify_explanation(net: Network, instance, explanation: Explanation,
         if decision is Decision.KEPT_BY_TIMEOUT:
             minimality[i] = "unverified"
             continue
-        if decision is not Decision.KEPT_BY_SOLVER:
+        if decision not in (Decision.KEPT_BY_SOLVER,
+                            Decision.KEPT_BY_COUNTEREXAMPLE):
             continue
         fixed = [j for j in kept_map if j != i]
         assign = AttributeAssignment.from_instance(instance, fixed)

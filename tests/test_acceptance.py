@@ -123,13 +123,14 @@ def test_criterion_02_box_shortcut(demo):
     assert boxed.out_lo == pytest.approx([1.1, 0.4], abs=1e-9)
     assert boxed.out_hi == pytest.approx([1.7, 1.0], abs=1e-9)
     assert shortcut_check(boxed, 0) is ShortcutResult.REMOVABLE
-    # order puts the discharged attribute first: the lone solver call that
-    # follows belongs to the other attribute
+    # order puts the discharged attribute first; the other attribute then
+    # falls to a forward-pass counterexample, so no solver call is left
     engine = Explainer(net, domain, EngineConfig(order=(1, 0)))
     explanation, stats = engine.explain([0.7, 0.2], "improved")
     assert explanation.decisions[1] is Decision.REMOVED_BY_BOX
+    assert explanation.decisions[0] is Decision.KEPT_BY_COUNTEREXAMPLE
     assert stats.box_shortcut_hits == 1
-    assert stats.solver_calls == 1
+    assert stats.solver_calls == 0
 
 
 @criterion(3, "pinned refinement values for the freed first attribute")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from boxplain.box import AttributeAssignment, box_propagate
-from boxplain.bnb import optimize
+from boxplain.bnb import BranchAndBoundBackend, optimize
 from boxplain.encoding import encode_prefix, fix_attributes
 from boxplain.engine import (Decision, EngineConfig, Explainer, Explanation,
                              ExplainStats, PredictionTieError, compute_tight_bounds,
@@ -120,10 +120,11 @@ class TestExplainDemo:
     def test_improved_uses_box_shortcut(self, demo_net, demo_domain):
         explanation, stats = explain(demo_net, [0.7, 0.2], demo_domain, "improved")
         assert explanation.kept == ((0, 0.7),)
-        assert explanation.decisions == {0: Decision.KEPT_BY_SOLVER,
+        # freeing x0 admits any x0 <= 0.2, which the sampled points hit
+        assert explanation.decisions == {0: Decision.KEPT_BY_COUNTEREXAMPLE,
                                          1: Decision.REMOVED_BY_BOX}
         assert stats.box_shortcut_hits == 1
-        assert stats.solver_calls == 1
+        assert stats.solver_calls == 0
         assert stats.bin_vars_removed_ours_pct >= stats.bin_vars_removed_before_pct
 
     def test_custom_order_same_kept_set(self, demo_net, demo_domain):
@@ -256,6 +257,142 @@ class TestModeEquivalenceAndSoundness:
             assert stats.removed_ours_count >= stats.removed_before_count
 
 
+class _RecordingBackend(BranchAndBoundBackend):
+    """Records the free attributes and the rival of every feasibility call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []  # (frozenset of free attributes, rival)
+
+    def feasibility(self, problem, *, time_budget_ms=None):
+        lp = problem.lp
+        free = frozenset(a for a, vid in enumerate(problem.input_vids)
+                         if lp.lb[vid] < lp.ub[vid])
+        # attach_rival_query appends o_rival - o_target >= 0 as the last row
+        rival = next(r for r, vid in enumerate(problem.output_vids)
+                     if lp.a[-1, vid] == 1.0)
+        self.calls.append((free, rival))
+        return super().feasibility(problem, time_budget_ms=time_budget_ms)
+
+
+def _recorded_explain(net, domain, instance):
+    backend = _RecordingBackend()
+    ex = Explainer(net, domain, EngineConfig(backend=backend))
+    explanation, stats = ex.explain(instance, "improved")
+    return explanation, stats, backend.calls
+
+
+class TestFalsify:
+    def test_counterexample_kept_confirmed_by_solver(self):
+        rng = np.random.default_rng(83)
+        confirmed = 0
+        for _ in range(10):
+            net, domain = random_network(rng, max_hidden_total=8)
+            ex = Explainer(net, domain)
+            instance = random_instance(rng, net, domain)
+            explanation, stats = ex.explain(instance, "improved")
+            kept = dict(explanation.kept)
+            hits = 0
+            for i, decision in explanation.decisions.items():
+                if decision is not Decision.KEPT_BY_COUNTEREXAMPLE:
+                    continue
+                fixed = [j for j in kept if j != i]
+                assign = AttributeAssignment.from_instance(instance, fixed)
+                problem = fix_attributes(ex.base_problem, assign)
+                entailed, _ = is_entailed(problem, explanation.target)
+                assert entailed is False
+                hits += 1
+            assert stats.counterexample_hits == hits
+            confirmed += hits
+        assert confirmed >= 3
+
+    def test_falsified_attribute_makes_no_feasibility_call(self, demo_net,
+                                                           demo_domain):
+        _, stats, calls = _recorded_explain(demo_net, demo_domain, [0.7, 0.2])
+        assert stats.counterexample_hits == 1 and calls == []
+        rng = np.random.default_rng(89)
+        falsified = 0
+        for _ in range(10):
+            net, domain = random_network(rng, max_hidden_total=8)
+            instance = random_instance(rng, net, domain)
+            explanation, stats, calls = _recorded_explain(net, domain, instance)
+            assert stats.solver_calls == len(calls)
+            # a kept attribute is free only in its own iteration's queries
+            queried = set().union(*(free for free, _ in calls))
+            for i, decision in explanation.decisions.items():
+                if decision is Decision.KEPT_BY_COUNTEREXAMPLE:
+                    assert i not in queried
+                    falsified += 1
+        assert falsified >= 3
+
+    def test_first_rival_queried_has_the_highest_box_upper_bound(self):
+        rng = np.random.default_rng(97)
+        reordered = 0
+        for _ in range(12):
+            net, domain = random_network(rng, n_classes=4, max_hidden_total=8)
+            instance = random_instance(rng, net, domain)
+            explanation, _, calls = _recorded_explain(net, domain, instance)
+            target = explanation.target
+            firsts = [call for n, call in enumerate(calls)
+                      if n == 0 or calls[n - 1][0] != call[0]]
+            for free, rival in firsts:
+                fixed = [j for j in range(net.input_dim) if j not in free]
+                boxed = box_propagate(
+                    net, AttributeAssignment.from_instance(instance, fixed), domain)
+                out_hi = boxed.out_hi.copy()
+                out_hi[target] = -np.inf
+                assert rival == int(np.argmax(out_hi))
+                reordered += rival != min(set(range(4)) - {target})
+        # index order would have asked another rival first
+        assert reordered >= 3
+
+    def test_explaining_twice_is_identical(self):
+        rng = np.random.default_rng(101)
+        cases = []
+        for _ in range(4):
+            net, domain = random_network(rng, n_classes=3, max_hidden_total=8)
+            cases.append((Explainer(net, domain),
+                          random_instance(rng, net, domain)))
+        # only x <= 0.00135 flips the class, which 512 uniform points of
+        # [0, 1] hit about half the time: a fresh draw per call would show
+        net = Network((Layer(np.array([[1.0], [0.0]]), np.array([0.0, 0.00135]),
+                             IDENTITY),), 1)
+        cases += [(Explainer(net, InputDomain(np.zeros(1), np.ones(1))),
+                   [0.9])] * 8
+        for ex, instance in cases:
+            first, first_stats = ex.explain(instance, "improved")
+            second, second_stats = ex.explain(instance, "improved")
+            assert first.decisions == second.decisions
+            assert first_stats.solver_calls == second_stats.solver_calls
+
+
+class TestRivalOrder:
+    def test_rivals_must_name_every_other_class(self):
+        net, domain = random_network(np.random.default_rng(103), n_classes=3)
+        problem = Explainer(net, domain).base_problem
+        with pytest.raises(ValueError, match="rivals"):
+            is_entailed(problem, 0, rivals=(1,))
+        with pytest.raises(ValueError, match="rivals"):
+            is_entailed(problem, 0, rivals=(0, 1, 2))
+
+    def test_order_changes_no_answer(self):
+        rng = np.random.default_rng(107)
+        for _ in range(6):
+            net, domain = random_network(rng, n_classes=3, max_hidden_total=8)
+            ex = Explainer(net, domain)
+            instance = random_instance(rng, net, domain)
+            fixed = rng.choice(net.input_dim, size=net.input_dim // 2,
+                               replace=False)
+            problem = fix_attributes(
+                ex.base_problem, AttributeAssignment.from_instance(instance, fixed))
+            target = predict(net, instance)
+            others = [r for r in range(3) if r != target]
+            forward_answer, _ = is_entailed(problem, target)
+            backward_answer, _ = is_entailed(problem, target,
+                                             rivals=tuple(reversed(others)))
+            assert forward_answer == backward_answer
+
+
 class TestExplainStats:
     def test_pooled_nothing_is_zero(self):
         # the bench row when every instance failed
@@ -267,13 +404,15 @@ class TestExplainStats:
 
     def test_pooled_sums_fields_and_takes_ratios_of_sums(self):
         a = ExplainStats(total_time=0.5, solver_time=0.25, solver_calls=3,
-                         box_shortcut_hits=1, timeouts=0, tightened_count=1,
-                         neurons_counted=4, removed_before_count=1,
-                         removed_ours_count=2, binaries_counted=2)
+                         box_shortcut_hits=1, counterexample_hits=2, timeouts=0,
+                         tightened_count=1, neurons_counted=4,
+                         removed_before_count=1, removed_ours_count=2,
+                         binaries_counted=2)
         b = ExplainStats(total_time=1.0, solver_time=0.5, solver_calls=5,
-                         box_shortcut_hits=2, timeouts=1, tightened_count=6,
-                         neurons_counted=8, removed_before_count=0,
-                         removed_ours_count=1, binaries_counted=4)
+                         box_shortcut_hits=2, counterexample_hits=1, timeouts=1,
+                         tightened_count=6, neurons_counted=8,
+                         removed_before_count=0, removed_ours_count=1,
+                         binaries_counted=4)
         pooled = ExplainStats.pooled([a, b])
         da, db = asdict(a), asdict(b)
         assert asdict(pooled) == {k: da[k] + db[k] for k in da}

@@ -1,0 +1,98 @@
+"""Property tests: improved mode's shortcuts never change an explanation.
+
+Networks are drawn with duplicated and dead hidden neurons, which make the
+encoding degenerate, and instances are pushed to a near tie between the top
+two classes, where a forward-pass counterexample and the solver are most
+likely to part ways.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from boxplain.box import AttributeAssignment  # noqa: E402
+from boxplain.encoding import fix_attributes  # noqa: E402
+from boxplain.engine import Decision, Explainer, is_entailed  # noqa: E402
+from boxplain.model import Layer, Network, forward  # noqa: E402
+from netgen import random_instance, random_network  # noqa: E402
+
+
+def _reshaped(net: Network, rng, duplicate: bool, dead: bool) -> Network:
+    """``net`` with its first hidden layer's first neuron duplicated and/or a
+    dead neuron (zero weights, negative bias) appended to that layer."""
+    first, second, *rest = net.layers
+    weights, biases = first.weights, first.biases
+    if duplicate:
+        weights = np.vstack([weights, weights[:1]])
+        biases = np.append(biases, biases[0])
+    if dead:
+        weights = np.vstack([weights, np.zeros((1, weights.shape[1]))])
+        biases = np.append(biases, -abs(rng.normal()) - 0.1)
+    # the next layer reads the copies with weights of its own
+    extra = weights.shape[0] - first.width
+    columns = rng.normal(0.0, 1.0, size=(second.width, extra))
+    layers = (Layer(weights, biases, first.activation),
+              Layer(np.hstack([second.weights, columns]), second.biases,
+                    second.activation), *rest)
+    return Network(layers, net.input_dim)
+
+
+def _near_tie(net: Network, instance, gap: float) -> Network:
+    """``net`` with the runner-up's output bias raised to ``gap`` below the
+    winner's output at ``instance``."""
+    outputs = forward(net, instance).outputs
+    winner, runner_up = np.argsort(outputs)[::-1][:2]
+    out = net.layers[-1]
+    biases = out.biases.copy()
+    biases[runner_up] += outputs[winner] - outputs[runner_up] - gap
+    return Network((*net.layers[:-1], Layer(out.weights, biases, out.activation)),
+                   net.input_dim)
+
+
+def _case(seed, gap, duplicate, dead):
+    rng = np.random.default_rng(seed)
+    net, domain = random_network(rng, n_inputs=int(rng.integers(2, 6)),
+                                 max_hidden_total=6)
+    net = _reshaped(net, rng, duplicate, dead)
+    instance = random_instance(rng, net, domain)
+    net = _near_tie(net, instance, gap)
+    outputs = np.sort(forward(net, instance).outputs)
+    return net, domain, instance, bool(outputs[-1] > outputs[-2])
+
+
+# gaps above the solver's 1e-6 row tolerance; below it see the test after
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       gap=st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5]),
+       duplicate=st.booleans(), dead=st.booleans())
+def test_shortcuts_keep_what_the_solver_keeps(seed, gap, duplicate, dead):
+    net, domain, instance, untied = _case(seed, gap, duplicate, dead)
+    hypothesis.assume(untied)
+
+    ex = Explainer(net, domain)
+    base, _ = ex.explain(instance, "baseline")
+    ours, _ = ex.explain(instance, "improved")
+    assert base.kept == ours.kept
+    kept = dict(ours.kept)
+    for i, decision in ours.decisions.items():
+        if decision is Decision.KEPT_BY_COUNTEREXAMPLE:
+            fixed = [j for j in kept if j != i]
+            problem = fix_attributes(
+                ex.base_problem, AttributeAssignment.from_instance(instance, fixed))
+            entailed, _ = is_entailed(problem, ours.target)
+            assert entailed is False
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the solver accepts a witness that misses the rival row by up to 1e-6, "
+    "so on a near tie below that tolerance the baseline keeps attributes "
+    "that the box shortcut removes"))
+def test_sub_tolerance_near_tie_modes_agree():
+    net, domain, instance, untied = _case(0, 1e-7, True, False)
+    assert untied
+    ex = Explainer(net, domain)
+    base, _ = ex.explain(instance, "baseline")
+    ours, _ = ex.explain(instance, "improved")
+    assert base.kept == ours.kept
