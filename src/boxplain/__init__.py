@@ -7,7 +7,7 @@ simplification.
 """
 
 from .box import (AttributeAssignment, BoundsMap, ShortcutResult,
-                  box_propagate, shortcut_check)
+                  box_propagate, margin_lower_bounds, shortcut_check)
 from .bnb import (BranchAndBoundBackend, MilpOutcome, SolverBackend,
                   milp_to_lp, optimize, solve_feasibility)
 from .encoding import (MilpProblem, SimplificationStats, attach_rival_query,
@@ -34,7 +34,7 @@ __all__ = [
     "attach_rival_query", "batch_outputs", "box_propagate",
     "compute_tight_bounds", "encode_network", "fix_attributes", "forward",
     "is_entailed", "load_domain", "load_model_file", "load_network",
-    "merge_bounds", "milp_to_lp", "optimize", "predict", "shortcut_check",
-    "solve_feasibility", "solve_lp", "tighten_and_simplify", "to_document",
-    "verify_explanation",
+    "margin_lower_bounds", "merge_bounds", "milp_to_lp", "optimize", "predict",
+    "shortcut_check", "solve_feasibility", "solve_lp", "tighten_and_simplify",
+    "to_document", "verify_explanation",
 ]

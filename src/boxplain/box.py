@@ -1,8 +1,10 @@
-"""Box (interval) propagation of neuron bounds.
+"""Box (interval) propagation of neuron bounds, and a relational margin bound.
 
 The propagation treats every neuron input as an independent interval, so the
 result is a sound enclosure of the reachable values (up to float rounding)
-but generally wider than the true range.
+but generally wider than the true range.  ``margin_lower_bounds`` keeps the
+correlation between two outputs that the intervals lose: it bounds their
+difference by back-substitution through the layers.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .model import InputDomain, Network
+from .simplex import FEAS_TOL
 
 
 @dataclass(frozen=True)
@@ -145,14 +148,48 @@ def box_propagate(net: Network, assign: AttributeAssignment,
 
 
 def shortcut_check(bounds: BoundsMap, target: int) -> ShortcutResult:
-    """Removable iff the target output's lower bound strictly beats every
-    rival output's upper bound.  The comparison is exact: a tie falls through
-    to the solver."""
+    """Removable iff the target output's lower bound beats every rival
+    output's upper bound by more than ``FEAS_TOL``, the solver's tolerance on
+    a rival row: a closer call falls through to the solver, which may accept
+    a witness within that tolerance."""
     k = bounds.out_lo.shape[0]
     if not 0 <= target < k:
         raise ValueError(f"target class {target} out of range for {k} outputs")
     target_lb = bounds.out_lo[target]
     for j in range(k):
-        if j != target and not (target_lb > bounds.out_hi[j]):
+        if j != target and not (target_lb - bounds.out_hi[j] > FEAS_TOL):
             return ShortcutResult.INCONCLUSIVE
     return ShortcutResult.REMOVABLE
+
+
+def margin_lower_bounds(net: Network, bounds: BoundsMap,
+                        target: int) -> np.ndarray:
+    """Per class r, a lower bound of ``o_target - o_r`` over the input box of
+    ``bounds`` (0 for the target itself).
+
+    The rows ``e_target - e_r`` are back-substituted through the output layer
+    and every hidden layer down to the inputs (CROWN, Zhang et al. 2018).  A
+    ReLU whose pre-activation bounds straddle zero is relaxed to the line of
+    slope 0 or 1 below it (1 when ``hi >= -lo``) and the chord
+    ``hi/(hi-lo)·(z-lo)`` above it; a row takes the line below where its
+    coefficient is positive and the chord where it is negative.  Stable
+    neurons are exact.  The bound is sound whenever the pre-activation bounds
+    of ``bounds`` are.
+    """
+    k = net.class_count
+    out = net.layers[-1]
+    rows = np.eye(k)[target] - np.eye(k)
+    coef, const = rows @ out.weights, rows @ out.biases
+    for layer, lo, hi in reversed(tuple(zip(net.hidden_layers, bounds.pre_lo,
+                                            bounds.pre_hi))):
+        unstable = (lo < 0.0) & (hi > 0.0)
+        active = lo >= 0.0
+        upper = np.where(unstable, hi / np.where(unstable, hi - lo, 1.0), active)
+        below = np.where(unstable, hi >= -lo, active)
+        neg = np.minimum(coef, 0.0)
+        const = const - neg @ np.where(unstable, upper * lo, 0.0)
+        coef = np.maximum(coef, 0.0) * below + neg * upper
+        const = const + coef @ layer.biases
+        coef = coef @ layer.weights
+    return (const + np.maximum(coef, 0.0) @ bounds.input_lo
+            + np.minimum(coef, 0.0) @ bounds.input_hi)

@@ -332,19 +332,21 @@ def merge_bounds(tight: BoundsMap, boxed: BoundsMap) -> tuple[BoundsMap, int]:
     return merged, tightened
 
 
-def tighten_and_simplify(net: Network, tight: BoundsMap,
-                         boxed: BoundsMap) -> tuple[MilpProblem, SimplificationStats]:
+def tighten_and_simplify(net: Network, tight: BoundsMap, boxed: BoundsMap, *,
+                         merged: Optional[tuple[BoundsMap, int]] = None
+                         ) -> tuple[MilpProblem, SimplificationStats]:
     """Encode ``net`` afresh from the merge of tight and boxed bounds.
 
     Big-M constants take the merged values; a hidden neuron with merged
     lb > 0 becomes the affine equality, merged ub <= 0 becomes post = 0, and
     either way its binary disappears.  The inputs take boxed's bounds, so the
     attributes its assignment fixed are pinned.  Stats count strictly
-    narrowed neurons and binaries absent from the result.
+    narrowed neurons and binaries absent from the result.  A caller that
+    already holds ``merge_bounds(tight, boxed)`` passes it as ``merged``.
     """
     if not (tight.shapes_match(net) and boxed.shapes_match(net)):
         raise ValueError("bounds maps do not match the network")
-    merged, tightened = merge_bounds(tight, boxed)
+    merged, tightened = merged or merge_bounds(tight, boxed)
     problem = _encode(net, merged)
     stats = SimplificationStats(
         bounds_tightened_count=tightened,

@@ -8,8 +8,11 @@ dominates, the attribute drops without a solver call.  Otherwise it tries to
 falsify the candidate with a forward pass over ``FALSIFY_SAMPLES`` points of
 the query's input box: a point that puts a rival at or above the target is a
 counterexample the solver would also find, so the attribute is kept without
-a solver call.  Only then is the network encoded afresh from the box bounds
-merged with the tight ones, and the solver queries the rivals in descending
+a solver call.  Next the box bounds are merged with the tight ones, and a
+back-substituted bound on each margin ``o_target - o_rival`` over the query's
+input box proves the rivals it can: when it proves them all, the attribute
+drops without a solver call.  Only then is the network encoded afresh from
+the merged bounds, and the solver queries the open rivals in descending
 order of their box upper bound.  Bounds always revert to the originals
 between attributes, so every iteration starts from the same tight bounds.
 """
@@ -28,13 +31,14 @@ import numpy as np
 from numpy.random import default_rng
 
 from .box import (AttributeAssignment, BoundsMap, ShortcutResult, box_propagate,
-                  shortcut_check)
+                  margin_lower_bounds, shortcut_check)
 from .bnb import (DEFAULT_BACKEND, SAT, UNKNOWN, UNSAT, MilpOutcome,
                   SolverBackend)
 from .encoding import (MilpProblem, _structural_layout, attach_rival_query,
                        encode_network, encode_prefix, fix_attributes,
-                       tighten_and_simplify)
+                       merge_bounds, tighten_and_simplify)
 from .model import InputDomain, Network, batch_outputs, forward
+from .simplex import FEAS_TOL
 
 MODE_BASELINE = "baseline"
 MODE_IMPROVED = "improved"
@@ -59,6 +63,7 @@ class PredictionTieError(InstanceError):
 
 class Decision(enum.Enum):
     REMOVED_BY_BOX = "RemovedByBox"
+    REMOVED_BY_MARGIN = "RemovedByMargin"
     REMOVED_BY_SOLVER = "RemovedBySolver"
     KEPT_BY_SOLVER = "KeptBySolver"
     KEPT_BY_COUNTEREXAMPLE = "KeptByCounterexample"
@@ -85,8 +90,11 @@ class ExplainStats:
     The ``*_count`` fields accumulate over solver-bound improved iterations
     only (each neuron or binary is counted once per such iteration); the
     ``*_pct`` properties are ratios of those counts, 0 when the solver was
-    never needed.  An iteration that a forward-pass counterexample decides
-    never encodes, so it is not among them.
+    never needed.  An iteration that a forward-pass counterexample or the
+    margin bound decides never encodes, so it is not among them.
+    ``margin_hits`` counts attributes the margin bound removed, and
+    ``margin_rivals_skipped`` the rival queries it made unnecessary, in those
+    iterations and in the ones that went on to the solver.
     """
 
     total_time: float
@@ -94,6 +102,8 @@ class ExplainStats:
     solver_calls: int
     box_shortcut_hits: int
     counterexample_hits: int
+    margin_hits: int
+    margin_rivals_skipped: int
     timeouts: int
     tightened_count: int
     neurons_counted: int
@@ -196,11 +206,13 @@ def is_entailed(problem: MilpProblem, target: int, *,
     """Check that the target class wins for every point feasible in ``problem``.
 
     ``problem`` must already have its attributes fixed.  Runs one rival
-    feasibility query per other class, in the order ``rivals`` gives (every
-    class but the target, index order by default), stopping at the first
-    counterexample, and appends each query's ``MilpOutcome`` to ``outcomes``
-    when given.  Returns ``(True, None)``, ``(False, witness)``, or
-    ``(None, None)`` when a time budget ran out before a decision.
+    feasibility query per class in ``rivals``, the distinct non-target
+    classes still to decide (every class but the target, in index order, by
+    default), in that order, stopping at the first counterexample, and
+    appends each query's ``MilpOutcome`` to ``outcomes`` when given.  Returns
+    ``(True, None)`` when no rival in ``rivals`` can win, ``(False,
+    witness)``, or ``(None, None)`` when a time budget ran out before a
+    decision.
     """
     k = len(problem.output_vids)
     if not 0 <= target < k:
@@ -208,8 +220,8 @@ def is_entailed(problem: MilpProblem, target: int, *,
     others = [r for r in range(k) if r != target]
     if rivals is None:
         rivals = others
-    elif sorted(rivals) != others:
-        raise ValueError(f"rivals must order every class but {target}")
+    elif len(set(rivals)) != len(rivals) or not set(rivals) <= set(others):
+        raise ValueError(f"rivals must be distinct classes other than {target}")
     for rival in rivals:
         query = attach_rival_query(problem, target, rival)
         outcome = backend.feasibility(query, time_budget_ms=time_budget_ms)
@@ -275,8 +287,9 @@ class Explainer:
         outcomes: list[MilpOutcome] = []
         removed: set[int] = set()
         decisions: dict[int, Decision] = {}
-        # per solver-bound improved iteration accumulators
-        simplified = tightened = removed_ours = 0
+        # per solver-bound improved iteration accumulators, and the rival
+        # queries the margin bound made unnecessary
+        simplified = tightened = removed_ours = rivals_skipped = 0
 
         for i in order:
             fixed = [j for j in range(net.input_dim) if j != i and j not in removed]
@@ -290,14 +303,24 @@ class Explainer:
                 if _falsified(net, boxed, i, target):
                     decisions[i] = Decision.KEPT_BY_COUNTEREXAMPLE
                     continue
+                merged = merge_bounds(self.tight, boxed)
+                margins = margin_lower_bounds(net, merged[0], target)
+                # the rivals the margin bound leaves open, the one most
+                # likely to win first
+                rivals = tuple(sorted((r for r in range(net.class_count)
+                                       if r != target and not margins[r] > FEAS_TOL),
+                                      key=lambda r: (-boxed.out_hi[r], r)))
+                rivals_skipped += net.class_count - 1 - len(rivals)
+                if not rivals:
+                    removed.add(i)
+                    decisions[i] = Decision.REMOVED_BY_MARGIN
+                    continue
                 # the simplified problem already pins the fixed attributes
-                problem, simp = tighten_and_simplify(net, self.tight, boxed)
+                problem, simp = tighten_and_simplify(net, self.tight, boxed,
+                                                     merged=merged)
                 simplified += 1
                 tightened += simp.bounds_tightened_count
                 removed_ours += simp.binary_removed_count
-                # the rival most likely to win first
-                rivals = tuple(sorted((r for r in range(net.class_count) if r != target),
-                                      key=lambda r: (-boxed.out_hi[r], r)))
             else:
                 problem = fix_attributes(self.base_problem, assign)
                 rivals = None
@@ -322,6 +345,8 @@ class Explainer:
             solver_calls=len(outcomes),
             box_shortcut_hits=tally[Decision.REMOVED_BY_BOX],
             counterexample_hits=tally[Decision.KEPT_BY_COUNTEREXAMPLE],
+            margin_hits=tally[Decision.REMOVED_BY_MARGIN],
+            margin_rivals_skipped=rivals_skipped,
             timeouts=tally[Decision.KEPT_BY_TIMEOUT],
             tightened_count=tightened,
             neurons_counted=simplified * (hidden + net.class_count),

@@ -204,6 +204,13 @@ class TestShortcut:
         bounds = _outputs_only([(1.0, 2.0), (2.0, 3.0)])
         assert shortcut_check(bounds, 0) is ShortcutResult.INCONCLUSIVE
 
+    def test_gap_within_solver_tolerance_is_inconclusive(self):
+        # the solver would accept a rival witness this close
+        bounds = _outputs_only([(1.0 + 5e-7, 2.0), (0.0, 1.0)])
+        assert shortcut_check(bounds, 0) is ShortcutResult.INCONCLUSIVE
+        bounds = _outputs_only([(1.0 + 2e-6, 2.0), (0.0, 1.0)])
+        assert shortcut_check(bounds, 0) is ShortcutResult.REMOVABLE
+
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
             shortcut_check(_outputs_only([(0, 1), (0, 1)]), 2)

@@ -3,13 +3,14 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from boxplain.box import AttributeAssignment, box_propagate
+from boxplain.box import AttributeAssignment, box_propagate, margin_lower_bounds
 from boxplain.bnb import BranchAndBoundBackend, optimize
-from boxplain.encoding import encode_prefix, fix_attributes
+from boxplain.encoding import encode_prefix, fix_attributes, merge_bounds
 from boxplain.engine import (Decision, EngineConfig, Explainer, Explanation,
                              ExplainStats, PredictionTieError, compute_tight_bounds,
                              is_entailed, verify_explanation)
 from boxplain.model import IDENTITY, RELU, InputDomain, Layer, Network, forward, predict
+from boxplain.simplex import FEAS_TOL
 from netgen import random_instance, random_network
 
 
@@ -275,6 +276,17 @@ class _RecordingBackend(BranchAndBoundBackend):
         return super().feasibility(problem, time_budget_ms=time_budget_ms)
 
 
+def _proven(net, domain, tight, instance, free, target) -> set:
+    """The rivals the margin bound proves with the attributes in ``free``
+    freed, from the bounds improved mode merges for that query."""
+    fixed = [j for j in range(net.input_dim) if j not in free]
+    boxed = box_propagate(net, AttributeAssignment.from_instance(instance, fixed),
+                          domain)
+    margins = margin_lower_bounds(net, merge_bounds(tight, boxed)[0], target)
+    return {r for r in range(net.class_count)
+            if r != target and margins[r] > FEAS_TOL}
+
+
 def _recorded_explain(net, domain, instance):
     backend = _RecordingBackend()
     ex = Explainer(net, domain, EngineConfig(backend=backend))
@@ -330,6 +342,7 @@ class TestFalsify:
         reordered = 0
         for _ in range(12):
             net, domain = random_network(rng, n_classes=4, max_hidden_total=8)
+            tight = compute_tight_bounds(net, domain)
             instance = random_instance(rng, net, domain)
             explanation, _, calls = _recorded_explain(net, domain, instance)
             target = explanation.target
@@ -339,10 +352,12 @@ class TestFalsify:
                 fixed = [j for j in range(net.input_dim) if j not in free]
                 boxed = box_propagate(
                     net, AttributeAssignment.from_instance(instance, fixed), domain)
+                closed = {target} | _proven(net, domain, tight, instance, free,
+                                            target)
                 out_hi = boxed.out_hi.copy()
-                out_hi[target] = -np.inf
+                out_hi[list(closed)] = -np.inf
                 assert rival == int(np.argmax(out_hi))
-                reordered += rival != min(set(range(4)) - {target})
+                reordered += rival != min(set(range(4)) - closed)
         # index order would have asked another rival first
         assert reordered >= 3
 
@@ -370,10 +385,13 @@ class TestRivalOrder:
     def test_rivals_must_name_every_other_class(self):
         net, domain = random_network(np.random.default_rng(103), n_classes=3)
         problem = Explainer(net, domain).base_problem
-        with pytest.raises(ValueError, match="rivals"):
-            is_entailed(problem, 0, rivals=(1,))
-        with pytest.raises(ValueError, match="rivals"):
-            is_entailed(problem, 0, rivals=(0, 1, 2))
+        # a duplicate, the target, a class out of range; a subset is fine
+        for bad in ((1, 1), (0, 1, 2), (1, 3)):
+            with pytest.raises(ValueError, match="rivals"):
+                is_entailed(problem, 0, rivals=bad)
+        outcomes = []
+        is_entailed(problem, 0, rivals=(2,), outcomes=outcomes)
+        assert len(outcomes) == 1
 
     def test_order_changes_no_answer(self):
         rng = np.random.default_rng(107)
@@ -393,6 +411,74 @@ class TestRivalOrder:
             assert forward_answer == backward_answer
 
 
+_REMOVED = (Decision.REMOVED_BY_BOX, Decision.REMOVED_BY_MARGIN,
+            Decision.REMOVED_BY_SOLVER)
+# the decisions of iterations that got past the falsifier to the margin bound
+_PAST_FALSIFY = (Decision.REMOVED_BY_MARGIN, Decision.REMOVED_BY_SOLVER,
+                 Decision.KEPT_BY_SOLVER, Decision.KEPT_BY_TIMEOUT)
+
+
+class TestMarginBound:
+    def test_proven_rivals_are_unsat(self):
+        rng = np.random.default_rng(109)
+        proven = removed = 0
+        for _ in range(10):
+            net, domain = random_network(rng, n_classes=int(rng.integers(2, 5)),
+                                         max_hidden_total=8)
+            ex = Explainer(net, domain)
+            instance = random_instance(rng, net, domain)
+            target = predict(net, instance)
+            for _ in range(4):
+                free = set(np.flatnonzero(rng.random(net.input_dim) < 0.5))
+                fixed = [j for j in range(net.input_dim) if j not in free]
+                problem = fix_attributes(
+                    ex.base_problem, AttributeAssignment.from_instance(instance, fixed))
+                for rival in _proven(net, domain, ex.tight, instance, free, target):
+                    entailed, _ = is_entailed(problem, target, rivals=(rival,))
+                    assert entailed is True
+                    proven += 1
+            explanation, stats = ex.explain(instance, "improved")
+            kept = dict(explanation.kept)
+            hits = 0
+            for i, decision in explanation.decisions.items():
+                if decision is Decision.REMOVED_BY_MARGIN:
+                    fixed = [j for j in kept if j != i]
+                    problem = fix_attributes(
+                        ex.base_problem, AttributeAssignment.from_instance(instance, fixed))
+                    assert is_entailed(problem, target)[0] is True
+                    hits += 1
+            assert stats.margin_hits == hits
+            removed += hits
+        assert proven >= 10 and removed >= 3
+
+    def test_no_query_for_a_proven_rival(self):
+        rng = np.random.default_rng(113)
+        skipped = 0
+        for _ in range(12):
+            net, domain = random_network(rng, n_classes=int(rng.integers(3, 5)),
+                                         max_hidden_total=8)
+            tight = compute_tight_bounds(net, domain)
+            instance = random_instance(rng, net, domain)
+            explanation, stats, calls = _recorded_explain(net, domain, instance)
+            asked = {}
+            for free, rival in calls:
+                asked.setdefault(free, set()).add(rival)
+            removed, proven_count = set(), 0
+            for i in range(net.input_dim):
+                decision = explanation.decisions[i]
+                free = frozenset(removed | {i})
+                if decision in _PAST_FALSIFY:
+                    proven = _proven(net, domain, tight, instance, free,
+                                     explanation.target)
+                    assert not proven & asked.get(free, set())
+                    proven_count += len(proven)
+                if decision in _REMOVED:
+                    removed.add(i)
+            assert stats.margin_rivals_skipped == proven_count
+            skipped += proven_count
+        assert skipped >= 5
+
+
 class TestExplainStats:
     def test_pooled_nothing_is_zero(self):
         # the bench row when every instance failed
@@ -404,12 +490,14 @@ class TestExplainStats:
 
     def test_pooled_sums_fields_and_takes_ratios_of_sums(self):
         a = ExplainStats(total_time=0.5, solver_time=0.25, solver_calls=3,
-                         box_shortcut_hits=1, counterexample_hits=2, timeouts=0,
+                         box_shortcut_hits=1, counterexample_hits=2,
+                         margin_hits=1, margin_rivals_skipped=3, timeouts=0,
                          tightened_count=1, neurons_counted=4,
                          removed_before_count=1, removed_ours_count=2,
                          binaries_counted=2)
         b = ExplainStats(total_time=1.0, solver_time=0.5, solver_calls=5,
-                         box_shortcut_hits=2, counterexample_hits=1, timeouts=1,
+                         box_shortcut_hits=2, counterexample_hits=1,
+                         margin_hits=0, margin_rivals_skipped=1, timeouts=1,
                          tightened_count=6, neurons_counted=8,
                          removed_before_count=0, removed_ours_count=1,
                          binaries_counted=4)

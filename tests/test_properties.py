@@ -3,7 +3,8 @@
 Networks are drawn with duplicated and dead hidden neurons, which make the
 encoding degenerate, and instances are pushed to a near tie between the top
 two classes, where a forward-pass counterexample and the solver are most
-likely to part ways.
+likely to part ways.  The margin bound is checked against forward passes and
+the enumeration oracle.
 """
 
 import numpy as np
@@ -12,11 +13,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from boxplain.box import AttributeAssignment  # noqa: E402
-from boxplain.encoding import fix_attributes  # noqa: E402
+from boxplain.box import (AttributeAssignment, box_propagate,  # noqa: E402
+                          margin_lower_bounds)
+from boxplain.encoding import fix_attributes, merge_bounds  # noqa: E402
 from boxplain.engine import Decision, Explainer, is_entailed  # noqa: E402
-from boxplain.model import Layer, Network, forward  # noqa: E402
+from boxplain.model import (Layer, Network, batch_outputs, forward,  # noqa: E402
+                            predict)
 from netgen import random_instance, random_network  # noqa: E402
+from oracles import ORACLE_BINARY_CAP, oracle_enumerate  # noqa: E402
 
 
 def _reshaped(net: Network, rng, duplicate: bool, dead: bool) -> Network:
@@ -85,14 +89,44 @@ def test_shortcuts_keep_what_the_solver_keeps(seed, gap, duplicate, dead):
             assert entailed is False
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the solver accepts a witness that misses the rival row by up to 1e-6, "
-    "so on a near tie below that tolerance the baseline keeps attributes "
-    "that the box shortcut removes"))
-def test_sub_tolerance_near_tie_modes_agree():
-    net, domain, instance, untied = _case(0, 1e-7, True, False)
-    assert untied
+# below the solver's 1e-6 row tolerance, and just above it
+@pytest.mark.parametrize("gap", [1e-9, 1e-7, 5e-7, 2e-6])
+def test_sub_tolerance_near_tie_modes_agree(gap):
+    # the solver accepts a witness that misses the rival row by up to its
+    # tolerance, so a shortcut must not remove on a closer call
+    for seed in range(8):
+        for duplicate in (False, True):
+            net, domain, instance, untied = _case(seed, gap, duplicate, False)
+            assert untied
+            ex = Explainer(net, domain)
+            base, _ = ex.explain(instance, "baseline")
+            ours, _ = ex.explain(instance, "improved")
+            assert base.kept == ours.kept
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_margin_bound_is_sound(seed):
+    rng = np.random.default_rng(seed)
+    net, domain = random_network(rng, n_classes=int(rng.integers(2, 5)),
+                                 max_hidden_total=8)
+    instance = random_instance(rng, net, domain)
+    target = predict(net, instance)
+    fixed = np.flatnonzero(rng.random(net.input_dim) < 0.5)
+    assign = AttributeAssignment.from_instance(instance, fixed)
     ex = Explainer(net, domain)
-    base, _ = ex.explain(instance, "baseline")
-    ours, _ = ex.explain(instance, "improved")
-    assert base.kept == ours.kept
+    merged, _ = merge_bounds(ex.tight, box_propagate(net, assign, domain))
+    bound = margin_lower_bounds(net, merged, target)
+    assert bound[target] == 0.0
+
+    lo, hi = merged.input_lo, merged.input_hi
+    outs = batch_outputs(net, lo + rng.random((256, lo.size)) * (hi - lo))
+    assert (bound <= (outs[:, [target]] - outs).min(axis=0) + 1e-9).all()
+
+    problem = fix_attributes(ex.base_problem, assign)
+    assert len(problem.binary_vids) <= ORACLE_BINARY_CAP
+    o = problem.output_vids
+    for rival in range(net.class_count):
+        if rival != target:
+            exact = oracle_enumerate(problem, {o[target]: 1.0, o[rival]: -1.0})
+            assert bound[rival] <= exact.value + 1e-9
