@@ -1,11 +1,17 @@
 """Branch-and-bound over ReLU indicator binaries.
 
 Feasibility calls answer entailment queries (a SAT outcome carries the
-counterexample inputs); optimization calls compute tight neuron bounds.  The
-``SolverBackend`` seam lets an external MILP engine stand in for the built-in
-solver as long as it honors the same outcome contract: statuses as below, a
-witness satisfying every constraint within the feasibility tolerance, and
-binaries integral within the integrality tolerance.
+counterexample inputs); optimization calls compute tight neuron bounds.
+Both search depth first.  A feasibility call branches on the most fractional
+binary.  An optimization call over an encoding reads every node's LP point
+against the network: the forward pass from its inputs is a candidate
+incumbent, and it branches on the ReLU whose LP point sits farthest above
+its graph, which more than halves the nodes of the tight-bound precompute
+on deep nets.  The ``SolverBackend`` seam lets an external MILP engine stand
+in for the built-in solver as long as it honors the same outcome contract:
+statuses as below, a witness satisfying every constraint within the
+feasibility tolerance, and binaries integral within the integrality
+tolerance.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .encoding import MilpProblem, forward_basis
-from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem,
-                      _replace_unchecked, prepare, solve_prepared)
+from .encoding import MODE_SPLIT, MilpProblem, forward_basis, forward_point
+from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, SolverFailure,
+                      _certify, _replace_unchecked, prepare, solve_prepared)
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -67,22 +73,78 @@ def _fractional_binaries(point: np.ndarray, binaries, tol: float) -> Optional[in
     return binaries[k] if frac[k] > tol else None
 
 
+class _ReluGraph:
+    """An encoding's split neurons, for reading a node's LP point against
+    the network (optimize calls only).
+
+    ``incumbent`` runs the network forward from the point's inputs,
+    clipped to the root's bounds; the result has integral binaries and is
+    kept only if it passes the LP core's acceptance rule (``_certify``) on
+    the root's bounds, so it is a feasible point of the MILP.
+    ``branching`` picks the fractional binary of the split neuron whose LP
+    point sits farthest above its ReLU graph, the largest
+    ``post - max(pre, 0)`` with ``pre`` read from the block's lower-side
+    row, the lowest vid on a tie; None when every such binary is integral.
+    """
+
+    def __init__(self, problem: MilpProblem, prep):
+        self.problem, self.prep = problem, prep
+        self.lb, self.ub = problem.lp.lb, problem.lp.ub
+        self.inputs = np.array(problem.input_vids, dtype=int)
+        # blocks are layer-major and number their binaries in that order, so
+        # the z vids ascend and argmax's first maximum is the lowest vid
+        split = [block for block in problem.blocks if block.mode == MODE_SPLIT]
+        rows = [block.pre_row for block in split]
+        self.z = np.array([block.z_var for block in split], dtype=int)
+        self.post = np.array([block.post_var for block in split], dtype=int)
+        self.a, self.rhs = problem.lp.a[rows], problem.lp.rhs[rows]
+
+    def incumbent(self, point: np.ndarray) -> Optional[np.ndarray]:
+        inputs = np.clip(point[self.inputs], self.lb[self.inputs], self.ub[self.inputs])
+        x = forward_point(self.problem, inputs)
+        try:
+            _certify(self.prep, self.lb, self.ub, x)
+        except SolverFailure:
+            return None
+        return x
+
+    def branching(self, point: np.ndarray) -> Optional[int]:
+        z = point[self.z]
+        fractional = np.abs(z - np.round(z)) > INTEGRALITY_TOL
+        if not fractional.any():
+            return None
+        post = point[self.post]
+        # the lower-side row reads post - w.prev >= b, so pre = w.prev + b
+        pre = post - (self.a @ point - self.rhs)
+        excess = post - np.maximum(pre, 0.0)
+        return int(self.z[np.where(fractional, excess, -np.inf).argmax()])
+
+
 def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, float]],
                       sense: str, time_budget_ms: Optional[float]) -> MilpOutcome:
     """Depth-first search over the binaries, minimizing ``objective`` (sense
     ``"min"``), or stopping at the first node whose binaries are all
     integral (sense ``"feas"``, which skips the simplex's phase 2).
 
-    Branches on the most fractional binary, exploring the branch matching
-    the LP-relaxation value first, and drops nodes whose relaxation is no
-    better than the incumbent.  A node is one LP solve under its own bounds,
-    warm-started: the root from ``forward_basis``, each child from its
-    parent's final basis.  The value returned is the internal (minimized) one.
+    A node is one LP solve under its own bounds, warm-started: the root
+    from ``forward_basis``, each child from its parent's final basis.  Nodes
+    whose relaxation is no better than the incumbent are dropped.  The
+    search explores the branch matching the LP-relaxation value first.
+
+    A feasibility call branches on the most fractional binary.  A call with
+    an objective on an encoding with blocks also offers, at every node it
+    does not drop, the forward pass from the node's inputs as an incumbent
+    (``_ReluGraph.incumbent``), and drops the node at once if that matches
+    its relaxation; it branches on the split neuron farthest above its ReLU
+    graph (``_ReluGraph.branching``), and on the most fractional binary only
+    among binaries no block owns.  The value returned is the internal
+    (minimized) one.
     """
     start = time.perf_counter()
     deadline = None if time_budget_ms is None else start + time_budget_ms / 1000.0
     lp = milp_to_lp(problem, objective, sense)
     prep = prepare(lp)
+    graph = _ReluGraph(problem, prep) if sense == "min" and problem.blocks else None
     stack: list[tuple] = [(lp.lb, lp.ub, forward_basis(problem))]
     nodes = iterations = 0
     best_value = np.inf
@@ -95,6 +157,10 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
         return MilpOutcome(status, value, point, witness, nodes,
                            time.perf_counter() - start, iterations)
 
+    def dropped(value: float) -> bool:
+        return best_point is not None and \
+            value >= best_value - 1e-9 * max(1.0, abs(best_value))
+
     while stack:
         if deadline is not None and time.perf_counter() > deadline:
             # search incomplete: no answer, and no incumbent proven optimal
@@ -105,12 +171,18 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
         iterations += outcome.iterations
         if outcome.status == UNBOUNDED:
             return result(UNBOUNDED)
-        if outcome.status != OPTIMAL:
+        if outcome.status != OPTIMAL or dropped(outcome.value):
             continue
-        if best_point is not None and \
-                outcome.value >= best_value - 1e-9 * max(1.0, abs(best_value)):
-            continue
-        vid = _fractional_binaries(outcome.point, lp.binaries, INTEGRALITY_TOL)
+        vid = None
+        if graph is not None:
+            forward = graph.incumbent(outcome.point)
+            if forward is not None and (value := float(prep.cmin @ forward)) < best_value:
+                best_value, best_point = value, forward
+                if dropped(outcome.value):
+                    continue
+            vid = graph.branching(outcome.point)
+        if vid is None:
+            vid = _fractional_binaries(outcome.point, lp.binaries, INTEGRALITY_TOL)
         if vid is None:
             if sense == "feas":
                 return result(SAT, None, outcome.point)

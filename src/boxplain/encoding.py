@@ -45,6 +45,12 @@ class NeuronBlock:
     pre_ub: float
     constraint_ids: tuple
 
+    @property
+    def pre_row(self) -> int:
+        """The row that reads the pre-activation, post - w.prev REL b: the
+        equality of an active neuron, the lower side of a split one."""
+        return self.constraint_ids[1 if self.mode == MODE_SPLIT else 0]
+
 
 @dataclass(frozen=True)
 class SimplificationStats:
@@ -68,6 +74,9 @@ class MilpProblem:
     blocks: tuple  # NeuronBlock per encoded hidden neuron, layer-major
     input_vids: tuple
     output_vids: tuple
+    # a full encoding's output rows, one per output in order, start here;
+    # a prefix (or a problem built by hand) has none
+    output_row: Optional[int] = None
 
     def __post_init__(self):
         for arr in (self.lp.a, self.lp.rhs, self.lp.lb, self.lp.ub, self.lp.c):
@@ -173,6 +182,7 @@ def _encode(net: Network, bounds: BoundsMap,
                                       tuple(range(row, row + count))))
             row += count
 
+    output_row = row if full else None
     if full:
         out_layer = net.layers[-1]
         for j in range(out_layer.width):
@@ -184,7 +194,7 @@ def _encode(net: Network, bounds: BoundsMap,
 
     lp = LpProblem(a, tuple(rel), rhs, lb, ub, np.zeros(n_cols), "feas",
                    tuple(range(n_struct, n_cols)))
-    return MilpProblem(lp, tuple(blocks), input_vids, output_vids)
+    return MilpProblem(lp, tuple(blocks), input_vids, output_vids, output_row)
 
 
 def encode_network(net: Network, bounds: BoundsMap) -> MilpProblem:
@@ -209,51 +219,73 @@ def encode_prefix(net: Network, bounds: BoundsMap, upto_layer: int) -> MilpProbl
     return _encode(net, bounds, hidden_scope=upto_layer)
 
 
-def forward_basis(problem: MilpProblem) -> Basis:
-    """A starting basis that a forward pass through ``problem``'s rows gives.
+def forward_point(problem: MilpProblem, inputs: np.ndarray) -> np.ndarray:
+    """The point a forward pass through ``problem``'s rows gives from the
+    input values ``inputs``.
 
-    The inputs sit at their lower bounds, so a pinned attribute at its
-    value, and each block's rows define its pre-activation there.  A split
-    neuron with pre > 0 has z at 1 and its post basic in the lower-side row,
-    the two upper-side rows keeping their slacks; with pre <= 0 it has z at
-    0 and its post basic in the indicator row, the other two rows keeping
-    their slacks.  An active neuron's post is basic in its equality, each
-    output in its own row, and every other row (a rival query's, or any row
-    of a problem without blocks) keeps its slack.  Layer by layer the basis
-    matrix is triangular with unit diagonal blocks, so it is nonsingular,
-    and its basic solution is the forward pass: primal feasible for a
-    prefix or a plain encoding, up to rounding, and off only in its rival
-    row for a rival query.
+    Block by block, layer-major, each pre-activation is read from the
+    block's ``pre_row`` with its post and z still at 0.  An active neuron's
+    post is its pre-activation; a split neuron's is max(pre, 0), with z = 1
+    iff pre > 0.  A full encoding's outputs are read from their rows; every
+    other column (an inactive post, anything past a prefix's scope, any
+    column of a problem without blocks) stays 0.  The point satisfies the
+    blocks' and outputs' rows up to rounding when ``inputs`` lie within the
+    bounds the encoding was built from; rows and bounds are not checked.
     """
     lp = problem.lp
-    m = lp.a.shape[0]
     x = np.zeros(lp.a.shape[1])
-    inputs = list(problem.input_vids)
-    lo = lp.lb[inputs]
-    x[inputs] = np.where(np.isfinite(lo), lo, lp.ub[inputs])
-    basic = np.full(m, -1)
-    upper = []
+    x[list(problem.input_vids)] = inputs
     for block in problem.blocks:  # layer-major: each block's inputs are set
         if block.mode == MODE_INACTIVE:
             continue
-        rows = block.constraint_ids
-        # the equality or the lower-side row, post - w.prev REL b, read with
-        # post and z still at 0
-        r = rows[1] if block.mode == MODE_SPLIT else rows[0]
+        r = block.pre_row
         pre = float(lp.rhs[r] - lp.a[r] @ x)
-        if block.mode == MODE_ACTIVE or pre > 0.0:
-            basic[r] = block.post_var
+        if block.mode == MODE_ACTIVE:
             x[block.post_var] = pre
+        elif pre > 0.0:
+            x[block.post_var] = pre
+            x[block.z_var] = 1.0
+    first = problem.output_row
+    if first is not None:
+        rows = slice(first, first + len(problem.output_vids))
+        x[list(problem.output_vids)] = lp.rhs[rows] - lp.a[rows] @ x
+    return x
+
+
+def forward_basis(problem: MilpProblem) -> Basis:
+    """A starting basis that a forward pass through ``problem``'s rows gives.
+
+    The pass (``forward_point``) starts from the inputs at their lower
+    bounds, so a pinned attribute at its value.  A split neuron with pre > 0
+    has z at 1 and its post basic in the lower-side row, the two upper-side
+    rows keeping their slacks; with pre <= 0 it has z at 0 and its post
+    basic in the indicator row, the other two rows keeping their slacks.
+    An active neuron's post is basic in its equality, each output in its own
+    row, and every other row (a rival query's, or any row of a problem
+    without blocks) keeps its slack.  Layer by layer the basis matrix is
+    triangular with unit diagonal blocks, so it is nonsingular, and its
+    basic solution is the forward pass: primal feasible for a prefix or a
+    plain encoding, up to rounding, and off only in its rival row for a
+    rival query.
+    """
+    lp = problem.lp
+    inputs = list(problem.input_vids)
+    lo = lp.lb[inputs]
+    x = forward_point(problem, np.where(np.isfinite(lo), lo, lp.ub[inputs]))
+    basic = np.full(lp.a.shape[0], -1)
+    upper = []
+    for block in problem.blocks:
+        if block.mode == MODE_INACTIVE:
+            continue
+        if block.mode == MODE_SPLIT and x[block.z_var] == 0.0:
+            basic[block.constraint_ids[2]] = block.post_var
+        else:
+            basic[block.pre_row] = block.post_var
             if block.z_var is not None:
                 upper.append(block.z_var)
-        else:
-            basic[rows[2]] = block.post_var
-    first = sum(len(block.constraint_ids) for block in problem.blocks)
-    outputs = problem.output_vids
-    # a full encoding's output rows follow the blocks'; a prefix has none
-    if m >= first + len(outputs) and all(
-            lp.a[first + j, vid] == 1.0 for j, vid in enumerate(outputs)):
-        basic[first:first + len(outputs)] = outputs
+    first = problem.output_row
+    if first is not None:
+        basic[first:first + len(problem.output_vids)] = problem.output_vids
     return crash_basis(lp, basic, upper)
 
 

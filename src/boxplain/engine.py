@@ -20,6 +20,7 @@ between attributes, so every iteration starts from the same tight bounds.
 from __future__ import annotations
 
 import enum
+import logging
 import time
 from collections import Counter
 from dataclasses import dataclass, fields, replace
@@ -36,9 +37,11 @@ from .bnb import (DEFAULT_BACKEND, SAT, UNKNOWN, UNSAT, MilpOutcome,
                   SolverBackend)
 from .encoding import (MilpProblem, _structural_layout, attach_rival_query,
                        encode_network, encode_prefix, fix_attributes,
-                       merge_bounds, tighten_and_simplify)
+                       forward_point, merge_bounds, tighten_and_simplify)
 from .model import InputDomain, Network, batch_outputs, forward
 from .simplex import FEAS_TOL
+
+logger = logging.getLogger(__name__)
 
 MODE_BASELINE = "baseline"
 MODE_IMPROVED = "improved"
@@ -154,7 +157,11 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
     the bounds already proven for earlier layers as big-M constants.  Layer
     0 sees only the input box, over which interval propagation is already
     exact (up to rounding), so it takes the box bounds without a solve.
-    ``box`` falls back to plain interval propagation.
+    Every solved neuron and sense logs one DEBUG line on this module's
+    logger: layer (the output layer numbers after the hidden ones), neuron,
+    B&B nodes, LP iterations, seconds, and whether the optimum is a
+    forward-pass incumbent or an LP leaf.  ``box`` falls back to plain
+    interval propagation.
     """
     all_free = AttributeAssignment.all_free(net.input_dim)
     boxed = box_propagate(net, all_free, domain)
@@ -176,18 +183,30 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
 
     def optimize_layer(l: int, layer) -> tuple[np.ndarray, np.ndarray]:
         prefix = encode_prefix(net, proven(), l)
-        lo, hi = np.zeros(layer.width), np.zeros(layer.width)
+        bounds = {"min": np.zeros(layer.width), "max": np.zeros(layer.width)}
         for j in range(layer.width):
             objective = {vid: float(w) for vid, w in
                          zip(layer_inputs[l], layer.weights[j]) if w != 0.0}
-            lo_out = backend.optimize(prefix, objective, "min")
-            hi_out = backend.optimize(prefix, objective, "max")
-            if lo_out.status != "optimal" or hi_out.status != "optimal":
-                raise RuntimeError(
-                    f"bound optimization failed: {lo_out.status}/{hi_out.status}")
-            bias = float(layer.biases[j])
-            lo[j], hi[j] = lo_out.value + bias, hi_out.value + bias
-        return lo, hi
+            for sense, found in bounds.items():
+                start = time.perf_counter()
+                out = backend.optimize(prefix, objective, sense)
+                seconds = time.perf_counter() - start
+                if out.status != "optimal":
+                    raise RuntimeError(
+                        f"bound optimization failed: {sense} {out.status}")
+                found[j] = out.value + float(layer.biases[j])
+                if logger.isEnabledFor(logging.DEBUG):
+                    # an incumbent from the forward pass is exactly the
+                    # forward point of its own inputs; an LP leaf is not
+                    inputs = out.point[list(prefix.input_vids)]
+                    forward = np.array_equal(forward_point(prefix, inputs),
+                                             out.point)
+                    logger.debug(
+                        "tight %s layer %d neuron %d: %d nodes, %d LP "
+                        "iterations, %.6f s, %s", sense, l, j, out.node_count,
+                        out.lp_iterations, seconds,
+                        "forward-pass incumbent" if forward else "LP leaf")
+        return bounds["min"], bounds["max"]
 
     hidden = net.hidden_layers
     for l in range(1, len(hidden)):

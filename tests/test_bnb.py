@@ -302,6 +302,57 @@ def test_most_fractional_binary_matches_the_loop():
             _most_fractional_by_loop(point, binaries, bnb.INTEGRALITY_TOL)
 
 
+def _most_violated_by_loop(problem, point, tol):
+    """Reference for ``_ReluGraph.branching``: the fractional binary of the
+    split neuron whose post sits farthest above max(pre, 0), the first
+    (lowest vid) on a tie."""
+    lp = problem.lp
+    worst_vid, worst = None, -np.inf
+    for blk in problem.blocks:
+        if blk.z_var is None:
+            continue
+        z = point[blk.z_var]
+        if abs(z - round(z)) <= tol:
+            continue
+        r = blk.constraint_ids[1]  # post - w.prev >= b
+        pre = point[blk.post_var] - (lp.a[r] @ point - lp.rhs[r])
+        excess = point[blk.post_var] - max(pre, 0.0)
+        if worst_vid is None or excess > worst:
+            worst_vid, worst = blk.z_var, excess
+    return worst_vid
+
+
+def test_optimize_branches_on_the_most_violated_relu(monkeypatch):
+    picks = []
+    branching = bnb._ReluGraph.branching
+
+    def recorded(graph, point):
+        vid = branching(graph, point)
+        picks.append((graph.problem, point, vid))
+        return vid
+
+    monkeypatch.setattr(bnb._ReluGraph, "branching", recorded)
+    rng = np.random.default_rng(109)
+    for _ in range(10):
+        net, domain = random_network(rng, max_hidden_total=10)
+        bounds = domain_box(net, domain)
+        problem = encode_network(net, bounds)
+        target = predict(net, random_instance(rng, net, domain))
+        before = len(picks)
+        rival = (target + 1) % net.class_count
+        solve_feasibility(attach_rival_query(problem, target, rival))
+        assert len(picks) == before  # feasibility keeps the most fractional rule
+        for l in range(1, len(net.hidden_layers)):
+            prefix = encode_prefix(net, bounds, l)
+            optimize(prefix, {prefix.blocks[-1].post_var: 1.0}, "max")
+        optimize(problem, {problem.output_vids[0]: 1.0}, "min")
+    branched = 0
+    for problem, point, vid in picks:
+        assert vid == _most_violated_by_loop(problem, point, bnb.INTEGRALITY_TOL)
+        branched += vid is not None
+    assert branched >= 10
+
+
 def test_backend_contract():
     backend = BranchAndBoundBackend()
     p = make_problem(make_lp([[1.0, 1.0]], (GE,), [1.5], [0.0, 0.0], [1.0, 1.0],

@@ -6,7 +6,7 @@ from boxplain.bnb import milp_to_lp, solve_feasibility
 from boxplain.encoding import (MODE_ACTIVE, MODE_INACTIVE, MODE_SPLIT,
                                attach_rival_query, encode_network,
                                encode_prefix, fix_attributes, forward_basis,
-                               merge_bounds, tighten_and_simplify)
+                               forward_point, merge_bounds, tighten_and_simplify)
 from boxplain.simplex import EQ, GE, LE, _Simplex, prepare
 from boxplain.engine import compute_tight_bounds
 from boxplain.model import IDENTITY, RELU, InputDomain, Layer, Network, forward
@@ -417,6 +417,27 @@ class TestForwardBasis:
             got = core.x[:lp.a.shape[1]]
             assert got[vids] == pytest.approx(expected[vids], rel=1e-9, abs=1e-12)
             assert core.iterations == 0
+
+    def test_forward_point_is_the_network_forward_pass(self):
+        rng = np.random.default_rng(113)
+        for net, problem, kind in _forward_cases(np.random.default_rng(89), 15):
+            lp = problem.lp
+            inputs = list(problem.input_vids)
+            point = rng.uniform(lp.lb[inputs], lp.ub[inputs])
+            got = forward_point(problem, point)
+            expected = _feasible_assignment(net, problem, point)
+            vids = list(inputs)
+            for blk in problem.blocks:
+                vids.append(blk.post_var)
+                if blk.z_var is not None:
+                    vids.append(blk.z_var)
+            assert (problem.output_row is None) == (kind == "prefix")
+            if kind != "prefix":
+                vids.extend(problem.output_vids)
+            assert got[vids] == pytest.approx(expected[vids], rel=1e-9, abs=1e-12)
+            others = np.ones(got.size, dtype=bool)
+            others[vids] = False
+            assert (got[others] == 0.0).all()
 
     def test_only_the_rival_row_is_off(self):
         dual_checked = 0

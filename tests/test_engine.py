@@ -1,17 +1,21 @@
+import logging
+import re
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from boxplain.box import AttributeAssignment, box_propagate, margin_lower_bounds
-from boxplain.bnb import BranchAndBoundBackend, optimize
-from boxplain.encoding import encode_prefix, fix_attributes, merge_bounds
+from boxplain.bnb import INTEGRALITY_TOL, BranchAndBoundBackend, milp_to_lp, optimize
+from boxplain.encoding import (encode_prefix, fix_attributes, forward_point,
+                               merge_bounds)
 from boxplain.engine import (Decision, EngineConfig, Explainer, Explanation,
                              ExplainStats, PredictionTieError, compute_tight_bounds,
                              is_entailed, verify_explanation)
 from boxplain.model import IDENTITY, RELU, InputDomain, Layer, Network, forward, predict
-from boxplain.simplex import FEAS_TOL
+from boxplain.simplex import FEAS_TOL, _certify, prepare
 from netgen import random_instance, random_network
+from oracles import ORACLE_BINARY_CAP, oracle_enumerate
 
 
 def explain(net, instance, domain, mode, config=None):
@@ -81,6 +85,93 @@ class TestTightBounds:
     def test_unknown_mode(self, demo_net, demo_domain):
         with pytest.raises(ValueError):
             compute_tight_bounds(demo_net, demo_domain, "exact")
+
+    def test_every_bound_matches_the_oracle(self):
+        # every min and max past layer 0, outputs included, against the
+        # enumeration oracle on the prefix the bound was optimized over
+        rng = np.random.default_rng(101)
+        compared = 0
+        for depth in (2, 3, 2, 3, 2, 3):
+            net, domain = random_network(rng, depth=depth, max_hidden_total=9)
+            tight = compute_tight_bounds(net, domain, "milp")
+            layers = net.layers
+            for l in range(1, len(layers)):
+                prefix = encode_prefix(net, tight, l)
+                assert len(prefix.binary_vids) <= ORACLE_BINARY_CAP
+                feeds = [b.post_var for b in prefix.blocks if b.layer == l - 1]
+                if l == len(net.hidden_layers):
+                    lo, hi = tight.out_lo, tight.out_hi
+                else:
+                    lo, hi = tight.pre_lo[l], tight.pre_hi[l]
+                for j in range(layers[l].width):
+                    objective = dict(zip(feeds, map(float, layers[l].weights[j])))
+                    bias = float(layers[l].biases[j])
+                    for sense, got in (("min", lo[j]), ("max", hi[j])):
+                        truth = oracle_enumerate(prefix, objective, sense).value
+                        assert got == pytest.approx(truth + bias, rel=1e-6, abs=1e-6)
+                        compared += 1
+        assert compared >= 60
+
+    def test_optimize_returns_certified_integral_points(self):
+        # one setup pass: every optimum is a MILP point of its root, its
+        # value is the objective at that point, and the forward-pass
+        # incumbent supplies some of them
+        rng = np.random.default_rng(103)
+        checked = forward = 0
+        for depth in (2, 3, 3):
+            net, domain = random_network(rng, depth=depth)
+            backend = _RecordingOptimize()
+            Explainer(net, domain, EngineConfig(backend=backend))
+            for problem, objective, sense, out in backend.calls:
+                assert out.status == "optimal"
+                point = out.point
+                z = point[list(problem.binary_vids)]
+                assert (np.abs(z - np.round(z)) <= INTEGRALITY_TOL).all()
+                lp = problem.lp
+                _certify(prepare(milp_to_lp(problem)), lp.lb, lp.ub, point)
+                value = sum(c * point[vid] for vid, c in objective.items())
+                assert out.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+                inputs = point[list(problem.input_vids)]
+                forward += np.array_equal(forward_point(problem, inputs), point)
+                checked += 1
+        assert checked >= 40
+        assert forward >= 10
+
+    def test_one_debug_line_per_neuron_and_sense(self, caplog):
+        rng = np.random.default_rng(107)
+        net, domain = random_network(rng, depth=3)
+        backend = _RecordingOptimize()
+        with caplog.at_level(logging.DEBUG, logger="boxplain.engine"):
+            compute_tight_bounds(net, domain, "milp", backend)
+        pattern = re.compile(r"tight (min|max) layer (\d+) neuron (\d+): (\d+) nodes, "
+                             r"(\d+) LP iterations, [0-9.]+ s, "
+                             r"(forward-pass incumbent|LP leaf)$")
+        lines = [pattern.match(r.getMessage()) for r in caplog.records
+                 if r.name == "boxplain.engine"]
+        assert all(lines)
+        expected = [(sense, l, j) for l in range(1, len(net.layers))
+                    for j in range(net.layers[l].width) for sense in ("min", "max")]
+        assert [(m[1], int(m[2]), int(m[3])) for m in lines] == expected
+        for m, (problem, _, sense, out) in zip(lines, backend.calls):
+            assert m[1] == sense
+            assert (int(m[4]), int(m[5])) == (out.node_count, out.lp_iterations)
+            inputs = out.point[list(problem.input_vids)]
+            from_forward = np.array_equal(forward_point(problem, inputs), out.point)
+            assert (m[6] == "forward-pass incumbent") == from_forward
+        assert any(m[6] == "forward-pass incumbent" for m in lines)
+
+
+class _RecordingOptimize(BranchAndBoundBackend):
+    """Records every optimize call with its outcome."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []  # (problem, objective, sense, outcome)
+
+    def optimize(self, problem, objective, sense):
+        out = super().optimize(problem, objective, sense)
+        self.calls.append((problem, objective, sense, out))
+        return out
 
 
 class TestIsEntailed:
