@@ -121,9 +121,9 @@ class _ReluGraph:
 
 
 def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, float]],
-                      sense: str, time_budget_ms: Optional[float]) -> MilpOutcome:
-    """Depth-first search over the binaries, minimizing ``objective`` (sense
-    ``"min"``), or stopping at the first node whose binaries are all
+                      time_budget_ms: Optional[float]) -> MilpOutcome:
+    """Depth-first search over the binaries, minimizing ``objective``, or,
+    when it is None, stopping at the first node whose binaries are all
     integral (sense ``"feas"``, which skips the simplex's phase 2).
 
     A node is one LP solve under its own bounds, warm-started: the root
@@ -142,9 +142,10 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
     """
     start = time.perf_counter()
     deadline = None if time_budget_ms is None else start + time_budget_ms / 1000.0
-    lp = milp_to_lp(problem, objective, sense)
+    feasibility = objective is None
+    lp = milp_to_lp(problem, objective, "feas" if feasibility else "min")
     prep = prepare(lp)
-    graph = _ReluGraph(problem, prep) if sense == "min" and problem.blocks else None
+    graph = _ReluGraph(problem, prep) if not feasibility and problem.blocks else None
     stack: list[tuple] = [(lp.lb, lp.ub, forward_basis(problem))]
     nodes = iterations = 0
     best_value = np.inf
@@ -184,7 +185,7 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
         if vid is None:
             vid = _fractional_binaries(outcome.point, lp.binaries, INTEGRALITY_TOL)
         if vid is None:
-            if sense == "feas":
+            if feasibility:
                 return result(SAT, None, outcome.point)
             best_value = outcome.value
             best_point = outcome.point
@@ -194,7 +195,7 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
             child_lb, child_ub = lb.copy(), ub.copy()
             child_lb[vid] = child_ub[vid] = value
             stack.append((child_lb, child_ub, outcome.basis))
-    if sense == "feas":
+    if feasibility:
         return result(UNSAT)
     if best_point is None:
         return result(INFEASIBLE)
@@ -208,7 +209,7 @@ def solve_feasibility(problem: MilpProblem, *,
     On an exhausted time budget the outcome is ``unknown``: callers must
     treat it as "could be satisfiable".
     """
-    return _branch_and_bound(problem, None, "feas", time_budget_ms)
+    return _branch_and_bound(problem, None, time_budget_ms)
 
 
 def optimize(problem: MilpProblem, objective: Mapping[int, float],
@@ -218,7 +219,7 @@ def optimize(problem: MilpProblem, objective: Mapping[int, float],
         raise ValueError(f"sense must be min or max, got {sense!r}")
     flip = -1.0 if sense == "max" else 1.0
     internal = {vid: flip * coef for vid, coef in objective.items()}
-    out = _branch_and_bound(problem, internal, "min", None)
+    out = _branch_and_bound(problem, internal, None)
     if out.status != OPTIMAL:
         return out
     return replace(out, value=flip * out.value)

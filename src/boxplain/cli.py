@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,23 +25,17 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 
-@dataclass(frozen=True)
-class InstanceSet:
-    rows: np.ndarray  # (m, width)
-
-    def __len__(self) -> int:
-        return self.rows.shape[0]
-
-
 class InputError(ValueError):
     pass
 
 
-def ingest_csv(path) -> InstanceSet:
-    """Numeric instance rows, one per line.
+def ingest_csv(path) -> np.ndarray:
+    """Numeric instance rows, one per line, as an ``(m, width)`` array.
 
     A first line in which no cell parses as a number is taken as a header
-    and skipped; a partially numeric line is data with a bad cell.
+    and skipped; a partially numeric line is data with a bad cell.  Blank
+    lines and trailing empty cells are ignored; an empty cell before a
+    non-empty one is a bad cell.
     """
     rows = []
     width = None
@@ -50,7 +43,9 @@ def ingest_csv(path) -> InstanceSet:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for lineno, cells in enumerate(reader, start=1):
-            cells = [c.strip() for c in cells if c.strip() != ""]
+            cells = [c.strip() for c in cells]
+            while cells and not cells[-1]:
+                cells.pop()
             if not cells:
                 continue
             parsed = []
@@ -76,44 +71,38 @@ def ingest_csv(path) -> InstanceSet:
                     f"{path}: line {lineno}: expected {width} values, "
                     f"got {len(parsed)}")
             rows.append(parsed)
-    data = np.array(rows, dtype=np.float64) if rows else np.zeros((0, width or 0))
-    return InstanceSet(data)
+    return np.array(rows, dtype=np.float64) if rows else np.zeros((0, width or 0))
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _load(args):
+    """The model's network and domain, and the instance rows, checked
+    against the network's input width."""
+    net, domain = load_model_file(args.model)
+    rows = ingest_csv(args.instances)
+    if len(rows) and rows.shape[1] != net.input_dim:
+        raise InputError(f"instances have {rows.shape[1]} columns, "
+                         f"model expects {net.input_dim}")
+    return net, domain, rows
 
 
-def _check_width(instances: InstanceSet, net) -> None:
-    if len(instances) and instances.rows.shape[1] != net.input_dim:
-        raise InputError(
-            f"instances have {instances.rows.shape[1]} columns, "
-            f"model expects {net.input_dim}")
-
-
-def _parse_order(text: Optional[str], n: int) -> Optional[tuple]:
+def _parse_order(text: Optional[str]) -> Optional[tuple]:
     if text is None or text == "asc":
         return None
     try:
-        order = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise InputError(f"--order must be 'asc' or a comma list, got {text!r}")
-    if sorted(order) != list(range(n)):
-        raise InputError(f"--order must be a permutation of 0..{n - 1}")
-    return order
 
 
-def _build_config(args, n: int) -> EngineConfig:
+def _build_config(args) -> EngineConfig:
     return EngineConfig(
         tight_bounds_mode=args.tight_bounds,
-        order=_parse_order(args.order, n),
+        order=_parse_order(args.order),
         time_budget_ms=args.time_budget_ms,
     )
 
 
-def _each_instance(instances: InstanceSet, run, done) -> int:
+def _each_instance(rows: np.ndarray, run, done) -> int:
     """Call ``done(idx, run(row))`` for each instance as soon as it is done,
     then flush stdout.
 
@@ -123,7 +112,7 @@ def _each_instance(instances: InstanceSet, run, done) -> int:
     3 if a solver failed, else 2.
     """
     code = EXIT_OK
-    for idx, row in enumerate(instances.rows):
+    for idx, row in enumerate(rows):
         try:
             result = run(row)
         except InstanceError as exc:
@@ -140,11 +129,8 @@ def _each_instance(instances: InstanceSet, run, done) -> int:
 
 
 def cmd_explain(args) -> int:
-    net, domain = load_model_file(args.model)
-    instances = ingest_csv(args.instances)
-    _check_width(instances, net)
-    config = _build_config(args, net.input_dim)
-    explainer = Explainer(net, domain, config)
+    net, domain, rows = _load(args)
+    explainer = Explainer(net, domain, _build_config(args))
     writer = csv.writer(sys.stdout)
     writer.writerow(["instance", "predicted_class", "kept_indices", "decisions",
                      "total_time_s", "solver_time_s", "solver_calls",
@@ -156,10 +142,10 @@ def cmd_explain(args) -> int:
                              for i, d in sorted(explanation.decisions.items()))
         return [explanation.target,
                 ";".join(str(i) for i in explanation.kept_indices),
-                decisions, _fmt(stats.total_time), _fmt(stats.solver_time),
+                decisions, stats.total_time, stats.solver_time,
                 stats.solver_calls, stats.box_shortcut_hits]
 
-    return _each_instance(instances, cells,
+    return _each_instance(rows, cells,
                           lambda idx, values: writer.writerow([idx, *values]))
 
 
@@ -172,35 +158,30 @@ def cmd_bounds(args) -> int:
     for l in range(len(net.hidden_layers)):
         for j in range(net.hidden_widths[l]):
             writer.writerow([l + 1, j,
-                             _fmt(float(tight.pre_lo[l][j])),
-                             _fmt(float(tight.pre_hi[l][j])),
-                             _fmt(float(boxed.pre_lo[l][j])),
-                             _fmt(float(boxed.pre_hi[l][j]))])
+                             float(tight.pre_lo[l][j]), float(tight.pre_hi[l][j]),
+                             float(boxed.pre_lo[l][j]), float(boxed.pre_hi[l][j])])
     out_layer = len(net.layers)
     for j in range(net.class_count):
         writer.writerow([out_layer, j,
-                         _fmt(float(tight.out_lo[j])), _fmt(float(tight.out_hi[j])),
-                         _fmt(float(boxed.out_lo[j])), _fmt(float(boxed.out_hi[j]))])
+                         float(tight.out_lo[j]), float(tight.out_hi[j]),
+                         float(boxed.out_lo[j]), float(boxed.out_hi[j])])
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    net, domain = load_model_file(args.model)
-    instances = ingest_csv(args.instances)
-    _check_width(instances, net)
-    config = _build_config(args, net.input_dim)
+    net, domain, rows = _load(args)
+    explainer = Explainer(net, domain, _build_config(args))
     writer = csv.writer(sys.stdout)
     writer.writerow(["exp_s_baseline", "exp_s_ours", "solver_s_baseline",
                      "solver_s_ours", "pct_bounds_tightened",
                      "pct_bin_vars_removed_before", "pct_bin_vars_removed_ours",
                      "box_shortcut_hits", "solver_calls_baseline",
                      "solver_calls_ours"])
-    if not len(instances):
+    if not len(rows):
         return EXIT_OK
-    explainer = Explainer(net, domain, config)
     runs = []  # (baseline, improved) per instance that ran to the end
     code = _each_instance(
-        instances,
+        rows,
         lambda row: (explainer.explain(row, MODE_BASELINE),
                      explainer.explain(row, MODE_IMPROVED)),
         lambda idx, pair: runs.append(pair))
@@ -210,21 +191,17 @@ def cmd_bench(args) -> int:
     base = ExplainStats.pooled([base[1] for base, _ in runs])
     ours = ExplainStats.pooled([ours[1] for _, ours in runs])
     writer.writerow([
-        _fmt(base.total_time), _fmt(ours.total_time),
-        _fmt(base.solver_time), _fmt(ours.solver_time),
-        _fmt(ours.bounds_tightened_pct), _fmt(ours.bin_vars_removed_before_pct),
-        _fmt(ours.bin_vars_removed_ours_pct), ours.box_shortcut_hits,
+        base.total_time, ours.total_time, base.solver_time, ours.solver_time,
+        ours.bounds_tightened_pct, ours.bin_vars_removed_before_pct,
+        ours.bin_vars_removed_ours_pct, ours.box_shortcut_hits,
         base.solver_calls, ours.solver_calls,
     ])
     return code
 
 
 def cmd_verify(args) -> int:
-    net, domain = load_model_file(args.model)
-    instances = ingest_csv(args.instances)
-    _check_width(instances, net)
-    config = _build_config(args, net.input_dim)
-    explainer = Explainer(net, domain, config)
+    net, domain, rows = _load(args)
+    explainer = Explainer(net, domain, _build_config(args))
     writer = csv.writer(sys.stdout)
     writer.writerow(["instance", "predicted_class", "kept_indices",
                      "sufficiency_ok", "minimality_ok", "unverified"])
@@ -240,7 +217,7 @@ def cmd_verify(args) -> int:
                 int(report.sufficiency_ok), int(report.minimality_ok),
                 ";".join(str(i) for i in report.unverified)]
 
-    return _each_instance(instances, cells,
+    return _each_instance(rows, cells,
                           lambda idx, values: writer.writerow([idx, *values]))
 
 

@@ -364,22 +364,19 @@ def merge_bounds(tight: BoundsMap, boxed: BoundsMap) -> tuple[BoundsMap, int]:
     return merged, tightened
 
 
-def tighten_and_simplify(net: Network, tight: BoundsMap, boxed: BoundsMap, *,
-                         merged: Optional[tuple[BoundsMap, int]] = None
+def tighten_and_simplify(net: Network, merged: tuple[BoundsMap, int]
                          ) -> tuple[MilpProblem, SimplificationStats]:
-    """Encode ``net`` afresh from the merge of tight and boxed bounds.
+    """Encode ``net`` afresh from ``merged``, what ``merge_bounds(tight,
+    boxed)`` returns: the merged map and its count of narrowed neurons.
 
     Big-M constants take the merged values; a hidden neuron with merged
     lb > 0 becomes the affine equality, merged ub <= 0 becomes post = 0, and
-    either way its binary disappears.  The inputs take boxed's bounds, so the
-    attributes its assignment fixed are pinned.  Stats count strictly
-    narrowed neurons and binaries absent from the result.  A caller that
-    already holds ``merge_bounds(tight, boxed)`` passes it as ``merged``.
+    either way its binary disappears.  The inputs carry boxed's bounds, so
+    the attributes its assignment fixed are pinned.  Stats count strictly
+    narrowed neurons and binaries absent from the result.
     """
-    if not (tight.shapes_match(net) and boxed.shapes_match(net)):
-        raise ValueError("bounds maps do not match the network")
-    merged, tightened = merged or merge_bounds(tight, boxed)
-    problem = _encode(net, merged)
+    bounds, tightened = merged
+    problem = _encode(net, bounds)
     stats = SimplificationStats(
         bounds_tightened_count=tightened,
         binary_removed_count=net.num_hidden_neurons - len(problem.binary_vids),

@@ -134,18 +134,14 @@ class ExplainStats:
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """How an ``Explainer`` runs.  ``order`` is the attribute order of the
+    deletion loop, a permutation of the attribute indices, or None for
+    index order; the ``Explainer`` checks it against its network."""
+
     tight_bounds_mode: str = TIGHT_MILP
-    order: Optional[tuple] = None  # permutation of attribute indices, or None
+    order: Optional[tuple] = None
     time_budget_ms: Optional[float] = None
     backend: SolverBackend = DEFAULT_BACKEND
-
-    def resolve_order(self, n: int) -> tuple:
-        if self.order is None:
-            return tuple(range(n))
-        order = tuple(int(i) for i in self.order)
-        if sorted(order) != list(range(n)):
-            raise ValueError(f"order must be a permutation of 0..{n - 1}")
-        return order
 
 
 def compute_tight_bounds(net: Network, domain: InputDomain,
@@ -170,24 +166,21 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
     if mode != TIGHT_MILP:
         raise ValueError(f"unknown tight-bounds mode {mode!r}")
 
-    # proven layers, passed on as they are; layers past them keep their box
-    # bounds, which a prefix encoding never reads
-    pre_lo, pre_hi = list(boxed.pre_lo[:1]), list(boxed.pre_hi[:1])
-
-    def proven(**outputs) -> BoundsMap:
-        return replace(boxed, pre_lo=(*pre_lo, *boxed.pre_lo[len(pre_lo):]),
-                       pre_hi=(*pre_hi, *boxed.pre_hi[len(pre_hi):]), **outputs)
-
+    bounds = boxed
     post_vids, input_vids, _ = _structural_layout(net)
     layer_inputs = (input_vids,) + post_vids  # vids feeding each layer
-
-    def optimize_layer(l: int, layer) -> tuple[np.ndarray, np.ndarray]:
-        prefix = encode_prefix(net, proven(), l)
-        bounds = {"min": np.zeros(layer.width), "max": np.zeros(layer.width)}
+    hidden = len(net.hidden_layers)
+    # each proven layer replaces its box bounds, which a prefix encoding of
+    # an earlier layer never reads; a hidden layer 0 keeps them, and layer
+    # `hidden` is the output layer
+    for l in range(min(1, hidden), hidden + 1):
+        layer = net.layers[l]
+        prefix = encode_prefix(net, bounds, l)
+        lo, hi = np.zeros(layer.width), np.zeros(layer.width)
         for j in range(layer.width):
             objective = {vid: float(w) for vid, w in
                          zip(layer_inputs[l], layer.weights[j]) if w != 0.0}
-            for sense, found in bounds.items():
+            for sense, found in (("min", lo), ("max", hi)):
                 start = time.perf_counter()
                 out = backend.optimize(prefix, objective, sense)
                 seconds = time.perf_counter() - start
@@ -206,15 +199,13 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
                         "iterations, %.6f s, %s", sense, l, j, out.node_count,
                         out.lp_iterations, seconds,
                         "forward-pass incumbent" if forward else "LP leaf")
-        return bounds["min"], bounds["max"]
-
-    hidden = net.hidden_layers
-    for l in range(1, len(hidden)):
-        lo, hi = optimize_layer(l, hidden[l])
-        pre_lo.append(lo)
-        pre_hi.append(hi)
-    out_lo, out_hi = optimize_layer(len(hidden), net.layers[-1])
-    return proven(out_lo=out_lo, out_hi=out_hi)
+        if l == hidden:
+            bounds = replace(bounds, out_lo=lo, out_hi=hi)
+        else:
+            bounds = replace(
+                bounds, pre_lo=(*bounds.pre_lo[:l], lo, *bounds.pre_lo[l + 1:]),
+                pre_hi=(*bounds.pre_hi[:l], hi, *bounds.pre_hi[l + 1:]))
+    return bounds
 
 
 def is_entailed(problem: MilpProblem, target: int, *,
@@ -256,10 +247,14 @@ def is_entailed(problem: MilpProblem, target: int, *,
 
 
 class Explainer:
-    """Shared per-network state: tight bounds and the base encoding.
+    """Shared per-network state: the attribute order, tight bounds and the
+    base encoding.
 
-    Immutable once constructed; explain() never mutates it, so one Explainer
-    can serve many instances (and threads) of the same network.
+    ``order`` is ``config.order`` resolved once (index order for None); one
+    that is not a permutation of the attribute indices raises ValueError
+    before any bound is computed.  Immutable once constructed; explain()
+    never mutates it, so one Explainer can serve many instances (and
+    threads) of the same network.
     """
 
     def __init__(self, net: Network, domain: InputDomain,
@@ -269,6 +264,11 @@ class Explainer:
         self.domain = domain
         self.config = config or EngineConfig()
         self.backend = self.config.backend
+        n = net.input_dim
+        self.order = tuple(range(n)) if self.config.order is None else \
+            tuple(int(i) for i in self.config.order)
+        if sorted(self.order) != list(range(n)):
+            raise ValueError(f"order must be a permutation of 0..{n - 1}")
         if tight is None:
             tight = compute_tight_bounds(net, domain,
                                          self.config.tight_bounds_mode,
@@ -302,7 +302,6 @@ class Explainer:
                 "instance prediction is an exact tie; no unique class to explain")
 
         start = time.perf_counter()
-        order = self.config.resolve_order(net.input_dim)
         outcomes: list[MilpOutcome] = []
         removed: set[int] = set()
         decisions: dict[int, Decision] = {}
@@ -310,7 +309,7 @@ class Explainer:
         # queries the margin bound made unnecessary
         simplified = tightened = removed_ours = rivals_skipped = 0
 
-        for i in order:
+        for i in self.order:
             fixed = [j for j in range(net.input_dim) if j != i and j not in removed]
             assign = AttributeAssignment.from_instance(instance, fixed)
             if mode == MODE_IMPROVED:
@@ -335,8 +334,7 @@ class Explainer:
                     decisions[i] = Decision.REMOVED_BY_MARGIN
                     continue
                 # the simplified problem already pins the fixed attributes
-                problem, simp = tighten_and_simplify(net, self.tight, boxed,
-                                                     merged=merged)
+                problem, simp = tighten_and_simplify(net, merged)
                 simplified += 1
                 tightened += simp.bounds_tightened_count
                 removed_ours += simp.binary_removed_count
@@ -354,7 +352,7 @@ class Explainer:
             else:
                 decisions[i] = Decision.KEPT_BY_SOLVER
 
-        kept = tuple((i, float(instance[i])) for i in order if i not in removed)
+        kept = tuple((i, float(instance[i])) for i in self.order if i not in removed)
         total_time = time.perf_counter() - start
         tally = Counter(decisions.values())
         hidden = net.num_hidden_neurons

@@ -463,9 +463,10 @@ def _certify(prep: _Prepared, lb, ub, point: np.ndarray) -> None:
         raise SolverFailure(f"row {i} violated: {lhs[i]} {prep.rel[i]} {rhs[i]}")
 
 
-def _finish(core: _Simplex, lb, ub, spent: int = 0) -> LpOutcome:
-    """Phase 2 from a primal feasible state, then the certificate check.
-    ``spent`` counts iterations of an abandoned warm attempt."""
+def _finish(core: _Simplex, spent: int = 0) -> LpOutcome:
+    """Phase 2 from a primal feasible state, then the certificate check
+    against the structural bounds the core was built from.  ``spent`` counts
+    iterations of an abandoned warm attempt."""
     prep = core.prep
     if prep.cost is not None:
         status = core.run(prep.cost, allow_unbounded=True)
@@ -474,7 +475,7 @@ def _finish(core: _Simplex, lb, ub, spent: int = 0) -> LpOutcome:
         core._solve_basics()
 
     point = core.x[:prep.n].copy()
-    _certify(prep, lb, ub, point)
+    _certify(prep, core.lo[:prep.n], core.hi[:prep.n], point)
     raw = float(prep.cmin @ point)
     value = -raw if prep.sense == "max" else raw
     return LpOutcome(OPTIMAL, value, point, spent + core.iterations,
@@ -528,7 +529,7 @@ def solve_prepared(prep: _Prepared, lb, ub, warm: Optional[Basis] = None) -> LpO
                 # a parent's costs were bounded, so an unbounded answer
                 # after its basis is numerical noise; either way the cold
                 # solve decides
-                outcome = _finish(core, lb, ub)
+                outcome = _finish(core)
                 if outcome.status != UNBOUNDED:
                     return outcome
         except SolverFailure:
@@ -539,7 +540,7 @@ def solve_prepared(prep: _Prepared, lb, ub, warm: Optional[Basis] = None) -> LpO
     if not core.phase_one():
         return LpOutcome(INFEASIBLE, iterations=spent + core.iterations)
     core.close_phase_one()
-    return _finish(core, lb, ub, spent)
+    return _finish(core, spent)
 
 
 def prepare(p: LpProblem) -> _Prepared:

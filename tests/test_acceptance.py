@@ -28,7 +28,8 @@ import pytest
 from boxplain.box import AttributeAssignment, box_propagate, shortcut_check, ShortcutResult
 from boxplain.bnb import BranchAndBoundBackend, optimize, solve_feasibility
 from boxplain.encoding import (MODE_ACTIVE, attach_rival_query, encode_network,
-                               fix_attributes, tighten_and_simplify)
+                               fix_attributes, merge_bounds,
+                               tighten_and_simplify)
 from boxplain.engine import (Decision, EngineConfig, Explainer,
                              compute_tight_bounds, verify_explanation)
 from boxplain.model import forward, load_domain, load_network
@@ -143,7 +144,7 @@ def test_criterion_03_pinned_refinement_values(demo):
 
     tight = compute_tight_bounds(net, domain, "milp")
     base = encode_network(net, tight)
-    simplified, _ = tighten_and_simplify(net, tight, boxed)
+    simplified, _ = tighten_and_simplify(net, merge_bounds(tight, boxed))
     # big-M constant of the first hidden neuron refines 1.2 -> 0.9, then the
     # still-positive lower bound collapses the block and drops its binary
     assert block(base, 0, 0).pre_ub == pytest.approx(1.2, abs=1e-9)
@@ -276,7 +277,7 @@ def test_criterion_09_equisatisfiability():
         target = int(rng.integers(k))
         rival = int((target + 1 + rng.integers(k - 1)) % k)
         plain = attach_rival_query(fix_attributes(problem, assign), target, rival)
-        simplified, _ = tighten_and_simplify(net, tight, boxed)
+        simplified, _ = tighten_and_simplify(net, merge_bounds(tight, boxed))
         simp = attach_rival_query(fix_attributes(simplified, assign), target, rival)
         assert solve_feasibility(plain).status == solve_feasibility(simp).status
 

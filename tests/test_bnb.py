@@ -353,6 +353,36 @@ def test_optimize_branches_on_the_most_violated_relu(monkeypatch):
     assert branched >= 10
 
 
+def test_optimize_over_rival_queries_matches_oracle(monkeypatch):
+    # A rival query's row can cut off the forward pass from a node's inputs,
+    # so some incumbents fail the certificate, and on nets where the rival
+    # never reaches the target the search ends infeasible.
+    rejected = []
+    incumbent = bnb._ReluGraph.incumbent
+
+    def recorded(graph, point):
+        x = incumbent(graph, point)
+        rejected.append(x is None)
+        return x
+
+    monkeypatch.setattr(bnb._ReluGraph, "incumbent", recorded)
+    rng = np.random.default_rng(1)
+    statuses = []
+    for _ in range(30):
+        net, domain = random_network(rng)
+        query = attach_rival_query(encode_network(net, domain_box(net, domain)), 0, 1)
+        margin = {query.output_vids[1]: 1.0, query.output_vids[0]: -1.0}
+        for sense in ("min", "max"):
+            got = optimize(query, margin, sense)
+            truth = oracle_enumerate(query, margin, sense)
+            assert got.status == truth.status
+            if got.status == OPTIMAL:
+                assert got.value == pytest.approx(truth.value, rel=1e-6, abs=1e-6)
+            statuses.append(got.status)
+    assert any(rejected)
+    assert "infeasible" in statuses and OPTIMAL in statuses
+
+
 def test_backend_contract():
     backend = BranchAndBoundBackend()
     p = make_problem(make_lp([[1.0, 1.0]], (GE,), [1.5], [0.0, 0.0], [1.0, 1.0],

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
 from boxplain.cli import InputError, ingest_csv, main
+import boxplain.engine as engine
 from boxplain.engine import Explainer
 from boxplain.simplex import SolverFailure
 
@@ -61,14 +63,14 @@ class TestIngest:
     def test_plain_rows(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("0.7,0.2\n")
-        instances = ingest_csv(path)
-        assert instances.rows.shape == (1, 2)
-        assert instances.rows[0] == pytest.approx([0.7, 0.2], abs=0)
+        rows = ingest_csv(path)
+        assert rows.shape == (1, 2)
+        assert rows[0] == pytest.approx([0.7, 0.2], abs=0)
 
     def test_header_detected_and_skipped(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("x1,x2\n0.1,0.9\n")
-        assert ingest_csv(path).rows.shape == (1, 2)
+        assert ingest_csv(path).shape == (1, 2)
 
     def test_non_numeric_cell_names_position(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -87,6 +89,20 @@ class TestIngest:
         path.write_text("0.1,0.2\n0.3\n")
         with pytest.raises(InputError, match="line 2"):
             ingest_csv(path)
+
+    def test_empty_cell_before_a_value_names_its_position(self, tmp_path):
+        # dropping the empty cell would read column 3 as column 2
+        path = tmp_path / "e.csv"
+        path.write_text("0.1,,oops\n")
+        with pytest.raises(InputError,
+                           match="line 1, column 2: non-numeric value ''"):
+            ingest_csv(path)
+
+    def test_blank_lines_and_trailing_empty_cells_ignored(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("x1,x2,\n0.7,0.2,,\n\n ,\n0.5,0.3\n")
+        rows = ingest_csv(path)
+        assert rows.tolist() == [[0.7, 0.2], [0.5, 0.3]]
 
 
 class TestExplain:
@@ -128,6 +144,15 @@ class TestExplain:
         assert code == 2
         assert "line 2" in err
 
+    def test_empty_cell_is_input_error(self, capsys, demo_model_path, tmp_path):
+        # not the instance (0.7, 0.2) with its values shifted left
+        path = tmp_path / "gap.csv"
+        path.write_text("0.7,,0.2\n")
+        code, out, err = run_cli(capsys, "explain", str(demo_model_path), str(path))
+        assert code == 2
+        assert "line 1, column 2" in err
+        assert out == ""
+
     def test_missing_model_file(self, capsys, tmp_path, demo_instances):
         code, _, err = run_cli(capsys, "explain", str(tmp_path / "nope.json"),
                                str(demo_instances))
@@ -138,6 +163,19 @@ class TestExplain:
                                str(demo_instances), "--order", "0,0")
         assert code == 2
         assert "permutation" in err
+
+    def test_solver_failure_while_building_the_explainer(self, capsys, monkeypatch,
+                                                         demo_model_path,
+                                                         demo_instances):
+        def failing(*args, **kwargs):
+            raise SolverFailure("singular basis matrix")
+
+        monkeypatch.setattr(engine, "compute_tight_bounds", failing)
+        code, out, err = run_cli(capsys, "explain", str(demo_model_path),
+                                 str(demo_instances))
+        assert code == 3
+        assert "solver failure: singular basis matrix" in err
+        assert out == ""
 
     def test_solver_failure_costs_one_instance(self, capsys, monkeypatch,
                                                demo_model_path, demo_instances,
@@ -239,6 +277,25 @@ class TestBench:
         # numeric cells round-trip exactly
         for key, cell in record.items():
             assert repr(float(cell)) == cell or str(int(cell)) == cell
+
+    def test_diverging_kept_sets_are_a_solver_failure(self, capsys, monkeypatch,
+                                                      demo_model_path,
+                                                      demo_instances):
+        original = Explainer.explain
+
+        def explain(self, instance, mode="improved"):
+            explanation, stats = original(self, instance, mode)
+            if mode == "baseline":
+                explanation = replace(explanation, kept=())
+            return explanation, stats
+
+        monkeypatch.setattr(Explainer, "explain", explain)
+        code, out, err = run_cli(capsys, "bench", str(demo_model_path),
+                                 str(demo_instances))
+        assert code == 3
+        assert "solver failure: baseline and improved explanations diverge" in err
+        header, rows = parse_csv(out)
+        assert header[0] == "exp_s_baseline" and rows == []
 
     def test_empty_instances_header_only(self, capsys, demo_model_path,
                                          tmp_path):

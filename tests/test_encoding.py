@@ -198,7 +198,7 @@ class TestSharedArrays:
         boxed = box_propagate(demo_net, assign, demo_domain)
         fix_attributes(demo_problem, assign)
         attach_rival_query(demo_problem, 0, 1)
-        tighten_and_simplify(demo_net, demo_tight, boxed)
+        tighten_and_simplify(demo_net, merge_bounds(demo_tight, boxed))
         milp_to_lp(demo_problem, {demo_problem.output_vids[0]: 1.0}, "min")
         assert demo_problem.lp is lp and lp.rel == rel_before
         for arr, old in zip(arrays, before):
@@ -239,7 +239,8 @@ class TestMergeAndSimplify:
                                           demo_tight, demo_problem):
         boxed = box_propagate(demo_net, AttributeAssignment.fixing(2, {1: 0.2}),
                               demo_domain)
-        simplified, stats = tighten_and_simplify(demo_net, demo_tight, boxed)
+        simplified, stats = tighten_and_simplify(demo_net,
+                                                 merge_bounds(demo_tight, boxed))
         # big-M constant for the first hidden neuron drops 1.2 -> 0.9, and
         # since its merged lower bound stays positive the block remains the
         # plain equality with no binary
@@ -265,8 +266,8 @@ class TestMergeAndSimplify:
 
     def test_identical_boxed_changes_nothing(self, demo_net, demo_problem,
                                              demo_tight):
-        simplified, stats = tighten_and_simplify(demo_net, demo_tight,
-                                                 demo_tight)
+        simplified, stats = tighten_and_simplify(
+            demo_net, merge_bounds(demo_tight, demo_tight))
         assert stats.bounds_tightened_count == 0
         assert stats.binary_removed_count == \
             demo_net.num_hidden_neurons - len(demo_problem.binary_vids)
@@ -283,7 +284,7 @@ class TestMergeAndSimplify:
                                replace=False)
             boxed = box_propagate(
                 net, AttributeAssignment.from_instance(instance, fixed), domain)
-            _, stats = tighten_and_simplify(net, tight, boxed)
+            _, stats = tighten_and_simplify(net, merge_bounds(tight, boxed))
             assert stats.binary_removed_count >= \
                 net.num_hidden_neurons - len(problem.binary_vids)
 
@@ -332,7 +333,7 @@ class TestModelPreservation:
                                size=rng.integers(0, net.input_dim), replace=False)
             assign = AttributeAssignment.from_instance(instance, fixed)
             boxed = box_propagate(net, assign, domain)
-            simplified, _ = tighten_and_simplify(net, tight, boxed)
+            simplified, _ = tighten_and_simplify(net, merge_bounds(tight, boxed))
             lo, hi = assign.input_intervals(domain)
             for _ in range(5):
                 point = rng.uniform(lo, hi)
@@ -358,7 +359,7 @@ class TestEquisatisfiability:
             rival = int((target + 1 + rng.integers(k - 1)) % k)
             plain = attach_rival_query(fix_attributes(problem, assign),
                                        target, rival)
-            simplified, _ = tighten_and_simplify(net, tight, boxed)
+            simplified, _ = tighten_and_simplify(net, merge_bounds(tight, boxed))
             simp = attach_rival_query(fix_attributes(simplified, assign),
                                       target, rival)
             assert solve_feasibility(plain).status == \
@@ -376,8 +377,8 @@ def _forward_cases(rng, count):
         fixed = rng.choice(net.input_dim,
                            size=rng.integers(0, net.input_dim + 1), replace=False)
         assign = AttributeAssignment.from_instance(instance, fixed)
-        simplified, _ = tighten_and_simplify(net, tight,
-                                             box_propagate(net, assign, domain))
+        simplified, _ = tighten_and_simplify(
+            net, merge_bounds(tight, box_propagate(net, assign, domain)))
         k = net.class_count
         target = int(rng.integers(k))
         rival = int((target + 1 + rng.integers(k - 1)) % k)

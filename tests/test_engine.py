@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from boxplain.box import AttributeAssignment, box_propagate, margin_lower_bounds
-from boxplain.bnb import INTEGRALITY_TOL, BranchAndBoundBackend, milp_to_lp, optimize
+from boxplain.bnb import (INTEGRALITY_TOL, BranchAndBoundBackend, MilpOutcome,
+                          milp_to_lp, optimize)
 from boxplain.encoding import (encode_prefix, fix_attributes, forward_point,
                                merge_bounds)
 from boxplain.engine import (Decision, EngineConfig, Explainer, Explanation,
@@ -30,6 +31,17 @@ class TestTightBounds:
         assert tight.out_hi == pytest.approx([1.4, 1.0], abs=1e-9)
         assert tight.pre_lo[0] == pytest.approx([0.2, -0.5], abs=1e-9)
         assert tight.pre_hi[0] == pytest.approx([1.2, 0.5], abs=1e-9)
+
+    def test_failed_bound_milp_names_its_sense(self, demo_net, demo_domain):
+        class NoMaximum(BranchAndBoundBackend):
+            def optimize(self, problem, objective, sense):
+                if sense == "max":
+                    return MilpOutcome("infeasible")
+                return super().optimize(problem, objective, sense)
+
+        with pytest.raises(RuntimeError,
+                           match="bound optimization failed: max infeasible"):
+            compute_tight_bounds(demo_net, demo_domain, "milp", NoMaximum())
 
     def test_demo_box_mode(self, demo_net, demo_domain):
         boxed = compute_tight_bounds(demo_net, demo_domain, "box")

@@ -5,8 +5,8 @@ import pytest
 
 from boxplain.simplex import (EQ, FEAS_TOL, GE, LE, INFEASIBLE, OPTIMAL,
                               UNBOUNDED, Basis, LpProblem, SolverFailure,
-                              _certify, _Simplex, crash_basis, prepare,
-                              solve_lp, solve_prepared)
+                              _certify, _finish, _Simplex, crash_basis,
+                              prepare, solve_lp, solve_prepared)
 from oracles import eq2_style_milp, random_bounded_lp, vertex_enumerate
 
 BEALE = dict(a=np.array([[0.25, -60.0, -0.04, 9.0],
@@ -178,6 +178,38 @@ def test_stall_counts_only_iterations_that_do_not_improve():
     assert (strict.basis == dantzig.basis).all()
     assert (strict.x == dantzig.x).all()
     assert strict.iterations == dantzig.iterations
+
+
+def test_stall_switches_to_blands_rule(monkeypatch):
+    # Every row has rhs 0, so the start at x = 0 is a degenerate vertex and
+    # the first pivots do not lower the objective.  With no stall allowed,
+    # Bland's rule takes over and picks other entering and leaving columns
+    # than Dantzig pricing; both paths end at the same optimum.
+    p = LpProblem(np.array([[0.0, 3.0, 2.0, 3.0], [-1.0, 1.0, 3.0, 1.0]]),
+                  (GE, GE), np.zeros(2), np.zeros(4), np.full(4, 3.0),
+                  np.array([1.0, -1.0, 3.0, -3.0]), "min")
+    feasible, best = vertex_enumerate(p)
+    assert feasible and best == -12.0
+    pivot = _Simplex._pivot
+    paths = []
+    for stall_limit in (0, 10**9):
+        pivots = []
+
+        def recorded(core, r, q, w, pivots=pivots):
+            pivots.append((r, q))
+            pivot(core, r, q, w)
+
+        monkeypatch.setattr(_Simplex, "_pivot", recorded)
+        core = _Simplex(prepare(p), p.lb, p.ub)
+        core.stall_limit = stall_limit
+        assert core.phase_one()
+        core.close_phase_one()
+        out = _finish(core)
+        assert out.status == OPTIMAL
+        assert out.value == pytest.approx(best, abs=1e-9)
+        paths.append(pivots)
+    bland, dantzig = paths
+    assert bland != dantzig
 
 
 def _certify_by_rows(p: LpProblem, point):
