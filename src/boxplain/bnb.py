@@ -63,14 +63,15 @@ def milp_to_lp(problem: MilpProblem, objective: Optional[Mapping[int, float]] = 
 
 
 def _fractional_binaries(point: np.ndarray, binaries, tol: float) -> Optional[int]:
-    """Vid of the most fractional binary (the first on a tie), or None when
-    all are integral."""
-    if not binaries:
+    """Vid of the most fractional of the vids ``binaries`` (the first on a
+    tie), or None when all are integral."""
+    if not len(binaries):
         return None
-    values = point[list(binaries)]
+    binaries = np.asarray(binaries, dtype=np.intp)
+    values = point[binaries]
     frac = np.abs(values - np.round(values))
     k = int(frac.argmax())
-    return binaries[k] if frac[k] > tol else None
+    return int(binaries[k]) if frac[k] > tol else None
 
 
 class _ReluGraph:
@@ -111,7 +112,7 @@ class _ReluGraph:
     def branching(self, point: np.ndarray) -> Optional[int]:
         z = point[self.z]
         fractional = np.abs(z - np.round(z)) > INTEGRALITY_TOL
-        if not fractional.any():
+        if not np.count_nonzero(fractional):
             return None
         post = point[self.post]
         # the lower-side row reads post - w.prev >= b, so pre = w.prev + b
@@ -146,7 +147,9 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
     lp = milp_to_lp(problem, objective, "feas" if feasibility else "min")
     prep = prepare(lp)
     graph = _ReluGraph(problem, prep) if not feasibility and problem.blocks else None
-    stack: list[tuple] = [(lp.lb, lp.ub, forward_basis(problem))]
+    binaries = np.array(lp.binaries, dtype=np.intp)
+    # a node is its bounds, rows lb and ub of one array, and its start basis
+    stack: list[tuple] = [(np.array((lp.lb, lp.ub)), forward_basis(problem))]
     nodes = iterations = 0
     best_value = np.inf
     best_point = None
@@ -166,8 +169,8 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
         if deadline is not None and time.perf_counter() > deadline:
             # search incomplete: no answer, and no incumbent proven optimal
             return result(UNKNOWN)
-        lb, ub, basis = stack.pop()
-        outcome = solve_prepared(prep, lb, ub, basis)
+        bounds, basis = stack.pop()
+        outcome = solve_prepared(prep, bounds[0], bounds[1], basis)
         nodes += 1
         iterations += outcome.iterations
         if outcome.status == UNBOUNDED:
@@ -183,7 +186,7 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
                     continue
             vid = graph.branching(outcome.point)
         if vid is None:
-            vid = _fractional_binaries(outcome.point, lp.binaries, INTEGRALITY_TOL)
+            vid = _fractional_binaries(outcome.point, binaries, INTEGRALITY_TOL)
         if vid is None:
             if feasibility:
                 return result(SAT, None, outcome.point)
@@ -192,9 +195,9 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
             continue
         first = int(round(outcome.point[vid]))
         for value in (1 - first, first):
-            child_lb, child_ub = lb.copy(), ub.copy()
-            child_lb[vid] = child_ub[vid] = value
-            stack.append((child_lb, child_ub, outcome.basis))
+            child = bounds.copy()
+            child[0, vid] = child[1, vid] = value
+            stack.append((child, outcome.basis))
     if feasibility:
         return result(UNSAT)
     if best_point is None:

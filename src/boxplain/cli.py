@@ -15,8 +15,8 @@ import numpy as np
 
 from .box import AttributeAssignment, box_propagate
 from .engine import (MODE_BASELINE, MODE_IMPROVED, EngineConfig, Explainer,
-                     ExplainStats, InstanceError, compute_tight_bounds,
-                     verify_explanation)
+                     ExplainStats, InstanceError, attribute_order,
+                     compute_tight_bounds, verify_explanation)
 from .model import ModelFormatError, load_model_file
 from .simplex import SolverFailure
 
@@ -102,6 +102,17 @@ def _build_config(args) -> EngineConfig:
     )
 
 
+def _explainer(args, net, domain, rows) -> Optional[Explainer]:
+    """The ``Explainer`` for ``rows``; None when there are none, since the
+    tight-bound precompute would then serve nothing, after checking
+    ``--order`` as the ``Explainer`` would."""
+    config = _build_config(args)
+    if len(rows):
+        return Explainer(net, domain, config)
+    attribute_order(config.order, net.input_dim)
+    return None
+
+
 def _each_instance(rows: np.ndarray, run, done) -> int:
     """Call ``done(idx, run(row))`` for each instance as soon as it is done,
     then flush stdout.
@@ -130,7 +141,7 @@ def _each_instance(rows: np.ndarray, run, done) -> int:
 
 def cmd_explain(args) -> int:
     net, domain, rows = _load(args)
-    explainer = Explainer(net, domain, _build_config(args))
+    explainer = _explainer(args, net, domain, rows)
     writer = csv.writer(sys.stdout)
     writer.writerow(["instance", "predicted_class", "kept_indices", "decisions",
                      "total_time_s", "solver_time_s", "solver_calls",
@@ -170,7 +181,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_bench(args) -> int:
     net, domain, rows = _load(args)
-    explainer = Explainer(net, domain, _build_config(args))
+    explainer = _explainer(args, net, domain, rows)
     writer = csv.writer(sys.stdout)
     writer.writerow(["exp_s_baseline", "exp_s_ours", "solver_s_baseline",
                      "solver_s_ours", "pct_bounds_tightened",
@@ -201,7 +212,7 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     net, domain, rows = _load(args)
-    explainer = Explainer(net, domain, _build_config(args))
+    explainer = _explainer(args, net, domain, rows)
     writer = csv.writer(sys.stdout)
     writer.writerow(["instance", "predicted_class", "kept_indices",
                      "sufficiency_ok", "minimality_ok", "unverified"])

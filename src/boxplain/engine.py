@@ -39,7 +39,7 @@ from .encoding import (MilpProblem, _structural_layout, attach_rival_query,
                        encode_network, encode_prefix, fix_attributes,
                        forward_point, merge_bounds, tighten_and_simplify)
 from .model import InputDomain, Network, batch_outputs, forward
-from .simplex import FEAS_TOL
+from .simplex import FEAS_TOL, SolverFailure
 
 logger = logging.getLogger(__name__)
 
@@ -136,7 +136,8 @@ class ExplainStats:
 class EngineConfig:
     """How an ``Explainer`` runs.  ``order`` is the attribute order of the
     deletion loop, a permutation of the attribute indices, or None for
-    index order; the ``Explainer`` checks it against its network."""
+    index order; the ``Explainer`` checks it against its network
+    (``attribute_order``)."""
 
     tight_bounds_mode: str = TIGHT_MILP
     order: Optional[tuple] = None
@@ -156,7 +157,8 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
     Every solved neuron and sense logs one DEBUG line on this module's
     logger: layer (the output layer numbers after the hidden ones), neuron,
     B&B nodes, LP iterations, seconds, and whether the optimum is a
-    forward-pass incumbent or an LP leaf.  ``box`` falls back to plain
+    forward-pass incumbent or an LP leaf.  A bound MILP that is not optimal
+    raises ``SolverFailure`` naming its sense.  ``box`` falls back to plain
     interval propagation.
     """
     all_free = AttributeAssignment.all_free(net.input_dim)
@@ -185,7 +187,7 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
                 out = backend.optimize(prefix, objective, sense)
                 seconds = time.perf_counter() - start
                 if out.status != "optimal":
-                    raise RuntimeError(
+                    raise SolverFailure(
                         f"bound optimization failed: {sense} {out.status}")
                 found[j] = out.value + float(layer.biases[j])
                 if logger.isEnabledFor(logging.DEBUG):
@@ -208,6 +210,15 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
     return bounds
 
 
+def attribute_order(order: Optional[tuple], n: int) -> tuple:
+    """``order`` as a tuple of attribute indices, index order for None;
+    ValueError unless it is a permutation of ``0..n-1``."""
+    resolved = tuple(range(n)) if order is None else tuple(int(i) for i in order)
+    if sorted(resolved) != list(range(n)):
+        raise ValueError(f"order must be a permutation of 0..{n - 1}")
+    return resolved
+
+
 def is_entailed(problem: MilpProblem, target: int, *,
                 backend: SolverBackend = DEFAULT_BACKEND,
                 time_budget_ms: Optional[float] = None,
@@ -222,7 +233,7 @@ def is_entailed(problem: MilpProblem, target: int, *,
     appends each query's ``MilpOutcome`` to ``outcomes`` when given.  Returns
     ``(True, None)`` when no rival in ``rivals`` can win, ``(False,
     witness)``, or ``(None, None)`` when a time budget ran out before a
-    decision.
+    decision; any other query status raises ``SolverFailure``.
     """
     k = len(problem.output_vids)
     if not 0 <= target < k:
@@ -242,7 +253,7 @@ def is_entailed(problem: MilpProblem, target: int, *,
         if outcome.status == UNKNOWN:
             return None, None
         if outcome.status != UNSAT:
-            raise RuntimeError(f"unexpected solver status {outcome.status!r}")
+            raise SolverFailure(f"unexpected solver status {outcome.status!r}")
     return True, None
 
 
@@ -250,11 +261,11 @@ class Explainer:
     """Shared per-network state: the attribute order, tight bounds and the
     base encoding.
 
-    ``order`` is ``config.order`` resolved once (index order for None); one
-    that is not a permutation of the attribute indices raises ValueError
-    before any bound is computed.  Immutable once constructed; explain()
-    never mutates it, so one Explainer can serve many instances (and
-    threads) of the same network.
+    ``order`` is ``config.order`` resolved once by ``attribute_order``
+    (index order for None); one that is not a permutation of the attribute
+    indices raises ValueError before any bound is computed.  Immutable once
+    constructed; explain() never mutates it, so one Explainer can serve many
+    instances (and threads) of the same network.
     """
 
     def __init__(self, net: Network, domain: InputDomain,
@@ -264,11 +275,7 @@ class Explainer:
         self.domain = domain
         self.config = config or EngineConfig()
         self.backend = self.config.backend
-        n = net.input_dim
-        self.order = tuple(range(n)) if self.config.order is None else \
-            tuple(int(i) for i in self.config.order)
-        if sorted(self.order) != list(range(n)):
-            raise ValueError(f"order must be a permutation of 0..{n - 1}")
+        self.order = attribute_order(self.config.order, net.input_dim)
         if tight is None:
             tight = compute_tight_bounds(net, domain,
                                          self.config.tight_bounds_mode,

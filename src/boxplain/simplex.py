@@ -30,6 +30,17 @@ a state that pivoted since its last refactorization is refactored and
 re-priced once, so stale arithmetic cannot end a solve early.  A solve
 therefore ends on an exact inverse, and only the basic values, moved by
 bound flips since, are computed again.
+
+A warm solve, and phase 2 of a cold one, prices only the structural and
+slack columns, through a contiguous copy of them (``_Prepared.priced``):
+the artificials are pinned at zero there and can never enter.  From one
+pivot to the next both loops carry the basic values, the basic bounds and
+one sign per priced column (+1 or -1 for the direction a nonbasic column
+can move, 0 for a basic or fixed one) instead of gathering them again and
+building status masks every iteration; the dual loop writes the basic
+values back into the full point only when it returns.  These are the same
+pivots, bit for bit, as the loops that gathered everything per iteration,
+which ``tests/oracles.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -50,6 +61,8 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
+_BASIC8 = np.int8(_BASIC)
+_SIGN = np.array([1.0, -1.0, 0.0])  # entering direction by status
 
 _REFACTOR_EVERY = 40
 
@@ -133,14 +146,19 @@ class _Prepared:
 
     Columns are laid out structural | slack | artificial, with both the slack
     and artificial blocks as identity matrices; artificial signs live in
-    their bounds instead of their columns.  ``row_tol`` is each row's
-    feasibility tolerance, ``FEAS_TOL`` scaled by ``max(1, |rhs|)``.
-    ``cmin`` is the objective to minimize, ``cost`` the same over every
-    column, None for sense ``"feas"``.
+    their bounds instead of their columns.  ``priced`` is a contiguous copy
+    of the structural and slack columns, the only ones a loop prices once
+    the artificials are pinned at zero.  ``lo_tail``/``hi_tail`` are the
+    slack and the pinned artificial bounds that follow a solve's structural
+    ones.  ``row_tol`` is each row's feasibility tolerance, ``FEAS_TOL``
+    scaled by ``max(1, |rhs|)``, and ``row_lo``/``row_hi`` are ``rhs`` minus
+    and plus it.  ``cmin`` is the objective to minimize, ``cost`` the same
+    over every column, None for sense ``"feas"``.
     """
 
-    __slots__ = ("A", "rhs", "rel", "m", "n", "ncols", "total", "slack_lo",
-                 "slack_hi", "row_tol", "is_le", "is_ge", "sense", "cmin", "cost")
+    __slots__ = ("A", "priced", "rhs", "rel", "m", "n", "ncols", "total",
+                 "lo_tail", "hi_tail", "row_tol", "row_lo", "row_hi", "is_le",
+                 "is_ge", "sense", "cmin", "cost")
 
     def __init__(self, p: LpProblem):
         m, n = p.a.shape
@@ -150,6 +168,8 @@ class _Prepared:
         eye = np.eye(m)
         self.A = np.hstack([p.a, eye, eye])
         self.A.setflags(write=False)
+        self.priced = np.ascontiguousarray(self.A[:, :self.ncols])
+        self.priced.setflags(write=False)
         self.rhs = p.rhs.astype(np.float64)
         self.rel = tuple(p.rel)
         for r in self.rel:
@@ -157,9 +177,11 @@ class _Prepared:
                 raise ValueError(f"unknown relation {r!r}")
         self.is_le = np.array([r == LE for r in self.rel], dtype=bool)
         self.is_ge = np.array([r == GE for r in self.rel], dtype=bool)
-        self.slack_lo = np.where(self.is_ge, -INF, 0.0)
-        self.slack_hi = np.where(self.is_le, INF, 0.0)
+        self.lo_tail = np.concatenate([np.where(self.is_ge, -INF, 0.0), np.zeros(m)])
+        self.hi_tail = np.concatenate([np.where(self.is_le, INF, 0.0), np.zeros(m)])
         self.row_tol = FEAS_TOL * np.maximum(1.0, np.abs(self.rhs))
+        self.row_lo = self.rhs - self.row_tol
+        self.row_hi = self.rhs + self.row_tol
         self.sense = p.sense
         self.cmin = np.zeros(n) if p.sense == "feas" else \
             (-p.c if p.sense == "max" else p.c).astype(np.float64)
@@ -173,6 +195,10 @@ class _Simplex:
     Starts cold from the all-artificial basis, or warm from ``start``, an
     earlier solve's final basis or a crash basis, with the artificials
     already closed; either way ``_place`` puts the nonbasic columns.
+
+    ``x`` holds every column's value and ``xb`` the basic ones, row by row.
+    Between loops the two agree; inside ``run_dual`` only ``xb`` moves, and
+    ``x`` takes it back when the loop returns.
     """
 
     def __init__(self, prep: _Prepared, lb: np.ndarray, ub: np.ndarray,
@@ -180,8 +206,8 @@ class _Simplex:
         self.prep = prep
         m, total = prep.m, prep.total
         self.m = m
-        self.lo = np.concatenate([lb, prep.slack_lo, np.zeros(m)])
-        self.hi = np.concatenate([ub, prep.slack_hi, np.zeros(m)])
+        self.lo = np.concatenate((lb, prep.lo_tail))
+        self.hi = np.concatenate((ub, prep.hi_tail))
         self.iterations = 0
         self.pivots_since_refactor = 0
         self.max_iter = 500 + 60 * total
@@ -198,8 +224,8 @@ class _Simplex:
         free); the caller sets the basic values."""
         lo, hi = self.lo, self.hi
         upper = np.where(stat == _AT_UPPER, hi < INF, lo == -INF)
-        self.stat = np.where(stat == _BASIC, _BASIC,
-                             np.where(upper, _AT_UPPER, _AT_LOWER)).astype(np.int8)
+        # _AT_LOWER and _AT_UPPER are 0 and 1, so ``upper`` is the status
+        self.stat = np.where(stat == _BASIC, _BASIC8, upper.view(np.int8))
         self.x = np.where(upper, hi, lo)
 
     def _start_cold(self) -> None:
@@ -214,6 +240,7 @@ class _Simplex:
         self.stat[ncols:] = _BASIC
         self.basis = np.arange(ncols, prep.total)
         self.binv = np.eye(prep.m)  # initial basis is the artificial identity
+        self.xb = resid.copy()
 
     def _start_warm(self, start: Basis) -> None:
         """The basics follow from the rows; a basis without an inverse is
@@ -227,9 +254,10 @@ class _Simplex:
             self._solve_basics()
 
     def _solve_basics(self) -> None:
-        xn = self.x.copy()
-        xn[self.basis] = 0.0
-        self.x[self.basis] = self.binv @ (self.prep.rhs - self.prep.A @ xn)
+        x, basis = self.x, self.basis
+        x[basis] = 0.0  # the rows give the basics from the nonbasic values
+        self.xb = self.binv @ (self.prep.rhs - self.prep.A @ x)
+        x[basis] = self.xb
 
     def _refactor(self) -> None:
         B = self.prep.A[:, self.basis]
@@ -263,35 +291,51 @@ class _Simplex:
         if self.pivots_since_refactor >= _REFACTOR_EVERY:
             self._refactor()
 
-    def run(self, cost: np.ndarray, allow_unbounded: bool) -> str:
-        """Minimize ``cost @ x`` from the current state.  Returns a status."""
-        A = self.prep.A
-        lo, hi, x, stat = self.lo, self.hi, self.x, self.stat
+    def _signs(self, k: int) -> np.ndarray:
+        """Over the first ``k`` columns, the direction each nonbasic column
+        can move off its bound: +1 up from its lower bound, -1 down from its
+        upper one, 0 for a basic or fixed column.  A column prices as
+        entering when its sign times its reduced cost (or tableau entry)
+        clears the pivot tolerance, so the loops keep this one vector
+        instead of status masks and update it at each pivot."""
+        lo, hi = self.lo[:k], self.hi[:k]
+        return np.where(hi > lo, _SIGN[self.stat[:k]], 0.0)
+
+    def run(self, cost: np.ndarray, allow_unbounded: bool,
+            artificials: bool = False) -> str:
+        """Minimize ``cost @ x`` from the current state.  Returns a status.
+
+        Prices the structural and slack columns, and the artificials too
+        when ``artificials`` is set (phase 1, before they are pinned).
+        """
+        prep = self.prep
+        A = prep.A
+        priced = A if artificials else prep.priced
+        k = priced.shape[1]
+        lo, hi, x, stat, basis = self.lo, self.hi, self.x, self.stat, self.basis
         tol = PIVOT_TOL
         bland = False
         stall = 0
         best = None  # objective at the last improving iteration
-        movable = (hi - lo) > 0.0  # bounds stay fixed within one run
+        sign = self._signs(k)  # bounds stay fixed within one run
+        c_priced, cb = cost[:k], cost[basis]
+        lob, hib = lo[basis], hi[basis]
+        unreached = np.full(self.m, INF)  # the step of a row delta leaves alone
         while True:
             if self.iterations >= self.max_iter:
                 raise SolverFailure("simplex iteration limit exceeded")
             self.iterations += 1
 
-            y = self.binv.T @ cost[self.basis]
-            d = cost - A.T @ y
-            eligible = (((stat == _AT_LOWER) & (d < -tol))
-                        | ((stat == _AT_UPPER) & (d > tol))) & movable
-            if not eligible.any():
+            # entering: the most negative sign * reduced cost (Dantzig)
+            sd = sign * (c_priced - priced.T @ (self.binv.T @ cb))
+            q = int(sd.argmin())
+            if not sd[q] < -tol:
                 if self._refreshed():
                     continue
                 return OPTIMAL
-
-            idx = eligible.nonzero()[0]
             if bland:
-                q = int(idx[0])
-            else:
-                q = int(idx[np.abs(d[idx]).argmax()])
-            sigma = 1.0 if stat[q] == _AT_LOWER else -1.0
+                q = int((sd < -tol).argmax())
+            sigma = float(sign[q])
 
             z = float(cost @ x)
             if best is None or z < best - 1e-11 * max(1.0, abs(best)):
@@ -302,15 +346,10 @@ class _Simplex:
                     bland = True
 
             w = self.binv @ A[:, q]
-            xb = x[self.basis]
+            xb = self.xb
             delta = -sigma * w
-            steps = np.full(self.m, INF)
-            up_mask = delta > tol
-            dn_mask = delta < -tol
-            hib = hi[self.basis]
-            lob = lo[self.basis]
-            steps[up_mask] = (hib[up_mask] - xb[up_mask]) / delta[up_mask]
-            steps[dn_mask] = (lob[dn_mask] - xb[dn_mask]) / delta[dn_mask]
+            steps = np.divide(np.where(delta > 0.0, hib, lob) - xb, delta,
+                              out=unreached.copy(), where=np.abs(delta) > tol)
             np.maximum(steps, 0.0, out=steps)
             t_basic = float(steps.min()) if self.m else INF
             t_own = float(hi[q] - lo[q])
@@ -322,25 +361,33 @@ class _Simplex:
 
             if t_own <= t_basic:
                 # bound flip: entering variable crosses to its other bound
-                x[self.basis] = xb - sigma * t_own * w
-                if stat[q] == _AT_LOWER:
+                xb -= sigma * t_own * w
+                x[basis] = xb
+                if sigma > 0.0:
                     x[q] = hi[q]
                     stat[q] = _AT_UPPER
                 else:
                     x[q] = lo[q]
                     stat[q] = _AT_LOWER
+                sign[q] = -sigma
                 continue
 
-            blocking = (steps <= t_basic + 1e-12).nonzero()[0]
+            blocking = steps <= t_basic + 1e-12
             if bland:
-                r = int(blocking[self.basis[blocking].argmin()])
+                r = int(np.where(blocking, basis, prep.total).argmin())
             else:
-                r = int(blocking[np.abs(w[blocking]).argmax()])
-            leaving = int(self.basis[r])
-            x[self.basis] = xb - sigma * t_basic * w
-            x[q] = (lo[q] if stat[q] == _AT_LOWER else hi[q]) + sigma * t_basic
-            x[leaving] = hi[leaving] if delta[r] > 0 else lo[leaving]
-            stat[leaving] = _AT_UPPER if delta[r] > 0 else _AT_LOWER
+                r = int(np.where(blocking, np.abs(w), -1.0).argmax())
+            leaving = int(basis[r])
+            xb -= sigma * t_basic * w
+            x[basis] = xb
+            xb[r] = x[q] = (lo[q] if sigma > 0.0 else hi[q]) + sigma * t_basic
+            upper = delta[r] > 0
+            x[leaving] = hib[r] if upper else lob[r]
+            stat[leaving] = _AT_UPPER if upper else _AT_LOWER
+            if leaving < k:
+                sign[leaving] = (-1.0 if upper else 1.0) if hib[r] > lob[r] else 0.0
+            sign[q] = 0.0
+            lob[r], hib[r], cb[r] = lo[q], hi[q], cost[q]
             self._pivot(r, q, w)
 
     def run_dual(self, cost: Optional[np.ndarray]) -> Optional[bool]:
@@ -355,42 +402,60 @@ class _Simplex:
         could make up: the problem is then infeasible by the rule phase 1
         applies.  None to give up: the cap of ``dual_max_iter`` iterations,
         or a violated row that tolerance might still close.
+
+        Only the structural and slack columns are priced: the artificials
+        are pinned at zero.  The basic values ``xb``, the basic bounds and
+        the entering signs (``_signs``) are carried from pivot to pivot,
+        and ``x`` takes the basic values back on return.
         """
+        if not self.m:
+            return True  # no rows, nothing to violate
         prep = self.prep
-        A, ncols = prep.A, prep.ncols
-        lo, hi, x, stat = self.lo, self.hi, self.x, self.stat
+        A, priced, ncols = prep.A, prep.priced, prep.ncols
+        lo, hi, x, stat, basis = self.lo, self.hi, self.x, self.stat, self.basis
         tol = PIVOT_TOL
-        span = hi - lo
-        movable = span > 0.0
+        sign = self._signs(ncols)
+        lob, hib = lo[basis], hi[basis]
+        if cost is not None:
+            c_priced, cb = cost[:ncols], cost[basis]
+            unpriced = np.full(ncols, INF)  # the ratio of a column that cannot enter
         limit = self.iterations + self.dual_max_iter
         while True:
-            xb = x[self.basis]
-            below = lo[self.basis] - xb
-            above = xb - hi[self.basis]
+            xb = self.xb
+            below = lob - xb
+            above = xb - hib
             viol = np.maximum(below, above)
-            bad = viol > tol * np.maximum(1.0, np.abs(xb))
-            if not bad.any():
+            scale = np.abs(xb)
+            np.maximum(scale, 1.0, out=scale)
+            scale *= tol
+            score = np.where(viol > scale, viol, -INF)
+            r = int(score.argmax())
+            if score[r] == -INF:  # no row violated
                 if self._refreshed():
                     continue
+                x[basis] = xb
                 return True
             if self.iterations >= limit:
+                x[basis] = xb
                 return None
 
-            r = int(np.where(bad, viol, -INF).argmax())
-            p = int(self.basis[r])
+            p = int(basis[r])
             rise = bool(below[r] > above[r])
-            alpha = self.binv[r] @ A
+            alpha = self.binv[r] @ priced
             # how far x_p moves toward its violated bound per unit rise of x_j
             g = -alpha if rise else alpha
-            at_lo, at_hi = stat == _AT_LOWER, stat == _AT_UPPER
-            eligible = movable & ((at_lo & (g > tol)) | (at_hi & (g < -tol)))
-            if not eligible.any():
+            # |g| where column j may enter, at most PIVOT_TOL elsewhere;
+            # without a cost every ratio is 0, so q is the largest pivot,
+            # the lowest column on a tie
+            sg = sign * g
+            q = int(sg.argmax())
+            if not sg[q] > tol:  # no entering column
                 if self._refreshed():
                     continue
-                helps = movable & ((at_lo & (g > 0)) | (at_hi & (g < 0)))
-                room = span.copy()
-                room[prep.n:ncols] = np.minimum(span[prep.n:ncols],
-                                                self._slack_room())
+                x[basis] = xb
+                helps = sg > 0
+                room = hi[:ncols] - lo[:ncols]
+                room[prep.n:] = np.minimum(room[prep.n:], self._slack_room())
                 reach = (np.abs(self.binv[r]) @ prep.row_tol
                          + float((np.abs(g[helps]) * room[helps]).sum()))
                 if p >= ncols:  # an artificial's own row may miss by row_tol
@@ -398,22 +463,25 @@ class _Simplex:
                 return False if viol[r] > reach else None
             self.iterations += 1
 
-            idx = eligible.nonzero()[0]
-            if cost is None:
-                ratio = np.zeros(idx.size)
-            else:
-                d = cost - A.T @ (self.binv.T @ cost[self.basis])
-                ratio = np.abs(d[idx]) / np.abs(g[idx])
-            # among tied ratios the largest pivot, then the lowest column
-            tied = ratio <= ratio.min() + tol
-            q = int(idx[np.where(tied, np.abs(g[idx]), -1.0).argmax()])
+            if cost is not None:
+                d = c_priced - priced.T @ (self.binv.T @ cb)
+                ratio = np.divide(np.abs(d), sg, out=unpriced.copy(), where=sg > tol)
+                # among tied ratios the largest pivot, then the lowest column
+                tied = ratio <= ratio.min() + tol
+                q = int(np.where(tied, sg, -1.0).argmax())
             w = self.binv @ A[:, q]
-            target = lo[p] if rise else hi[p]
-            t = (x[p] - target) / w[r]
-            x[self.basis] -= t * w
-            x[q] += t
+            target = lob[r] if rise else hib[r]
+            t = (xb[r] - target) / w[r]
+            xb -= t * w
+            xb[r] = x[q] + t
             x[p] = target
             stat[p] = _AT_LOWER if rise else _AT_UPPER
+            if p < ncols:
+                sign[p] = (1.0 if rise else -1.0) if hib[r] > lob[r] else 0.0
+            sign[q] = 0.0
+            lob[r], hib[r] = lo[q], hi[q]
+            if cost is not None:
+                cb[r] = cost[q]
             self._pivot(r, q, w)
 
     def _slack_room(self) -> np.ndarray:
@@ -422,9 +490,11 @@ class _Simplex:
         widened by the row's tolerance."""
         prep, n = self.prep, self.prep.n
         a, lb, ub = prep.A[:, :n], self.lo[:n], self.hi[:n]
-        with np.errstate(invalid="ignore"):  # 0 * inf, discarded by where
-            act_lo = np.where(a > 0, a * lb, np.where(a < 0, a * ub, 0.0)).sum(axis=1)
-            act_hi = np.where(a > 0, a * ub, np.where(a < 0, a * lb, 0.0)).sum(axis=1)
+        pos, neg = a > 0, a < 0
+        # each entry times the bound that minimizes (maximizes) its term; a
+        # zero entry meets 0, never an infinite bound
+        act_lo = (a * np.where(pos, lb, np.where(neg, ub, 0.0))).sum(axis=1)
+        act_hi = (a * np.where(pos, ub, np.where(neg, lb, 0.0))).sum(axis=1)
         room = np.where(prep.is_le, prep.rhs - act_lo, act_hi - prep.rhs)
         return np.maximum(room, 0.0) + prep.row_tol
 
@@ -434,7 +504,7 @@ class _Simplex:
         ncols = self.prep.ncols
         cost = np.zeros(self.prep.total)
         cost[ncols:] = self.art_sign
-        self.run(cost, allow_unbounded=False)
+        self.run(cost, allow_unbounded=False, artificials=True)
         self._solve_basics()
         return bool((np.abs(self.x[ncols:]) <= self.prep.row_tol).all())
 
@@ -451,16 +521,15 @@ class _Simplex:
 def _certify(prep: _Prepared, lb, ub, point: np.ndarray) -> None:
     """Raise unless ``point`` is within ``FEAS_TOL`` of its bounds and each
     row within its ``row_tol``; names the first violated row."""
-    if (point < lb - FEAS_TOL).any() or (point > ub + FEAS_TOL).any():
+    if np.count_nonzero((point < lb - FEAS_TOL) | (point > ub + FEAS_TOL)):
         raise SolverFailure("solution violates variable bounds")
     lhs = prep.A[:, :prep.n] @ point
-    rhs, slack = prep.rhs, prep.row_tol
-    violated = np.where(prep.is_le, lhs > rhs + slack,
-                        np.where(prep.is_ge, lhs < rhs - slack,
-                                 np.abs(lhs - rhs) > slack))
-    if violated.any():
+    violated = np.where(prep.is_le, lhs > prep.row_hi,
+                        np.where(prep.is_ge, lhs < prep.row_lo,
+                                 np.abs(lhs - prep.rhs) > prep.row_tol))
+    if np.count_nonzero(violated):
         i = int(violated.argmax())
-        raise SolverFailure(f"row {i} violated: {lhs[i]} {prep.rel[i]} {rhs[i]}")
+        raise SolverFailure(f"row {i} violated: {lhs[i]} {prep.rel[i]} {prep.rhs[i]}")
 
 
 def _finish(core: _Simplex, spent: int = 0) -> LpOutcome:
@@ -515,7 +584,7 @@ def solve_prepared(prep: _Prepared, lb, ub, warm: Optional[Basis] = None) -> LpO
     gives up or fails is dropped for a cold solve; its iterations still
     count.
     """
-    if (lb > ub).any():
+    if np.count_nonzero(lb > ub):
         return LpOutcome(INFEASIBLE)
     spent = 0
     if warm is not None:

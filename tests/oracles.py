@@ -1,15 +1,20 @@
-"""Independent brute-force oracles the solver tests are checked against."""
+"""Independent brute-force oracles the solver tests are checked against,
+and the reference simplex loops the core's own loops must match bit for
+bit."""
 
 from __future__ import annotations
 
 import itertools
 import time
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from boxplain.bnb import SAT, UNSAT, MilpOutcome, milp_to_lp
-from boxplain.simplex import (EQ, FEAS_TOL, GE, INFEASIBLE, LE, OPTIMAL,
-                              LpProblem, prepare, solve_prepared)
+from boxplain.simplex import (_AT_LOWER, _AT_UPPER, EQ, FEAS_TOL, GE, INF,
+                              INFEASIBLE, LE, OPTIMAL, PIVOT_TOL, UNBOUNDED,
+                              LpProblem, SolverFailure, _Simplex, prepare,
+                              solve_prepared)
 
 ORACLE_BINARY_CAP = 20
 
@@ -170,3 +175,227 @@ def oracle_enumerate(problem, objective=None, sense="min") -> MilpOutcome:
         witness = best_point[np.array(problem.input_vids, dtype=int)].copy()
     return MilpOutcome(status, value, best_point, witness, nodes,
                        time.perf_counter() - start)
+
+
+# The reference loops, ``reference_run`` and ``reference_run_dual``, price
+# every column and gather the basic values, the basic bounds and the status
+# masks from the core's full arrays on every iteration (``self`` is the core
+# they run on).  The core's own loops price only the structural and slack
+# columns and carry that state from pivot to pivot; ``loop_records`` runs
+# both kinds from the same start.
+
+
+class LoopRecord(NamedTuple):
+    """What the loops did on one core.  ``pivots``: per pivot the row, the
+    entering column, and the bytes of its tableau column and of the basic
+    values it moved.  ``ends``: the dual loop's verdict and, when that loop
+    ends primal feasible and there is a cost, phase 2's status, each with
+    the iterations, basis, statuses and the bytes of ``x`` and of the
+    inverse after it.  ``failure``: the message of a ``SolverFailure``."""
+
+    pivots: list
+    ends: list
+    failure: Optional[str]
+
+
+def loop_records(prep, lb, ub, start, cost, dual_max_iter=None):
+    """The ``LoopRecord`` of the core's loops and of the reference loops
+    from ``start``, each on a core of its own, the core's first; a
+    bit-identical rework makes them equal."""
+    records = []
+    for dual, primal, carried in ((_Simplex.run_dual, _Simplex.run, True),
+                                  (reference_run_dual, reference_run, False)):
+        record = LoopRecord([], [], None)
+        try:
+            core = _Simplex(prep, lb, ub, start)
+            core._pivot = _recording_pivot(core, record.pivots, carried)
+            if dual_max_iter is not None:
+                core.dual_max_iter = dual_max_iter
+            verdict = dual(core, cost)
+            record.ends.append((verdict, *_core_state(core)))
+            if verdict and cost is not None:
+                record.ends.append((primal(core, cost, True), *_core_state(core)))
+        except SolverFailure as exc:
+            record = record._replace(failure=str(exc))
+        records.append(record)
+    return records
+
+
+def _recording_pivot(core, pivots, carried):
+    """``core._pivot``, first noting the pivot in ``pivots``.  The basic
+    values are read before the basis changes, with row ``r`` holding the
+    entering column's new value: the core's loops carry them in ``xb``
+    (``carried``), the reference loops in ``x``."""
+    pivot = core._pivot
+
+    def recorded(r, q, w):
+        if carried:
+            values = core.xb.copy()
+        else:
+            values = core.x[core.basis]
+            values[r] = core.x[q]
+        pivots.append((r, q, w.tobytes(), values.tobytes()))
+        pivot(r, q, w)
+
+    return recorded
+
+
+def _core_state(core):
+    return (core.iterations, core.basis.tolist(), core.stat.tobytes(),
+            core.x.tobytes(), core.binv.tobytes())
+
+
+def reference_run(self, cost: np.ndarray, allow_unbounded: bool) -> str:
+    """Minimize ``cost @ x`` from the current state.  Returns a status."""
+    A = self.prep.A
+    lo, hi, x, stat = self.lo, self.hi, self.x, self.stat
+    tol = PIVOT_TOL
+    bland = False
+    stall = 0
+    best = None  # objective at the last improving iteration
+    movable = (hi - lo) > 0.0  # bounds stay fixed within one run
+    while True:
+        if self.iterations >= self.max_iter:
+            raise SolverFailure("simplex iteration limit exceeded")
+        self.iterations += 1
+
+        y = self.binv.T @ cost[self.basis]
+        d = cost - A.T @ y
+        eligible = (((stat == _AT_LOWER) & (d < -tol))
+                    | ((stat == _AT_UPPER) & (d > tol))) & movable
+        if not eligible.any():
+            if self._refreshed():
+                continue
+            return OPTIMAL
+
+        idx = eligible.nonzero()[0]
+        if bland:
+            q = int(idx[0])
+        else:
+            q = int(idx[np.abs(d[idx]).argmax()])
+        sigma = 1.0 if stat[q] == _AT_LOWER else -1.0
+
+        z = float(cost @ x)
+        if best is None or z < best - 1e-11 * max(1.0, abs(best)):
+            best, stall = z, 0
+        else:
+            stall += 1
+            if stall > self.stall_limit:
+                bland = True
+
+        w = self.binv @ A[:, q]
+        xb = x[self.basis]
+        delta = -sigma * w
+        steps = np.full(self.m, INF)
+        up_mask = delta > tol
+        dn_mask = delta < -tol
+        hib = hi[self.basis]
+        lob = lo[self.basis]
+        steps[up_mask] = (hib[up_mask] - xb[up_mask]) / delta[up_mask]
+        steps[dn_mask] = (lob[dn_mask] - xb[dn_mask]) / delta[dn_mask]
+        np.maximum(steps, 0.0, out=steps)
+        t_basic = float(steps.min()) if self.m else INF
+        t_own = float(hi[q] - lo[q])
+
+        if t_basic == INF and t_own == INF:
+            if allow_unbounded:
+                return UNBOUNDED
+            raise SolverFailure("unexpected unbounded direction")
+
+        if t_own <= t_basic:
+            # bound flip: entering variable crosses to its other bound
+            x[self.basis] = xb - sigma * t_own * w
+            if stat[q] == _AT_LOWER:
+                x[q] = hi[q]
+                stat[q] = _AT_UPPER
+            else:
+                x[q] = lo[q]
+                stat[q] = _AT_LOWER
+            continue
+
+        blocking = (steps <= t_basic + 1e-12).nonzero()[0]
+        if bland:
+            r = int(blocking[self.basis[blocking].argmin()])
+        else:
+            r = int(blocking[np.abs(w[blocking]).argmax()])
+        leaving = int(self.basis[r])
+        x[self.basis] = xb - sigma * t_basic * w
+        x[q] = (lo[q] if stat[q] == _AT_LOWER else hi[q]) + sigma * t_basic
+        x[leaving] = hi[leaving] if delta[r] > 0 else lo[leaving]
+        stat[leaving] = _AT_UPPER if delta[r] > 0 else _AT_LOWER
+        self._pivot(r, q, w)
+
+
+
+def reference_run_dual(self, cost: Optional[np.ndarray]) -> Optional[bool]:
+    """Bounded dual simplex: pivot basic columns out of their bound
+    violations, the largest first, keeping the reduced costs of ``cost``
+    (all zero when None) sign-feasible.
+
+    True once every basic column is within its bounds (up to
+    ``PIVOT_TOL`` scaled by its magnitude).  False when a violated row
+    has no entering column and its violation exceeds what the rows'
+    feasibility tolerances (``row_tol``) and any near-zero tableau entry
+    could make up: the problem is then infeasible by the rule phase 1
+    applies.  None to give up: the cap of ``dual_max_iter`` iterations,
+    or a violated row that tolerance might still close.
+    """
+    prep = self.prep
+    A, ncols = prep.A, prep.ncols
+    lo, hi, x, stat = self.lo, self.hi, self.x, self.stat
+    tol = PIVOT_TOL
+    span = hi - lo
+    movable = span > 0.0
+    limit = self.iterations + self.dual_max_iter
+    while True:
+        xb = x[self.basis]
+        below = lo[self.basis] - xb
+        above = xb - hi[self.basis]
+        viol = np.maximum(below, above)
+        bad = viol > tol * np.maximum(1.0, np.abs(xb))
+        if not bad.any():
+            if self._refreshed():
+                continue
+            return True
+        if self.iterations >= limit:
+            return None
+
+        r = int(np.where(bad, viol, -INF).argmax())
+        p = int(self.basis[r])
+        rise = bool(below[r] > above[r])
+        alpha = self.binv[r] @ A
+        # how far x_p moves toward its violated bound per unit rise of x_j
+        g = -alpha if rise else alpha
+        at_lo, at_hi = stat == _AT_LOWER, stat == _AT_UPPER
+        eligible = movable & ((at_lo & (g > tol)) | (at_hi & (g < -tol)))
+        if not eligible.any():
+            if self._refreshed():
+                continue
+            helps = movable & ((at_lo & (g > 0)) | (at_hi & (g < 0)))
+            room = span.copy()
+            room[prep.n:ncols] = np.minimum(span[prep.n:ncols],
+                                            self._slack_room())
+            reach = (np.abs(self.binv[r]) @ prep.row_tol
+                     + float((np.abs(g[helps]) * room[helps]).sum()))
+            if p >= ncols:  # an artificial's own row may miss by row_tol
+                reach += prep.row_tol[p - ncols]
+            return False if viol[r] > reach else None
+        self.iterations += 1
+
+        idx = eligible.nonzero()[0]
+        if cost is None:
+            ratio = np.zeros(idx.size)
+        else:
+            d = cost - A.T @ (self.binv.T @ cost[self.basis])
+            ratio = np.abs(d[idx]) / np.abs(g[idx])
+        # among tied ratios the largest pivot, then the lowest column
+        tied = ratio <= ratio.min() + tol
+        q = int(idx[np.where(tied, np.abs(g[idx]), -1.0).argmax()])
+        w = self.binv @ A[:, q]
+        target = lo[p] if rise else hi[p]
+        t = (x[p] - target) / w[r]
+        x[self.basis] -= t * w
+        x[q] += t
+        x[p] = target
+        stat[p] = _AT_LOWER if rise else _AT_UPPER
+        self._pivot(r, q, w)

@@ -14,8 +14,8 @@ from boxplain.model import forward, predict
 from boxplain.simplex import (GE, LE, OPTIMAL, LpProblem, _Simplex, prepare,
                               solve_prepared)
 from netgen import random_instance, random_network
-from oracles import (ORACLE_BINARY_CAP, eq2_style_milp, oracle_enumerate,
-                     random_bounded_lp)
+from oracles import (ORACLE_BINARY_CAP, eq2_style_milp, loop_records,
+                     oracle_enumerate, random_bounded_lp)
 
 
 def make_problem(lp, input_vids=()):
@@ -392,3 +392,34 @@ def test_backend_contract():
     assert out.witness.shape == (1,)
     best = backend.optimize(p, {0: 1.0}, "min")
     assert best.value == pytest.approx(0.5, abs=1e-6)
+
+
+def test_every_node_matches_the_reference_loops(monkeypatch):
+    # every node of feasibility and optimize trees, from the start branch
+    # and bound gave it, pivot by pivot against the reference loops
+    nodes = []
+    solve_prepared = bnb.solve_prepared
+
+    def recorded(prep, lb, ub, warm=None):
+        nodes.append((prep, lb.copy(), ub.copy(), warm))
+        return solve_prepared(prep, lb, ub, warm)
+
+    monkeypatch.setattr(bnb, "solve_prepared", recorded)
+    rng = np.random.default_rng(131)
+    for _ in range(8):
+        net, domain = random_network(rng, depth=3, max_hidden_total=16)
+        problem = encode_network(net, domain_box(net, domain))
+        for target in range(net.class_count):
+            for rival in range(net.class_count):
+                if rival != target:
+                    solve_feasibility(attach_rival_query(problem, target, rival))
+        for vid in problem.output_vids:
+            for sense in ("min", "max"):
+                optimize(problem, {vid: 1.0}, sense)
+    pivoted = {"feas": 0, "min": 0}
+    for prep, lb, ub, warm in nodes:
+        core, reference = loop_records(prep, lb, ub, warm, prep.cost)
+        assert core == reference
+        pivoted[prep.sense] += bool(core.pivots)
+    assert len(nodes) >= 400
+    assert pivoted["feas"] >= 60 and pivoted["min"] >= 300

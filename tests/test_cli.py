@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from boxplain.bnb import BranchAndBoundBackend, MilpOutcome
 from boxplain.cli import InputError, ingest_csv, main
 import boxplain.engine as engine
 from boxplain.engine import Explainer
@@ -177,6 +178,19 @@ class TestExplain:
         assert "solver failure: singular basis matrix" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["bounds", "explain"])
+    def test_failed_bound_milp_is_a_solver_failure(self, capsys, monkeypatch,
+                                                   command):
+        monkeypatch.setattr(BranchAndBoundBackend, "optimize",
+                            lambda self, *args, **kwargs: MilpOutcome("infeasible"))
+        argv = [command, "models/demo_2x2.json"]
+        if command == "explain":
+            argv.append("models/demo_instances.csv")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "solver failure: bound optimization failed: min infeasible" in err
+        assert out == ""
+
     def test_solver_failure_costs_one_instance(self, capsys, monkeypatch,
                                                demo_model_path, demo_instances,
                                                tmp_path):
@@ -297,15 +311,33 @@ class TestBench:
         header, rows = parse_csv(out)
         assert header[0] == "exp_s_baseline" and rows == []
 
-    def test_empty_instances_header_only(self, capsys, demo_model_path,
-                                         tmp_path):
+    def test_empty_instances_header_only(self, capsys, monkeypatch,
+                                         demo_model_path, tmp_path):
+        # no data rows: the header, and no tight-bound precompute, in every
+        # subcommand that reads instances; a bad --order still fails
+        original = engine.compute_tight_bounds
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "compute_tight_bounds", counted)
         empty = tmp_path / "empty.csv"
         empty.write_text("")
-        code, out, _ = run_cli(capsys, "bench", str(demo_model_path), str(empty))
-        assert code == 0
-        header, rows = parse_csv(out)
-        assert rows == []
-        assert header[0] == "exp_s_baseline"
+        headers = {"bench": "exp_s_baseline", "explain": "instance",
+                   "verify": "instance"}
+        for command, first in headers.items():
+            code, out, _ = run_cli(capsys, command, str(demo_model_path), str(empty))
+            assert code == 0
+            header, rows = parse_csv(out)
+            assert rows == []
+            assert header[0] == first
+            code, out, err = run_cli(capsys, command, str(demo_model_path),
+                                     str(empty), "--order", "0,0")
+            assert code == 2
+            assert "permutation" in err and out == ""
+        assert calls == []
 
     def test_random_model_fixture(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "models/random_3in_2l.json",

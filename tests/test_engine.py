@@ -14,7 +14,7 @@ from boxplain.engine import (Decision, EngineConfig, Explainer, Explanation,
                              ExplainStats, PredictionTieError, compute_tight_bounds,
                              is_entailed, verify_explanation)
 from boxplain.model import IDENTITY, RELU, InputDomain, Layer, Network, forward, predict
-from boxplain.simplex import FEAS_TOL, _certify, prepare
+from boxplain.simplex import FEAS_TOL, SolverFailure, _certify, prepare
 from netgen import random_instance, random_network
 from oracles import ORACLE_BINARY_CAP, oracle_enumerate
 
@@ -495,6 +495,16 @@ class TestRivalOrder:
         outcomes = []
         is_entailed(problem, 0, rivals=(2,), outcomes=outcomes)
         assert len(outcomes) == 1
+
+    def test_unexpected_status_is_a_solver_failure(self):
+        class Optimal(BranchAndBoundBackend):
+            def feasibility(self, problem, *, time_budget_ms=None):
+                return MilpOutcome("optimal")
+
+        net, domain = random_network(np.random.default_rng(103), n_classes=3)
+        problem = Explainer(net, domain).base_problem
+        with pytest.raises(SolverFailure, match="unexpected solver status 'optimal'"):
+            is_entailed(problem, 0, backend=Optimal())
 
     def test_order_changes_no_answer(self):
         rng = np.random.default_rng(107)

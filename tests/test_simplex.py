@@ -7,7 +7,8 @@ from boxplain.simplex import (EQ, FEAS_TOL, GE, LE, INFEASIBLE, OPTIMAL,
                               UNBOUNDED, Basis, LpProblem, SolverFailure,
                               _certify, _finish, _Simplex, crash_basis,
                               prepare, solve_lp, solve_prepared)
-from oracles import eq2_style_milp, random_bounded_lp, vertex_enumerate
+from oracles import (eq2_style_milp, loop_records, random_bounded_lp,
+                     vertex_enumerate)
 
 BEALE = dict(a=np.array([[0.25, -60.0, -0.04, 9.0],
                          [0.5, -90.0, -0.02, 3.0],
@@ -112,8 +113,9 @@ class TestStatuses:
     def test_slack_bounds_follow_relations(self):
         prep = prepare(LpProblem(np.eye(3), (LE, GE, EQ), np.ones(3), np.zeros(3),
                                  np.ones(3), np.zeros(3), "min"))
-        assert prep.slack_lo.tolist() == [0.0, -np.inf, 0.0]
-        assert prep.slack_hi.tolist() == [np.inf, 0.0, 0.0]
+        # the slacks' bounds, then the artificials pinned at zero
+        assert prep.lo_tail.tolist() == [0.0, -np.inf, 0.0, 0.0, 0.0, 0.0]
+        assert prep.hi_tail.tolist() == [np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_oracle_agreement_random_lps():
@@ -457,3 +459,20 @@ class TestWarmStart:
         assert warm.status == cold.status == OPTIMAL
         assert warm.value == pytest.approx(cold.value, abs=1e-9)
         assert warm.iterations < 200
+
+    def test_children_match_the_reference_loops(self):
+        # every warm child, with the dual loop's usual cap and with a cap of
+        # one iteration, pivot by pivot against the reference loops
+        verdicts, pivoted, phase_two = set(), 0, 0
+        for p, prep, sense, parent, (lb, ub) in _children(
+                np.random.default_rng(211), 600):
+            for cap in (None, 1):
+                core, reference = loop_records(prep, lb, ub, parent.basis,
+                                               prep.cost, cap)
+                assert core == reference
+                verdicts.add(core.ends[0][0] if core.ends else core.failure)
+                pivoted += bool(core.pivots)
+                phase_two += len(core.ends) > 1
+        assert {True, False, None} <= verdicts
+        assert pivoted >= 300
+        assert phase_two >= 200
