@@ -6,8 +6,8 @@ accelerated by interval (box) bound propagation and constraint
 simplification.
 """
 
-from .box import (AttributeAssignment, BoundsMap, ShortcutResult,
-                  box_propagate, margin_lower_bounds, shortcut_check)
+from .box import (BoundsMap, ShortcutResult, box_propagate,
+                  margin_lower_bounds, shortcut_check)
 from .bnb import (BranchAndBoundBackend, MilpOutcome, SolverBackend,
                   milp_to_lp, optimize, solve_feasibility)
 from .encoding import (MilpProblem, SimplificationStats, attach_rival_query,
@@ -25,7 +25,7 @@ from .simplex import LpOutcome, LpProblem, SolverFailure, solve_lp
 __version__ = "0.1.0"
 
 __all__ = [
-    "Activations", "AttributeAssignment", "BoundsMap", "BranchAndBoundBackend",
+    "Activations", "BoundsMap", "BranchAndBoundBackend",
     "Decision", "EngineConfig", "Explainer", "Explanation", "ExplainStats",
     "InputDomain", "InstanceError", "Layer", "LpOutcome", "LpProblem",
     "MilpOutcome", "MilpProblem", "ModelFormatError", "Network",

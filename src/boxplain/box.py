@@ -11,60 +11,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
-from .model import InputDomain, Network
+from .model import Network
 from .simplex import FEAS_TOL
-
-
-@dataclass(frozen=True)
-class AttributeAssignment:
-    """Per input attribute: a pinned value or None for a free attribute."""
-
-    values: tuple
-
-    @classmethod
-    def all_free(cls, n: int) -> "AttributeAssignment":
-        return cls((None,) * n)
-
-    @classmethod
-    def fixing(cls, n: int, fixed: Mapping[int, float]) -> "AttributeAssignment":
-        vals = [None] * n
-        for i, v in fixed.items():
-            vals[i] = float(v)
-        return cls(tuple(vals))
-
-    @classmethod
-    def from_instance(cls, instance, fixed: Iterable[int]) -> "AttributeAssignment":
-        instance = np.asarray(instance, dtype=np.float64)
-        vals = [None] * instance.shape[0]
-        for i in fixed:
-            vals[i] = float(instance[i])
-        return cls(tuple(vals))
-
-    @property
-    def size(self) -> int:
-        return len(self.values)
-
-    def validate(self, domain: InputDomain) -> None:
-        if self.size != domain.size:
-            raise ValueError(f"assignment covers {self.size} attributes, domain has {domain.size}")
-        for i, v in enumerate(self.values):
-            if v is not None and not (domain.lows[i] <= v <= domain.highs[i]):
-                raise ValueError(
-                    f"attribute {i}: fixed value {v} outside domain "
-                    f"[{domain.lows[i]}, {domain.highs[i]}]"
-                )
-
-    def input_intervals(self, domain: InputDomain) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.array(domain.lows, dtype=np.float64)
-        hi = np.array(domain.highs, dtype=np.float64)
-        for i, v in enumerate(self.values):
-            if v is not None:
-                lo[i] = hi[i] = v
-        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -124,16 +75,21 @@ def _affine_box(weights: np.ndarray, biases: np.ndarray,
     return new_lo, new_hi
 
 
-def box_propagate(net: Network, assign: AttributeAssignment,
-                  domain: InputDomain) -> BoundsMap:
-    """Push input intervals through the network layer by layer.
+def box_propagate(net: Network, lo, hi) -> BoundsMap:
+    """Push the input box ``[lo, hi]`` through the network layer by layer.
 
-    Fixed attributes become point intervals, free ones take their domain
-    range.  Hidden layers apply the affine map then clip at zero; the output
-    layer stays affine.
+    A query's box pins its fixed attributes and spans the domain for its free
+    ones.  Hidden layers apply the affine map then clip at zero; the output
+    layer stays affine.  The map holds copies of ``lo`` and ``hi``.
     """
-    assign.validate(domain)
-    input_lo, input_hi = assign.input_intervals(domain)
+    input_lo, input_hi = np.array(lo, np.float64), np.array(hi, np.float64)
+    if input_lo.shape != (net.input_dim,) or input_hi.shape != input_lo.shape:
+        raise ValueError(f"box of shapes {input_lo.shape}, {input_hi.shape} "
+                         f"for {net.input_dim} inputs")
+    if not (input_lo <= input_hi).all():
+        i = int(np.argmin(input_lo <= input_hi))
+        raise ValueError(f"attribute {i}: lower end {input_lo[i]} above upper "
+                         f"end {input_hi[i]}")
     lo, hi = input_lo, input_hi
     pre_lo, pre_hi = [], []
     for layer in net.hidden_layers:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .box import AttributeAssignment, box_propagate
+from .box import box_propagate
 from .engine import (MODE_BASELINE, MODE_IMPROVED, EngineConfig, Explainer,
                      ExplainStats, InstanceError, attribute_order,
                      compute_tight_bounds, verify_explanation)
@@ -163,7 +163,7 @@ def cmd_explain(args) -> int:
 def cmd_bounds(args) -> int:
     net, domain = load_model_file(args.model)
     tight = compute_tight_bounds(net, domain, args.tight_bounds)
-    boxed = box_propagate(net, AttributeAssignment.all_free(net.input_dim), domain)
+    boxed = box_propagate(net, domain.lows, domain.highs)
     writer = csv.writer(sys.stdout)
     writer.writerow(["layer", "neuron", "tight_lb", "tight_ub", "box_lb", "box_ub"])
     for l in range(len(net.hidden_layers)):
@@ -211,6 +211,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 0:
+        raise InputError(f"--samples must be at least 0, got {args.samples}")
     net, domain, rows = _load(args)
     explainer = _explainer(args, net, domain, rows)
     writer = csv.writer(sys.stdout)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .box import AttributeAssignment, BoundsMap
+from .box import BoundsMap
 from .model import Network
 from .simplex import EQ, GE, LE, Basis, LpProblem, _replace_unchecked, crash_basis
 
@@ -306,27 +306,26 @@ def attach_rival_query(problem: MilpProblem, target: int, rival: int) -> MilpPro
                                                   rhs=np.append(lp.rhs, 0.0)))
 
 
-def fix_attributes(problem: MilpProblem, assign: AttributeAssignment) -> MilpProblem:
-    """Pin fixed attributes to [v, v]; free attributes keep their bounds."""
-    if assign.size != len(problem.input_vids):
-        raise ValueError(
-            f"assignment covers {assign.size} attributes, problem has "
-            f"{len(problem.input_vids)} inputs")
+def fix_attributes(problem: MilpProblem, lo, hi) -> MilpProblem:
+    """Set the input columns' bounds to the box ``[lo, hi]``, which must lie
+    within them: a fixed attribute is pinned at ``lo == hi``."""
+    vids = list(problem.input_vids)
+    lo, hi = np.asarray(lo, np.float64), np.asarray(hi, np.float64)
+    if lo.shape != (len(vids),) or hi.shape != lo.shape:
+        raise ValueError(f"box of shapes {lo.shape}, {hi.shape} for "
+                         f"{len(vids)} inputs")
     lb, ub = problem.lp.lb.copy(), problem.lp.ub.copy()
-    for i, v in enumerate(assign.values):
-        if v is None:
-            continue
-        vid = problem.input_vids[i]
-        if not (lb[vid] <= v <= ub[vid]):
-            raise ValueError(
-                f"attribute {i}: value {v} outside bounds "
-                f"[{float(lb[vid])}, {float(ub[vid])}]")
-        lb[vid] = ub[vid] = float(v)
+    inside = (lb[vids] <= lo) & (lo <= hi) & (hi <= ub[vids])
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise ValueError(f"attribute {i}: box [{lo[i]}, {hi[i]}] outside "
+                         f"bounds [{lb[vids[i]]}, {ub[vids[i]]}]")
+    lb[vids], ub[vids] = lo, hi
     return replace(problem, lp=_replace_unchecked(problem.lp, lb=lb, ub=ub))
 
 
 def merge_bounds(tight: BoundsMap, boxed: BoundsMap) -> tuple[BoundsMap, int]:
-    """Intersect tight (domain-wide) with boxed (assignment-specific) bounds.
+    """Intersect tight (domain-wide) with boxed (query-specific) bounds.
 
     Per neuron the merge keeps the larger lower and the smaller upper bound.
     An inverted result (possible only through float noise, or disjoint inputs)
@@ -372,7 +371,7 @@ def tighten_and_simplify(net: Network, merged: tuple[BoundsMap, int]
     Big-M constants take the merged values; a hidden neuron with merged
     lb > 0 becomes the affine equality, merged ub <= 0 becomes post = 0, and
     either way its binary disappears.  The inputs carry boxed's bounds, so
-    the attributes its assignment fixed are pinned.  Stats count strictly
+    the attributes its query box fixes are pinned.  Stats count strictly
     narrowed neurons and binaries absent from the result.
     """
     bounds, tightened = merged

@@ -3,15 +3,15 @@
 Two modes share one deletion loop over the input attributes.  The baseline
 consults the solver for every attribute against the original tight bounds,
 querying the rivals in index order.  The improved mode first propagates
-boxes for the candidate assignment: when the target output provably
-dominates, the attribute drops without a solver call.  Otherwise it tries to
-falsify the candidate with a forward pass over ``FALSIFY_SAMPLES`` points of
-the query's input box: a point that puts a rival at or above the target is a
-counterexample the solver would also find, so the attribute is kept without
-a solver call.  Next the box bounds are merged with the tight ones, and a
-back-substituted bound on each margin ``o_target - o_rival`` over the query's
-input box proves the rivals it can: when it proves them all, the attribute
-drops without a solver call.  Only then is the network encoded afresh from
+the query's input box: when the target output provably dominates, the
+attribute drops without a solver call.  Otherwise it tries to falsify the
+candidate with a forward pass over ``FALSIFY_SAMPLES`` points of that box: a
+point that puts a rival at or above the target is a counterexample the
+solver would also find, so the attribute is kept without a solver call.
+Next the box bounds are merged with the tight ones, and a back-substituted
+bound on each margin ``o_target - o_rival`` over the query's input box
+proves the rivals it can: when it proves them all, the attribute drops
+without a solver call.  Only then is the network encoded afresh from
 the merged bounds, and the solver queries the open rivals in descending
 order of their box upper bound.  Bounds always revert to the originals
 between attributes, so every iteration starts from the same tight bounds.
@@ -31,7 +31,7 @@ import numpy as np
 # explanation's time
 from numpy.random import default_rng
 
-from .box import (AttributeAssignment, BoundsMap, ShortcutResult, box_propagate,
+from .box import (BoundsMap, ShortcutResult, box_propagate,
                   margin_lower_bounds, shortcut_check)
 from .bnb import (DEFAULT_BACKEND, SAT, UNKNOWN, UNSAT, MilpOutcome,
                   SolverBackend)
@@ -137,12 +137,19 @@ class EngineConfig:
     """How an ``Explainer`` runs.  ``order`` is the attribute order of the
     deletion loop, a permutation of the attribute indices, or None for
     index order; the ``Explainer`` checks it against its network
-    (``attribute_order``)."""
+    (``attribute_order``).  ``time_budget_ms``, the budget of each solver
+    query, is a positive finite number or None for no budget."""
 
     tight_bounds_mode: str = TIGHT_MILP
     order: Optional[tuple] = None
     time_budget_ms: Optional[float] = None
     backend: SolverBackend = DEFAULT_BACKEND
+
+    def __post_init__(self):
+        budget = self.time_budget_ms
+        if budget is not None and not 0.0 < budget < float("inf"):
+            raise ValueError(f"time budget must be a positive finite number "
+                             f"of milliseconds, got {budget!r}")
 
 
 def compute_tight_bounds(net: Network, domain: InputDomain,
@@ -161,14 +168,12 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
     raises ``SolverFailure`` naming its sense.  ``box`` falls back to plain
     interval propagation.
     """
-    all_free = AttributeAssignment.all_free(net.input_dim)
-    boxed = box_propagate(net, all_free, domain)
+    bounds = box_propagate(net, domain.lows, domain.highs)
     if mode == TIGHT_BOX:
-        return boxed
+        return bounds
     if mode != TIGHT_MILP:
         raise ValueError(f"unknown tight-bounds mode {mode!r}")
 
-    bounds = boxed
     post_vids, input_vids, _ = _structural_layout(net)
     layer_inputs = (input_vids,) + post_vids  # vids feeding each layer
     hidden = len(net.hidden_layers)
@@ -310,19 +315,19 @@ class Explainer:
 
         start = time.perf_counter()
         outcomes: list[MilpOutcome] = []
-        removed: set[int] = set()
+        attributes = np.arange(net.input_dim)
+        removed = np.zeros(net.input_dim, dtype=bool)
         decisions: dict[int, Decision] = {}
         # per solver-bound improved iteration accumulators, and the rival
         # queries the margin bound made unnecessary
         simplified = tightened = removed_ours = rivals_skipped = 0
 
         for i in self.order:
-            fixed = [j for j in range(net.input_dim) if j != i and j not in removed]
-            assign = AttributeAssignment.from_instance(instance, fixed)
+            lo, hi = _query_box(self.domain, instance, removed | (attributes == i))
             if mode == MODE_IMPROVED:
-                boxed = box_propagate(net, assign, self.domain)
+                boxed = box_propagate(net, lo, hi)
                 if shortcut_check(boxed, target) is ShortcutResult.REMOVABLE:
-                    removed.add(i)
+                    removed[i] = True
                     decisions[i] = Decision.REMOVED_BY_BOX
                     continue
                 if _falsified(net, boxed, i, target):
@@ -337,7 +342,7 @@ class Explainer:
                                       key=lambda r: (-boxed.out_hi[r], r)))
                 rivals_skipped += net.class_count - 1 - len(rivals)
                 if not rivals:
-                    removed.add(i)
+                    removed[i] = True
                     decisions[i] = Decision.REMOVED_BY_MARGIN
                     continue
                 # the simplified problem already pins the fixed attributes
@@ -346,7 +351,7 @@ class Explainer:
                 tightened += simp.bounds_tightened_count
                 removed_ours += simp.binary_removed_count
             else:
-                problem = fix_attributes(self.base_problem, assign)
+                problem = fix_attributes(self.base_problem, lo, hi)
                 rivals = None
             entailed, _ = is_entailed(problem, target, backend=self.backend,
                                       time_budget_ms=self.config.time_budget_ms,
@@ -354,12 +359,12 @@ class Explainer:
             if entailed is None:
                 decisions[i] = Decision.KEPT_BY_TIMEOUT
             elif entailed:
-                removed.add(i)
+                removed[i] = True
                 decisions[i] = Decision.REMOVED_BY_SOLVER
             else:
                 decisions[i] = Decision.KEPT_BY_SOLVER
 
-        kept = tuple((i, float(instance[i])) for i in self.order if i not in removed)
+        kept = tuple((i, float(instance[i])) for i in self.order if not removed[i])
         total_time = time.perf_counter() - start
         tally = Counter(decisions.values())
         hidden = net.num_hidden_neurons
@@ -383,6 +388,14 @@ class Explainer:
 
 def _pct(num: int, den: int) -> float:
     return 100.0 * num / den if den else 0.0
+
+
+def _query_box(domain: InputDomain, instance: np.ndarray,
+               free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The input box of a query: the attributes in the boolean mask
+    ``free`` span the domain, the others are pinned at the instance."""
+    return (np.where(free, domain.lows, instance),
+            np.where(free, domain.highs, instance))
 
 
 def _falsified(net: Network, boxed: BoundsMap, attribute: int,
@@ -443,8 +456,9 @@ def verify_explanation(net: Network, instance, explanation: Explanation,
                        base_problem: Optional[MilpProblem] = None) -> VerificationReport:
     """Independent checks of an explanation.
 
-    Sufficiency: random completions of the free attributes must all predict
-    the target class.  Minimality: re-freeing each attribute kept by the
+    Sufficiency: random completions of the free attributes, with the kept
+    ones at the instance's values, must all predict the target class.
+    Minimality: re-freeing each attribute kept by the
     solver or by a forward-pass counterexample must admit a solver
     counterexample whose forward evaluation puts some rival at or above the
     target (within 1e-6).  Timeout-kept attributes are reported
@@ -455,18 +469,17 @@ def verify_explanation(net: Network, instance, explanation: Explanation,
     rng = default_rng(rng)
     instance = np.asarray(instance, dtype=np.float64)
     n = net.input_dim
-    kept_map = dict(explanation.kept)
+    attributes = np.arange(n)
+    kept = np.isin(attributes, explanation.kept_indices)
 
-    points = rng.uniform(domain.lows, domain.highs, size=(samples, n))
-    for i, v in kept_map.items():
-        points[:, i] = v
+    points = rng.uniform(*_query_box(domain, instance, ~kept), size=(samples, n))
     predictions = np.argmax(batch_outputs(net, points), axis=1)
     bad = np.nonzero(predictions != explanation.target)[0]
     violations = tuple((tuple(points[r]), int(predictions[r])) for r in bad[:20])
 
     if base_problem is None:
-        all_free = AttributeAssignment.all_free(n)
-        base_problem = encode_network(net, box_propagate(net, all_free, domain))
+        base_problem = encode_network(
+            net, box_propagate(net, domain.lows, domain.highs))
 
     minimality: dict[int, str] = {}
     for i, decision in explanation.decisions.items():
@@ -476,9 +489,8 @@ def verify_explanation(net: Network, instance, explanation: Explanation,
         if decision not in (Decision.KEPT_BY_SOLVER,
                             Decision.KEPT_BY_COUNTEREXAMPLE):
             continue
-        fixed = [j for j in kept_map if j != i]
-        assign = AttributeAssignment.from_instance(instance, fixed)
-        problem = fix_attributes(base_problem, assign)
+        problem = fix_attributes(
+            base_problem, *_query_box(domain, instance, ~kept | (attributes == i)))
         entailed, witness = is_entailed(problem, explanation.target,
                                         backend=backend)
         if entailed is False and witness is not None:

@@ -22,6 +22,15 @@ DEMO_DOC = {
 DEMO_INSTANCE = np.array([0.7, 0.2])
 
 
+def pinned_box(domain, fixed):
+    """The input box that pins each attribute in ``fixed`` (index -> value)
+    and spans ``domain`` for the rest, as ``(lo, hi)``."""
+    lo, hi = np.array(domain.lows), np.array(domain.highs)
+    for i, v in fixed.items():
+        lo[i] = hi[i] = v
+    return lo, hi
+
+
 def block(problem, layer, index):
     """The ``NeuronBlock`` of hidden neuron ``index`` in ``layer``."""
     return next(b for b in problem.blocks if (b.layer, b.index) == (layer, index))

@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from boxplain.box import AttributeAssignment, box_propagate, shortcut_check, ShortcutResult
+from boxplain.box import box_propagate, shortcut_check, ShortcutResult
 from boxplain.bnb import BranchAndBoundBackend, optimize, solve_feasibility
 from boxplain.encoding import (MODE_ACTIVE, attach_rival_query, encode_network,
                                fix_attributes, merge_bounds,
@@ -34,7 +34,7 @@ from boxplain.engine import (Decision, EngineConfig, Explainer,
                              compute_tight_bounds, verify_explanation)
 from boxplain.model import forward, load_domain, load_network
 from boxplain.simplex import LpProblem, solve_lp
-from conftest import DEMO_DOC, block
+from conftest import DEMO_DOC, block, pinned_box
 from netgen import random_instance, random_network
 from oracles import oracle_enumerate, random_bounded_lp, vertex_enumerate
 from test_bnb import worked_milp  # noqa: F401  (fixture reuse)
@@ -103,7 +103,7 @@ def corpus_runs(corpus, engines):
 def test_criterion_01_reference_bounds(demo):
     net, domain = demo
     start = time.perf_counter()
-    boxed = box_propagate(net, AttributeAssignment.all_free(2), domain)
+    boxed = box_propagate(net, domain.lows, domain.highs)
     assert boxed.pre_lo[0] == pytest.approx([0.2, -0.5], abs=1e-9)
     assert boxed.pre_hi[0] == pytest.approx([1.2, 0.5], abs=1e-9)
     assert np.maximum(boxed.pre_lo[0], 0.0) == pytest.approx([0.2, 0.0], abs=1e-9)
@@ -119,8 +119,7 @@ def test_criterion_01_reference_bounds(demo):
 @criterion(2, "box shortcut discharges the second attribute without the solver")
 def test_criterion_02_box_shortcut(demo):
     net, domain = demo
-    assign = AttributeAssignment.fixing(2, {0: 0.7})
-    boxed = box_propagate(net, assign, domain)
+    boxed = box_propagate(net, *pinned_box(domain, {0: 0.7}))
     assert boxed.out_lo == pytest.approx([1.1, 0.4], abs=1e-9)
     assert boxed.out_hi == pytest.approx([1.7, 1.0], abs=1e-9)
     assert shortcut_check(boxed, 0) is ShortcutResult.REMOVABLE
@@ -137,8 +136,7 @@ def test_criterion_02_box_shortcut(demo):
 @criterion(3, "pinned refinement values for the freed first attribute")
 def test_criterion_03_pinned_refinement_values(demo):
     net, domain = demo
-    assign = AttributeAssignment.fixing(2, {1: 0.2})
-    boxed = box_propagate(net, assign, domain)
+    boxed = box_propagate(net, *pinned_box(domain, {1: 0.2}))
     target = 0
     assert shortcut_check(boxed, target) is ShortcutResult.INCONCLUSIVE
 
@@ -265,20 +263,19 @@ def test_criterion_09_equisatisfiability():
     rng = np.random.default_rng(CORPUS_SEED + 2)
     for _ in range(100):
         net, domain = random_network(rng, max_hidden_total=8)
-        tight = box_propagate(net, AttributeAssignment.all_free(net.input_dim),
-                              domain)
+        tight = box_propagate(net, domain.lows, domain.highs)
         problem = encode_network(net, tight)
         instance = random_instance(rng, net, domain)
         fixed = rng.choice(net.input_dim, size=rng.integers(0, net.input_dim),
                            replace=False)
-        assign = AttributeAssignment.from_instance(instance, fixed)
-        boxed = box_propagate(net, assign, domain)
+        box = pinned_box(domain, {j: instance[j] for j in fixed})
+        boxed = box_propagate(net, *box)
         k = net.class_count
         target = int(rng.integers(k))
         rival = int((target + 1 + rng.integers(k - 1)) % k)
-        plain = attach_rival_query(fix_attributes(problem, assign), target, rival)
+        plain = attach_rival_query(fix_attributes(problem, *box), target, rival)
         simplified, _ = tighten_and_simplify(net, merge_bounds(tight, boxed))
-        simp = attach_rival_query(fix_attributes(simplified, assign), target, rival)
+        simp = attach_rival_query(fix_attributes(simplified, *box), target, rival)
         assert solve_feasibility(plain).status == solve_feasibility(simp).status
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import boxplain.bnb as bnb
-from boxplain.box import AttributeAssignment, box_propagate
+from boxplain.box import box_propagate
 from boxplain.bnb import (BranchAndBoundBackend, milp_to_lp, optimize,
                           solve_feasibility)
 from boxplain.encoding import (MilpProblem, attach_rival_query,
@@ -13,6 +13,7 @@ from boxplain.encoding import (MilpProblem, attach_rival_query,
 from boxplain.model import forward, predict
 from boxplain.simplex import (GE, LE, OPTIMAL, LpProblem, _Simplex, prepare,
                               solve_prepared)
+from conftest import pinned_box
 from netgen import random_instance, random_network
 from oracles import (ORACLE_BINARY_CAP, eq2_style_milp, loop_records,
                      oracle_enumerate, random_bounded_lp)
@@ -39,7 +40,7 @@ def worked_milp():
 
 
 def domain_box(net, domain):
-    return box_propagate(net, AttributeAssignment.all_free(net.input_dim), domain)
+    return box_propagate(net, domain.lows, domain.highs)
 
 
 class TestWorkedMilp:
@@ -100,7 +101,7 @@ class TestTrivial:
 class TestDemoQueries:
     def test_first_attribute_fixed_is_unsat(self, demo_net, demo_domain):
         problem = encode_network(demo_net, domain_box(demo_net, demo_domain))
-        fixed = fix_attributes(problem, AttributeAssignment.fixing(2, {0: 0.7}))
+        fixed = fix_attributes(problem, *pinned_box(demo_domain, {0: 0.7}))
         query = attach_rival_query(fixed, 0, 1)
         assert solve_feasibility(query).status == "unsat"
         assert oracle_enumerate(query).status == "unsat"
@@ -108,7 +109,7 @@ class TestDemoQueries:
     def test_second_attribute_fixed_is_sat_with_valid_witness(self, demo_net,
                                                               demo_domain):
         problem = encode_network(demo_net, domain_box(demo_net, demo_domain))
-        fixed = fix_attributes(problem, AttributeAssignment.fixing(2, {1: 0.2}))
+        fixed = fix_attributes(problem, *pinned_box(demo_domain, {1: 0.2}))
         query = attach_rival_query(fixed, 0, 1)
         out = solve_feasibility(query)
         assert out.status == "sat"
@@ -129,8 +130,8 @@ class TestRandomAgreement:
             target = predict(net, instance)
             fixed = rng.choice(net.input_dim,
                                size=rng.integers(0, net.input_dim), replace=False)
-            assign = AttributeAssignment.from_instance(instance, fixed)
-            base = fix_attributes(problem, assign)
+            base = fix_attributes(
+                problem, *pinned_box(domain, {j: instance[j] for j in fixed}))
             for rival in range(net.class_count):
                 if rival == target:
                     continue

@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from boxplain.box import (AttributeAssignment, BoundsMap, ShortcutResult,
-                          box_propagate, shortcut_check)
+from boxplain.box import BoundsMap, ShortcutResult, box_propagate, shortcut_check
 from boxplain.encoding import attach_rival_query, encode_network, fix_attributes
+from boxplain.engine import Explainer, InstanceError
 from boxplain.model import (IDENTITY, RELU, InputDomain, Layer, Network,
                             forward, predict)
+from conftest import pinned_box
 from netgen import random_instance, random_network
 from oracles import oracle_enumerate
 
@@ -20,7 +21,7 @@ def affine_image(weights, bias, lo, hi):
     net = Network((Layer(w, np.array([bias, 0.0]), IDENTITY),), n)
     domain = InputDomain(np.asarray(lo, dtype=np.float64),
                          np.asarray(hi, dtype=np.float64))
-    bounds = box_propagate(net, AttributeAssignment.all_free(n), domain)
+    bounds = box_propagate(net, domain.lows, domain.highs)
     return bounds.out_lo[0], bounds.out_hi[0]
 
 
@@ -30,7 +31,7 @@ def relu_image(lo, hi):
     net = Network((Layer(np.eye(1), np.zeros(1), RELU),
                    Layer(np.zeros((2, 1)), np.zeros(2), IDENTITY)), 1)
     domain = InputDomain(np.array([lo]), np.array([hi]))
-    bounds = box_propagate(net, AttributeAssignment.all_free(1), domain)
+    bounds = box_propagate(net, domain.lows, domain.highs)
     return (np.maximum(bounds.pre_lo[0], 0.0)[0],
             np.maximum(bounds.pre_hi[0], 0.0)[0])
 
@@ -104,13 +105,13 @@ class TestAffineBounds:
             assert got_hi == pytest.approx(max(corners), abs=1e-9)
 
     def test_length_mismatch(self, demo_net, demo_domain):
-        with pytest.raises(ValueError, match="covers 1 attributes"):
-            box_propagate(demo_net, AttributeAssignment.all_free(1), demo_domain)
+        with pytest.raises(ValueError, match="for 2 inputs"):
+            box_propagate(demo_net, demo_domain.lows[:1], demo_domain.highs[:1])
 
 
 class TestBoxPropagate:
     def test_demo_all_free(self, demo_net, demo_domain):
-        b = box_propagate(demo_net, AttributeAssignment.all_free(2), demo_domain)
+        b = box_propagate(demo_net, demo_domain.lows, demo_domain.highs)
         assert b.pre_lo[0] == pytest.approx([0.2, -0.5], abs=1e-12)
         assert b.pre_hi[0] == pytest.approx([1.2, 0.5], abs=1e-12)
         assert np.maximum(b.pre_lo[0], 0.0) == pytest.approx([0.2, 0.0], abs=1e-12)
@@ -119,8 +120,7 @@ class TestBoxPropagate:
         assert b.out_hi == pytest.approx([1.7, 1.2], abs=1e-12)
 
     def test_demo_first_attribute_fixed(self, demo_net, demo_domain):
-        assign = AttributeAssignment.fixing(2, {0: 0.7})
-        b = box_propagate(demo_net, assign, demo_domain)
+        b = box_propagate(demo_net, *pinned_box(demo_domain, {0: 0.7}))
         assert b.out_lo == pytest.approx([1.1, 0.4], abs=1e-12)
         assert b.out_hi == pytest.approx([1.7, 1.0], abs=1e-12)
 
@@ -129,17 +129,34 @@ class TestBoxPropagate:
         # o0's endpoints are attained, 0.2 at (0, 0.2) and 1.4 at (0.7, 0.2);
         # o1's endpoints -0.3 and 0.9 come from the interval image of
         # h0 - h1 alone, as o1 only reaches [0.2, 0.4]
-        assign = AttributeAssignment.fixing(2, {1: 0.2})
-        b = box_propagate(demo_net, assign, demo_domain)
+        b = box_propagate(demo_net, *pinned_box(demo_domain, {1: 0.2}))
         assert b.pre_lo[0] == pytest.approx([0.2, -0.2], abs=1e-12)
         assert b.pre_hi[0] == pytest.approx([0.9, 0.5], abs=1e-12)
         assert b.out_lo == pytest.approx([0.2, -0.3], abs=1e-12)
         assert b.out_hi == pytest.approx([1.4, 0.9], abs=1e-12)
 
     def test_fixed_value_outside_domain(self, demo_net, demo_domain):
-        assign = AttributeAssignment.fixing(2, {0: 0.9})
+        # a box knows no domain: explain checks the instance, and
+        # fix_attributes checks a box against the encoding's input bounds
+        with pytest.raises(InstanceError, match="outside the input domain"):
+            Explainer(demo_net, demo_domain).explain([0.9, 0.2])
+        problem = encode_network(demo_net, bounds_over_domain(demo_net, demo_domain))
         with pytest.raises(ValueError, match="attribute 0"):
-            box_propagate(demo_net, assign, demo_domain)
+            fix_attributes(problem, *pinned_box(demo_domain, {0: 0.9}))
+
+    def test_inverted_box(self, demo_net):
+        with pytest.raises(ValueError, match="attribute 1: lower end 0.5 above"):
+            box_propagate(demo_net, np.array([0.1, 0.5]), np.array([0.2, 0.3]))
+        with pytest.raises(ValueError, match="attribute 0: lower end nan"):
+            box_propagate(demo_net, np.array([np.nan, 0.2]), np.array([0.2, 0.3]))
+
+    def test_caller_arrays_stay_writable(self, demo_net, demo_domain):
+        lo, hi = pinned_box(demo_domain, {0: 0.7})
+        bounds = box_propagate(demo_net, lo, hi)
+        lo[1] = hi[1] = 0.3
+        assert bounds.input_lo.tolist() == [0.7, 0.2]
+        assert bounds.input_hi.tolist() == [0.7, 0.5]
+        assert not bounds.input_lo.flags.writeable
 
     def test_sampled_soundness(self):
         rng = np.random.default_rng(13)
@@ -149,9 +166,8 @@ class TestBoxPropagate:
             fixed = {int(i): float(rng.uniform(domain.lows[i], domain.highs[i]))
                      for i in rng.choice(n, size=rng.integers(0, n + 1),
                                          replace=False)}
-            assign = AttributeAssignment.fixing(n, fixed)
-            bounds = box_propagate(net, assign, domain)
-            lo, hi = assign.input_intervals(domain)
+            lo, hi = pinned_box(domain, fixed)
+            bounds = box_propagate(net, lo, hi)
             points = rng.uniform(lo, hi, size=(1000, n))
             for row in points[rng.choice(1000, size=60, replace=False)]:
                 acts = forward(net, row)
@@ -175,9 +191,9 @@ class TestBoxPropagate:
             extra = set(rng.choice(n, size=rng.integers(0, n), replace=False))
             big = small | extra
             inner = box_propagate(
-                net, AttributeAssignment.from_instance(point, big), domain)
+                net, *pinned_box(domain, {j: point[j] for j in big}))
             outer = box_propagate(
-                net, AttributeAssignment.from_instance(point, small), domain)
+                net, *pinned_box(domain, {j: point[j] for j in small}))
             for l in range(len(net.hidden_layers)):
                 assert (inner.pre_lo[l] >= outer.pre_lo[l] - 1e-12).all()
                 assert (inner.pre_hi[l] <= outer.pre_hi[l] + 1e-12).all()
@@ -224,12 +240,12 @@ class TestShortcut:
             target = predict(net, instance)
             free = int(rng.integers(net.input_dim))
             fixed = [j for j in range(net.input_dim) if j != free]
-            assign = AttributeAssignment.from_instance(instance, fixed)
-            bounds = box_propagate(net, assign, domain)
+            box = pinned_box(domain, {j: instance[j] for j in fixed})
+            bounds = box_propagate(net, *box)
             if shortcut_check(bounds, target) is not ShortcutResult.REMOVABLE:
                 continue
             problem = fix_attributes(encode_network(net, bounds_over_domain(net, domain)),
-                                     assign)
+                                     *box)
             for rival in range(net.class_count):
                 if rival == target:
                     continue
@@ -240,4 +256,4 @@ class TestShortcut:
 
 
 def bounds_over_domain(net, domain):
-    return box_propagate(net, AttributeAssignment.all_free(net.input_dim), domain)
+    return box_propagate(net, domain.lows, domain.highs)

@@ -10,6 +10,7 @@ from boxplain.cli import InputError, ingest_csv, main
 import boxplain.engine as engine
 from boxplain.engine import Explainer
 from boxplain.simplex import SolverFailure
+from conftest import DEMO_DOC
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +165,29 @@ class TestExplain:
                                str(demo_instances), "--order", "0,0")
         assert code == 2
         assert "permutation" in err
+
+    def test_non_integer_order_token(self, capsys, demo_model_path, demo_instances):
+        code, out, err = run_cli(capsys, "explain", str(demo_model_path),
+                                 str(demo_instances), "--order", "1,x")
+        assert (code, out) == (2, "")
+        assert "--order must be 'asc' or a comma list, got '1,x'" in err
+
+    @pytest.mark.parametrize("budget", ["-5", "0", "nan", "inf"])
+    def test_meaningless_time_budget(self, capsys, demo_model_path,
+                                     demo_instances, budget):
+        code, out, err = run_cli(capsys, "explain", str(demo_model_path),
+                                 str(demo_instances), "--time-budget-ms", budget)
+        assert (code, out) == (2, "")
+        assert "time budget must be a positive finite number" in err
+
+    def test_malformed_model_is_input_error(self, capsys, tmp_path, demo_instances):
+        path = tmp_path / "one_class.json"
+        path.write_text(json.dumps({**DEMO_DOC, "layers": [
+            DEMO_DOC["layers"][0],
+            {"weights": [[1.0, 1.0]], "biases": [0.0], "activation": "identity"}]}))
+        code, out, err = run_cli(capsys, "explain", str(path), str(demo_instances))
+        assert (code, out) == (2, "")
+        assert "error: output layer must have at least 2 classes" in err
 
     def test_solver_failure_while_building_the_explainer(self, capsys, monkeypatch,
                                                          demo_model_path,
@@ -432,3 +456,14 @@ class TestVerify:
                           "sufficiency_ok", "minimality_ok", "unverified"]
         for row in rows:
             assert row[3] == "1" and row[4] == "1"
+
+    def test_negative_samples_rejected_before_any_output(self, capsys, monkeypatch,
+                                                         demo_model_path,
+                                                         demo_instances):
+        def no_precompute(*args, **kwargs):
+            raise AssertionError("the precompute ran")
+        monkeypatch.setattr(engine, "compute_tight_bounds", no_precompute)
+        code, out, err = run_cli(capsys, "verify", str(demo_model_path),
+                                 str(demo_instances), "--samples", "-1")
+        assert (code, out) == (2, "")
+        assert "--samples must be at least 0, got -1" in err

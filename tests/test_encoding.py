@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boxplain.box import AttributeAssignment, BoundsMap, box_propagate
+from boxplain.box import BoundsMap, box_propagate
 from boxplain.bnb import milp_to_lp, solve_feasibility
 from boxplain.encoding import (MODE_ACTIVE, MODE_INACTIVE, MODE_SPLIT,
                                attach_rival_query, encode_network,
@@ -10,7 +10,7 @@ from boxplain.encoding import (MODE_ACTIVE, MODE_INACTIVE, MODE_SPLIT,
 from boxplain.simplex import EQ, GE, LE, _Simplex, prepare
 from boxplain.engine import compute_tight_bounds
 from boxplain.model import IDENTITY, RELU, InputDomain, Layer, Network, forward
-from conftest import block
+from conftest import block, pinned_box
 from netgen import random_instance, random_network
 
 
@@ -25,7 +25,7 @@ def demo_problem(demo_net, demo_tight):
 
 
 def domain_box(net, domain):
-    return box_propagate(net, AttributeAssignment.all_free(net.input_dim), domain)
+    return box_propagate(net, domain.lows, domain.highs)
 
 
 def row_terms(problem, i):
@@ -168,22 +168,32 @@ class TestQueryAndFix:
         with pytest.raises(ValueError):
             attach_rival_query(demo_problem, 0, 5)
 
-    def test_fix_pins_bounds(self, demo_problem):
-        fixed = fix_attributes(demo_problem,
-                               AttributeAssignment.fixing(2, {0: 0.7}))
+    def test_fix_pins_bounds(self, demo_problem, demo_domain):
+        fixed = fix_attributes(demo_problem, *pinned_box(demo_domain, {0: 0.7}))
         pinned, free = fixed.input_vids
         assert (fixed.lp.lb[pinned], fixed.lp.ub[pinned]) == (0.7, 0.7)
         assert (fixed.lp.lb[free], fixed.lp.ub[free]) == (0.2, 0.5)
 
-    def test_all_free_is_identity(self, demo_problem):
-        same = fix_attributes(demo_problem, AttributeAssignment.all_free(2))
+    def test_all_free_is_identity(self, demo_problem, demo_domain):
+        same = fix_attributes(demo_problem, demo_domain.lows, demo_domain.highs)
         assert (same.lp.lb == demo_problem.lp.lb).all()
         assert (same.lp.ub == demo_problem.lp.ub).all()
         assert same.lp.a is demo_problem.lp.a
 
-    def test_fix_outside_domain(self, demo_problem):
+    def test_fix_outside_domain(self, demo_problem, demo_domain):
         with pytest.raises(ValueError, match="attribute 1"):
-            fix_attributes(demo_problem, AttributeAssignment.fixing(2, {1: 0.9}))
+            fix_attributes(demo_problem, *pinned_box(demo_domain, {1: 0.9}))
+
+    def test_fix_rejects_bad_boxes(self, demo_problem):
+        with pytest.raises(ValueError, match="for 2 inputs"):
+            fix_attributes(demo_problem, np.zeros(3), np.ones(3))
+        # within the input bounds, but inverted
+        with pytest.raises(ValueError, match=r"attribute 0: box \[0.5, 0.4\]"):
+            fix_attributes(demo_problem, np.array([0.5, 0.2]),
+                           np.array([0.4, 0.5]))
+        with pytest.raises(ValueError, match="attribute 1: box"):
+            fix_attributes(demo_problem, np.array([0.5, np.nan]),
+                           np.array([0.5, 0.3]))
 
 
 class TestSharedArrays:
@@ -194,9 +204,9 @@ class TestSharedArrays:
         arrays = (lp.a, lp.rhs, lp.lb, lp.ub, lp.c)
         before = [arr.copy() for arr in arrays]
         rel_before = lp.rel
-        assign = AttributeAssignment.fixing(2, {1: 0.2})
-        boxed = box_propagate(demo_net, assign, demo_domain)
-        fix_attributes(demo_problem, assign)
+        box = pinned_box(demo_domain, {1: 0.2})
+        boxed = box_propagate(demo_net, *box)
+        fix_attributes(demo_problem, *box)
         attach_rival_query(demo_problem, 0, 1)
         tighten_and_simplify(demo_net, merge_bounds(demo_tight, boxed))
         milp_to_lp(demo_problem, {demo_problem.output_vids[0]: 1.0}, "min")
@@ -204,8 +214,8 @@ class TestSharedArrays:
         for arr, old in zip(arrays, before):
             assert arr.tobytes() == old.tobytes()
 
-    def test_arrays_are_read_only(self, demo_problem):
-        fixed = fix_attributes(demo_problem, AttributeAssignment.fixing(2, {0: 0.7}))
+    def test_arrays_are_read_only(self, demo_problem, demo_domain):
+        fixed = fix_attributes(demo_problem, *pinned_box(demo_domain, {0: 0.7}))
         query = attach_rival_query(fixed, 0, 1)
         for problem in (demo_problem, fixed, query):
             lp = problem.lp
@@ -237,8 +247,7 @@ class TestMergeAndSimplify:
 
     def test_demo_refinement_and_collapse(self, demo_net, demo_domain,
                                           demo_tight, demo_problem):
-        boxed = box_propagate(demo_net, AttributeAssignment.fixing(2, {1: 0.2}),
-                              demo_domain)
+        boxed = box_propagate(demo_net, *pinned_box(demo_domain, {1: 0.2}))
         simplified, stats = tighten_and_simplify(demo_net,
                                                  merge_bounds(demo_tight, boxed))
         # big-M constant for the first hidden neuron drops 1.2 -> 0.9, and
@@ -283,7 +292,7 @@ class TestMergeAndSimplify:
                                size=rng.integers(0, net.input_dim),
                                replace=False)
             boxed = box_propagate(
-                net, AttributeAssignment.from_instance(instance, fixed), domain)
+                net, *pinned_box(domain, {j: instance[j] for j in fixed}))
             _, stats = tighten_and_simplify(net, merge_bounds(tight, boxed))
             assert stats.binary_removed_count >= \
                 net.num_hidden_neurons - len(problem.binary_vids)
@@ -331,14 +340,13 @@ class TestModelPreservation:
             instance = random_instance(rng, net, domain)
             fixed = rng.choice(net.input_dim,
                                size=rng.integers(0, net.input_dim), replace=False)
-            assign = AttributeAssignment.from_instance(instance, fixed)
-            boxed = box_propagate(net, assign, domain)
+            lo, hi = pinned_box(domain, {j: instance[j] for j in fixed})
+            boxed = box_propagate(net, lo, hi)
             simplified, _ = tighten_and_simplify(net, merge_bounds(tight, boxed))
-            lo, hi = assign.input_intervals(domain)
             for _ in range(5):
                 point = rng.uniform(lo, hi)
-                for p in (fix_attributes(problem, assign),
-                          fix_attributes(simplified, assign)):
+                for p in (fix_attributes(problem, lo, hi),
+                          fix_attributes(simplified, lo, hi)):
                     _check_feasible(p, _feasible_assignment(net, p, point))
 
 
@@ -352,15 +360,15 @@ class TestEquisatisfiability:
             instance = random_instance(rng, net, domain)
             fixed = rng.choice(net.input_dim,
                                size=rng.integers(0, net.input_dim), replace=False)
-            assign = AttributeAssignment.from_instance(instance, fixed)
-            boxed = box_propagate(net, assign, domain)
+            box = pinned_box(domain, {j: instance[j] for j in fixed})
+            boxed = box_propagate(net, *box)
             k = net.class_count
             target = int(rng.integers(k))
             rival = int((target + 1 + rng.integers(k - 1)) % k)
-            plain = attach_rival_query(fix_attributes(problem, assign),
+            plain = attach_rival_query(fix_attributes(problem, *box),
                                        target, rival)
             simplified, _ = tighten_and_simplify(net, merge_bounds(tight, boxed))
-            simp = attach_rival_query(fix_attributes(simplified, assign),
+            simp = attach_rival_query(fix_attributes(simplified, *box),
                                       target, rival)
             assert solve_feasibility(plain).status == \
                 solve_feasibility(simp).status
@@ -376,13 +384,13 @@ def _forward_cases(rng, count):
         instance = random_instance(rng, net, domain)
         fixed = rng.choice(net.input_dim,
                            size=rng.integers(0, net.input_dim + 1), replace=False)
-        assign = AttributeAssignment.from_instance(instance, fixed)
+        box = pinned_box(domain, {j: instance[j] for j in fixed})
         simplified, _ = tighten_and_simplify(
-            net, merge_bounds(tight, box_propagate(net, assign, domain)))
+            net, merge_bounds(tight, box_propagate(net, *box)))
         k = net.class_count
         target = int(rng.integers(k))
         rival = int((target + 1 + rng.integers(k - 1)) % k)
-        for full in (fix_attributes(encode_network(net, tight), assign), simplified):
+        for full in (fix_attributes(encode_network(net, tight), *box), simplified):
             yield net, full, "full"
             yield net, attach_rival_query(full, target, rival), "rival"
         for upto in range(1, len(net.hidden_layers) + 1):

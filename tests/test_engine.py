@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from boxplain.box import AttributeAssignment, box_propagate, margin_lower_bounds
+from boxplain.box import box_propagate, margin_lower_bounds
 from boxplain.bnb import (INTEGRALITY_TOL, BranchAndBoundBackend, MilpOutcome,
                           milp_to_lp, optimize)
 from boxplain.encoding import (encode_prefix, fix_attributes, forward_point,
@@ -15,6 +15,7 @@ from boxplain.engine import (Decision, EngineConfig, Explainer, Explanation,
                              is_entailed, verify_explanation)
 from boxplain.model import IDENTITY, RELU, InputDomain, Layer, Network, forward, predict
 from boxplain.simplex import FEAS_TOL, SolverFailure, _certify, prepare
+from conftest import DEMO_INSTANCE, pinned_box
 from netgen import random_instance, random_network
 from oracles import ORACLE_BINARY_CAP, oracle_enumerate
 
@@ -79,8 +80,7 @@ class TestTightBounds:
         for _ in range(6):
             net, domain = random_network(rng, max_hidden_total=8)
             tight = compute_tight_bounds(net, domain, "milp")
-            boxed = box_propagate(net, AttributeAssignment.all_free(net.input_dim),
-                                  domain)
+            boxed = box_propagate(net, domain.lows, domain.highs)
             assert (tight.pre_lo[0] == boxed.pre_lo[0]).all()
             assert (tight.pre_hi[0] == boxed.pre_hi[0]).all()
             # the layer-0 prefix has no rows: only the input box
@@ -189,15 +189,13 @@ class _RecordingOptimize(BranchAndBoundBackend):
 class TestIsEntailed:
     def test_first_attribute_fixed_entails(self, demo_net, demo_domain):
         ex = Explainer(demo_net, demo_domain)
-        fixed = fix_attributes(ex.base_problem,
-                               AttributeAssignment.fixing(2, {0: 0.7}))
+        fixed = fix_attributes(ex.base_problem, *pinned_box(demo_domain, {0: 0.7}))
         entailed, witness = is_entailed(fixed, 0)
         assert entailed is True and witness is None
 
     def test_free_first_attribute_fails_with_witness(self, demo_net, demo_domain):
         ex = Explainer(demo_net, demo_domain)
-        fixed = fix_attributes(ex.base_problem,
-                               AttributeAssignment.fixing(2, {1: 0.2}))
+        fixed = fix_attributes(ex.base_problem, *pinned_box(demo_domain, {1: 0.2}))
         entailed, witness = is_entailed(fixed, 0)
         assert entailed is False
         outs = forward(demo_net, witness).outputs
@@ -206,7 +204,7 @@ class TestIsEntailed:
     def test_all_fixed_entails(self, demo_net, demo_domain):
         ex = Explainer(demo_net, demo_domain)
         fixed = fix_attributes(
-            ex.base_problem, AttributeAssignment.fixing(2, {0: 0.7, 1: 0.2}))
+            ex.base_problem, *pinned_box(demo_domain, {0: 0.7, 1: 0.2}))
         entailed, _ = is_entailed(fixed, 0)
         assert entailed is True
 
@@ -272,8 +270,14 @@ class TestExplainEdgeCases:
             explanation, _ = explain(net, [0.5], domain, mode)
             assert explanation.kept == ((0, 0.5),)
 
+    @pytest.mark.parametrize("budget", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_meaningless_time_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="positive finite number"):
+            EngineConfig(time_budget_ms=budget)
+
     def test_timeout_keeps_attribute_flagged(self, demo_net, demo_domain):
-        config = EngineConfig(time_budget_ms=0.0)
+        # a nanosecond runs out before the first node of any query
+        config = EngineConfig(time_budget_ms=1e-6)
         explanation, stats = explain(demo_net, [0.7, 0.2], demo_domain,
                                      "baseline", config)
         assert explanation.kept_indices == (0, 1)
@@ -298,6 +302,19 @@ class TestExplainEdgeCases:
 
 
 class TestModeEquivalenceAndSoundness:
+    def test_redundant_kept_attribute_is_flagged(self, demo_net, demo_domain):
+        # attribute 0 at 0.7 alone forces class 0, so keeping attribute 1
+        # too is not minimal
+        forged = Explanation(kept=((0, 0.7), (1, 0.2)),
+                             decisions={0: Decision.KEPT_BY_SOLVER,
+                                        1: Decision.KEPT_BY_SOLVER},
+                             target=0)
+        report = verify_explanation(demo_net, DEMO_INSTANCE, forged, demo_domain,
+                                    samples=200, rng=1)
+        assert report.minimality == {0: "confirmed", 1: "violated"}
+        assert report.sufficiency_ok
+        assert not report.ok
+
     def test_kept_sets_match_across_modes(self):
         rng = np.random.default_rng(67)
         for _ in range(12):
@@ -323,8 +340,8 @@ class TestModeEquivalenceAndSoundness:
                 if decision is not Decision.REMOVED_BY_BOX:
                     continue
                 fixed = [j for j in kept if j != i]
-                assign = AttributeAssignment.from_instance(instance, fixed)
-                problem = fix_attributes(ex.base_problem, assign)
+                problem = fix_attributes(
+                    ex.base_problem, *pinned_box(domain, {j: instance[j] for j in fixed}))
                 entailed, _ = is_entailed(problem, explanation.target)
                 assert entailed is True
                 confirmed += 1
@@ -383,8 +400,7 @@ def _proven(net, domain, tight, instance, free, target) -> set:
     """The rivals the margin bound proves with the attributes in ``free``
     freed, from the bounds improved mode merges for that query."""
     fixed = [j for j in range(net.input_dim) if j not in free]
-    boxed = box_propagate(net, AttributeAssignment.from_instance(instance, fixed),
-                          domain)
+    boxed = box_propagate(net, *pinned_box(domain, {j: instance[j] for j in fixed}))
     margins = margin_lower_bounds(net, merge_bounds(tight, boxed)[0], target)
     return {r for r in range(net.class_count)
             if r != target and margins[r] > FEAS_TOL}
@@ -412,8 +428,8 @@ class TestFalsify:
                 if decision is not Decision.KEPT_BY_COUNTEREXAMPLE:
                     continue
                 fixed = [j for j in kept if j != i]
-                assign = AttributeAssignment.from_instance(instance, fixed)
-                problem = fix_attributes(ex.base_problem, assign)
+                problem = fix_attributes(
+                    ex.base_problem, *pinned_box(domain, {j: instance[j] for j in fixed}))
                 entailed, _ = is_entailed(problem, explanation.target)
                 assert entailed is False
                 hits += 1
@@ -454,7 +470,7 @@ class TestFalsify:
             for free, rival in firsts:
                 fixed = [j for j in range(net.input_dim) if j not in free]
                 boxed = box_propagate(
-                    net, AttributeAssignment.from_instance(instance, fixed), domain)
+                    net, *pinned_box(domain, {j: instance[j] for j in fixed}))
                 closed = {target} | _proven(net, domain, tight, instance, free,
                                             target)
                 out_hi = boxed.out_hi.copy()
@@ -515,7 +531,7 @@ class TestRivalOrder:
             fixed = rng.choice(net.input_dim, size=net.input_dim // 2,
                                replace=False)
             problem = fix_attributes(
-                ex.base_problem, AttributeAssignment.from_instance(instance, fixed))
+                ex.base_problem, *pinned_box(domain, {j: instance[j] for j in fixed}))
             target = predict(net, instance)
             others = [r for r in range(3) if r != target]
             forward_answer, _ = is_entailed(problem, target)
@@ -545,7 +561,7 @@ class TestMarginBound:
                 free = set(np.flatnonzero(rng.random(net.input_dim) < 0.5))
                 fixed = [j for j in range(net.input_dim) if j not in free]
                 problem = fix_attributes(
-                    ex.base_problem, AttributeAssignment.from_instance(instance, fixed))
+                    ex.base_problem, *pinned_box(domain, {j: instance[j] for j in fixed}))
                 for rival in _proven(net, domain, ex.tight, instance, free, target):
                     entailed, _ = is_entailed(problem, target, rivals=(rival,))
                     assert entailed is True
@@ -557,7 +573,8 @@ class TestMarginBound:
                 if decision is Decision.REMOVED_BY_MARGIN:
                     fixed = [j for j in kept if j != i]
                     problem = fix_attributes(
-                        ex.base_problem, AttributeAssignment.from_instance(instance, fixed))
+                        ex.base_problem,
+                        *pinned_box(domain, {j: instance[j] for j in fixed}))
                     assert is_entailed(problem, target)[0] is True
                     hits += 1
             assert stats.margin_hits == hits
@@ -658,7 +675,7 @@ class TestVerification:
         assert not report.sufficiency_ok
 
     def test_timeout_attributes_reported_unverified(self, demo_net, demo_domain):
-        config = EngineConfig(time_budget_ms=0.0)
+        config = EngineConfig(time_budget_ms=1e-6)
         explanation, _ = explain(demo_net, [0.7, 0.2], demo_domain, "baseline",
                                  config)
         report = verify_explanation(demo_net, [0.7, 0.2], explanation,

@@ -1,14 +1,55 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
 
-from boxplain.model import (IDENTITY, RELU, Layer, ModelFormatError,
-                            Network, batch_outputs, forward, load_domain,
-                            load_network, predict, to_document)
+from boxplain.model import (IDENTITY, RELU, InputDomain, Layer,
+                            ModelFormatError, Network, batch_outputs, forward,
+                            load_domain, load_network, predict, to_document)
 from conftest import DEMO_DOC
 from netgen import random_network
+
+HIDDEN, OUTPUT = DEMO_DOC["layers"]
+
+
+def _demo(**changes):
+    """The demo document with top-level keys replaced, or dropped for None."""
+    doc = {**DEMO_DOC, **changes}
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+MALFORMED = [
+    pytest.param(_demo(layers=[{**HIDDEN, "weights": [1.0, 1.0]}, OUTPUT]),
+                 "layer 0: weights must be a 2-d matrix", id="weights-not-2d"),
+    pytest.param(_demo(layers=[{**HIDDEN, "biases": [[0.0], [0.0]]}, OUTPUT]),
+                 "layer 0: biases must be a 1-d vector", id="biases-not-1d"),
+    pytest.param(_demo(layers=[{**HIDDEN, "biases": [float("inf"), 0.0]}, OUTPUT]),
+                 "layer 0: non-finite bias value", id="non-finite-bias"),
+    pytest.param(_demo(layers=[{**HIDDEN, "activation": "tanh"}, OUTPUT]),
+                 "layer 0: unknown activation 'tanh'", id="unknown-activation"),
+    pytest.param(_demo(input_domain=[[0.0, 0.7, 1.0], [0.2, 0.5, 1.0]]),
+                 "input_domain must be a list of [lb, ub] pairs",
+                 id="domain-not-pairs"),
+    pytest.param(_demo(input_domain=[[0.0, 0.7], [0.2, 0.5], [0.0, 1.0]]),
+                 "input_domain has 3 entries, input_dim is 2",
+                 id="domain-size"),
+    pytest.param(_demo(input_domain=None),
+                 "missing required key 'input_domain'", id="no-domain"),
+    pytest.param(_demo(layers=[]), "'layers' must be a non-empty list",
+                 id="no-layers"),
+    pytest.param(_demo(layers={"0": HIDDEN}), "'layers' must be a non-empty list",
+                 id="layers-not-a-list"),
+    pytest.param(_demo(layers=[{"weights": HIDDEN["weights"],
+                                "activation": "relu"}, OUTPUT]),
+                 "layer 0: missing key 'biases'", id="layer-key-missing"),
+    pytest.param(_demo(layers=[HIDDEN, {**OUTPUT, "weights": [[1.0, 1.0]],
+                                        "biases": [0.0]}]),
+                 "output layer must have at least 2 classes", id="one-class"),
+    pytest.param([DEMO_DOC], "model document must be a JSON object",
+                 id="not-an-object"),
+]
 
 
 class TestLoad:
@@ -62,6 +103,16 @@ class TestLoad:
         doc["layers"][1]["activation"] = "relu"
         with pytest.raises(ModelFormatError, match="identity"):
             load_network(doc)
+
+    @pytest.mark.parametrize("doc, message", MALFORMED)
+    def test_malformed_document(self, doc, message):
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_network(doc)
+            load_domain(doc)
+
+    def test_domain_arrays_of_unequal_shape(self):
+        with pytest.raises(ModelFormatError, match="1-d and equally sized"):
+            InputDomain(np.zeros(2), np.ones(3))
 
     def test_domain_bounds_ordered(self):
         doc = copy.deepcopy(DEMO_DOC)

@@ -13,12 +13,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from boxplain.box import (AttributeAssignment, box_propagate,  # noqa: E402
-                          margin_lower_bounds)
+from boxplain.box import box_propagate, margin_lower_bounds  # noqa: E402
 from boxplain.encoding import fix_attributes, merge_bounds  # noqa: E402
 from boxplain.engine import Decision, Explainer, is_entailed  # noqa: E402
 from boxplain.model import (Layer, Network, batch_outputs, forward,  # noqa: E402
                             predict)
+from conftest import pinned_box  # noqa: E402
 from netgen import random_instance, random_network  # noqa: E402
 from oracles import ORACLE_BINARY_CAP, oracle_enumerate  # noqa: E402
 
@@ -84,7 +84,7 @@ def test_shortcuts_keep_what_the_solver_keeps(seed, gap, duplicate, dead):
         if decision is Decision.KEPT_BY_COUNTEREXAMPLE:
             fixed = [j for j in kept if j != i]
             problem = fix_attributes(
-                ex.base_problem, AttributeAssignment.from_instance(instance, fixed))
+                ex.base_problem, *pinned_box(domain, {j: instance[j] for j in fixed}))
             entailed, _ = is_entailed(problem, ours.target)
             assert entailed is False
 
@@ -113,9 +113,9 @@ def test_margin_bound_is_sound(seed):
     instance = random_instance(rng, net, domain)
     target = predict(net, instance)
     fixed = np.flatnonzero(rng.random(net.input_dim) < 0.5)
-    assign = AttributeAssignment.from_instance(instance, fixed)
+    box = pinned_box(domain, {j: instance[j] for j in fixed})
     ex = Explainer(net, domain)
-    merged, _ = merge_bounds(ex.tight, box_propagate(net, assign, domain))
+    merged, _ = merge_bounds(ex.tight, box_propagate(net, *box))
     bound = margin_lower_bounds(net, merged, target)
     assert bound[target] == 0.0
 
@@ -123,7 +123,7 @@ def test_margin_bound_is_sound(seed):
     outs = batch_outputs(net, lo + rng.random((256, lo.size)) * (hi - lo))
     assert (bound <= (outs[:, [target]] - outs).min(axis=0) + 1e-9).all()
 
-    problem = fix_attributes(ex.base_problem, assign)
+    problem = fix_attributes(ex.base_problem, *box)
     assert len(problem.binary_vids) <= ORACLE_BINARY_CAP
     o = problem.output_vids
     for rival in range(net.class_count):
