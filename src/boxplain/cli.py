@@ -35,12 +35,12 @@ def ingest_csv(path) -> np.ndarray:
     A first line in which no cell parses as a number is taken as a header
     and skipped; a partially numeric line is data with a bad cell.  Blank
     lines and trailing empty cells are ignored; an empty cell before a
-    non-empty one is a bad cell.
+    non-empty one is a bad cell.  A UTF-8 byte-order mark is ignored.
     """
     rows = []
     width = None
     first_data_line = True
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for lineno, cells in enumerate(reader, start=1):
             cells = [c.strip() for c in cells]

@@ -74,9 +74,8 @@ class MilpProblem:
     blocks: tuple  # NeuronBlock per encoded hidden neuron, layer-major
     input_vids: tuple
     output_vids: tuple
-    # a full encoding's output rows, one per output in order, start here;
-    # a prefix (or a problem built by hand) has none
-    output_row: Optional[int] = None
+    # the output rows, one per output in order, start here
+    output_row: int
 
     def __post_init__(self):
         for arr in (self.lp.a, self.lp.rhs, self.lp.lb, self.lp.ub, self.lp.c):
@@ -85,20 +84,6 @@ class MilpProblem:
     @property
     def binary_vids(self) -> tuple:
         return self.lp.binaries
-
-
-def _structural_layout(net: Network) -> tuple[tuple, tuple, tuple]:
-    """Fixed vids for inputs, hidden posts (one range per layer) and outputs,
-    independent of which neurons carry a binary.  Binaries always number
-    after the structural vars."""
-    post_vids = []
-    vid = net.input_dim
-    for width in net.hidden_widths:
-        post_vids.append(range(vid, vid + width))
-        vid += width
-    input_vids = tuple(range(net.input_dim))
-    output_vids = tuple(range(vid, vid + net.class_count))
-    return tuple(post_vids), input_vids, output_vids
 
 
 _ROW_COUNT = {MODE_INACTIVE: 0, MODE_ACTIVE: 1, MODE_SPLIT: 3}
@@ -110,53 +95,50 @@ def _mode(lb: float, ub: float) -> str:
     return MODE_ACTIVE if lb > 0.0 else MODE_SPLIT
 
 
-def _encode(net: Network, bounds: BoundsMap,
-            hidden_scope: Optional[int] = None) -> MilpProblem:
-    """Shared encoder.  A ``hidden_scope`` makes a prefix problem for bound
-    optimization: only that many hidden layers get rows (later posts and the
-    outputs stay as inert variables pinned at 0) and the output rows are
-    dropped entirely."""
-    if not bounds.shapes_match(net):
-        raise ValueError("bounds map does not match network shape")
-    full = hidden_scope is None
-    if full:
-        hidden_scope = len(net.hidden_layers)
-    post_vids, input_vids, output_vids = _structural_layout(net)
-    n_struct = net.input_dim + net.num_hidden_neurons + net.class_count
-    layers = net.hidden_layers[:hidden_scope]
-    modes = [[_mode(float(lo), float(hi))
-              for lo, hi in zip(bounds.pre_lo[l], bounds.pre_hi[l])]
-             for l in range(hidden_scope)]
+def _encode(layers: tuple, input_dim: int, bounds: BoundsMap) -> MilpProblem:
+    """The encoding of the network ``layers`` over ``input_dim`` inputs:
+    every layer but the last is ReLU, and the last is the affine output
+    layer, one equality row per output.
+
+    Layer ``l``'s pre-activations are bounded by ``bounds``' entry for layer
+    ``l`` (a hidden layer's, or the outputs' past them): big-M constants for
+    a hidden layer, column bounds for the outputs.  Vids number the inputs,
+    each hidden layer's posts and the outputs in order, then the binaries.
+    """
+    lo, hi = (*bounds.pre_lo, bounds.out_lo), (*bounds.pre_hi, bounds.out_hi)
+    *hidden, out_layer = layers
+    # edges[l]:edges[l + 1] are the columns feeding layer l, and the last two
+    # edges span the outputs
+    edges = np.cumsum([0, input_dim, *(layer.width for layer in layers)]).tolist()
+    n_struct = edges[-1]
+    modes = [[_mode(float(a), float(b)) for a, b in zip(lo[l], hi[l])]
+             for l in range(len(hidden))]
     n_binaries = sum(m.count(MODE_SPLIT) for m in modes)
     n_rows = sum(_ROW_COUNT[m] for layer_modes in modes for m in layer_modes)
-    if full:
-        n_rows += net.class_count
+    n_rows += out_layer.width
 
     n_cols = n_struct + n_binaries
     a = np.zeros((n_rows, n_cols))
     rhs = np.zeros(n_rows)
     rel: list[str] = []
     lb = np.zeros(n_cols)
-    ub = np.zeros(n_cols)  # columns past the hidden scope stay [0, 0]
+    ub = np.zeros(n_cols)
     ub[n_struct:] = 1.0
-    lb[:net.input_dim], ub[:net.input_dim] = bounds.input_lo, bounds.input_hi
-    out = slice(n_struct - net.class_count, n_struct)
-    if full:
-        lb[out], ub[out] = bounds.out_lo, bounds.out_hi
+    lb[:input_dim], ub[:input_dim] = bounds.input_lo, bounds.input_hi
+    out = slice(edges[-2], n_struct)
+    lb[out], ub[out] = lo[len(hidden)], hi[len(hidden)]
 
-    # columns feeding each layer: the inputs, then each hidden layer's posts
-    feeds = [slice(0, net.input_dim)] + [slice(r.start, r.stop) for r in post_vids]
     # "0.0 - w" keeps a zero weight's coefficient at +0.0, the value of an
     # absent term
     blocks: list[NeuronBlock] = []
     row = 0
     next_z = n_struct
-    for l, layer in enumerate(layers):
-        prev = feeds[l]
+    for l, layer in enumerate(hidden):
+        prev = slice(edges[l], edges[l + 1])
         for j, mode in enumerate(modes[l]):
-            vid = post_vids[l][j]
-            pre_lb = float(bounds.pre_lo[l][j])
-            pre_ub = float(bounds.pre_hi[l][j])
+            vid = edges[l + 1] + j
+            pre_lb = float(lo[l][j])
+            pre_ub = float(hi[l][j])
             b = float(layer.biases[j])
             z_var = None
             if mode == MODE_INACTIVE:
@@ -182,19 +164,15 @@ def _encode(net: Network, bounds: BoundsMap,
                                       tuple(range(row, row + count))))
             row += count
 
-    output_row = row if full else None
-    if full:
-        out_layer = net.layers[-1]
-        for j in range(out_layer.width):
-            a[row, feeds[-1]] = 0.0 - out_layer.weights[j]
-            a[row, output_vids[j]] = 1.0
-            rel.append(EQ)
-            rhs[row] = float(out_layer.biases[j])
-            row += 1
+    a[row:, edges[-3]:edges[-2]] = 0.0 - out_layer.weights
+    a[row:, out] = np.eye(out_layer.width)
+    rel.extend((EQ,) * out_layer.width)
+    rhs[row:] = out_layer.biases
 
     lp = LpProblem(a, tuple(rel), rhs, lb, ub, np.zeros(n_cols), "feas",
                    tuple(range(n_struct, n_cols)))
-    return MilpProblem(lp, tuple(blocks), input_vids, output_vids, output_row)
+    return MilpProblem(lp, tuple(blocks), tuple(range(input_dim)),
+                       tuple(range(edges[-2], n_struct)), row)
 
 
 def encode_network(net: Network, bounds: BoundsMap) -> MilpProblem:
@@ -203,20 +181,21 @@ def encode_network(net: Network, bounds: BoundsMap) -> MilpProblem:
     Neurons already stable under these bounds are emitted simplified, without
     a binary.
     """
-    return _encode(net, bounds)
+    return encode_prefix(net, bounds, len(net.hidden_layers))
 
 
-def encode_prefix(net: Network, bounds: BoundsMap, upto_layer: int) -> MilpProblem:
-    """Encode only hidden layers 0..upto_layer-1, with no output rows.
+def encode_prefix(net: Network, bounds: BoundsMap, layer: int) -> MilpProblem:
+    """Encode the network's first ``layer + 1`` layers, with layer ``layer``
+    read as the affine output layer: the search space for optimizing that
+    layer's pre-activations, which are the prefix's outputs.
 
-    Bounds entries for layers at or past ``upto_layer`` are never read, so a
-    partially filled map is fine: the posts of those layers and the outputs
-    are pinned at 0, and no row mentions them.  The result is the search
-    space for optimizing layer ``upto_layer``'s pre-activations (an affine
-    objective over the previous layer's post variables, or the inputs when
-    ``upto_layer`` is 0).
+    The outputs are bounded by layer ``layer``'s entries in ``bounds``;
+    entries past that layer are never read, so a partially proven map is
+    fine.
     """
-    return _encode(net, bounds, hidden_scope=upto_layer)
+    if not bounds.shapes_match(net):
+        raise ValueError("bounds map does not match network shape")
+    return _encode(net.layers[:layer + 1], net.input_dim, bounds)
 
 
 def forward_point(problem: MilpProblem, inputs: np.ndarray) -> np.ndarray:
@@ -226,11 +205,11 @@ def forward_point(problem: MilpProblem, inputs: np.ndarray) -> np.ndarray:
     Block by block, layer-major, each pre-activation is read from the
     block's ``pre_row`` with its post and z still at 0.  An active neuron's
     post is its pre-activation; a split neuron's is max(pre, 0), with z = 1
-    iff pre > 0.  A full encoding's outputs are read from their rows; every
-    other column (an inactive post, anything past a prefix's scope, any
-    column of a problem without blocks) stays 0.  The point satisfies the
-    blocks' and outputs' rows up to rounding when ``inputs`` lie within the
-    bounds the encoding was built from; rows and bounds are not checked.
+    iff pre > 0.  The outputs are read from their rows; every other column
+    (an inactive post, a split neuron's z when pre <= 0) stays 0.  The point
+    satisfies the blocks' and outputs' rows up to rounding when ``inputs``
+    lie within the bounds the encoding was built from; rows and bounds are
+    not checked.
     """
     lp = problem.lp
     x = np.zeros(lp.a.shape[1])
@@ -246,9 +225,8 @@ def forward_point(problem: MilpProblem, inputs: np.ndarray) -> np.ndarray:
             x[block.post_var] = pre
             x[block.z_var] = 1.0
     first = problem.output_row
-    if first is not None:
-        rows = slice(first, first + len(problem.output_vids))
-        x[list(problem.output_vids)] = lp.rhs[rows] - lp.a[rows] @ x
+    rows = slice(first, first + len(problem.output_vids))
+    x[list(problem.output_vids)] = lp.rhs[rows] - lp.a[rows] @ x
     return x
 
 
@@ -261,11 +239,10 @@ def forward_basis(problem: MilpProblem) -> Basis:
     rows keeping their slacks; with pre <= 0 it has z at 0 and its post
     basic in the indicator row, the other two rows keeping their slacks.
     An active neuron's post is basic in its equality, each output in its own
-    row, and every other row (a rival query's, or any row of a problem
-    without blocks) keeps its slack.  Layer by layer the basis matrix is
-    triangular with unit diagonal blocks, so it is nonsingular, and its
-    basic solution is the forward pass: primal feasible for a prefix or a
-    plain encoding, up to rounding, and off only in its rival row for a
+    row, and every other row (a rival query's) keeps its slack.  Layer by
+    layer the basis matrix is triangular with unit diagonal blocks, so it is
+    nonsingular, and its basic solution is the forward pass: primal feasible
+    for an encoding, up to rounding, and off only in its rival row for a
     rival query.
     """
     lp = problem.lp
@@ -284,8 +261,7 @@ def forward_basis(problem: MilpProblem) -> Basis:
             if block.z_var is not None:
                 upper.append(block.z_var)
     first = problem.output_row
-    if first is not None:
-        basic[first:first + len(problem.output_vids)] = problem.output_vids
+    basic[first:first + len(problem.output_vids)] = problem.output_vids
     return crash_basis(lp, basic, upper)
 
 
@@ -375,7 +351,7 @@ def tighten_and_simplify(net: Network, merged: tuple[BoundsMap, int]
     narrowed neurons and binaries absent from the result.
     """
     bounds, tightened = merged
-    problem = _encode(net, bounds)
+    problem = encode_network(net, bounds)
     stats = SimplificationStats(
         bounds_tightened_count=tightened,
         binary_removed_count=net.num_hidden_neurons - len(problem.binary_vids),

@@ -35,9 +35,9 @@ from .box import (BoundsMap, ShortcutResult, box_propagate,
                   margin_lower_bounds, shortcut_check)
 from .bnb import (DEFAULT_BACKEND, SAT, UNKNOWN, UNSAT, MilpOutcome,
                   SolverBackend)
-from .encoding import (MilpProblem, _structural_layout, attach_rival_query,
-                       encode_network, encode_prefix, fix_attributes,
-                       forward_point, merge_bounds, tighten_and_simplify)
+from .encoding import (MilpProblem, attach_rival_query, encode_network,
+                       encode_prefix, fix_attributes, forward_point,
+                       merge_bounds, tighten_and_simplify)
 from .model import InputDomain, Network, batch_outputs, forward
 from .simplex import FEAS_TOL, SolverFailure
 
@@ -55,8 +55,8 @@ FALSIFY_SAMPLES = 512
 
 
 class InstanceError(ValueError):
-    """The instance itself cannot be explained: it lies outside the input
-    domain, or its prediction is an exact tie."""
+    """The instance itself cannot be explained: it has the wrong shape, lies
+    outside the input domain, or its prediction is an exact tie."""
 
 
 class PredictionTieError(InstanceError):
@@ -157,10 +157,12 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
                          backend: SolverBackend = DEFAULT_BACKEND) -> BoundsMap:
     """Per-neuron bounds over the whole input domain.
 
-    ``milp`` optimizes each pre-activation exactly, layer by layer, reusing
-    the bounds already proven for earlier layers as big-M constants.  Layer
-    0 sees only the input box, over which interval propagation is already
-    exact (up to rounding), so it takes the box bounds without a solve.
+    ``milp`` optimizes each pre-activation exactly, layer by layer: layer
+    ``l``'s bounds are the minimum and maximum of each output of its prefix
+    (``encode_prefix``), whose big-M constants are the bounds already proven
+    for earlier layers.  Layer 0 sees only the input box, over which
+    interval propagation is already exact (up to rounding), so it takes the
+    box bounds without a solve.
     Every solved neuron and sense logs one DEBUG line on this module's
     logger: layer (the output layer numbers after the hidden ones), neuron,
     B&B nodes, LP iterations, seconds, and whether the optimum is a
@@ -174,27 +176,23 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
     if mode != TIGHT_MILP:
         raise ValueError(f"unknown tight-bounds mode {mode!r}")
 
-    post_vids, input_vids, _ = _structural_layout(net)
-    layer_inputs = (input_vids,) + post_vids  # vids feeding each layer
     hidden = len(net.hidden_layers)
-    # each proven layer replaces its box bounds, which a prefix encoding of
-    # an earlier layer never reads; a hidden layer 0 keeps them, and layer
-    # `hidden` is the output layer
+    # each proven layer replaces its box bounds, which bound the outputs of
+    # its own prefix and are read by no earlier one; a hidden layer 0 keeps
+    # them, and layer `hidden` is the output layer
     for l in range(min(1, hidden), hidden + 1):
-        layer = net.layers[l]
         prefix = encode_prefix(net, bounds, l)
-        lo, hi = np.zeros(layer.width), np.zeros(layer.width)
-        for j in range(layer.width):
-            objective = {vid: float(w) for vid, w in
-                         zip(layer_inputs[l], layer.weights[j]) if w != 0.0}
+        width = len(prefix.output_vids)
+        lo, hi = np.zeros(width), np.zeros(width)
+        for j, vid in enumerate(prefix.output_vids):
             for sense, found in (("min", lo), ("max", hi)):
                 start = time.perf_counter()
-                out = backend.optimize(prefix, objective, sense)
+                out = backend.optimize(prefix, {vid: 1.0}, sense)
                 seconds = time.perf_counter() - start
                 if out.status != "optimal":
                     raise SolverFailure(
                         f"bound optimization failed: {sense} {out.status}")
-                found[j] = out.value + float(layer.biases[j])
+                found[j] = out.value
                 if logger.isEnabledFor(logging.DEBUG):
                     # an incumbent from the forward pass is exactly the
                     # forward point of its own inputs; an LP leaf is not
@@ -298,12 +296,16 @@ class Explainer:
         plus i are freed; everything else stays at its instance value.  An
         instance outside the domain raises InstanceError, and so does an
         exact-tie prediction, as PredictionTieError, since there is no
-        unique class to explain.
+        unique class to explain.  An instance of another shape than
+        ``(input_dim,)`` raises InstanceError naming both shapes.
         """
         if mode not in (MODE_BASELINE, MODE_IMPROVED):
             raise ValueError(f"unknown mode {mode!r}")
         net = self.net
         instance = np.asarray(instance, dtype=np.float64)
+        if instance.shape != (net.input_dim,):
+            raise InstanceError(f"instance has shape {instance.shape}, "
+                                f"expected ({net.input_dim},)")
         if not self.domain.contains(instance):
             raise InstanceError("instance lies outside the input domain")
         outputs = forward(net, instance).outputs

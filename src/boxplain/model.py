@@ -92,8 +92,11 @@ class InputDomain:
         return self.lows.shape[0]
 
     def contains(self, point: np.ndarray) -> bool:
+        """Whether ``point`` lies in the box; a point of another shape than
+        ``(size,)`` does not."""
         p = np.asarray(point, dtype=np.float64)
-        return bool((p >= self.lows).all() and (p <= self.highs).all())
+        return p.shape == self.lows.shape and \
+            bool((p >= self.lows).all() and (p <= self.highs).all())
 
     def pairs(self) -> list[list[float]]:
         return [[float(a), float(b)] for a, b in zip(self.lows, self.highs)]

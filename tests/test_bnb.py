@@ -21,9 +21,9 @@ from oracles import (ORACLE_BINARY_CAP, eq2_style_milp, loop_records,
 
 def make_problem(lp, input_vids=()):
     """Hand-built problem around ``lp``'s rows and bounds (its objective is
-    dropped)."""
+    dropped), with no outputs: its output rows start past its last row."""
     lp = replace(lp, c=np.zeros_like(lp.c), sense="feas")
-    return MilpProblem(lp, (), tuple(input_vids), ())
+    return MilpProblem(lp, (), tuple(input_vids), (), len(lp.rel))
 
 
 def make_lp(a, rel, rhs, lb, ub, binaries=()):

@@ -100,6 +100,18 @@ class TestIngest:
                            match="line 1, column 2: non-numeric value ''"):
             ingest_csv(path)
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with U+FEFF
+        path = tmp_path / "bom2.csv"
+        path.write_bytes("0.7,0.2\n0.5,0.3\n".encode("utf-8-sig"))
+        assert ingest_csv(path).tolist() == [[0.7, 0.2], [0.5, 0.3]]
+
+    def test_byte_order_mark_keeps_a_one_column_first_row(self, tmp_path):
+        # with the mark read as text, the first row would pass for a header
+        path = tmp_path / "bom1.csv"
+        path.write_bytes("0.7\n0.5\n".encode("utf-8-sig"))
+        assert ingest_csv(path).tolist() == [[0.7], [0.5]]
+
     def test_blank_lines_and_trailing_empty_cells_ignored(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("x1,x2,\n0.7,0.2,,\n\n ,\n0.5,0.3\n")

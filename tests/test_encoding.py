@@ -119,21 +119,53 @@ class TestEncode:
             assert z_count == len(problem.binary_vids)
 
     def test_every_column_has_a_finite_bound(self):
-        # the LP core takes no free column; a prefix pins every column past
-        # its scope (later posts and the outputs) at [0, 0]
+        # the LP core takes no free column; a prefix's outputs, layer l's
+        # pre-activations, carry layer l's bounds, and no later layer has a
+        # column
         rng = np.random.default_rng(37)
         for _ in range(5):
             net, domain = random_network(rng, depth=3)
             bounds = domain_box(net, domain)
             full = encode_network(net, bounds).lp
             assert (np.isfinite(full.lb) | np.isfinite(full.ub)).all()
-            for upto in range(len(net.hidden_layers)):
-                lp = encode_prefix(net, bounds, upto).lp
+            lo, hi = (*bounds.pre_lo, bounds.out_lo), (*bounds.pre_hi, bounds.out_hi)
+            for l in range(len(net.layers)):
+                prefix = encode_prefix(net, bounds, l)
+                lp = prefix.lp
                 assert (np.isfinite(lp.lb) | np.isfinite(lp.ub)).all()
-                scope = net.input_dim + sum(net.hidden_widths[:upto])
-                past = slice(scope, net.input_dim + net.num_hidden_neurons
-                             + net.class_count)
-                assert (lp.lb[past] == 0.0).all() and (lp.ub[past] == 0.0).all()
+                scope = net.input_dim + sum(net.hidden_widths[:l])
+                out = list(prefix.output_vids)
+                assert out == list(range(scope, scope + net.layers[l].width))
+                assert (lp.lb[out] == lo[l]).all() and (lp.ub[out] == hi[l]).all()
+                assert lp.a.shape[1] == out[-1] + 1 + len(prefix.binary_vids)
+
+    def test_prefix_is_the_encoding_of_the_first_layers(self):
+        # net.layers[:l + 1] as a network of its own, with layer l's
+        # entries as its output bounds, encodes bit for bit as the prefix
+        rng = np.random.default_rng(47)
+        compared = 0
+        for _ in range(8):
+            net, domain = random_network(rng, depth=3)
+            bounds = domain_box(net, domain)
+            lo, hi = (*bounds.pre_lo, bounds.out_lo), (*bounds.pre_hi, bounds.out_hi)
+            for l in range(len(net.layers)):
+                *hidden, last = net.layers[:l + 1]
+                head = Network((*hidden, Layer(last.weights, last.biases, IDENTITY)),
+                               net.input_dim)
+                head_bounds = BoundsMap(bounds.input_lo, bounds.input_hi,
+                                        bounds.pre_lo[:l], bounds.pre_hi[:l],
+                                        lo[l], hi[l])
+                got = encode_prefix(net, bounds, l)
+                want = encode_network(head, head_bounds)
+                for name in ("a", "rhs", "lb", "ub"):
+                    g, w = getattr(got.lp, name), getattr(want.lp, name)
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes()
+                assert got.lp.rel == want.lp.rel
+                assert got.binary_vids == want.binary_vids
+                assert (got.blocks, got.input_vids, got.output_vids, got.output_row) \
+                    == (want.blocks, want.input_vids, want.output_vids, want.output_row)
+                compared += len(hidden) > 0
+        assert compared >= 8
 
     def test_bounds_shape_mismatch(self, demo_net):
         other_net, other_domain = random_network(np.random.default_rng(1))
@@ -299,7 +331,8 @@ class TestMergeAndSimplify:
 
 
 def _feasible_assignment(net, problem, point):
-    """Forward activations extended to values for every problem variable."""
+    """Forward activations extended to values for every problem variable; a
+    prefix's outputs are the pre-activations of the layer after its blocks'."""
     acts = forward(net, point)
     values = np.zeros(problem.lp.a.shape[1])
     for i, vid in enumerate(problem.input_vids):
@@ -308,8 +341,9 @@ def _feasible_assignment(net, problem, point):
         values[blk.post_var] = acts.post[blk.layer][blk.index]
         if blk.z_var is not None:
             values[blk.z_var] = 1.0 if acts.pre[blk.layer][blk.index] > 0 else 0.0
+    depth = len({blk.layer for blk in problem.blocks})
     for j, vid in enumerate(problem.output_vids):
-        values[vid] = acts.outputs[j]
+        values[vid] = acts.pre[depth][j]
     return values
 
 
@@ -377,7 +411,7 @@ class TestEquisatisfiability:
 def _forward_cases(rng, count):
     """(net, problem, kind) over random networks: full encodings with some
     attributes fixed, their improved-mode re-encodings, rival queries on
-    both, and every prefix with rows."""
+    both, and every prefix short of the whole network."""
     for _ in range(count):
         net, domain = random_network(rng)
         tight = domain_box(net, domain)
@@ -393,8 +427,8 @@ def _forward_cases(rng, count):
         for full in (fix_attributes(encode_network(net, tight), *box), simplified):
             yield net, full, "full"
             yield net, attach_rival_query(full, target, rival), "rival"
-        for upto in range(1, len(net.hidden_layers) + 1):
-            yield net, encode_prefix(net, tight, upto), "prefix"
+        for l in range(len(net.hidden_layers)):
+            yield net, encode_prefix(net, tight, l), "prefix"
 
 
 class TestForwardBasis:
@@ -411,7 +445,7 @@ class TestForwardBasis:
         assert kinds == {"full", "rival", "prefix"}
 
     def test_basic_solution_is_the_forward_pass_at_the_lower_corner(self):
-        for net, problem, kind in _forward_cases(np.random.default_rng(89), 15):
+        for net, problem, _ in _forward_cases(np.random.default_rng(89), 15):
             lp = problem.lp
             corner = lp.lb[list(problem.input_vids)]
             core = _Simplex(prepare(lp), lp.lb, lp.ub, forward_basis(problem))
@@ -421,15 +455,14 @@ class TestForwardBasis:
                 vids.append(blk.post_var)
                 if blk.z_var is not None:
                     vids.append(blk.z_var)
-            if kind != "prefix":
-                vids.extend(problem.output_vids)
+            vids.extend(problem.output_vids)
             got = core.x[:lp.a.shape[1]]
             assert got[vids] == pytest.approx(expected[vids], rel=1e-9, abs=1e-12)
             assert core.iterations == 0
 
     def test_forward_point_is_the_network_forward_pass(self):
         rng = np.random.default_rng(113)
-        for net, problem, kind in _forward_cases(np.random.default_rng(89), 15):
+        for net, problem, _ in _forward_cases(np.random.default_rng(89), 15):
             lp = problem.lp
             inputs = list(problem.input_vids)
             point = rng.uniform(lp.lb[inputs], lp.ub[inputs])
@@ -440,9 +473,7 @@ class TestForwardBasis:
                 vids.append(blk.post_var)
                 if blk.z_var is not None:
                     vids.append(blk.z_var)
-            assert (problem.output_row is None) == (kind == "prefix")
-            if kind != "prefix":
-                vids.extend(problem.output_vids)
+            vids.extend(problem.output_vids)
             assert got[vids] == pytest.approx(expected[vids], rel=1e-9, abs=1e-12)
             others = np.ones(got.size, dtype=bool)
             others[vids] = False

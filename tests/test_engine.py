@@ -1,6 +1,6 @@
 import logging
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,8 +11,8 @@ from boxplain.bnb import (INTEGRALITY_TOL, BranchAndBoundBackend, MilpOutcome,
 from boxplain.encoding import (encode_prefix, fix_attributes, forward_point,
                                merge_bounds)
 from boxplain.engine import (Decision, EngineConfig, Explainer, Explanation,
-                             ExplainStats, PredictionTieError, compute_tight_bounds,
-                             is_entailed, verify_explanation)
+                             ExplainStats, InstanceError, PredictionTieError,
+                             compute_tight_bounds, is_entailed, verify_explanation)
 from boxplain.model import IDENTITY, RELU, InputDomain, Layer, Network, forward, predict
 from boxplain.simplex import FEAS_TOL, SolverFailure, _certify, prepare
 from conftest import DEMO_INSTANCE, pinned_box
@@ -83,7 +83,7 @@ class TestTightBounds:
             boxed = box_propagate(net, domain.lows, domain.highs)
             assert (tight.pre_lo[0] == boxed.pre_lo[0]).all()
             assert (tight.pre_hi[0] == boxed.pre_hi[0]).all()
-            # the layer-0 prefix has no rows: only the input box
+            # the layer-0 prefix: the input box, and the layer's outputs
             prefix = encode_prefix(net, boxed, 0)
             layer = net.hidden_layers[0]
             for j in range(layer.width):
@@ -105,24 +105,20 @@ class TestTightBounds:
         compared = 0
         for depth in (2, 3, 2, 3, 2, 3):
             net, domain = random_network(rng, depth=depth, max_hidden_total=9)
-            tight = compute_tight_bounds(net, domain, "milp")
-            layers = net.layers
-            for l in range(1, len(layers)):
-                prefix = encode_prefix(net, tight, l)
-                assert len(prefix.binary_vids) <= ORACLE_BINARY_CAP
-                feeds = [b.post_var for b in prefix.blocks if b.layer == l - 1]
-                if l == len(net.hidden_layers):
-                    lo, hi = tight.out_lo, tight.out_hi
-                else:
-                    lo, hi = tight.pre_lo[l], tight.pre_hi[l]
-                for j in range(layers[l].width):
-                    objective = dict(zip(feeds, map(float, layers[l].weights[j])))
-                    bias = float(layers[l].biases[j])
-                    for sense, got in (("min", lo[j]), ("max", hi[j])):
-                        truth = oracle_enumerate(prefix, objective, sense).value
-                        assert got == pytest.approx(truth + bias, rel=1e-6, abs=1e-6)
-                        compared += 1
+            compared += _bounds_match_the_oracle(net, domain)
         assert compared >= 60
+
+    def test_width_one_hidden_layer(self):
+        # a prefix's last layer is no network's output layer, so a width-1
+        # hidden layer past layer 0 needs no two classes
+        net = Network((
+            Layer(np.array([[1.0, -1.0], [0.5, 1.0], [-1.0, 0.5]]),
+                  np.array([0.1, -0.3, 0.2]), RELU),
+            Layer(np.array([[1.0, -1.0, 0.5]]), np.array([-0.1]), RELU),
+            Layer(np.array([[1.0], [-1.0]]), np.array([0.0, 0.2]), IDENTITY),
+        ), 2)
+        domain = InputDomain(np.array([-1.0, -1.0]), np.ones(2))
+        assert _bounds_match_the_oracle(net, domain) == 2 * (1 + 2)
 
     def test_optimize_returns_certified_integral_points(self):
         # one setup pass: every optimum is a MILP point of its root, its
@@ -171,6 +167,27 @@ class TestTightBounds:
             from_forward = np.array_equal(forward_point(problem, inputs), out.point)
             assert (m[6] == "forward-pass incumbent") == from_forward
         assert any(m[6] == "forward-pass incumbent" for m in lines)
+
+
+def _bounds_match_the_oracle(net, domain) -> int:
+    """Check each milp bound past layer 0 against the enumeration oracle on
+    the prefix it was optimized over: the layers before it at their milp
+    bounds, its own outputs at their box bounds.  Returns the count."""
+    tight = compute_tight_bounds(net, domain, "milp")
+    boxed = box_propagate(net, domain.lows, domain.highs)
+    found_lo, found_hi = (*tight.pre_lo, tight.out_lo), (*tight.pre_hi, tight.out_hi)
+    compared = 0
+    for l in range(1, len(net.layers)):
+        seen = replace(boxed, pre_lo=tight.pre_lo[:l] + boxed.pre_lo[l:],
+                       pre_hi=tight.pre_hi[:l] + boxed.pre_hi[l:])
+        prefix = encode_prefix(net, seen, l)
+        assert len(prefix.binary_vids) <= ORACLE_BINARY_CAP
+        for j, vid in enumerate(prefix.output_vids):
+            for sense, got in (("min", found_lo[l][j]), ("max", found_hi[l][j])):
+                truth = oracle_enumerate(prefix, {vid: 1.0}, sense).value
+                assert got == pytest.approx(truth, rel=1e-6, abs=1e-6)
+                compared += 1
+    return compared
 
 
 class _RecordingOptimize(BranchAndBoundBackend):
@@ -259,6 +276,15 @@ class TestExplainEdgeCases:
         for mode in ("baseline", "improved"):
             explanation, _ = explain(net, [0.4, 0.6], domain, mode)
             assert explanation.kept == ()
+
+    @pytest.mark.parametrize("instance", [[0.6], [0.7, 0.2, 0.1], [[0.7, 0.2]]])
+    def test_wrong_shape_is_an_instance_error(self, demo_net, demo_domain,
+                                              instance):
+        shape = np.shape(instance)
+        with pytest.raises(InstanceError,
+                           match=re.escape(f"shape {shape}, expected (2,)")):
+            Explainer(demo_net, demo_domain).explain(instance)
+        assert not demo_domain.contains(instance)
 
     def test_monotone_single_input_keeps_everything(self):
         net = Network((Layer(np.array([[1.0], [-1.0]]), np.zeros(2), IDENTITY),), 1)
