@@ -20,10 +20,13 @@ from .simplex import FEAS_TOL
 
 @dataclass(frozen=True)
 class BoundsMap:
-    """Per-neuron interval bounds: inputs, hidden pre-activations, outputs.
+    """Per-neuron interval bounds: the input box and the pre-activations of
+    every layer, hidden and output.
 
-    Hidden-layer arrays are indexed 0..L-2 in network order; each entry is a
-    vector over that layer's neurons.  A hidden neuron's post-activation
+    ``layers`` views the map as one ``(lo, hi)`` pair of vectors per layer
+    in network order, the outputs last; ``pre_lo``/``pre_hi`` hold the
+    hidden layers', of equal length (ValueError otherwise), and
+    ``out_lo``/``out_hi`` the outputs'.  A hidden neuron's post-activation
     bounds are the relu of its pre-activation bounds.
     """
 
@@ -35,30 +38,45 @@ class BoundsMap:
     out_hi: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.input_lo, self.input_hi, self.out_lo, self.out_hi,
-                    *self.pre_lo, *self.pre_hi):
-            arr.setflags(write=False)
+        for pair in self._intervals:
+            for arr in pair:
+                arr.setflags(write=False)
+
+    @classmethod
+    def of_layers(cls, input_lo, input_hi, layers) -> "BoundsMap":
+        """The map of the input box ``[input_lo, input_hi]`` and the
+        ``(lo, hi)`` pair of each layer in ``layers``, the outputs last."""
+        *hidden, (out_lo, out_hi) = layers
+        pre_lo, pre_hi = tuple(zip(*hidden)) or ((), ())
+        return cls(input_lo, input_hi, pre_lo, pre_hi, out_lo, out_hi)
 
     @property
-    def num_hidden_layers(self) -> int:
-        return len(self.pre_lo)
+    def layers(self) -> tuple:
+        """The ``(lo, hi)`` pre-activation pair of each layer, the outputs
+        last."""
+        return (*zip(self.pre_lo, self.pre_hi, strict=True),
+                (self.out_lo, self.out_hi))
+
+    @property
+    def _intervals(self) -> tuple:
+        return ((self.input_lo, self.input_hi), *self.layers)
 
     def shapes_match(self, net: Network) -> bool:
-        if self.input_lo.shape != (net.input_dim,):
-            return False
-        widths = net.hidden_widths
-        if len(self.pre_lo) != len(widths):
-            return False
-        if any(self.pre_lo[i].shape != (w,) for i, w in enumerate(widths)):
-            return False
-        return self.out_lo.shape == (net.class_count,)
+        """Whether both ends of the input box and of every layer have
+        ``net``'s widths."""
+        widths = (net.input_dim, *(layer.width for layer in net.layers))
+        intervals = self._intervals
+        return len(intervals) == len(widths) and all(
+            lo.shape == hi.shape == (w,) for (lo, hi), w in zip(intervals, widths))
 
     def allclose(self, other: "BoundsMap", tol: float = 0.0) -> bool:
-        pairs = [(self.input_lo, other.input_lo), (self.input_hi, other.input_hi),
-                 (self.out_lo, other.out_lo), (self.out_hi, other.out_hi)]
-        pairs += list(zip(self.pre_lo, other.pre_lo)) + list(zip(self.pre_hi, other.pre_hi))
-        return all(a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= tol
-                   for a, b in pairs)
+        """Whether ``other`` has the same depth and shapes and every bound
+        within ``tol`` of this map's."""
+        mine, theirs = self._intervals, other._intervals
+        return len(mine) == len(theirs) and all(
+            a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= tol
+            for pair, other_pair in zip(mine, theirs)
+            for a, b in zip(pair, other_pair))
 
 
 class ShortcutResult(enum.Enum):
@@ -91,16 +109,12 @@ def box_propagate(net: Network, lo, hi) -> BoundsMap:
         raise ValueError(f"attribute {i}: lower end {input_lo[i]} above upper "
                          f"end {input_hi[i]}")
     lo, hi = input_lo, input_hi
-    pre_lo, pre_hi = [], []
-    for layer in net.hidden_layers:
+    layers = []
+    for layer in net.layers:
         zl, zh = _affine_box(layer.weights, layer.biases, lo, hi)
-        pre_lo.append(zl)
-        pre_hi.append(zh)
+        layers.append((zl, zh))
         lo, hi = np.maximum(zl, 0.0), np.maximum(zh, 0.0)
-    out = net.layers[-1]
-    out_lo, out_hi = _affine_box(out.weights, out.biases, lo, hi)
-    return BoundsMap(input_lo, input_hi, tuple(pre_lo), tuple(pre_hi),
-                     out_lo, out_hi)
+    return BoundsMap.of_layers(input_lo, input_hi, layers)
 
 
 def shortcut_check(bounds: BoundsMap, target: int) -> ShortcutResult:

@@ -166,16 +166,10 @@ def cmd_bounds(args) -> int:
     boxed = box_propagate(net, domain.lows, domain.highs)
     writer = csv.writer(sys.stdout)
     writer.writerow(["layer", "neuron", "tight_lb", "tight_ub", "box_lb", "box_ub"])
-    for l in range(len(net.hidden_layers)):
-        for j in range(net.hidden_widths[l]):
-            writer.writerow([l + 1, j,
-                             float(tight.pre_lo[l][j]), float(tight.pre_hi[l][j]),
-                             float(boxed.pre_lo[l][j]), float(boxed.pre_hi[l][j])])
-    out_layer = len(net.layers)
-    for j in range(net.class_count):
-        writer.writerow([out_layer, j,
-                         float(tight.out_lo[j]), float(tight.out_hi[j]),
-                         float(boxed.out_lo[j]), float(boxed.out_hi[j])])
+    for l, ((t_lo, t_hi), (b_lo, b_hi)) in enumerate(
+            zip(tight.layers, boxed.layers), start=1):
+        for j, ends in enumerate(zip(t_lo, t_hi, b_lo, b_hi)):
+            writer.writerow([l, j, *map(float, ends)])
     return EXIT_OK
 
 

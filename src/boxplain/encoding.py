@@ -100,12 +100,12 @@ def _encode(layers: tuple, input_dim: int, bounds: BoundsMap) -> MilpProblem:
     every layer but the last is ReLU, and the last is the affine output
     layer, one equality row per output.
 
-    Layer ``l``'s pre-activations are bounded by ``bounds``' entry for layer
-    ``l`` (a hidden layer's, or the outputs' past them): big-M constants for
-    a hidden layer, column bounds for the outputs.  Vids number the inputs,
-    each hidden layer's posts and the outputs in order, then the binaries.
+    Layer ``l``'s pre-activations are bounded by ``bounds.layers[l]``:
+    big-M constants for a hidden layer, column bounds for the outputs.  Vids
+    number the inputs, each hidden layer's posts and the outputs in order,
+    then the binaries.
     """
-    lo, hi = (*bounds.pre_lo, bounds.out_lo), (*bounds.pre_hi, bounds.out_hi)
+    lo, hi = zip(*bounds.layers)
     *hidden, out_layer = layers
     # edges[l]:edges[l + 1] are the columns feeding layer l, and the last two
     # edges span the outputs
@@ -300,18 +300,15 @@ def fix_attributes(problem: MilpProblem, lo, hi) -> MilpProblem:
     return replace(problem, lp=_replace_unchecked(problem.lp, lb=lb, ub=ub))
 
 
-def merge_bounds(tight: BoundsMap, boxed: BoundsMap) -> tuple[BoundsMap, int]:
+def merge_bounds(tight: BoundsMap, boxed: BoundsMap) -> BoundsMap:
     """Intersect tight (domain-wide) with boxed (query-specific) bounds.
 
     Per neuron the merge keeps the larger lower and the smaller upper bound.
     An inverted result (possible only through float noise, or disjoint inputs)
-    reverts to the tight bound for that neuron.  Returns the merged map and
-    the number of neurons whose interval got strictly narrower.
+    reverts to the tight bound for that neuron.  The input box is boxed's.
     """
-    tightened = 0
-
-    def merge_pair(t_lo, t_hi, b_lo, b_hi):
-        nonlocal tightened
+    layers = []
+    for (t_lo, t_hi), (b_lo, b_hi) in zip(tight.layers, boxed.layers, strict=True):
         m_lo = np.maximum(t_lo, b_lo)
         m_hi = np.minimum(t_hi, b_hi)
         bad = m_lo > m_hi
@@ -322,36 +319,26 @@ def merge_bounds(tight: BoundsMap, boxed: BoundsMap) -> tuple[BoundsMap, int]:
                     "reverting to tight bounds", int((m_lo - m_hi > 1e-9).sum()))
             m_lo = np.where(bad, t_lo, m_lo)
             m_hi = np.where(bad, t_hi, m_hi)
-        narrower = (~bad) & ((m_lo > t_lo) | (m_hi < t_hi))
-        tightened += int(narrower.sum())
-        return m_lo, m_hi
-
-    pre_lo, pre_hi = [], []
-    for l in range(tight.num_hidden_layers):
-        m_lo, m_hi = merge_pair(tight.pre_lo[l], tight.pre_hi[l],
-                                boxed.pre_lo[l], boxed.pre_hi[l])
-        pre_lo.append(m_lo)
-        pre_hi.append(m_hi)
-    out_lo, out_hi = merge_pair(tight.out_lo, tight.out_hi,
-                                boxed.out_lo, boxed.out_hi)
-    merged = BoundsMap(boxed.input_lo, boxed.input_hi, tuple(pre_lo),
-                       tuple(pre_hi), out_lo, out_hi)
-    return merged, tightened
+        layers.append((m_lo, m_hi))
+    return BoundsMap.of_layers(boxed.input_lo, boxed.input_hi, layers)
 
 
-def tighten_and_simplify(net: Network, merged: tuple[BoundsMap, int]
+def tighten_and_simplify(net: Network, tight: BoundsMap, merged: BoundsMap
                          ) -> tuple[MilpProblem, SimplificationStats]:
     """Encode ``net`` afresh from ``merged``, what ``merge_bounds(tight,
-    boxed)`` returns: the merged map and its count of narrowed neurons.
+    boxed)`` returns.
 
     Big-M constants take the merged values; a hidden neuron with merged
     lb > 0 becomes the affine equality, merged ub <= 0 becomes post = 0, and
     either way its binary disappears.  The inputs carry boxed's bounds, so
-    the attributes its query box fixes are pinned.  Stats count strictly
-    narrowed neurons and binaries absent from the result.
+    the attributes its query box fixes are pinned.  Stats count the neurons
+    whose merged interval is strictly narrower than the tight one, and the
+    binaries absent from the result.
     """
-    bounds, tightened = merged
-    problem = encode_network(net, bounds)
+    problem = encode_network(net, merged)
+    tightened = sum(
+        int(np.count_nonzero((m_lo > t_lo) | (m_hi < t_hi)))
+        for (t_lo, t_hi), (m_lo, m_hi) in zip(tight.layers, merged.layers))
     stats = SimplificationStats(
         bounds_tightened_count=tightened,
         binary_removed_count=net.num_hidden_neurons - len(problem.binary_vids),

@@ -23,7 +23,7 @@ import enum
 import logging
 import time
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -176,11 +176,11 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
     if mode != TIGHT_MILP:
         raise ValueError(f"unknown tight-bounds mode {mode!r}")
 
-    hidden = len(net.hidden_layers)
+    layers = list(bounds.layers)
     # each proven layer replaces its box bounds, which bound the outputs of
     # its own prefix and are read by no earlier one; a hidden layer 0 keeps
-    # them, and layer `hidden` is the output layer
-    for l in range(min(1, hidden), hidden + 1):
+    # them
+    for l in range(min(1, len(layers) - 1), len(layers)):
         prefix = encode_prefix(net, bounds, l)
         width = len(prefix.output_vids)
         lo, hi = np.zeros(width), np.zeros(width)
@@ -204,22 +204,19 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
                         "iterations, %.6f s, %s", sense, l, j, out.node_count,
                         out.lp_iterations, seconds,
                         "forward-pass incumbent" if forward else "LP leaf")
-        if l == hidden:
-            bounds = replace(bounds, out_lo=lo, out_hi=hi)
-        else:
-            bounds = replace(
-                bounds, pre_lo=(*bounds.pre_lo[:l], lo, *bounds.pre_lo[l + 1:]),
-                pre_hi=(*bounds.pre_hi[:l], hi, *bounds.pre_hi[l + 1:]))
+        layers[l] = (lo, hi)
+        bounds = BoundsMap.of_layers(bounds.input_lo, bounds.input_hi, layers)
     return bounds
 
 
 def attribute_order(order: Optional[tuple], n: int) -> tuple:
     """``order`` as a tuple of attribute indices, index order for None;
-    ValueError unless it is a permutation of ``0..n-1``."""
-    resolved = tuple(range(n)) if order is None else tuple(int(i) for i in order)
+    ValueError unless its entries equal a permutation of ``0..n-1``, so an
+    entry that is not an integer value is rejected, not truncated."""
+    resolved = tuple(range(n)) if order is None else tuple(order)
     if sorted(resolved) != list(range(n)):
         raise ValueError(f"order must be a permutation of 0..{n - 1}")
-    return resolved
+    return tuple(int(i) for i in resolved)
 
 
 def is_entailed(problem: MilpProblem, target: int, *,
@@ -336,7 +333,7 @@ class Explainer:
                     decisions[i] = Decision.KEPT_BY_COUNTEREXAMPLE
                     continue
                 merged = merge_bounds(self.tight, boxed)
-                margins = margin_lower_bounds(net, merged[0], target)
+                margins = margin_lower_bounds(net, merged, target)
                 # the rivals the margin bound leaves open, the one most
                 # likely to win first
                 rivals = tuple(sorted((r for r in range(net.class_count)
@@ -348,7 +345,7 @@ class Explainer:
                     decisions[i] = Decision.REMOVED_BY_MARGIN
                     continue
                 # the simplified problem already pins the fixed attributes
-                problem, simp = tighten_and_simplify(net, merged)
+                problem, simp = tighten_and_simplify(net, self.tight, merged)
                 simplified += 1
                 tightened += simp.bounds_tightened_count
                 removed_ours += simp.binary_removed_count

@@ -142,7 +142,7 @@ def test_criterion_03_pinned_refinement_values(demo):
 
     tight = compute_tight_bounds(net, domain, "milp")
     base = encode_network(net, tight)
-    simplified, _ = tighten_and_simplify(net, merge_bounds(tight, boxed))
+    simplified, _ = tighten_and_simplify(net, tight, merge_bounds(tight, boxed))
     # big-M constant of the first hidden neuron refines 1.2 -> 0.9, then the
     # still-positive lower bound collapses the block and drops its binary
     assert block(base, 0, 0).pre_ub == pytest.approx(1.2, abs=1e-9)
@@ -274,7 +274,8 @@ def test_criterion_09_equisatisfiability():
         target = int(rng.integers(k))
         rival = int((target + 1 + rng.integers(k - 1)) % k)
         plain = attach_rival_query(fix_attributes(problem, *box), target, rival)
-        simplified, _ = tighten_and_simplify(net, merge_bounds(tight, boxed))
+        simplified, _ = tighten_and_simplify(net, tight,
+                                             merge_bounds(tight, boxed))
         simp = attach_rival_query(fix_attributes(simplified, *box), target, rival)
         assert solve_feasibility(plain).status == solve_feasibility(simp).status
 

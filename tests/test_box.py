@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from boxplain.box import BoundsMap, ShortcutResult, box_propagate, shortcut_chec
 from boxplain.encoding import attach_rival_query, encode_network, fix_attributes
 from boxplain.engine import Explainer, InstanceError
 from boxplain.model import (IDENTITY, RELU, InputDomain, Layer, Network,
-                            forward, predict)
-from conftest import pinned_box
+                            forward, load_model_file, predict)
+from conftest import MODELS, pinned_box
 from netgen import random_instance, random_network
 from oracles import oracle_enumerate
 
@@ -199,6 +200,56 @@ class TestBoxPropagate:
                 assert (inner.pre_hi[l] <= outer.pre_hi[l] + 1e-12).all()
             assert (inner.out_lo >= outer.out_lo - 1e-12).all()
             assert (inner.out_hi <= outer.out_hi + 1e-12).all()
+
+
+class TestBoundsMap:
+    """The per-layer view of a map, and the checks that read it, on a
+    network with two hidden layers."""
+
+    @pytest.fixture(scope="class")
+    def two_hidden(self):
+        net, domain = load_model_file(MODELS / "random_3in_2l.json")
+        return net, domain, box_propagate(net, domain.lows, domain.highs)
+
+    def test_layers_in_network_order(self, two_hidden):
+        net, _, bounds = two_hidden
+        assert [(lo.shape, hi.shape) for lo, hi in bounds.layers] == \
+            [((4,), (4,)), ((2,), (2,)), ((2,), (2,))]
+        assert bounds.layers[-1] == (bounds.out_lo, bounds.out_hi)
+        again = BoundsMap.of_layers(bounds.input_lo, bounds.input_hi,
+                                    bounds.layers)
+        assert again.allclose(bounds) and again.shapes_match(net)
+
+    def test_one_end_one_entry_short_does_not_match(self, two_hidden):
+        # such a map once passed the check, and the encoding silently
+        # dropped the hidden neuron its short end lacks
+        net, domain, bounds = two_hidden
+        short = replace(bounds, pre_hi=(bounds.pre_hi[0][:-1], bounds.pre_hi[1]))
+        assert not short.shapes_match(net)
+        with pytest.raises(ValueError, match="does not match network shape"):
+            Explainer(net, domain, tight=short)
+
+    def test_every_end_is_checked(self, two_hidden):
+        net, _, bounds = two_hidden
+        for name in ("input_lo", "input_hi", "out_lo", "out_hi"):
+            short = replace(bounds, **{name: getattr(bounds, name)[:-1]})
+            assert not short.shapes_match(net), name
+        for name in ("pre_lo", "pre_hi"):
+            ends = getattr(bounds, name)
+            for l in range(len(ends)):
+                cut = (*ends[:l], ends[l][:-1], *ends[l + 1:])
+                assert not replace(bounds, **{name: cut}).shapes_match(net), (name, l)
+
+    def test_maps_of_different_depth_differ(self, two_hidden):
+        _, _, bounds = two_hidden
+        cut = replace(bounds, pre_lo=bounds.pre_lo[:1], pre_hi=bounds.pre_hi[:1])
+        assert bounds.allclose(bounds)
+        assert not bounds.allclose(cut) and not cut.allclose(bounds)
+
+    def test_hidden_ends_of_unequal_depth_rejected(self, two_hidden):
+        _, _, bounds = two_hidden
+        with pytest.raises(ValueError, match="shorter"):
+            replace(bounds, pre_hi=bounds.pre_hi[:1])
 
 
 def _outputs_only(pairs) -> BoundsMap:

@@ -10,7 +10,7 @@ from boxplain.cli import InputError, ingest_csv, main
 import boxplain.engine as engine
 from boxplain.engine import Explainer
 from boxplain.simplex import SolverFailure
-from conftest import DEMO_DOC
+from conftest import DEMO_DOC, MODELS
 
 
 def run_cli(capsys, *argv):
@@ -304,6 +304,17 @@ class TestBounds:
         by_key = {(r[0], r[1]): [float(v) for v in r[2:]] for r in rows}
         assert by_key[("1", "0")] == pytest.approx([0.5, 0.5, 0.5, 0.5])
         assert by_key[("2", "0")] == pytest.approx([1.0, 1.0, 1.0, 1.0])
+
+    def test_two_hidden_layers_in_network_order(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds",
+                               str(MODELS / "random_3in_2l.json"))
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [(int(r[0]), int(r[1])) for r in rows] == \
+            [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0), (3, 1)]
+        for row in rows:
+            tight_lb, tight_ub, box_lb, box_ub = map(float, row[2:])
+            assert box_lb <= tight_lb <= tight_ub <= box_ub, row
 
     def test_box_mode_tight_equals_box(self, capsys, demo_model_path):
         code, out, _ = run_cli(capsys, "bounds", str(demo_model_path),

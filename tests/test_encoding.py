@@ -128,7 +128,7 @@ class TestEncode:
             bounds = domain_box(net, domain)
             full = encode_network(net, bounds).lp
             assert (np.isfinite(full.lb) | np.isfinite(full.ub)).all()
-            lo, hi = (*bounds.pre_lo, bounds.out_lo), (*bounds.pre_hi, bounds.out_hi)
+            lo, hi = zip(*bounds.layers)
             for l in range(len(net.layers)):
                 prefix = encode_prefix(net, bounds, l)
                 lp = prefix.lp
@@ -147,14 +147,12 @@ class TestEncode:
         for _ in range(8):
             net, domain = random_network(rng, depth=3)
             bounds = domain_box(net, domain)
-            lo, hi = (*bounds.pre_lo, bounds.out_lo), (*bounds.pre_hi, bounds.out_hi)
             for l in range(len(net.layers)):
                 *hidden, last = net.layers[:l + 1]
                 head = Network((*hidden, Layer(last.weights, last.biases, IDENTITY)),
                                net.input_dim)
-                head_bounds = BoundsMap(bounds.input_lo, bounds.input_hi,
-                                        bounds.pre_lo[:l], bounds.pre_hi[:l],
-                                        lo[l], hi[l])
+                head_bounds = BoundsMap.of_layers(bounds.input_lo, bounds.input_hi,
+                                                  bounds.layers[:l + 1])
                 got = encode_prefix(net, bounds, l)
                 want = encode_network(head, head_bounds)
                 for name in ("a", "rhs", "lb", "ub"):
@@ -240,7 +238,7 @@ class TestSharedArrays:
         boxed = box_propagate(demo_net, *box)
         fix_attributes(demo_problem, *box)
         attach_rival_query(demo_problem, 0, 1)
-        tighten_and_simplify(demo_net, merge_bounds(demo_tight, boxed))
+        tighten_and_simplify(demo_net, demo_tight, merge_bounds(demo_tight, boxed))
         milp_to_lp(demo_problem, {demo_problem.output_vids[0]: 1.0}, "min")
         assert demo_problem.lp is lp and lp.rel == rel_before
         for arr, old in zip(arrays, before):
@@ -263,25 +261,27 @@ class TestMergeAndSimplify:
                           np.array([0.2, 0.2]), np.array([1.4, 1.0]))
         boxed = BoundsMap(np.zeros(2), np.ones(2), (), (),
                           np.array([0.2, -0.3]), np.array([1.0, 0.5]))
-        merged, tightened = merge_bounds(tight, boxed)
+        merged = merge_bounds(tight, boxed)
         assert merged.out_lo == pytest.approx([0.2, 0.2], abs=0)
         assert merged.out_hi == pytest.approx([1.0, 0.5], abs=0)
-        assert tightened == 2
+        _, stats = tighten_and_simplify(net, tight, merged)
+        assert stats.bounds_tightened_count == 2
 
     def test_disjoint_merge_reverts_to_tight(self):
         tight = BoundsMap(np.zeros(1), np.ones(1), (), (),
                           np.array([0.0]), np.array([1.0]))
         boxed = BoundsMap(np.zeros(1), np.ones(1), (), (),
                           np.array([2.0]), np.array([3.0]))
-        merged, tightened = merge_bounds(tight, boxed)
+        merged = merge_bounds(tight, boxed)
         assert merged.out_lo[0] == 0.0 and merged.out_hi[0] == 1.0
-        assert tightened == 0
+        # every bound is the tight one, so no neuron counts as narrowed
+        assert merged.allclose(tight)
 
     def test_demo_refinement_and_collapse(self, demo_net, demo_domain,
                                           demo_tight, demo_problem):
         boxed = box_propagate(demo_net, *pinned_box(demo_domain, {1: 0.2}))
-        simplified, stats = tighten_and_simplify(demo_net,
-                                                 merge_bounds(demo_tight, boxed))
+        simplified, stats = tighten_and_simplify(
+            demo_net, demo_tight, merge_bounds(demo_tight, boxed))
         # big-M constant for the first hidden neuron drops 1.2 -> 0.9, and
         # since its merged lower bound stays positive the block remains the
         # plain equality with no binary
@@ -308,7 +308,7 @@ class TestMergeAndSimplify:
     def test_identical_boxed_changes_nothing(self, demo_net, demo_problem,
                                              demo_tight):
         simplified, stats = tighten_and_simplify(
-            demo_net, merge_bounds(demo_tight, demo_tight))
+            demo_net, demo_tight, merge_bounds(demo_tight, demo_tight))
         assert stats.bounds_tightened_count == 0
         assert stats.binary_removed_count == \
             demo_net.num_hidden_neurons - len(demo_problem.binary_vids)
@@ -325,7 +325,7 @@ class TestMergeAndSimplify:
                                replace=False)
             boxed = box_propagate(
                 net, *pinned_box(domain, {j: instance[j] for j in fixed}))
-            _, stats = tighten_and_simplify(net, merge_bounds(tight, boxed))
+            _, stats = tighten_and_simplify(net, tight, merge_bounds(tight, boxed))
             assert stats.binary_removed_count >= \
                 net.num_hidden_neurons - len(problem.binary_vids)
 
@@ -376,7 +376,8 @@ class TestModelPreservation:
                                size=rng.integers(0, net.input_dim), replace=False)
             lo, hi = pinned_box(domain, {j: instance[j] for j in fixed})
             boxed = box_propagate(net, lo, hi)
-            simplified, _ = tighten_and_simplify(net, merge_bounds(tight, boxed))
+            simplified, _ = tighten_and_simplify(net, tight,
+                                                 merge_bounds(tight, boxed))
             for _ in range(5):
                 point = rng.uniform(lo, hi)
                 for p in (fix_attributes(problem, lo, hi),
@@ -401,7 +402,8 @@ class TestEquisatisfiability:
             rival = int((target + 1 + rng.integers(k - 1)) % k)
             plain = attach_rival_query(fix_attributes(problem, *box),
                                        target, rival)
-            simplified, _ = tighten_and_simplify(net, merge_bounds(tight, boxed))
+            simplified, _ = tighten_and_simplify(net, tight,
+                                                 merge_bounds(tight, boxed))
             simp = attach_rival_query(fix_attributes(simplified, *box),
                                       target, rival)
             assert solve_feasibility(plain).status == \
@@ -420,7 +422,7 @@ def _forward_cases(rng, count):
                            size=rng.integers(0, net.input_dim + 1), replace=False)
         box = pinned_box(domain, {j: instance[j] for j in fixed})
         simplified, _ = tighten_and_simplify(
-            net, merge_bounds(tight, box_propagate(net, *box)))
+            net, tight, merge_bounds(tight, box_propagate(net, *box)))
         k = net.class_count
         target = int(rng.integers(k))
         rival = int((target + 1 + rng.integers(k - 1)) % k)

@@ -12,7 +12,8 @@ from boxplain.encoding import (encode_prefix, fix_attributes, forward_point,
                                merge_bounds)
 from boxplain.engine import (Decision, EngineConfig, Explainer, Explanation,
                              ExplainStats, InstanceError, PredictionTieError,
-                             compute_tight_bounds, is_entailed, verify_explanation)
+                             attribute_order, compute_tight_bounds, is_entailed,
+                             verify_explanation)
 from boxplain.model import IDENTITY, RELU, InputDomain, Layer, Network, forward, predict
 from boxplain.simplex import FEAS_TOL, SolverFailure, _certify, prepare
 from conftest import DEMO_INSTANCE, pinned_box
@@ -175,7 +176,7 @@ def _bounds_match_the_oracle(net, domain) -> int:
     bounds, its own outputs at their box bounds.  Returns the count."""
     tight = compute_tight_bounds(net, domain, "milp")
     boxed = box_propagate(net, domain.lows, domain.highs)
-    found_lo, found_hi = (*tight.pre_lo, tight.out_lo), (*tight.pre_hi, tight.out_hi)
+    found_lo, found_hi = zip(*tight.layers)
     compared = 0
     for l in range(1, len(net.layers)):
         seen = replace(boxed, pre_lo=tight.pre_lo[:l] + boxed.pre_lo[l:],
@@ -264,6 +265,15 @@ class TestExplainDemo:
         with pytest.raises(ValueError, match="permutation"):
             explain(demo_net, [0.7, 0.2], demo_domain, "improved",
                     EngineConfig(order=(0, 0)))
+
+    def test_order_entries_must_be_integer_values(self, demo_net, demo_domain):
+        # int() would truncate (1.9, 0.2) to the permutation (1, 0)
+        with pytest.raises(ValueError, match="permutation"):
+            attribute_order((1.9, 0.2), 2)
+        with pytest.raises(ValueError, match="permutation"):
+            Explainer(demo_net, demo_domain, EngineConfig(order=(1.9, 0.2)))
+        order = attribute_order((np.int64(1), np.int64(0)), 2)
+        assert order == (1, 0) and all(type(i) is int for i in order)
 
 
 class TestExplainEdgeCases:
@@ -427,7 +437,7 @@ def _proven(net, domain, tight, instance, free, target) -> set:
     freed, from the bounds improved mode merges for that query."""
     fixed = [j for j in range(net.input_dim) if j not in free]
     boxed = box_propagate(net, *pinned_box(domain, {j: instance[j] for j in fixed}))
-    margins = margin_lower_bounds(net, merge_bounds(tight, boxed)[0], target)
+    margins = margin_lower_bounds(net, merge_bounds(tight, boxed), target)
     return {r for r in range(net.class_count)
             if r != target and margins[r] > FEAS_TOL}
 

@@ -115,7 +115,7 @@ def test_margin_bound_is_sound(seed):
     fixed = np.flatnonzero(rng.random(net.input_dim) < 0.5)
     box = pinned_box(domain, {j: instance[j] for j in fixed})
     ex = Explainer(net, domain)
-    merged, _ = merge_bounds(ex.tight, box_propagate(net, *box))
+    merged = merge_bounds(ex.tight, box_propagate(net, *box))
     bound = margin_lower_bounds(net, merged, target)
     assert bound[target] == 0.0
 
