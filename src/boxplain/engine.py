@@ -11,10 +11,13 @@ solver would also find, so the attribute is kept without a solver call.
 Next the box bounds are merged with the tight ones, and a back-substituted
 bound on each margin ``o_target - o_rival`` over the query's input box
 proves the rivals it can: when it proves them all, the attribute drops
-without a solver call.  Only then is the network encoded afresh from
-the merged bounds, and the solver queries the open rivals in descending
-order of their box upper bound.  Bounds always revert to the originals
-between attributes, so every iteration starts from the same tight bounds.
+without a solver call.  The rivals left open get a second falsification
+attempt, sign-gradient steps from the best sampled points, which keeps the
+attribute on a counterexample as before.  Only then is the network encoded
+afresh from the merged bounds, and the solver queries the open rivals in
+descending order of their box upper bound.  Bounds always revert to the
+originals between attributes, so every iteration starts from the same
+tight bounds.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from .bnb import (DEFAULT_BACKEND, SAT, UNKNOWN, UNSAT, MilpOutcome,
 from .encoding import (MilpProblem, attach_rival_query, encode_network,
                        encode_prefix, fix_attributes, forward_point,
                        merge_bounds, tighten_and_simplify)
-from .model import InputDomain, Network, batch_outputs, forward
+from .model import (InputDomain, Network, batch_outputs,
+                    batch_pre_activations, forward)
 from .simplex import FEAS_TOL, SolverFailure
 
 logger = logging.getLogger(__name__)
@@ -49,9 +53,14 @@ MODE_IMPROVED = "improved"
 TIGHT_MILP = "milp"
 TIGHT_BOX = "box"
 
-# uniform points of the query's input box tried before each improved-mode
-# solver call
-FALSIFY_SAMPLES = 512
+# uniform points of the query's input box tried before the margin bound
+FALSIFY_SAMPLES = 128
+# the sampled points with the largest rival margin, from which the
+# sign-gradient ascent starts once the margin bound leaves a rival open
+ASCENT_STARTS = 4
+# at most this many ascent steps, each this fraction of the box's width
+ASCENT_STEPS = 10
+ASCENT_STEP = 0.1
 
 
 class InstanceError(ValueError):
@@ -95,9 +104,12 @@ class ExplainStats:
     ``*_pct`` properties are ratios of those counts, 0 when the solver was
     never needed.  An iteration that a forward-pass counterexample or the
     margin bound decides never encodes, so it is not among them.
-    ``margin_hits`` counts attributes the margin bound removed, and
-    ``margin_rivals_skipped`` the rival queries it made unnecessary, in those
-    iterations and in the ones that went on to the solver.
+    ``counterexample_hits`` counts attributes kept on a forward-pass
+    counterexample, sampled or gradient-stepped.  ``margin_hits`` counts
+    attributes the margin bound removed, and ``margin_rivals_skipped`` the
+    rival queries it made unnecessary, in those iterations and in the ones
+    that went on to the solver; an iteration the gradient steps decide makes
+    no rival query, so it adds nothing.
     """
 
     total_time: float
@@ -329,7 +341,8 @@ class Explainer:
                     removed[i] = True
                     decisions[i] = Decision.REMOVED_BY_BOX
                     continue
-                if _falsified(net, boxed, i, target):
+                hit, starts = _sampled(net, lo, hi, i, target)
+                if hit is not None:
                     decisions[i] = Decision.KEPT_BY_COUNTEREXAMPLE
                     continue
                 merged = merge_bounds(self.tight, boxed)
@@ -339,6 +352,10 @@ class Explainer:
                 rivals = tuple(sorted((r for r in range(net.class_count)
                                        if r != target and not margins[r] > FEAS_TOL),
                                       key=lambda r: (-boxed.out_hi[r], r)))
+                if rivals and _ascended(net, lo, hi, starts, target,
+                                        rivals) is not None:
+                    decisions[i] = Decision.KEPT_BY_COUNTEREXAMPLE
+                    continue
                 rivals_skipped += net.class_count - 1 - len(rivals)
                 if not rivals:
                     removed[i] = True
@@ -397,31 +414,77 @@ def _query_box(domain: InputDomain, instance: np.ndarray,
             np.where(free, domain.highs, instance))
 
 
-def _falsified(net: Network, boxed: BoundsMap, attribute: int,
-               target: int) -> bool:
-    """Whether a forward pass finds a counterexample in the query's input box.
+def _beaten(net: Network, point: np.ndarray, target: int) -> bool:
+    """Whether an exact forward pass at ``point`` puts a rival at or above
+    the target (ties count, as in ``attach_rival_query``).  Such a point
+    satisfies the rows of the rival query, whose hidden values follow from
+    the inputs, so the solver would answer SAT as well."""
+    exact = forward(net, point).outputs
+    return bool(np.delete(exact, target).max() >= exact[target])
 
-    The points are ``FALSIFY_SAMPLES`` uniform points of the box
-    ``boxed.input_lo``/``input_hi``, whose fixed attributes are point
-    intervals, drawn from a generator seeded by ``attribute``, so a call
-    depends on its arguments alone.  The batch evaluation only nominates the
-    point with the largest rival margin; it counts once an exact forward
-    pass puts a rival at or above the target (ties count, as in
-    ``attach_rival_query``).  Every such point satisfies the rows of the
-    rival query, whose hidden values follow from the inputs, so the solver
-    would answer SAT as well.
+
+def _sampled(net: Network, lo: np.ndarray, hi: np.ndarray, attribute: int,
+             target: int) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """A counterexample among ``FALSIFY_SAMPLES`` uniform points of the
+    query's input box ``lo``/``hi``, or None, and the ``ASCENT_STARTS``
+    points with the largest rival margin, best first.
+
+    The points are drawn from a generator seeded by ``attribute``, so a call
+    depends on its arguments alone; the box's pinned attributes are point
+    intervals and keep their values.  The batch evaluation only nominates
+    the best point, which counts once ``_beaten`` confirms it.
     """
-    lo, hi = boxed.input_lo, boxed.input_hi
     unit = default_rng(attribute).random((FALSIFY_SAMPLES, lo.size))
     # rounding could carry lo + u * width one ulp past hi
     points = np.minimum(lo + unit * (hi - lo), hi)
     outs = batch_outputs(net, points)
     margins = np.delete(outs, target, axis=1).max(axis=1) - outs[:, target]
-    best = int(np.argmax(margins))
-    if margins[best] < 0.0:
-        return False
-    exact = forward(net, points[best]).outputs
-    return bool(np.delete(exact, target).max() >= exact[target])
+    best = np.argsort(-margins, kind="stable")[:ASCENT_STARTS]
+    hit = margins[best[0]] >= 0.0 and _beaten(net, points[best[0]], target)
+    return (points[best[0]] if hit else None), points[best]
+
+
+def _ascended(net: Network, lo: np.ndarray, hi: np.ndarray,
+              starts: np.ndarray, target: int,
+              rivals: tuple) -> Optional[np.ndarray]:
+    """A counterexample found by sign-gradient ascent from ``starts``, or
+    None (projected gradient steps, Madry et al. 2018).
+
+    Each step moves every point by ``ASCENT_STEP`` of the box's width along
+    the sign of the gradient of ``o_rival - o_target`` for its best rival in
+    ``rivals``, taken through its ReLU pattern, then clips it to
+    ``lo``/``hi``; a pinned attribute has width 0 and never moves.  The
+    ascent stops after ``ASCENT_STEPS`` steps, when no point moves or when
+    the best margin stops improving.  As in ``_sampled`` the batch only
+    nominates a point, which counts once ``_beaten`` confirms it.
+    """
+    rivals = np.asarray(rivals)
+    rows = np.arange(len(starts))
+    stride = ASCENT_STEP * (hi - lo)
+    points, best = starts, -np.inf
+    for step in range(ASCENT_STEPS + 1):
+        pre = batch_pre_activations(net, points)
+        margins = pre[-1][:, rivals] - pre[-1][:, [target]]
+        rival = margins.argmax(axis=1)
+        top = margins[rows, rival]
+        peak = top.max()
+        if peak >= 0.0:
+            point = points[top.argmax()]
+            return point if _beaten(net, point, target) else None
+        if step == ASCENT_STEPS or not peak > best:
+            break
+        best = peak
+        grad = np.zeros_like(pre[-1])
+        grad[rows, rivals[rival]] = 1.0
+        grad[:, target] = -1.0
+        for layer, z in zip(net.layers[:0:-1], pre[-2::-1]):
+            grad = (grad @ layer.weights) * (z > 0.0)
+        stepped = np.clip(points + stride * np.sign(grad @ net.layers[0].weights),
+                          lo, hi)
+        if np.array_equal(stepped, points):
+            break
+        points = stepped
+    return None
 
 
 @dataclass(frozen=True)

@@ -230,8 +230,10 @@ def forward(net: Network, point) -> Activations:
     return Activations(tuple(pre), tuple(post))
 
 
-def batch_outputs(net: Network, points: np.ndarray) -> np.ndarray:
-    """Output vectors for a (m, input_dim) batch.
+def batch_pre_activations(net: Network,
+                          points: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every layer's pre-activations for a (m, input_dim) batch, one (m,
+    width) array per layer, the outputs last.
 
     Agrees with forward() per row up to BLAS accumulation-order noise
     (~1e-16 relative), not bit-for-bit.
@@ -240,11 +242,19 @@ def batch_outputs(net: Network, points: np.ndarray) -> np.ndarray:
     if cur.ndim != 2 or cur.shape[0] != net.input_dim:
         raise ValueError(
             f"batch has shape {np.asarray(points).shape}, expected (m, {net.input_dim})")
+    pre = []
     for layer in net.layers:
         cur = layer.weights @ cur + layer.biases[:, None]
+        pre.append(cur.T)
         if layer.activation == RELU:
             cur = np.maximum(cur, 0.0)
-    return cur.T
+    return tuple(pre)
+
+
+def batch_outputs(net: Network, points: np.ndarray) -> np.ndarray:
+    """Output vectors for a (m, input_dim) batch, the last of
+    ``batch_pre_activations``."""
+    return batch_pre_activations(net, points)[-1]
 
 
 def predict(net: Network, point) -> int:

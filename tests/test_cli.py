@@ -219,9 +219,9 @@ class TestExplain:
                                                    command):
         monkeypatch.setattr(BranchAndBoundBackend, "optimize",
                             lambda self, *args, **kwargs: MilpOutcome("infeasible"))
-        argv = [command, "models/demo_2x2.json"]
+        argv = [command, str(MODELS / "demo_2x2.json")]
         if command == "explain":
-            argv.append("models/demo_instances.csv")
+            argv.append(str(MODELS / "demo_instances.csv"))
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert "solver failure: bound optimization failed: min infeasible" in err
@@ -387,8 +387,9 @@ class TestBench:
         assert calls == []
 
     def test_random_model_fixture(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "models/random_3in_2l.json",
-                               "models/random_3in_2l_instances.csv")
+        code, out, _ = run_cli(capsys, "bench",
+                               str(MODELS / "random_3in_2l.json"),
+                               str(MODELS / "random_3in_2l_instances.csv"))
         assert code == 0
         header, rows = parse_csv(out)
         record = dict(zip(header, rows[0]))

@@ -523,10 +523,15 @@ class TestFalsify:
             net, domain = random_network(rng, n_classes=3, max_hidden_total=8)
             cases.append((Explainer(net, domain),
                           random_instance(rng, net, domain)))
-        # only x <= 0.00135 flips the class, which 512 uniform points of
-        # [0, 1] hit about half the time: a fresh draw per call would show
-        net = Network((Layer(np.array([[1.0], [0.0]]), np.array([0.0, 0.00135]),
-                             IDENTITY),), 1)
+        # the rival is a hat of half-width w at x = 0.3 and wins only on its
+        # middle w, which 128 uniform points of [0, 1] hit about half the
+        # time: a fresh draw per call would show.  The gradient steps cannot
+        # help, as the hat is flat outside and a step of 0.1 overshoots it
+        w = 0.0054
+        net = Network((
+            Layer(np.ones((3, 1)), np.array([w - 0.3, -0.3, -0.3 - w]), RELU),
+            Layer(np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 1.0]]) / w,
+                  np.array([0.5, 0.0]), IDENTITY)), 1)
         cases += [(Explainer(net, InputDomain(np.zeros(1), np.ones(1))),
                    [0.9])] * 8
         for ex, instance in cases:
@@ -534,6 +539,26 @@ class TestFalsify:
             second, second_stats = ex.explain(instance, "improved")
             assert first.decisions == second.decisions
             assert first_stats.solver_calls == second_stats.solver_calls
+
+    def test_ascent_finds_what_sampling_cannot(self):
+        # h = relu(sum x) beats 15.5 only in the corner sum x > 15.5 of the
+        # unit box, which uniform samples practically never reach
+        n = 16
+        net = Network((Layer(np.ones((1, n)), np.zeros(1), RELU),
+                       Layer(np.array([[0.0], [1.0]]), np.array([15.5, 0.0]),
+                             IDENTITY)), n)
+        domain = InputDomain(np.zeros(n), np.ones(n))
+        instance = np.zeros(n)
+        explanation, stats, calls = _recorded_explain(net, domain, instance)
+        assert explanation.decisions[15] is Decision.KEPT_BY_COUNTEREXAMPLE
+        assert stats.counterexample_hits == 1
+        assert stats.solver_calls == 0 and calls == []
+        assert explanation.kept_indices == (15,)
+        ex = Explainer(net, domain)
+        baseline, _ = ex.explain(instance, "baseline")
+        assert baseline.kept_indices == (15,)
+        problem = fix_attributes(ex.base_problem, domain.lows, domain.highs)
+        assert is_entailed(problem, explanation.target)[0] is False
 
 
 class TestRivalOrder:
@@ -578,7 +603,8 @@ class TestRivalOrder:
 
 _REMOVED = (Decision.REMOVED_BY_BOX, Decision.REMOVED_BY_MARGIN,
             Decision.REMOVED_BY_SOLVER)
-# the decisions of iterations that got past the falsifier to the margin bound
+# the decisions of iterations that the margin bound or the solver decided;
+# an iteration the gradient steps decide queries no rival
 _PAST_FALSIFY = (Decision.REMOVED_BY_MARGIN, Decision.REMOVED_BY_SOLVER,
                  Decision.KEPT_BY_SOLVER, Decision.KEPT_BY_TIMEOUT)
 

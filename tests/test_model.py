@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from boxplain.model import (IDENTITY, RELU, InputDomain, Layer,
-                            ModelFormatError, Network, batch_outputs, forward,
-                            load_domain, load_network, predict, to_document)
+                            ModelFormatError, Network, batch_outputs,
+                            batch_pre_activations, forward, load_domain,
+                            load_network, predict, to_document)
 from conftest import DEMO_DOC
 from netgen import random_network
 
@@ -151,8 +152,14 @@ class TestForward:
         net, domain = random_network(rng)
         points = rng.uniform(domain.lows, domain.highs, size=(40, net.input_dim))
         batched = batch_outputs(net, points)
-        for row, out in zip(points, batched):
-            assert forward(net, row).outputs == pytest.approx(out, abs=1e-12)
+        layers = batch_pre_activations(net, points)
+        assert len(layers) == len(net.layers)
+        assert np.array_equal(layers[-1], batched)
+        for n, (row, out) in enumerate(zip(points, batched)):
+            acts = forward(net, row)
+            assert acts.outputs == pytest.approx(out, abs=1e-12)
+            for pre, batch in zip(acts.pre, layers):
+                assert pre == pytest.approx(batch[n], abs=1e-12)
 
 
 class TestPredict:

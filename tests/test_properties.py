@@ -4,7 +4,8 @@ Networks are drawn with duplicated and dead hidden neurons, which make the
 encoding degenerate, and instances are pushed to a near tie between the top
 two classes, where a forward-pass counterexample and the solver are most
 likely to part ways.  The margin bound is checked against forward passes and
-the enumeration oracle.
+the enumeration oracle, and every counterexample the sampled and
+gradient-stepped searches return against an exact forward pass.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from boxplain.box import box_propagate, margin_lower_bounds  # noqa: E402
 from boxplain.encoding import fix_attributes, merge_bounds  # noqa: E402
-from boxplain.engine import Decision, Explainer, is_entailed  # noqa: E402
+from boxplain.engine import (ASCENT_STARTS, Decision, Explainer,  # noqa: E402
+                             _ascended, _query_box, _sampled, is_entailed)
 from boxplain.model import (Layer, Network, batch_outputs, forward,  # noqa: E402
                             predict)
 from conftest import pinned_box  # noqa: E402
@@ -130,3 +132,34 @@ def test_margin_bound_is_sound(seed):
         if rival != target:
             exact = oracle_enumerate(problem, {o[target]: 1.0, o[rival]: -1.0})
             assert bound[rival] <= exact.value + 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_counterexamples_are_exact_and_in_the_box(seed):
+    rng = np.random.default_rng(seed)
+    net, domain = random_network(rng, n_classes=int(rng.integers(2, 5)),
+                                 max_hidden_total=8)
+    instance = random_instance(rng, net, domain)
+    target = predict(net, instance)
+    pinned = rng.random(net.input_dim) < 0.5
+    lo, hi = _query_box(domain, instance, ~pinned)
+    rivals = tuple(r for r in range(net.class_count) if r != target)
+    sampled, starts = _sampled(net, lo, hi, int(rng.integers(net.input_dim)),
+                               target)
+    assert starts.shape == (ASCENT_STARTS, net.input_dim)
+    # from the instance, where the target wins, only a step can find a point
+    ascended = [_ascended(net, lo, hi, points, target, rivals)
+                for points in (starts, instance[None])]
+    for point in (sampled, *ascended):
+        if point is None:
+            continue
+        assert ((lo <= point) & (point <= hi)).all()
+        assert (point[pinned] == instance[pinned]).all()
+        outputs = forward(net, point).outputs
+        assert np.delete(outputs, target).max() >= outputs[target]
+
+    ex = Explainer(net, domain)
+    first, _ = ex.explain(instance, "improved")
+    second, _ = ex.explain(instance, "improved")
+    assert first.decisions == second.decisions
