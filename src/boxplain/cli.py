@@ -184,17 +184,20 @@ def cmd_bench(args) -> int:
                      "solver_calls_ours"])
     if not len(rows):
         return EXIT_OK
-    runs = []  # (baseline, improved) per instance that ran to the end
+    runs = {}  # instance index -> (baseline, improved), if it ran to the end
     code = _each_instance(
         rows,
         lambda row: (explainer.explain(row, MODE_BASELINE),
                      explainer.explain(row, MODE_IMPROVED)),
-        lambda idx, pair: runs.append(pair))
-    for (base_exp, _), (ours_exp, _) in runs:
+        runs.__setitem__)
+    for idx, ((base_exp, _), (ours_exp, _)) in runs.items():
         if base_exp.kept_indices != ours_exp.kept_indices:
-            raise SolverFailure("baseline and improved explanations diverge")
-    base = ExplainStats.pooled([base[1] for base, _ in runs])
-    ours = ExplainStats.pooled([ours[1] for _, ours in runs])
+            raise SolverFailure(
+                "baseline and improved explanations diverge on instance "
+                f"{idx}: baseline keeps {list(base_exp.kept_indices)}, "
+                f"improved keeps {list(ours_exp.kept_indices)}")
+    base = ExplainStats.pooled([base[1] for base, _ in runs.values()])
+    ours = ExplainStats.pooled([ours[1] for _, ours in runs.values()])
     writer.writerow([
         base.total_time, ours.total_time, base.solver_time, ours.solver_time,
         ours.bounds_tightened_pct, ours.bin_vars_removed_before_pct,

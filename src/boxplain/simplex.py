@@ -25,11 +25,15 @@ a singular basis or an undecided row it gives up, and the solve starts again
 cold.
 
 The basis inverse is kept explicitly and updated per pivot, with periodic
-refactorization for drift control; before either loop decides how it ends,
-a state that pivoted since its last refactorization is refactored and
-re-priced once, so stale arithmetic cannot end a solve early.  A solve
-therefore ends on an exact inverse, and only the basic values, moved by
-bound flips since, are computed again.
+refactorization for drift control.  Before either loop decides how it ends,
+a state that pivoted since its inverse was last checked or refactored
+checks it: an inverse whose residual ``max|A_B @ binv - I|`` is within
+``_INVERSE_TOL`` is kept and gives the basic values again, any other (NaN
+included) is refactored, and either way the loop prices once more, so stale
+arithmetic cannot end a solve early.  A solve therefore ends on a checked
+inverse, and only the basic values, moved by bound flips since, are
+computed again.  Children inherit that inverse, so along a chain of warm
+starts it is the check, not a pivot count, that bounds the drift.
 
 A warm solve, and phase 2 of a cold one, prices only the structural and
 slack columns, through a contiguous copy of them (``_Prepared.priced``):
@@ -65,6 +69,9 @@ _BASIC8 = np.int8(_BASIC)
 _SIGN = np.array([1.0, -1.0, 0.0])  # entering direction by status
 
 _REFACTOR_EVERY = 40
+# largest max|A_B @ binv - I| an eta-updated inverse may show and still
+# decide how a loop ends; on the benchmark's pools none exceeds 5e-11
+_INVERSE_TOL = 1e-9
 
 FEAS_TOL = 1e-6  # per row, scaled by max(1, |rhs|)
 PIVOT_TOL = 1e-9
@@ -145,28 +152,30 @@ class _Prepared:
     """Rows and objective shared by every solve of one problem (bounds vary).
 
     Columns are laid out structural | slack | artificial, with both the slack
-    and artificial blocks as identity matrices; artificial signs live in
-    their bounds instead of their columns.  ``priced`` is a contiguous copy
-    of the structural and slack columns, the only ones a loop prices once
-    the artificials are pinned at zero.  ``lo_tail``/``hi_tail`` are the
-    slack and the pinned artificial bounds that follow a solve's structural
-    ones.  ``row_tol`` is each row's feasibility tolerance, ``FEAS_TOL``
-    scaled by ``max(1, |rhs|)``, and ``row_lo``/``row_hi`` are ``rhs`` minus
-    and plus it.  ``cmin`` is the objective to minimize, ``cost`` the same
-    over every column, None for sense ``"feas"``.
+    and artificial blocks as identity matrices (``eye``); artificial signs
+    live in their bounds instead of their columns.  ``priced`` is a
+    contiguous copy of the structural and slack columns, the only ones a
+    loop prices once the artificials are pinned at zero.
+    ``lo_tail``/``hi_tail`` are the slack and the pinned artificial bounds
+    that follow a solve's structural ones.  ``row_tol`` is each row's
+    feasibility tolerance, ``FEAS_TOL`` scaled by ``max(1, |rhs|)``, and
+    ``row_lo``/``row_hi`` are ``rhs`` minus and plus it.  ``cmin`` is the
+    objective to minimize, ``cost`` the same over every column, None for
+    sense ``"feas"``.
     """
 
-    __slots__ = ("A", "priced", "rhs", "rel", "m", "n", "ncols", "total",
-                 "lo_tail", "hi_tail", "row_tol", "row_lo", "row_hi", "is_le",
-                 "is_ge", "sense", "cmin", "cost")
+    __slots__ = ("A", "eye", "priced", "rhs", "rel", "m", "n", "ncols",
+                 "total", "lo_tail", "hi_tail", "row_tol", "row_lo", "row_hi",
+                 "is_le", "is_ge", "sense", "cmin", "cost")
 
     def __init__(self, p: LpProblem):
         m, n = p.a.shape
         self.m, self.n = m, n
         self.ncols = n + m
         self.total = n + 2 * m
-        eye = np.eye(m)
-        self.A = np.hstack([p.a, eye, eye])
+        self.eye = np.eye(m)
+        self.eye.setflags(write=False)
+        self.A = np.hstack([p.a, self.eye, self.eye])
         self.A.setflags(write=False)
         self.priced = np.ascontiguousarray(self.A[:, :self.ncols])
         self.priced.setflags(write=False)
@@ -269,12 +278,20 @@ class _Simplex:
         self.pivots_since_refactor = 0
 
     def _refreshed(self) -> bool:
-        """Refactor if the inverse has pivoted since its last
-        refactorization, so stale arithmetic cannot decide how a loop ends.
-        True when it did: the caller prices again before deciding."""
+        """Check the inverse if it has pivoted since it was last checked or
+        refactored, so stale arithmetic cannot decide how a loop ends: one
+        that passes (``_INVERSE_TOL``) recomputes the basic values, any
+        other, NaN included, is refactored.  True when it did either: the
+        caller prices again before deciding."""
         if self.pivots_since_refactor == 0:
             return False
-        self._refactor()
+        resid = self.prep.A[:, self.basis] @ self.binv
+        resid -= self.prep.eye
+        if np.abs(resid, out=resid).max() <= _INVERSE_TOL:
+            self._solve_basics()
+            self.pivots_since_refactor = 0
+        else:
+            self._refactor()
         return True
 
     def _pivot(self, r: int, q: int, w: np.ndarray) -> None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import boxplain.bnb as bnb
+import boxplain.simplex as simplex
 from boxplain.box import box_propagate
 from boxplain.bnb import (BranchAndBoundBackend, milp_to_lp, optimize,
                           solve_feasibility)
@@ -395,9 +396,9 @@ def test_backend_contract():
     assert best.value == pytest.approx(0.5, abs=1e-6)
 
 
-def test_every_node_matches_the_reference_loops(monkeypatch):
-    # every node of feasibility and optimize trees, from the start branch
-    # and bound gave it, pivot by pivot against the reference loops
+def _tree_nodes(monkeypatch):
+    """(prep, lb, ub, warm basis) of every node of feasibility and optimize
+    trees on eight random three-layer networks."""
     nodes = []
     solve_prepared = bnb.solve_prepared
 
@@ -417,6 +418,13 @@ def test_every_node_matches_the_reference_loops(monkeypatch):
         for vid in problem.output_vids:
             for sense in ("min", "max"):
                 optimize(problem, {vid: 1.0}, sense)
+    return nodes
+
+
+def test_every_node_matches_the_reference_loops(monkeypatch):
+    # every node of feasibility and optimize trees, from the start branch
+    # and bound gave it, pivot by pivot against the reference loops
+    nodes = _tree_nodes(monkeypatch)
     pivoted = {"feas": 0, "min": 0}
     for prep, lb, ub, warm in nodes:
         core, reference = loop_records(prep, lb, ub, warm, prep.cost)
@@ -424,3 +432,19 @@ def test_every_node_matches_the_reference_loops(monkeypatch):
         pivoted[prep.sense] += bool(core.pivots)
     assert len(nodes) >= 400
     assert pivoted["feas"] >= 60 and pivoted["min"] >= 300
+
+
+def test_every_node_agrees_with_refactoring_always(monkeypatch):
+    # _INVERSE_TOL below 0 fails every check: the policy of refactoring
+    # before every decision that follows a pivot
+    nodes = _tree_nodes(monkeypatch)
+    for prep, lb, ub, warm in nodes:
+        checked = solve_prepared(prep, lb, ub, warm)
+        with monkeypatch.context() as m:
+            m.setattr(simplex, "_INVERSE_TOL", -1.0)
+            refactored = solve_prepared(prep, lb, ub, warm)
+        assert checked.status == refactored.status
+        if checked.status == OPTIMAL:
+            assert abs(checked.value - refactored.value) <= \
+                1e-9 * max(1.0, abs(refactored.value))
+    assert len(nodes) >= 400

@@ -358,6 +358,27 @@ class TestBench:
         header, rows = parse_csv(out)
         assert header[0] == "exp_s_baseline" and rows == []
 
+    def test_divergence_names_the_instance(self, capsys, monkeypatch,
+                                           demo_model_path, demo_instances):
+        # improved mode drops attribute 1 on the second instance only
+        original = Explainer.explain
+
+        def explain(self, instance, mode="improved"):
+            explanation, stats = original(self, instance, mode)
+            if mode == "improved" and list(instance) == [0.5, 0.3]:
+                explanation = replace(explanation, kept=explanation.kept[:1])
+            return explanation, stats
+
+        monkeypatch.setattr(Explainer, "explain", explain)
+        code, out, err = run_cli(capsys, "bench", str(demo_model_path),
+                                 str(demo_instances))
+        assert code == 3
+        assert ("solver failure: baseline and improved explanations diverge "
+                "on instance 1: baseline keeps [0, 1], improved keeps [0]"
+                in err)
+        _, rows = parse_csv(out)
+        assert rows == []
+
     def test_empty_instances_header_only(self, capsys, monkeypatch,
                                          demo_model_path, tmp_path):
         # no data rows: the header, and no tight-bound precompute, in every

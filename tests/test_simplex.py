@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boxplain.simplex import (EQ, FEAS_TOL, GE, LE, INFEASIBLE, OPTIMAL,
-                              UNBOUNDED, Basis, LpProblem, SolverFailure,
-                              _certify, _finish, _Simplex, crash_basis,
-                              prepare, solve_lp, solve_prepared)
+import boxplain.simplex as simplex
+from boxplain.simplex import (_INVERSE_TOL, EQ, FEAS_TOL, GE, LE, INFEASIBLE,
+                              OPTIMAL, UNBOUNDED, Basis, LpProblem,
+                              SolverFailure, _certify, _finish, _Simplex,
+                              crash_basis, prepare, solve_lp, solve_prepared)
 from oracles import (eq2_style_milp, loop_records, random_bounded_lp,
                      vertex_enumerate)
 
@@ -341,12 +342,15 @@ class TestWarmStart:
         parent = solve_prepared(prep, p.lb, p.ub)
         lb = p.lb.copy()
         # y1 >= 4 moves the optimum to y1 = 4; the warm attempt pivots the
-        # basic y1 (1 at the parent) out, so its first inversion is the
-        # refactor that would confirm feasibility
+        # basic y1 (1 at the parent) out, and the parent's inverse, scaled
+        # past _INVERSE_TOL, fails the check that would confirm feasibility,
+        # so its first inversion is the refactor there
         lb[1] = 4.0
         cold = solve_prepared(prep, lb, p.ub)
-        inverse = np.linalg.inv
-        calls = []
+        spoiled = parent.basis._replace(
+            inverse=parent.basis.inverse * (1.0 + 1e3 * _INVERSE_TOL))
+        inverse, start_cold = np.linalg.inv, _Simplex._start_cold
+        calls, colds = [], []
 
         def singular_once(matrix):
             calls.append(matrix)
@@ -354,9 +358,14 @@ class TestWarmStart:
                 raise np.linalg.LinAlgError("singular matrix")
             return inverse(matrix)
 
+        def counted_cold(core):
+            colds.append(core)
+            start_cold(core)
+
         monkeypatch.setattr(np.linalg, "inv", singular_once)
-        warm = solve_prepared(prep, lb, p.ub, parent.basis)
-        assert len(calls) > 1  # the cold solve ran after the failure
+        monkeypatch.setattr(_Simplex, "_start_cold", counted_cold)
+        warm = solve_prepared(prep, lb, p.ub, spoiled)
+        assert calls and colds  # the cold solve ran after the failure
         assert warm.status == cold.status == OPTIMAL
         assert warm.value == cold.value == pytest.approx(4.0, abs=1e-9)
         assert (warm.point == cold.point).all()
@@ -417,36 +426,112 @@ class TestWarmStart:
             assert (warm.point == cold.point).all()
             assert warm.iterations == cold.iterations
 
-    def test_warm_child_inverts_only_after_pivots(self, monkeypatch):
-        # an optimal run ends on a fresh inverse, so a warm "min" child calls
-        # np.linalg.inv once per refactor, and refactors only after a pivot
-        inverse, refactor = np.linalg.inv, _Simplex._refactor
-        inversions, stale = [], []  # stale: pivots since the last refactor
+    def test_warm_child_keeps_a_checked_inverse(self, monkeypatch):
+        # an optimal run ends on an inverse that passed the check, and a warm
+        # "min" child's eta-updated one passes it too: no np.linalg.inv
+        inverse, refreshed = np.linalg.inv, _Simplex._refreshed
+        inversions, pivots = [], []  # pivots: since the last check, per check
 
         def counted(matrix):
             inversions.append(matrix)
             return inverse(matrix)
 
         def tracked(core):
-            stale.append(core.pivots_since_refactor)
-            refactor(core)
+            pivots.append(core.pivots_since_refactor)
+            return refreshed(core)
 
         monkeypatch.setattr(np.linalg, "inv", counted)
-        monkeypatch.setattr(_Simplex, "_refactor", tracked)
-        children = idle = 0
+        monkeypatch.setattr(_Simplex, "_refreshed", tracked)
+        children = checked = 0
         for p, prep, sense, parent, (lb, ub) in _children(
                 np.random.default_rng(229), 300):
             if sense != "min":
                 continue
             inversions.clear()
-            stale.clear()
+            pivots.clear()
             solve_prepared(prep, lb, ub, parent.basis)
-            assert len(inversions) == len(stale)
-            assert 0 not in stale
+            assert inversions == []
             children += 1
-            idle += not stale
+            checked += any(pivots)
         assert children >= 150
-        assert 0 < idle < children
+        assert 0 < checked < children
+
+    @pytest.mark.parametrize("spoil, senses", [("scaled", ("min", "feas")),
+                                               ("nan", ("feas",))])
+    def test_spoiled_parent_inverse_is_refactored(self, monkeypatch, spoil,
+                                                  senses):
+        # a parent inverse scaled past _INVERSE_TOL, or with a NaN entry,
+        # fails the warm attempt's first check after a pivot, unless those
+        # pivots replaced every scaled row; a check refactors exactly when
+        # it fails, and a child that reached one gives the cold answer.
+        # With a cost, a NaN entry makes every reduced cost NaN before any
+        # check, so that case runs on "feas" children.
+        inverse, refreshed = np.linalg.inv, _Simplex._refreshed
+        start_cold = _Simplex._start_cold
+        inversions = []
+        # per check after a pivot (max|A_B @ binv - I|, inversions made),
+        # and None at a cold start
+        checks = []
+
+        def counted(matrix):
+            inversions.append(matrix)
+            return inverse(matrix)
+
+        def tracked(core):
+            if not core.pivots_since_refactor:
+                return refreshed(core)
+            resid = np.abs(core.prep.A[:, core.basis] @ core.binv
+                           - np.eye(core.m)).max()
+            before = len(inversions)
+            verdict = refreshed(core)
+            checks.append((resid, len(inversions) - before))
+            return verdict
+
+        def marked_cold(core):
+            checks.append(None)
+            start_cold(core)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        monkeypatch.setattr(_Simplex, "_refreshed", tracked)
+        monkeypatch.setattr(_Simplex, "_start_cold", marked_cold)
+        firsts = []  # inversions at the warm attempt's first check
+        for p, prep, sense, parent, (lb, ub) in _children(
+                np.random.default_rng(229), 600):
+            if sense not in senses or not prep.m:
+                continue
+            bad = parent.basis.inverse * (1.0 + 1e3 * _INVERSE_TOL)
+            if spoil == "nan":
+                bad[0, 0] = np.nan
+            checks.clear()
+            warm = solve_prepared(prep, lb, ub,
+                                  parent.basis._replace(inverse=bad))
+            for check in checks:
+                if check is not None:
+                    resid, made = check
+                    assert made == (0 if resid <= _INVERSE_TOL else 1)
+            if checks and checks[0] is not None:
+                firsts.append(checks[0][1])
+                _same_answer(warm, solve_prepared(prep, lb, ub))
+        assert sum(firsts) >= 80
+        if spoil == "nan":
+            assert all(firsts)  # a NaN row stays NaN through every pivot
+
+    def test_checked_inverse_agrees_with_refactoring_always(self, monkeypatch):
+        # _INVERSE_TOL below 0 fails every check: the policy of refactoring
+        # before every decision that follows a pivot
+        children = 0
+        for p, prep, sense, parent, (lb, ub) in _children(
+                np.random.default_rng(211), 600):
+            checked = solve_prepared(prep, lb, ub, parent.basis)
+            with monkeypatch.context() as m:
+                m.setattr(simplex, "_INVERSE_TOL", -1.0)
+                refactored = solve_prepared(prep, lb, ub, parent.basis)
+            assert checked.status == refactored.status
+            if checked.status == OPTIMAL:
+                assert abs(checked.value - refactored.value) <= \
+                    1e-9 * max(1.0, abs(refactored.value))
+            children += 1
+        assert children >= 700
 
     def test_beale_child_terminates(self):
         p = LpProblem(sense="min", **BEALE)
