@@ -24,8 +24,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .encoding import MODE_SPLIT, MilpProblem, forward_basis, forward_point
-from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, SolverFailure,
-                      _certify, _replace_unchecked, prepare, solve_prepared)
+from .simplex import (INFEASIBLE, OPTIMAL, LpProblem, SolverFailure, _certify,
+                      _replace_unchecked, prepare, solve_prepared)
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -52,14 +52,14 @@ class MilpOutcome:
     lp_iterations: int = 0
 
 
-def milp_to_lp(problem: MilpProblem, objective: Optional[Mapping[int, float]] = None,
-               sense: str = "feas") -> LpProblem:
-    """The problem's LP relaxation with the objective set; binaries relax to
-    their [0, 1] box."""
+def milp_to_lp(problem: MilpProblem,
+               objective: Optional[Mapping[int, float]] = None) -> LpProblem:
+    """The problem's LP relaxation minimizing ``objective``, a feasibility
+    problem (zero ``c``) without one; binaries relax to their [0, 1] box."""
     c = np.zeros(problem.lp.a.shape[1])
     if objective:
         c[list(objective)] = list(objective.values())
-    return _replace_unchecked(problem.lp, c=c, sense=sense)
+    return _replace_unchecked(problem.lp, c=c)
 
 
 def _fractional_binaries(point: np.ndarray, binaries, tol: float) -> Optional[int]:
@@ -125,7 +125,7 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
                       time_budget_ms: Optional[float]) -> MilpOutcome:
     """Depth-first search over the binaries, minimizing ``objective``, or,
     when it is None, stopping at the first node whose binaries are all
-    integral (sense ``"feas"``, which skips the simplex's phase 2).
+    integral (its LPs have a zero ``c``, so the simplex skips phase 2).
 
     A node is one LP solve under its own bounds, warm-started: the root
     from ``forward_basis``, each child from its parent's final basis.  Nodes
@@ -138,13 +138,14 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
     (``_ReluGraph.incumbent``), and drops the node at once if that matches
     its relaxation; it branches on the split neuron farthest above its ReLU
     graph (``_ReluGraph.branching``), and on the most fractional binary only
-    among binaries no block owns.  The value returned is the internal
-    (minimized) one.
+    among binaries no block owns.  The value returned is the minimized
+    one.  Every node LP ends optimal or infeasible; a ``SolverFailure``,
+    an unbounded relaxation included, ends the search.
     """
     start = time.perf_counter()
     deadline = None if time_budget_ms is None else start + time_budget_ms / 1000.0
     feasibility = objective is None
-    lp = milp_to_lp(problem, objective, "feas" if feasibility else "min")
+    lp = milp_to_lp(problem, objective)
     prep = prepare(lp)
     graph = _ReluGraph(problem, prep) if not feasibility and problem.blocks else None
     binaries = np.array(lp.binaries, dtype=np.intp)
@@ -173,14 +174,12 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
         outcome = solve_prepared(prep, bounds[0], bounds[1], basis)
         nodes += 1
         iterations += outcome.iterations
-        if outcome.status == UNBOUNDED:
-            return result(UNBOUNDED)
         if outcome.status != OPTIMAL or dropped(outcome.value):
             continue
         vid = None
         if graph is not None:
             forward = graph.incumbent(outcome.point)
-            if forward is not None and (value := float(prep.cmin @ forward)) < best_value:
+            if forward is not None and (value := float(prep.c @ forward)) < best_value:
                 best_value, best_point = value, forward
                 if dropped(outcome.value):
                     continue

@@ -2,12 +2,14 @@
 
 All output is CSV on stdout.  Exit codes: 0 success, 2 input error,
 3 solver failure; a bad instance or a solver failure costs only its row.
+A reader that closes stdout early (``| head``) ends the run quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from typing import Optional
 
@@ -274,6 +276,11 @@ def main(argv=None) -> int:
                 "bench": cmd_bench, "verify": cmd_verify}
     try:
         return handlers[args.command](args)
+    except BrokenPipeError:
+        # the reader wants no more rows: stdout goes to the null device, so
+        # that the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (InputError, ModelFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -70,7 +70,7 @@ class MilpProblem:
     serves; unchanged arrays are shared between a problem and its edits.
     """
 
-    lp: LpProblem  # objective-free (sense "feas"); column j is vid j
+    lp: LpProblem  # objective-free (zero c); column j is vid j
     blocks: tuple  # NeuronBlock per encoded hidden neuron, layer-major
     input_vids: tuple
     output_vids: tuple
@@ -169,7 +169,7 @@ def _encode(layers: tuple, input_dim: int, bounds: BoundsMap) -> MilpProblem:
     rel.extend((EQ,) * out_layer.width)
     rhs[row:] = out_layer.biases
 
-    lp = LpProblem(a, tuple(rel), rhs, lb, ub, np.zeros(n_cols), "feas",
+    lp = LpProblem(a, tuple(rel), rhs, lb, ub, np.zeros(n_cols),
                    tuple(range(n_struct, n_cols)))
     return MilpProblem(lp, tuple(blocks), tuple(range(input_dim)),
                        tuple(range(edges[-2], n_struct)), row)

@@ -1,33 +1,43 @@
 """Dense bounded-variable simplex for small LPs, cold or warm-started.
 
 Geared to the LP relaxations coming out of network encodings: tens of rows,
-dense data.  ``prepare`` fixes the rows and objective; each solve takes its
-own bounds.  A nonbasic column sits at the bound its status names, or at
-the other when that one is infinite (no column is free).  A cold solve is
-a two-phase primal simplex: Dantzig pricing by default, switching
-permanently to Bland's rule once more than ``stall_limit`` iterations in a
-row have not lowered the objective, so degenerate problems terminate.
-Phase 1 drives one artificial variable per row to zero, which gives uniform
-handling of equality rows.  A problem without rows takes the same path, and
-its primal loop ends by bound flips alone.
+dense data.  An ``LpProblem`` minimizes ``c @ x``; one whose ``c`` is all
+zero is a feasibility problem, and a solve of it skips phase 2.  A solve
+ends ``OPTIMAL`` or ``INFEASIBLE``; an LP without a finite optimum raises
+``SolverFailure``, as does any numerical breakdown.  ``prepare`` fixes the
+rows and objective; each solve takes its own bounds.  A nonbasic column
+sits at the bound its status names, or at the other when that one is
+infinite (no column is free).
+
+A cold solve is a two-phase primal simplex: Dantzig pricing by default,
+switching permanently to Bland's rule once more than ``stall_limit``
+iterations in a row have not lowered the objective, so degenerate problems
+terminate.  Phase 1 minimizes the residuals of one artificial variable per
+row, which gives uniform handling of equality rows, and accepts only a
+point that passes ``_certify``, the check every optimal outcome passes.
+Phase 2 then bounds each artificial between zero and the residual phase 1
+left it, so it may shrink an accepted residual but never grow it.  A
+problem without rows takes the same path, and its primal loop ends by bound
+flips alone.
 
 A warm solve starts from a given ``Basis`` of the same rows.  Either it is
 an earlier optimal solve's (branch and bound hands each child its
 parent's), which stays dual feasible under new variable bounds, since the
-costs are unchanged, or zero for sense ``"feas"``; or it is a crash basis
-(``crash_basis``; branch and bound seeds each root with the forward pass of
-its encoding), which is often primal feasible but need not be dual
+costs are unchanged, or zero for a feasibility problem; or it is a crash
+basis (``crash_basis``; branch and bound seeds each root with the forward
+pass of its encoding), which is often primal feasible but need not be dual
 feasible.  A bounded dual simplex restores primal feasibility, and for an
 objective the primal loop then optimizes from there.  The dual loop proves
 infeasibility only when a row stays out of reach even with every row given
-its feasibility tolerance, the rule phase 1 judges by; on its iteration cap,
-a singular basis or an undecided row it gives up, and the solve starts again
-cold.
+its feasibility tolerance; on its iteration cap, a singular basis or an
+undecided row it gives up, and the solve starts again cold, as it does when
+the warm attempt raises.
 
-The basis inverse is kept explicitly and updated per pivot, with periodic
-refactorization for drift control.  Before either loop decides how it ends,
-a state that pivoted since its inverse was last checked or refactored
-checks it: an inverse whose residual ``max|A_B @ binv - I|`` is within
+The basis inverse is kept explicitly and updated per pivot; a warm start
+inverts a basis that comes without an inverse or with a non-finite one.
+Drift has one control: before either loop decides how it ends, a state
+that pivoted since its inverse was last checked or refactored checks it.
+An inverse whose residual ``max|A_B @ binv - I|`` is within
 ``_INVERSE_TOL`` is kept and gives the basic values again, any other (NaN
 included) is refactored, and either way the loop prices once more, so stale
 arithmetic cannot end a solve early.  A solve therefore ends on a checked
@@ -37,14 +47,14 @@ starts it is the check, not a pivot count, that bounds the drift.
 
 A warm solve, and phase 2 of a cold one, prices only the structural and
 slack columns, through a contiguous copy of them (``_Prepared.priced``):
-the artificials are pinned at zero there and can never enter.  From one
-pivot to the next both loops carry the basic values, the basic bounds and
-one sign per priced column (+1 or -1 for the direction a nonbasic column
-can move, 0 for a basic or fixed one) instead of gathering them again and
-building status masks every iteration; the dual loop writes the basic
-values back into the full point only when it returns.  These are the same
-pivots, bit for bit, as the loops that gathered everything per iteration,
-which ``tests/oracles.py`` keeps as the reference.
+the artificials are bounded there and can never enter.  From one pivot to
+the next both loops carry the basic values, the basic bounds and one sign
+per priced column (+1 or -1 for the direction a nonbasic column can move, 0
+for a basic or fixed one) instead of gathering them again and building
+status masks every iteration; the dual loop writes the basic values back
+into the full point only when it returns.  These are the same pivots, bit
+for bit, as the loops that gathered everything per iteration, which
+``tests/oracles.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -62,18 +72,20 @@ EQ = "=="
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 _BASIC8 = np.int8(_BASIC)
 _SIGN = np.array([1.0, -1.0, 0.0])  # entering direction by status
 
-_REFACTOR_EVERY = 40
 # largest max|A_B @ binv - I| an eta-updated inverse may show and still
 # decide how a loop ends; on the benchmark's pools none exceeds 5e-11
 _INVERSE_TOL = 1e-9
 
 FEAS_TOL = 1e-6  # per row, scaled by max(1, |rhs|)
+# how far past its tolerance, as a share of it, a row of a solve's final
+# point may be: phase 2 can end on the tolerance line of a row that phase 1
+# left there, and cross it by rounding (1.4e-10 on the near-tie corpus)
+_ROUNDING = 1e-6
 PIVOT_TOL = 1e-9
 
 
@@ -83,7 +95,9 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Rows ``a @ x REL rhs`` over box-bounded continuous variables.
+    """Minimize ``c @ x`` subject to rows ``a @ x REL rhs`` over
+    box-bounded continuous variables; an all-zero ``c`` asks for any
+    feasible point.
 
     ``binaries`` tags columns that a MILP layer may pin; the LP itself treats
     them as continuous within their bounds.
@@ -95,7 +109,6 @@ class LpProblem:
     lb: np.ndarray
     ub: np.ndarray
     c: np.ndarray
-    sense: str = "min"  # min | max | feas
     binaries: tuple = ()
 
     def __post_init__(self):
@@ -112,8 +125,6 @@ class LpProblem:
             raise ValueError("NaN variable bound")
         if (np.isneginf(self.lb) & np.isposinf(self.ub)).any():
             raise ValueError("free column: every column needs a finite bound")
-        if self.sense not in ("min", "max", "feas"):
-            raise ValueError(f"unknown sense {self.sense!r}")
         for col in self.binaries:
             if not 0 <= col < n:
                 raise ValueError(f"binary tag {col} out of range")
@@ -155,18 +166,18 @@ class _Prepared:
     and artificial blocks as identity matrices (``eye``); artificial signs
     live in their bounds instead of their columns.  ``priced`` is a
     contiguous copy of the structural and slack columns, the only ones a
-    loop prices once the artificials are pinned at zero.
+    loop prices once phase 1 is over.
     ``lo_tail``/``hi_tail`` are the slack and the pinned artificial bounds
     that follow a solve's structural ones.  ``row_tol`` is each row's
     feasibility tolerance, ``FEAS_TOL`` scaled by ``max(1, |rhs|)``, and
-    ``row_lo``/``row_hi`` are ``rhs`` minus and plus it.  ``cmin`` is the
-    objective to minimize, ``cost`` the same over every column, None for
-    sense ``"feas"``.
+    ``row_lo``/``row_hi`` are ``rhs`` minus and plus it.  ``c`` is the
+    objective to minimize, ``cost`` the same over every column, None when
+    ``c`` has no nonzero entry (a feasibility problem: no phase 2).
     """
 
     __slots__ = ("A", "eye", "priced", "rhs", "rel", "m", "n", "ncols",
                  "total", "lo_tail", "hi_tail", "row_tol", "row_lo", "row_hi",
-                 "is_le", "is_ge", "sense", "cmin", "cost")
+                 "is_le", "is_ge", "c", "cost")
 
     def __init__(self, p: LpProblem):
         m, n = p.a.shape
@@ -191,11 +202,9 @@ class _Prepared:
         self.row_tol = FEAS_TOL * np.maximum(1.0, np.abs(self.rhs))
         self.row_lo = self.rhs - self.row_tol
         self.row_hi = self.rhs + self.row_tol
-        self.sense = p.sense
-        self.cmin = np.zeros(n) if p.sense == "feas" else \
-            (-p.c if p.sense == "max" else p.c).astype(np.float64)
-        self.cost = None if p.sense == "feas" else \
-            np.concatenate([self.cmin, np.zeros(2 * m)])
+        self.c = p.c.astype(np.float64)
+        self.cost = np.concatenate([self.c, np.zeros(2 * m)]) \
+            if np.count_nonzero(self.c) else None
 
 
 class _Simplex:
@@ -252,11 +261,11 @@ class _Simplex:
         self.xb = resid.copy()
 
     def _start_warm(self, start: Basis) -> None:
-        """The basics follow from the rows; a basis without an inverse is
-        inverted here."""
+        """The basics follow from the rows; a basis without an inverse, or
+        with a non-finite one, is inverted here."""
         self._place(start.status)
         self.basis = start.columns.copy()
-        if start.inverse is None:
+        if start.inverse is None or not np.isfinite(start.inverse).all():
             self._refactor()
         else:
             self.binv = start.inverse.copy()
@@ -305,8 +314,6 @@ class _Simplex:
         self.binv -= w[:, None] * row_r
         self.binv[r] = row_r
         self.pivots_since_refactor += 1
-        if self.pivots_since_refactor >= _REFACTOR_EVERY:
-            self._refactor()
 
     def _signs(self, k: int) -> np.ndarray:
         """Over the first ``k`` columns, the direction each nonbasic column
@@ -318,12 +325,12 @@ class _Simplex:
         lo, hi = self.lo[:k], self.hi[:k]
         return np.where(hi > lo, _SIGN[self.stat[:k]], 0.0)
 
-    def run(self, cost: np.ndarray, allow_unbounded: bool,
-            artificials: bool = False) -> str:
-        """Minimize ``cost @ x`` from the current state.  Returns a status.
+    def run(self, cost: np.ndarray, artificials: bool = False) -> None:
+        """Minimize ``cost @ x`` from the current state, ending optimal;
+        an unbounded direction raises ``SolverFailure``.
 
         Prices the structural and slack columns, and the artificials too
-        when ``artificials`` is set (phase 1, before they are pinned).
+        when ``artificials`` is set (phase 1, before they are bounded).
         """
         prep = self.prep
         A = prep.A
@@ -349,7 +356,7 @@ class _Simplex:
             if not sd[q] < -tol:
                 if self._refreshed():
                     continue
-                return OPTIMAL
+                return
             if bland:
                 q = int((sd < -tol).argmax())
             sigma = float(sign[q])
@@ -372,9 +379,7 @@ class _Simplex:
             t_own = float(hi[q] - lo[q])
 
             if t_basic == INF and t_own == INF:
-                if allow_unbounded:
-                    return UNBOUNDED
-                raise SolverFailure("unexpected unbounded direction")
+                raise SolverFailure("unbounded direction")
 
             if t_own <= t_basic:
                 # bound flip: entering variable crosses to its other bound
@@ -516,34 +521,47 @@ class _Simplex:
         return np.maximum(room, 0.0) + prep.row_tol
 
     def phase_one(self) -> bool:
-        """Minimize the artificials' total; feasible iff each row's residual
-        is within the tolerance ``_certify`` allows that row."""
-        ncols = self.prep.ncols
-        cost = np.zeros(self.prep.total)
-        cost[ncols:] = self.art_sign
-        self.run(cost, allow_unbounded=False, artificials=True)
+        """Minimize the artificials' total; feasible iff the structural
+        point it ends on passes ``_certify``, the check an optimal outcome
+        must pass."""
+        prep, n = self.prep, self.prep.n
+        cost = np.zeros(prep.total)
+        cost[prep.ncols:] = self.art_sign
+        self.run(cost, artificials=True)
         self._solve_basics()
-        return bool((np.abs(self.x[ncols:]) <= self.prep.row_tol).all())
+        try:
+            _certify(prep, self.lo[:n], self.hi[:n], self.x[:n])
+        except SolverFailure:
+            return False
+        return True
 
     def close_phase_one(self) -> None:
-        """Pin artificials at zero so phase 2 cannot reuse them."""
+        """Pin the nonbasic artificials at zero and bound each basic one
+        between zero and the residual phase 1 left it, so phase 2 cannot
+        reuse an artificial and can shrink an accepted residual but never
+        grow it."""
         ncols = self.prep.ncols
-        self.lo[ncols:] = 0.0
-        self.hi[ncols:] = 0.0
         nb_art = self.stat[ncols:] != _BASIC
         self.x[ncols:][nb_art] = 0.0
         self.stat[ncols:][nb_art] = _AT_LOWER
+        self.lo[ncols:] = np.minimum(self.x[ncols:], 0.0)
+        self.hi[ncols:] = np.maximum(self.x[ncols:], 0.0)
 
 
-def _certify(prep: _Prepared, lb, ub, point: np.ndarray) -> None:
-    """Raise unless ``point`` is within ``FEAS_TOL`` of its bounds and each
-    row within its ``row_tol``; names the first violated row."""
+def _certify(prep: _Prepared, lb, ub, point: np.ndarray,
+             rounding: float = 0.0) -> None:
+    """Raise unless ``point`` is finite, within ``FEAS_TOL`` of its bounds
+    and each row within its ``row_tol``, widened by ``rounding`` times that;
+    names the first violated row."""
+    if not np.isfinite(point).all():
+        raise SolverFailure("non-finite solution")
     if np.count_nonzero((point < lb - FEAS_TOL) | (point > ub + FEAS_TOL)):
         raise SolverFailure("solution violates variable bounds")
     lhs = prep.A[:, :prep.n] @ point
-    violated = np.where(prep.is_le, lhs > prep.row_hi,
-                        np.where(prep.is_ge, lhs < prep.row_lo,
-                                 np.abs(lhs - prep.rhs) > prep.row_tol))
+    widen = rounding * prep.row_tol
+    violated = np.where(prep.is_le, lhs > prep.row_hi + widen,
+                        np.where(prep.is_ge, lhs < prep.row_lo - widen,
+                                 np.abs(lhs - prep.rhs) > prep.row_tol + widen))
     if np.count_nonzero(violated):
         i = int(violated.argmax())
         raise SolverFailure(f"row {i} violated: {lhs[i]} {prep.rel[i]} {prep.rhs[i]}")
@@ -551,20 +569,17 @@ def _certify(prep: _Prepared, lb, ub, point: np.ndarray) -> None:
 
 def _finish(core: _Simplex, spent: int = 0) -> LpOutcome:
     """Phase 2 from a primal feasible state, then the certificate check
-    against the structural bounds the core was built from.  ``spent`` counts
-    iterations of an abandoned warm attempt."""
+    against the structural bounds the core was built from, which lets a row
+    cross its tolerance by ``_ROUNDING`` of it.  ``spent`` counts iterations
+    of an abandoned warm attempt."""
     prep = core.prep
     if prep.cost is not None:
-        status = core.run(prep.cost, allow_unbounded=True)
-        if status == UNBOUNDED:
-            return LpOutcome(UNBOUNDED, iterations=spent + core.iterations)
+        core.run(prep.cost)
         core._solve_basics()
 
     point = core.x[:prep.n].copy()
-    _certify(prep, core.lo[:prep.n], core.hi[:prep.n], point)
-    raw = float(prep.cmin @ point)
-    value = -raw if prep.sense == "max" else raw
-    return LpOutcome(OPTIMAL, value, point, spent + core.iterations,
+    _certify(prep, core.lo[:prep.n], core.hi[:prep.n], point, _ROUNDING)
+    return LpOutcome(OPTIMAL, float(prep.c @ point), point, spent + core.iterations,
                      Basis(core.basis, core.stat, core.binv))
 
 
@@ -598,8 +613,9 @@ def solve_prepared(prep: _Prepared, lb, ub, warm: Optional[Basis] = None) -> LpO
     ``crash_basis``, which need not be: the dual loop then only repairs
     primal infeasibility (immediately done when the crash basis is primal
     feasible) and the primal loop optimizes from there.  A warm attempt that
-    gives up or fails is dropped for a cold solve; its iterations still
-    count.
+    gives up or raises is dropped for a cold solve; its iterations still
+    count.  The outcome is ``OPTIMAL`` or ``INFEASIBLE``; a cold solve that
+    raises ``SolverFailure`` passes it on.
     """
     if np.count_nonzero(lb > ub):
         return LpOutcome(INFEASIBLE)
@@ -612,12 +628,7 @@ def solve_prepared(prep: _Prepared, lb, ub, warm: Optional[Basis] = None) -> LpO
             if feasible is False:
                 return LpOutcome(INFEASIBLE, iterations=core.iterations)
             if feasible:
-                # a parent's costs were bounded, so an unbounded answer
-                # after its basis is numerical noise; either way the cold
-                # solve decides
-                outcome = _finish(core)
-                if outcome.status != UNBOUNDED:
-                    return outcome
+                return _finish(core)
         except SolverFailure:
             pass
         spent = 0 if core is None else core.iterations
@@ -635,7 +646,9 @@ def prepare(p: LpProblem) -> _Prepared:
 
 
 def solve_lp(p: LpProblem) -> LpOutcome:
-    """Solve the LP.  Optimal outcomes are re-checked against every
-    constraint before being returned; two runs on identical input produce
-    identical results."""
+    """Minimize ``p.c`` over the LP, cold: ``OPTIMAL`` or ``INFEASIBLE``,
+    or ``SolverFailure`` when the LP is unbounded or the arithmetic breaks
+    down.  Optimal outcomes are re-checked against every constraint before
+    being returned; two runs on identical input produce identical
+    results."""
     return solve_prepared(prepare(p), p.lb, p.ub)

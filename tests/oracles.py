@@ -12,7 +12,7 @@ import numpy as np
 
 from boxplain.bnb import SAT, UNSAT, MilpOutcome, milp_to_lp
 from boxplain.simplex import (_AT_LOWER, _AT_UPPER, EQ, FEAS_TOL, GE, INF,
-                              INFEASIBLE, LE, OPTIMAL, PIVOT_TOL, UNBOUNDED,
+                              INFEASIBLE, LE, OPTIMAL, PIVOT_TOL,
                               LpProblem, SolverFailure, _Simplex, prepare,
                               solve_prepared)
 
@@ -79,7 +79,7 @@ def random_bounded_lp(rng: np.random.Generator, max_vars=5, max_rows=8) -> LpPro
     mid = (lb + ub) / 2
     rhs = a @ mid + np.round(rng.uniform(-1, 1, size=m), 1) if m else np.zeros(0)
     c = np.round(rng.uniform(-2, 2, size=n), 1)
-    return LpProblem(a, rel, rhs, lb, ub, c, "min")
+    return LpProblem(a, rel, rhs, lb, ub, c)
 
 
 def eq2_style_milp():
@@ -99,7 +99,7 @@ def eq2_style_milp():
     lb = np.array([1.0, 0.0, 0.0])
     ub = np.array([3.0, np.inf, 1.0])
     c = np.array([0.0, 1.0, 0.0])
-    return LpProblem(a, rel, rhs, lb, ub, c, "min", binaries=(2,))
+    return LpProblem(a, rel, rhs, lb, ub, c, binaries=(2,))
 
 
 def _forced_violation(lp: LpProblem, lb, ub) -> np.ndarray:
@@ -143,7 +143,7 @@ def oracle_enumerate(problem, objective=None, sense="min") -> MilpOutcome:
     feasibility = objective is None
     flip = -1.0 if sense == "max" else 1.0
     internal = None if feasibility else {v: flip * c for v, c in objective.items()}
-    lp = milp_to_lp(problem, internal, "feas" if feasibility else "min")
+    lp = milp_to_lp(problem, internal)
     prep = prepare(lp)
     row_tol = FEAS_TOL * np.maximum(1.0, np.abs(lp.rhs))
     nodes = 0
@@ -188,10 +188,11 @@ def oracle_enumerate(problem, objective=None, sense="min") -> MilpOutcome:
 class LoopRecord(NamedTuple):
     """What the loops did on one core.  ``pivots``: per pivot the row, the
     entering column, and the bytes of its tableau column and of the basic
-    values it moved.  ``ends``: the dual loop's verdict and, when that loop
-    ends primal feasible and there is a cost, phase 2's status, each with
-    the iterations, basis, statuses and the bytes of ``x`` and of the
-    inverse after it.  ``failure``: the message of a ``SolverFailure``."""
+    values it moved.  ``ends``: the dual loop's verdict with the state after
+    it and, when that loop ends primal feasible and there is a cost, the
+    state after phase 2, which ends optimal or raises; a state is the
+    iterations, basis, statuses and the bytes of ``x`` and of the inverse.
+    ``failure``: the message of a ``SolverFailure``."""
 
     pivots: list
     ends: list
@@ -214,7 +215,8 @@ def loop_records(prep, lb, ub, start, cost, dual_max_iter=None):
             verdict = dual(core, cost)
             record.ends.append((verdict, *_core_state(core)))
             if verdict and cost is not None:
-                record.ends.append((primal(core, cost, True), *_core_state(core)))
+                primal(core, cost)
+                record.ends.append(_core_state(core))
         except SolverFailure as exc:
             record = record._replace(failure=str(exc))
         records.append(record)
@@ -245,8 +247,8 @@ def _core_state(core):
             core.x.tobytes(), core.binv.tobytes())
 
 
-def reference_run(self, cost: np.ndarray, allow_unbounded: bool) -> str:
-    """Minimize ``cost @ x`` from the current state.  Returns a status."""
+def reference_run(self, cost: np.ndarray) -> None:
+    """Minimize ``cost @ x`` from the current state."""
     A = self.prep.A
     lo, hi, x, stat = self.lo, self.hi, self.x, self.stat
     tol = PIVOT_TOL
@@ -266,7 +268,7 @@ def reference_run(self, cost: np.ndarray, allow_unbounded: bool) -> str:
         if not eligible.any():
             if self._refreshed():
                 continue
-            return OPTIMAL
+            return
 
         idx = eligible.nonzero()[0]
         if bland:
@@ -298,9 +300,7 @@ def reference_run(self, cost: np.ndarray, allow_unbounded: bool) -> str:
         t_own = float(hi[q] - lo[q])
 
         if t_basic == INF and t_own == INF:
-            if allow_unbounded:
-                return UNBOUNDED
-            raise SolverFailure("unexpected unbounded direction")
+            raise SolverFailure("unbounded direction")
 
         if t_own <= t_basic:
             # bound flip: entering variable crosses to its other bound

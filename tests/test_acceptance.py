@@ -300,7 +300,7 @@ def test_criterion_10_simplex_oracle():
     ])
     p = LpProblem(a, ("<=", "<=", "<="), np.array([0.0, 0.0, 1.0]),
                   np.zeros(4), np.full(4, np.inf),
-                  np.array([-0.75, 150.0, -0.02, 6.0]), "min")
+                  np.array([-0.75, 150.0, -0.02, 6.0]))
     out = solve_lp(p)
     assert out.status == "optimal"
     assert out.value == pytest.approx(-0.05, abs=1e-9)

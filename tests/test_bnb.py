@@ -23,7 +23,7 @@ from oracles import (ORACLE_BINARY_CAP, eq2_style_milp, loop_records,
 def make_problem(lp, input_vids=()):
     """Hand-built problem around ``lp``'s rows and bounds (its objective is
     dropped), with no outputs: its output rows start past its last row."""
-    lp = replace(lp, c=np.zeros_like(lp.c), sense="feas")
+    lp = replace(lp, c=np.zeros_like(lp.c))
     return MilpProblem(lp, (), tuple(input_vids), (), len(lp.rel))
 
 
@@ -31,7 +31,7 @@ def make_lp(a, rel, rhs, lb, ub, binaries=()):
     n = len(lb)
     return LpProblem(np.array(a, dtype=float).reshape(len(rel), n), rel,
                      np.array(rhs, dtype=float), np.array(lb, dtype=float),
-                     np.array(ub, dtype=float), np.zeros(n), "feas", binaries)
+                     np.array(ub, dtype=float), np.zeros(n), binaries)
 
 
 @pytest.fixture()
@@ -263,9 +263,9 @@ def test_abandoned_forward_root_gives_the_cold_answer(monkeypatch):
         prefix = encode_prefix(net, bounds, 1)
         out = {query.output_vids[target]: 1.0}
         roots = ((query, milp_to_lp(query)),
-                 (query, milp_to_lp(query, out, "min")),
-                 (problem, milp_to_lp(problem, out, "min")),
-                 (prefix, milp_to_lp(prefix, {prefix.input_vids[0]: 1.0}, "min")))
+                 (query, milp_to_lp(query, out)),
+                 (problem, milp_to_lp(problem, out)),
+                 (prefix, milp_to_lp(prefix, {prefix.input_vids[0]: 1.0})))
         for source, lp in roots:
             prep = prepare(lp)
             tried.clear()
@@ -429,7 +429,7 @@ def test_every_node_matches_the_reference_loops(monkeypatch):
     for prep, lb, ub, warm in nodes:
         core, reference = loop_records(prep, lb, ub, warm, prep.cost)
         assert core == reference
-        pivoted[prep.sense] += bool(core.pivots)
+        pivoted["feas" if prep.cost is None else "min"] += bool(core.pivots)
     assert len(nodes) >= 400
     assert pivoted["feas"] >= 60 and pivoted["min"] >= 300
 

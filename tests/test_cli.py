@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from boxplain.bnb import BranchAndBoundBackend, MilpOutcome
 from boxplain.cli import InputError, ingest_csv, main
+import boxplain
 import boxplain.engine as engine
 from boxplain.engine import Explainer
 from boxplain.simplex import SolverFailure
@@ -512,3 +517,22 @@ class TestVerify:
                                  str(demo_instances), "--samples", "-1")
         assert (code, out) == (2, "")
         assert "--samples must be at least 0, got -1" in err
+
+
+@pytest.mark.parametrize("command", ["explain", "verify"])
+def test_reader_closing_stdout_ends_quietly(command):
+    # the console script's stdout is a pipe whose read end is already
+    # closed, as under ``| head`` once head has its lines
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(Path(boxplain.__file__).parent.parent)}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "boxplain.cli", command,
+             str(MODELS / "random_3in_2l.json"),
+             str(MODELS / "random_3in_2l_instances.csv")],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == 0

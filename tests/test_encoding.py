@@ -239,7 +239,7 @@ class TestSharedArrays:
         fix_attributes(demo_problem, *box)
         attach_rival_query(demo_problem, 0, 1)
         tighten_and_simplify(demo_net, demo_tight, merge_bounds(demo_tight, boxed))
-        milp_to_lp(demo_problem, {demo_problem.output_vids[0]: 1.0}, "min")
+        milp_to_lp(demo_problem, {demo_problem.output_vids[0]: 1.0})
         assert demo_problem.lp is lp and lp.rel == rel_before
         for arr, old in zip(arrays, before):
             assert arr.tobytes() == old.tobytes()

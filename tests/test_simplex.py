@@ -5,7 +5,7 @@ import pytest
 
 import boxplain.simplex as simplex
 from boxplain.simplex import (_INVERSE_TOL, EQ, FEAS_TOL, GE, LE, INFEASIBLE,
-                              OPTIMAL, UNBOUNDED, Basis, LpProblem,
+                              OPTIMAL, Basis, LpProblem,
                               SolverFailure, _certify, _finish, _Simplex,
                               crash_basis, prepare, solve_lp, solve_prepared)
 from oracles import (eq2_style_milp, loop_records, random_bounded_lp,
@@ -24,7 +24,7 @@ class TestWorkedMilpRelaxation:
         p = eq2_style_milp()
         feasible, best = vertex_enumerate(
             LpProblem(p.a, p.rel, p.rhs, p.lb,
-                      np.where(np.isfinite(p.ub), p.ub, 100.0), p.c, "min"))
+                      np.where(np.isfinite(p.ub), p.ub, 100.0), p.c))
         assert feasible
         out = solve_lp(p)
         assert out.status == OPTIMAL
@@ -38,28 +38,32 @@ class TestStatuses:
     def test_contradictory_rows_infeasible(self):
         p = LpProblem(np.array([[1.0], [1.0]]), (GE, LE),
                       np.array([2.0, 1.0]), np.array([-10.0]),
-                      np.array([10.0]), np.array([1.0]), "min")
+                      np.array([10.0]), np.array([1.0]))
         assert solve_lp(p).status == INFEASIBLE
 
     def test_unbounded_ray(self):
+        # an LP minimizes a cost bounded below, or the solve fails
         p = LpProblem(np.zeros((0, 1)), (), np.zeros(0), np.array([0.0]),
-                      np.array([np.inf]), np.array([-1.0]), "min")
-        assert solve_lp(p).status == UNBOUNDED
+                      np.array([np.inf]), np.array([-1.0]))
+        with pytest.raises(SolverFailure, match="unbounded direction"):
+            solve_lp(p)
 
     @pytest.mark.parametrize("sense, value, point", [
         # min x1 - 2 x2: x1 at its lower bound -1, x2 at its upper bound 4
         ("min", -9.0, [-1.0, 4.0, 2.0]),
-        # max x1 - 2 x2: x1 at its upper bound 3, x2 at its lower bound 0
+        # max x1 - 2 x2, solved as min -x1 + 2 x2: x1 at its upper bound 3,
+        # x2 at its lower bound 0
         ("max", 3.0, [3.0, 0.0, 2.0]),
     ])
     def test_rowless_objective(self, sense, value, point):
         # no rows: each column goes to the bound its cost favours, and the
         # cost-free x3 stays at its lower bound 2
+        flip = -1.0 if sense == "max" else 1.0
         p = LpProblem(np.zeros((0, 3)), (), np.zeros(0), np.array([-1.0, 0.0, 2.0]),
-                      np.array([3.0, 4.0, 5.0]), np.array([1.0, -2.0, 0.0]), sense)
+                      np.array([3.0, 4.0, 5.0]), flip * np.array([1.0, -2.0, 0.0]))
         out = solve_lp(p)
         assert out.status == OPTIMAL
-        assert out.value == value
+        assert flip * out.value == value
         assert out.point.tolist() == point
 
     def test_rowless_feasibility(self):
@@ -67,22 +71,23 @@ class TestStatuses:
         # when both are finite
         p = LpProblem(np.zeros((0, 3)), (), np.zeros(0),
                       np.array([1.0, -np.inf, -2.0]), np.array([np.inf, 0.5, 2.0]),
-                      np.zeros(3), "feas")
+                      np.zeros(3))
         out = solve_lp(p)
         assert out.status == OPTIMAL
         assert out.value == 0.0
         assert out.point.tolist() == [1.0, 0.5, -2.0]
 
     def test_max_sense(self):
+        # max x1 + 2 x2 over x1 + x2 <= 1 is min -x1 - 2 x2
         p = LpProblem(np.array([[1.0, 1.0]]), (LE,), np.array([1.0]),
-                      np.zeros(2), np.ones(2), np.array([1.0, 2.0]), "max")
+                      np.zeros(2), np.ones(2), np.array([-1.0, -2.0]))
         out = solve_lp(p)
         assert out.status == OPTIMAL
-        assert out.value == pytest.approx(2.0, abs=1e-9)
+        assert out.value == pytest.approx(-2.0, abs=1e-9)
 
     def test_feasibility_only(self):
         p = LpProblem(np.array([[1.0, 1.0]]), (GE,), np.array([1.5]),
-                      np.zeros(2), np.ones(2), np.zeros(2), "feas")
+                      np.zeros(2), np.ones(2), np.zeros(2))
         out = solve_lp(p)
         assert out.status == OPTIMAL
         assert out.point.sum() >= 1.5 - 1e-6
@@ -91,29 +96,29 @@ class TestStatuses:
         # x >= 2.5e-6 with x pinned to 0 misses by more than its row allows
         # (1e-6), though the total residual is within 1e-6 * max|rhs| = 5e-6
         p = LpProblem(np.eye(2), (GE, EQ), np.array([2.5e-6, 5.0]),
-                      np.zeros(2), np.array([0.0, 10.0]), np.zeros(2), "feas")
+                      np.zeros(2), np.array([0.0, 10.0]), np.zeros(2))
         assert solve_lp(p).status == INFEASIBLE
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             LpProblem(np.array([[np.inf]]), (LE,), np.array([1.0]),
-                      np.zeros(1), np.ones(1), np.zeros(1), "min")
+                      np.zeros(1), np.ones(1), np.zeros(1))
 
     def test_free_column_rejected(self):
         with pytest.raises(ValueError, match="free column"):
             LpProblem(np.array([[1.0, 1.0]]), (LE,), np.array([1.0]),
                       np.array([0.0, -np.inf]), np.array([1.0, np.inf]),
-                      np.zeros(2), "min")
+                      np.zeros(2))
 
     def test_unknown_relation_rejected(self):
         p = LpProblem(np.array([[1.0]]), ("<",), np.array([1.0]),
-                      np.zeros(1), np.ones(1), np.zeros(1), "min")
+                      np.zeros(1), np.ones(1), np.zeros(1))
         with pytest.raises(ValueError, match="unknown relation '<'"):
             solve_lp(p)
 
     def test_slack_bounds_follow_relations(self):
         prep = prepare(LpProblem(np.eye(3), (LE, GE, EQ), np.ones(3), np.zeros(3),
-                                 np.ones(3), np.zeros(3), "min"))
+                                 np.ones(3), np.zeros(3)))
         # the slacks' bounds, then the artificials pinned at zero
         assert prep.lo_tail.tolist() == [0.0, -np.inf, 0.0, 0.0, 0.0, 0.0]
         assert prep.hi_tail.tolist() == [np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]
@@ -149,14 +154,14 @@ def test_determinism_bit_for_bit():
 
 def test_beale_degenerate_cycle_terminates():
     # classic cycling instance for textbook pivoting rules
-    p = LpProblem(sense="min", **BEALE)
+    p = LpProblem(**BEALE)
     out = solve_lp(p)
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(-0.05, abs=1e-9)
     assert out.iterations < 200
 
     # same optimum as the enumeration oracle over a bounding box
-    boxed = LpProblem(**{**BEALE, "ub": np.full(4, 50.0)}, sense="min")
+    boxed = LpProblem(**{**BEALE, "ub": np.full(4, 50.0)})
     feasible, best = vertex_enumerate(boxed)
     assert feasible and best == pytest.approx(-0.05, abs=1e-9)
 
@@ -168,7 +173,7 @@ def test_stall_counts_only_iterations_that_do_not_improve():
     # pivot exactly as pure Dantzig pricing does.
     p = LpProblem(np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 3.0]]),
                   (GE, GE), np.array([4.0, 6.0]), np.zeros(4), np.full(4, 10.0),
-                  np.zeros(4), "feas")
+                  np.zeros(4))
     prep = prepare(p)
     cores = []
     for stall_limit in (0, 10**9):
@@ -190,7 +195,7 @@ def test_stall_switches_to_blands_rule(monkeypatch):
     # than Dantzig pricing; both paths end at the same optimum.
     p = LpProblem(np.array([[0.0, 3.0, 2.0, 3.0], [-1.0, 1.0, 3.0, 1.0]]),
                   (GE, GE), np.zeros(2), np.zeros(4), np.full(4, 3.0),
-                  np.array([1.0, -1.0, 3.0, -3.0]), "min")
+                  np.array([1.0, -1.0, 3.0, -3.0]))
     feasible, best = vertex_enumerate(p)
     assert feasible and best == -12.0
     pivot = _Simplex._pivot
@@ -252,6 +257,48 @@ def test_certify_names_the_first_violated_row():
     assert 0 < raised < 300
 
 
+def test_certify_rejects_a_nan_point():
+    # NaN compares false against every bound and row
+    p = LpProblem(np.array([[1.0, 1.0]]), (LE,), np.array([1.0]),
+                  np.zeros(2), np.ones(2), np.zeros(2))
+    with pytest.raises(SolverFailure, match="non-finite"):
+        _certify(prepare(p), p.lb, p.ub, np.array([0.5, np.nan]))
+
+
+def _near_ties():
+    """Random LPs with rows whose rhs sits within a few row tolerances of a
+    point of the box: ``rhs = a @ x + k * FEAS_TOL * max(1, |a @ x|)`` with
+    ``k`` drawn per row, a minimizing LP with its own ``c`` and a zero-cost
+    one taking turns."""
+    steps = [-3.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0]
+    for seed, count, shape in ((11, 4000, {}),
+                               (12, 1500, dict(max_vars=12, max_rows=20))):
+        rng = np.random.default_rng(seed)
+        for k in range(count):
+            p = random_bounded_lp(rng, **shape)
+            if not p.rel:
+                continue
+            x = p.lb + rng.uniform(size=p.lb.size) * (p.ub - p.lb)
+            lhs = p.a @ x
+            rhs = lhs + rng.choice(steps, size=lhs.size) * FEAS_TOL \
+                * np.maximum(1.0, np.abs(lhs))
+            yield replace(p, rhs=rhs, c=p.c if k % 2 else np.zeros_like(p.c))
+
+
+def test_near_tie_cold_solves_end_optimal_or_infeasible():
+    # phase 1 accepts only a point _certify passes, and phase 2 may shrink
+    # but never grow the residual phase 1 left a row, so the final check
+    # cannot fail where phase 1 passed
+    statuses = []
+    for p in _near_ties():
+        try:
+            statuses.append(solve_lp(p).status)
+        except SolverFailure as exc:
+            pytest.fail(f"cold solve raised: {exc}")
+    assert len(statuses) > 4900
+    assert 0.2 < statuses.count(INFEASIBLE) / len(statuses) < 0.5
+
+
 def _tightened(rng, p):
     """Bounds of a child LP: one variable fixed at either bound, or its
     range cut at a random point."""
@@ -273,11 +320,12 @@ def _tightened(rng, p):
 
 def _children(rng, parents):
     """(prep, sense, parent outcome, child bounds) for two children of each
-    random parent LP with an optimal basis, alternating the sense."""
+    random parent LP with an optimal basis, alternating the sense: "min"
+    keeps the LP's own cost, "feas" zeroes it."""
     for k in range(parents):
         p = random_bounded_lp(rng)
         sense = ("min", "feas")[k % 2]
-        prep = prepare(replace(p, sense=sense))
+        prep = prepare(p if sense == "min" else replace(p, c=np.zeros_like(p.c)))
         parent = solve_prepared(prep, p.lb, p.ub)
         if parent.basis is None:
             continue
@@ -374,7 +422,7 @@ class TestWarmStart:
     def test_crash_basis_statuses(self):
         p = LpProblem(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]), (GE, LE),
                       np.array([1.0, 2.0]), np.array([-np.inf, 0.0, 0.0]),
-                      np.array([3.0, 1.0, 1.0]), np.zeros(3), "feas")
+                      np.array([3.0, 1.0, 1.0]), np.zeros(3))
         basis = crash_basis(p, [-1, 1], [2])
         assert basis.columns.tolist() == [3, 1]  # row 0's slack, then x2
         assert basis.inverse is None
@@ -392,7 +440,7 @@ class TestWarmStart:
         # marked at their lower bound, and both sit at their upper one
         p = LpProblem(np.array([[1.0, 1.0], [0.0, 1.0]]), (GE, LE),
                       np.array([1.0, 2.0]), np.array([-np.inf, 0.0]),
-                      np.array([3.0, 1.0]), np.zeros(2), "feas")
+                      np.array([3.0, 1.0]), np.zeros(2))
         basis = Basis(np.array([1, 3]), np.array([0, 2, 0, 2, 0, 0], dtype=np.int8),
                       None)
         core = _Simplex(prepare(p), p.lb, p.ub, basis)
@@ -403,7 +451,7 @@ class TestWarmStart:
         # row 0's >= slack nonbasic and marked at its lower bound, -inf
         p = LpProblem(np.array([[1.0, 1.0], [1.0, -1.0]]), (GE, LE),
                       np.array([1.0, 0.5]), np.zeros(2), np.full(2, 2.0),
-                      np.array([1.0, 0.5]), "min")
+                      np.array([1.0, 0.5]))
         prep = prepare(p)
         basis = Basis(np.array([1, 0]), np.array([2, 2, 0, 0, 0, 0], dtype=np.int8),
                       None)
@@ -416,7 +464,7 @@ class TestWarmStart:
     def test_singular_crash_basis_gives_the_cold_answer(self):
         # x1 basic in both rows: a singular basis matrix, caught while
         # inverting it before any iteration
-        for p in (LpProblem(sense="min", **BEALE), eq2_style_milp()):
+        for p in (LpProblem(**BEALE), eq2_style_milp()):
             prep = prepare(p)
             basis = crash_basis(p, [0] * len(p.rel), [])
             warm = solve_prepared(prep, p.lb, p.ub, basis)
@@ -456,19 +504,18 @@ class TestWarmStart:
         assert children >= 150
         assert 0 < checked < children
 
-    @pytest.mark.parametrize("spoil, senses", [("scaled", ("min", "feas")),
-                                               ("nan", ("feas",))])
-    def test_spoiled_parent_inverse_is_refactored(self, monkeypatch, spoil,
-                                                  senses):
-        # a parent inverse scaled past _INVERSE_TOL, or with a NaN entry,
-        # fails the warm attempt's first check after a pivot, unless those
-        # pivots replaced every scaled row; a check refactors exactly when
-        # it fails, and a child that reached one gives the cold answer.
-        # With a cost, a NaN entry makes every reduced cost NaN before any
-        # check, so that case runs on "feas" children.
+    @pytest.mark.parametrize("spoil", ["scaled", "nan"])
+    def test_spoiled_parent_inverse_is_refactored(self, monkeypatch, spoil):
+        # a parent inverse scaled past _INVERSE_TOL is kept at the warm
+        # start and fails the warm attempt's first check after a pivot,
+        # unless those pivots replaced every scaled row; a check refactors
+        # exactly when it fails, and a child that reached one gives the cold
+        # answer.  One with a NaN entry is refactored at the warm start, so
+        # every child, with a cost or without, gives the cold answer.
         inverse, refreshed = np.linalg.inv, _Simplex._refreshed
-        start_cold = _Simplex._start_cold
+        start_warm, start_cold = _Simplex._start_warm, _Simplex._start_cold
         inversions = []
+        starts = []  # inversions made by each warm start
         # per check after a pivot (max|A_B @ binv - I|, inversions made),
         # and None at a cold start
         checks = []
@@ -476,6 +523,11 @@ class TestWarmStart:
         def counted(matrix):
             inversions.append(matrix)
             return inverse(matrix)
+
+        def counted_warm(core, start):
+            before = len(inversions)
+            start_warm(core, start)
+            starts.append(len(inversions) - before)
 
         def tracked(core):
             if not core.pivots_since_refactor:
@@ -492,29 +544,36 @@ class TestWarmStart:
             start_cold(core)
 
         monkeypatch.setattr(np.linalg, "inv", counted)
+        monkeypatch.setattr(_Simplex, "_start_warm", counted_warm)
         monkeypatch.setattr(_Simplex, "_refreshed", tracked)
         monkeypatch.setattr(_Simplex, "_start_cold", marked_cold)
         firsts = []  # inversions at the warm attempt's first check
+        children = set()  # the senses of the children solved
         for p, prep, sense, parent, (lb, ub) in _children(
                 np.random.default_rng(229), 600):
-            if sense not in senses or not prep.m:
+            if not prep.m:
                 continue
             bad = parent.basis.inverse * (1.0 + 1e3 * _INVERSE_TOL)
             if spoil == "nan":
                 bad[0, 0] = np.nan
             checks.clear()
+            starts.clear()
             warm = solve_prepared(prep, lb, ub,
                                   parent.basis._replace(inverse=bad))
+            assert starts == [1 if spoil == "nan" else 0]
             for check in checks:
                 if check is not None:
                     resid, made = check
                     assert made == (0 if resid <= _INVERSE_TOL else 1)
-            if checks and checks[0] is not None:
+            reached = bool(checks) and checks[0] is not None
+            if reached:
                 firsts.append(checks[0][1])
+            if reached or spoil == "nan":
                 _same_answer(warm, solve_prepared(prep, lb, ub))
-        assert sum(firsts) >= 80
-        if spoil == "nan":
-            assert all(firsts)  # a NaN row stays NaN through every pivot
+            children.add(sense)
+        assert children == {"min", "feas"}
+        if spoil == "scaled":
+            assert sum(firsts) >= 80
 
     def test_checked_inverse_agrees_with_refactoring_always(self, monkeypatch):
         # _INVERSE_TOL below 0 fails every check: the policy of refactoring
@@ -534,7 +593,7 @@ class TestWarmStart:
         assert children >= 700
 
     def test_beale_child_terminates(self):
-        p = LpProblem(sense="min", **BEALE)
+        p = LpProblem(**BEALE)
         prep = prepare(p)
         parent = solve_prepared(prep, p.lb, p.ub)
         ub = p.ub.copy()
