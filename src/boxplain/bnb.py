@@ -5,12 +5,12 @@ counterexample inputs); optimization calls compute tight neuron bounds.
 Both search depth first.  A feasibility call branches on the most fractional
 binary.  An optimization call over an encoding reads every node's LP point
 against the network: the forward pass from its inputs is a candidate
-incumbent, and it branches on the ReLU whose LP point sits farthest above
-its graph, which more than halves the nodes of the tight-bound precompute
-on deep nets.  The ``SolverBackend`` seam lets an external MILP engine stand
-in for the built-in solver as long as it honors the same outcome contract:
-statuses as below, a witness satisfying every constraint within the
-feasibility tolerance, and binaries integral within the integrality
+incumbent, and it branches on the ReLU whose triangle relaxation the LP
+duals weigh most, which saves the tight-bound precompute more nodes the
+larger the net.  The ``SolverBackend`` seam lets an external MILP engine
+stand in for the built-in solver as long as it honors the same outcome
+contract: statuses as below, a witness satisfying every constraint within
+the feasibility tolerance, and binaries integral within the integrality
 tolerance.
 """
 
@@ -24,8 +24,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .encoding import MODE_SPLIT, MilpProblem, forward_basis, forward_point
-from .simplex import (INFEASIBLE, OPTIMAL, LpProblem, SolverFailure, _certify,
-                      _replace_unchecked, prepare, solve_prepared)
+from .simplex import (INFEASIBLE, OPTIMAL, Basis, LpProblem, SolverFailure,
+                      _certify, _replace_unchecked, prepare, solve_prepared)
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -75,17 +75,20 @@ def _fractional_binaries(point: np.ndarray, binaries, tol: float) -> Optional[in
 
 
 class _ReluGraph:
-    """An encoding's split neurons, for reading a node's LP point against
+    """An encoding's split neurons, for reading a node's LP solution against
     the network (optimize calls only).
 
     ``incumbent`` runs the network forward from the point's inputs,
     clipped to the root's bounds; the result has integral binaries and is
     kept only if it passes the LP core's acceptance rule (``_certify``) on
     the root's bounds, so it is a feasible point of the MILP.
-    ``branching`` picks the fractional binary of the split neuron whose LP
-    point sits farthest above its ReLU graph, the largest
-    ``post - max(pre, 0)`` with ``pre`` read from the block's lower-side
-    row, the lowest vid on a tie; None when every such binary is integral.
+    ``branching`` picks the fractional binary of the split neuron whose
+    triangle relaxation the node's LP duals weigh most (BaBSR's score,
+    Bunel et al., JMLR 2020): the dual weight ``|y|`` on the neuron's two
+    upper-side rows, times the widest gap the triangle leaves above the
+    ReLU, ``-l u / (u - l)`` for its big-M constants ``l < 0 < u``; the
+    lowest vid on a tie.  None when no fractional binary scores above 0,
+    which is always the case for a zero cost (no duals).
     """
 
     def __init__(self, problem: MilpProblem, prep):
@@ -95,10 +98,12 @@ class _ReluGraph:
         # blocks are layer-major and number their binaries in that order, so
         # the z vids ascend and argmax's first maximum is the lowest vid
         split = [block for block in problem.blocks if block.mode == MODE_SPLIT]
-        rows = [block.pre_row for block in split]
         self.z = np.array([block.z_var for block in split], dtype=int)
-        self.post = np.array([block.post_var for block in split], dtype=int)
-        self.a, self.rhs = problem.lp.a[rows], problem.lp.rhs[rows]
+        # rows 0 and 2 of a split block: post <= pre - l (1 - z), post <= u z
+        self.upper = np.array([block.constraint_ids[::2] for block in split], dtype=int)
+        lo = np.array([block.pre_lb for block in split])
+        hi = np.array([block.pre_ub for block in split])
+        self.gap = -lo * hi / (hi - lo)
 
     def incumbent(self, point: np.ndarray) -> Optional[np.ndarray]:
         inputs = np.clip(point[self.inputs], self.lb[self.inputs], self.ub[self.inputs])
@@ -109,16 +114,18 @@ class _ReluGraph:
             return None
         return x
 
-    def branching(self, point: np.ndarray) -> Optional[int]:
+    def branching(self, point: np.ndarray, basis: Basis) -> Optional[int]:
+        if self.prep.cost is None:
+            return None
         z = point[self.z]
         fractional = np.abs(z - np.round(z)) > INTEGRALITY_TOL
         if not np.count_nonzero(fractional):
             return None
-        post = point[self.post]
-        # the lower-side row reads post - w.prev >= b, so pre = w.prev + b
-        pre = post - (self.a @ point - self.rhs)
-        excess = post - np.maximum(pre, 0.0)
-        return int(self.z[np.where(fractional, excess, -np.inf).argmax()])
+        duals = self.prep.cost[basis.columns] @ basis.inverse
+        score = np.where(fractional,
+                         np.abs(duals[self.upper]).sum(axis=1) * self.gap, 0.0)
+        k = int(score.argmax())
+        return int(self.z[k]) if score[k] > 0.0 else None
 
 
 def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, float]],
@@ -136,11 +143,12 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
     an objective on an encoding with blocks also offers, at every node it
     does not drop, the forward pass from the node's inputs as an incumbent
     (``_ReluGraph.incumbent``), and drops the node at once if that matches
-    its relaxation; it branches on the split neuron farthest above its ReLU
-    graph (``_ReluGraph.branching``), and on the most fractional binary only
-    among binaries no block owns.  The value returned is the minimized
-    one.  Every node LP ends optimal or infeasible; a ``SolverFailure``,
-    an unbounded relaxation included, ends the search.
+    its relaxation; it branches on the split neuron whose triangle
+    relaxation the node's duals weigh most (``_ReluGraph.branching``), and
+    on the most fractional binary when no fractional block binary carries
+    dual weight (a zero objective has no duals).  The value returned is the
+    minimized one.  Every node LP ends optimal or infeasible; a
+    ``SolverFailure``, an unbounded relaxation included, ends the search.
     """
     start = time.perf_counter()
     deadline = None if time_budget_ms is None else start + time_budget_ms / 1000.0
@@ -183,7 +191,7 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
                 best_value, best_point = value, forward
                 if dropped(outcome.value):
                     continue
-            vid = graph.branching(outcome.point)
+            vid = graph.branching(outcome.point, outcome.basis)
         if vid is None:
             vid = _fractional_binaries(outcome.point, binaries, INTEGRALITY_TOL)
         if vid is None:

@@ -11,6 +11,7 @@ from boxplain.bnb import (BranchAndBoundBackend, milp_to_lp, optimize,
 from boxplain.encoding import (MilpProblem, attach_rival_query,
                                encode_network, encode_prefix, fix_attributes,
                                forward_basis)
+from boxplain.engine import compute_tight_bounds
 from boxplain.model import forward, predict
 from boxplain.simplex import (GE, LE, OPTIMAL, LpProblem, _Simplex, prepare,
                               solve_prepared)
@@ -304,33 +305,36 @@ def test_most_fractional_binary_matches_the_loop():
             _most_fractional_by_loop(point, binaries, bnb.INTEGRALITY_TOL)
 
 
-def _most_violated_by_loop(problem, point, tol):
+def _dual_weighted_by_loop(problem, prep, point, basis, tol):
     """Reference for ``_ReluGraph.branching``: the fractional binary of the
-    split neuron whose post sits farthest above max(pre, 0), the first
-    (lowest vid) on a tie."""
-    lp = problem.lp
-    worst_vid, worst = None, -np.inf
+    split neuron whose upper-side rows' dual weight, times the widest gap
+    its triangle relaxation leaves above the ReLU, scores highest (the
+    first, lowest vid, on a tie); None when none scores above 0."""
+    if prep.cost is None:
+        return None
+    duals = prep.cost[basis.columns] @ basis.inverse
+    best_vid, best = None, 0.0
     for blk in problem.blocks:
         if blk.z_var is None:
             continue
         z = point[blk.z_var]
         if abs(z - round(z)) <= tol:
             continue
-        r = blk.constraint_ids[1]  # post - w.prev >= b
-        pre = point[blk.post_var] - (lp.a[r] @ point - lp.rhs[r])
-        excess = point[blk.post_var] - max(pre, 0.0)
-        if worst_vid is None or excess > worst:
-            worst_vid, worst = blk.z_var, excess
-    return worst_vid
+        r0, _, r2 = blk.constraint_ids  # post <= pre - l (1 - z), post <= u z
+        lo, hi = blk.pre_lb, blk.pre_ub
+        score = (abs(duals[r0]) + abs(duals[r2])) * (-lo * hi / (hi - lo))
+        if score > best:
+            best_vid, best = blk.z_var, score
+    return best_vid
 
 
-def test_optimize_branches_on_the_most_violated_relu(monkeypatch):
+def test_optimize_branches_on_the_relu_the_duals_weigh_most(monkeypatch):
     picks = []
     branching = bnb._ReluGraph.branching
 
-    def recorded(graph, point):
-        vid = branching(graph, point)
-        picks.append((graph.problem, point, vid))
+    def recorded(graph, point, basis):
+        vid = branching(graph, point, basis)
+        picks.append((graph.problem, graph.prep, point, basis, vid))
         return vid
 
     monkeypatch.setattr(bnb._ReluGraph, "branching", recorded)
@@ -349,10 +353,118 @@ def test_optimize_branches_on_the_most_violated_relu(monkeypatch):
             optimize(prefix, {prefix.blocks[-1].post_var: 1.0}, "max")
         optimize(problem, {problem.output_vids[0]: 1.0}, "min")
     branched = 0
-    for problem, point, vid in picks:
-        assert vid == _most_violated_by_loop(problem, point, bnb.INTEGRALITY_TOL)
+    for problem, prep, point, basis, vid in picks:
+        # the duals solve y B = c_B for the node's basis
+        duals = prep.cost[basis.columns] @ basis.inverse
+        assert np.allclose(duals @ prep.A[:, basis.columns], prep.cost[basis.columns])
+        assert vid == _dual_weighted_by_loop(problem, prep, point, basis,
+                                             bnb.INTEGRALITY_TOL)
         branched += vid is not None
     assert branched >= 10
+
+
+def test_zero_objective_never_reads_duals(monkeypatch):
+    # {vid: 0.0} makes an optimize call whose _Prepared.cost is None: no
+    # duals, so every branching falls back to the most fractional binary,
+    # and the answer is that of a feasibility search with value 0
+    calls = []
+    branching = bnb._ReluGraph.branching
+
+    def recorded(graph, point, basis):
+        vid = branching(graph, point, basis)
+        calls.append((graph.prep.cost is None, vid))
+        return vid
+
+    monkeypatch.setattr(bnb._ReluGraph, "branching", recorded)
+    rng = np.random.default_rng(3)
+    statuses = []
+    for _ in range(30):
+        net, domain = random_network(rng)
+        problem = encode_network(net, domain_box(net, domain))
+        query = attach_rival_query(problem, 0, 1)
+        for sense in ("min", "max"):
+            # the forward pass from the root's inputs is an incumbent whose
+            # value matches the root's, so the search ends there
+            got = optimize(problem, {problem.output_vids[0]: 0.0}, sense)
+            assert (got.status, got.value, got.node_count) == (OPTIMAL, 0.0, 1)
+            got = optimize(query, {query.output_vids[0]: 0.0}, sense)
+            truth = oracle_enumerate(query, {query.output_vids[0]: 0.0}, sense)
+            assert got.status == truth.status
+            if got.status == OPTIMAL:
+                assert got.value == 0.0
+            statuses.append(got.status)
+    assert calls and calls == [(True, None)] * len(calls)
+    assert "infeasible" in statuses and OPTIMAL in statuses
+
+
+def test_node_without_dual_weight_branches_most_fractional(monkeypatch):
+    # a node whose fractional block binaries carry no dual weight on their
+    # upper-side rows branches on _fractional_binaries' pick: depth first,
+    # the next LP solved is its child with that binary pinned
+    events = []
+    branching = bnb._ReluGraph.branching
+    solve_prepared = bnb.solve_prepared
+
+    def recorded_branching(graph, point, basis):
+        vid = branching(graph, point, basis)
+        z = point[graph.z]
+        if vid is None and (np.abs(z - np.round(z)) > bnb.INTEGRALITY_TOL).any():
+            events.append(("fallback", point, graph.problem.lp.binaries))
+        return vid
+
+    def recorded_solve(prep, lb, ub, warm=None):
+        events.append(("solve", lb.copy(), ub.copy()))
+        return solve_prepared(prep, lb, ub, warm)
+
+    monkeypatch.setattr(bnb._ReluGraph, "branching", recorded_branching)
+    monkeypatch.setattr(bnb, "solve_prepared", recorded_solve)
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        net, domain = random_network(rng, max_hidden_total=16)
+        compute_tight_bounds(net, domain)
+    fallbacks = 0
+    for k, event in enumerate(events):
+        if event[0] != "fallback":
+            continue
+        fallbacks += 1
+        _, point, binaries = event
+        (_, lb, ub), (_, child_lb, child_ub) = events[k - 1], events[k + 1]
+        vid = bnb._fractional_binaries(point, binaries, bnb.INTEGRALITY_TOL)
+        assert vid is not None
+        pinned = np.flatnonzero((child_lb != lb) | (child_ub != ub))
+        assert pinned.tolist() == [vid]
+        assert child_lb[vid] == child_ub[vid] == round(point[vid])
+    assert fallbacks >= 10
+
+
+def test_dual_weighted_branching_takes_fewer_nodes(monkeypatch):
+    # the precompute of 20 random nets, against most fractional branching
+    # everywhere; both are exact, so the bounds agree
+    class Counting(BranchAndBoundBackend):
+        def __init__(self):
+            self.nodes = 0
+
+        def optimize(self, problem, objective, sense):
+            out = super().optimize(problem, objective, sense)
+            self.nodes += out.node_count
+            return out
+
+    def precompute():
+        rng = np.random.default_rng(5)
+        backend = Counting()
+        tights = [compute_tight_bounds(*random_network(rng, max_hidden_total=16),
+                                       backend=backend) for _ in range(20)]
+        return backend.nodes, tights
+
+    nodes, tights = precompute()
+    monkeypatch.setattr(bnb._ReluGraph, "branching", lambda graph, point, basis: None)
+    fractional_nodes, fractional_tights = precompute()
+    assert nodes < fractional_nodes
+    for got, want in zip(tights, fractional_tights):
+        for ends, want_ends in zip(got.layers, want.layers):
+            for bound, want_bound in zip(ends, want_ends):
+                assert np.all(np.abs(bound - want_bound)
+                              <= 1e-9 * np.maximum(1.0, np.abs(want_bound)))
 
 
 def test_optimize_over_rival_queries_matches_oracle(monkeypatch):
