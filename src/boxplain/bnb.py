@@ -1,24 +1,24 @@
 """Branch-and-bound over ReLU indicator binaries.
 
-Feasibility calls answer entailment queries (a SAT outcome carries the
-counterexample inputs); optimization calls compute tight neuron bounds.
-Both search depth first.  A feasibility call branches on the most fractional
-binary.  An optimization call over an encoding reads every node's LP point
-against the network: the forward pass from its inputs is a candidate
-incumbent, and it branches on the ReLU whose triangle relaxation the LP
-duals weigh most, which saves the tight-bound precompute more nodes the
-larger the net.  The ``SolverBackend`` seam lets an external MILP engine
-stand in for the built-in solver as long as it honors the same outcome
-contract: statuses as below, a witness satisfying every constraint within
-the feasibility tolerance, and binaries integral within the integrality
-tolerance.
+Every call minimizes, as the LP core does, and ends ``optimal``,
+``infeasible``, or ``unknown`` when a time budget runs out; an optimal
+outcome carries its point.  A zero cost asks for any point with integral
+binaries (an entailment query's counterexample): the search stops at the
+first and branches on the most fractional binary.  A bound MILP minimizes a
+neuron, or its negation for the upper bound, over an encoding: every node's
+forward pass from its inputs is a candidate incumbent, and the search
+branches on the ReLU whose triangle relaxation the LP duals weigh most.
+Both search depth first.  The ``SolverBackend`` seam lets an external MILP
+engine stand in as long as it honors the same contract: the statuses above,
+a point satisfying every constraint within the feasibility tolerance, and
+binaries integral within the integrality tolerance.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -27,8 +27,6 @@ from .encoding import MODE_SPLIT, MilpProblem, forward_basis, forward_point
 from .simplex import (INFEASIBLE, OPTIMAL, Basis, LpProblem, SolverFailure,
                       _certify, _replace_unchecked, prepare, solve_prepared)
 
-SAT = "sat"
-UNSAT = "unsat"
 UNKNOWN = "unknown"
 
 INTEGRALITY_TOL = 1e-6
@@ -36,17 +34,17 @@ INTEGRALITY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MilpOutcome:
-    """Result of a MILP solve.
+    """Result of a MILP solve: ``optimal``, ``infeasible`` or ``unknown``.
 
-    ``point`` holds a value for every problem variable (vid-indexed);
-    ``witness`` is its restriction to the input attributes;
-    ``lp_iterations`` sums the simplex iterations of every node.
+    An optimal outcome's ``point`` holds a value for every problem variable
+    (vid-indexed) and ``value`` is the minimized cost at it, 0 for a call
+    without one; ``lp_iterations`` sums the simplex iterations of every
+    node.
     """
 
     status: str
     value: Optional[float] = None
     point: Optional[np.ndarray] = None
-    witness: Optional[np.ndarray] = None
     node_count: int = 0
     wall_time: float = 0.0
     lp_iterations: int = 0
@@ -76,7 +74,7 @@ def _fractional_binaries(point: np.ndarray, binaries, tol: float) -> Optional[in
 
 class _ReluGraph:
     """An encoding's split neurons, for reading a node's LP solution against
-    the network (optimize calls only).
+    the network (calls with a cost only).
 
     ``incumbent`` runs the network forward from the point's inputs,
     clipped to the root's bounds; the result has integral binaries and is
@@ -87,8 +85,7 @@ class _ReluGraph:
     Bunel et al., JMLR 2020): the dual weight ``|y|`` on the neuron's two
     upper-side rows, times the widest gap the triangle leaves above the
     ReLU, ``-l u / (u - l)`` for its big-M constants ``l < 0 < u``; the
-    lowest vid on a tie.  None when no fractional binary scores above 0,
-    which is always the case for a zero cost (no duals).
+    lowest vid on a tie.  None when no fractional binary scores above 0.
     """
 
     def __init__(self, problem: MilpProblem, prep):
@@ -115,8 +112,6 @@ class _ReluGraph:
         return x
 
     def branching(self, point: np.ndarray, basis: Basis) -> Optional[int]:
-        if self.prep.cost is None:
-            return None
         z = point[self.z]
         fractional = np.abs(z - np.round(z)) > INTEGRALITY_TOL
         if not np.count_nonzero(fractional):
@@ -130,32 +125,32 @@ class _ReluGraph:
 
 def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, float]],
                       time_budget_ms: Optional[float]) -> MilpOutcome:
-    """Depth-first search over the binaries, minimizing ``objective``, or,
-    when it is None, stopping at the first node whose binaries are all
-    integral (its LPs have a zero ``c``, so the simplex skips phase 2).
+    """Depth-first search over the binaries, minimizing ``objective``; a
+    zero cost (None included, so that ``_Prepared.cost`` is None) stops at
+    the first node whose binaries are all integral, and the simplex skips
+    phase 2 on its LPs.
 
     A node is one LP solve under its own bounds, warm-started: the root
     from ``forward_basis``, each child from its parent's final basis.  Nodes
     whose relaxation is no better than the incumbent are dropped.  The
     search explores the branch matching the LP-relaxation value first.
 
-    A feasibility call branches on the most fractional binary.  A call with
-    an objective on an encoding with blocks also offers, at every node it
-    does not drop, the forward pass from the node's inputs as an incumbent
+    Without a cost the search branches on the most fractional binary.  With
+    one, on an encoding with blocks, it also offers, at every node it does
+    not drop, the forward pass from the node's inputs as an incumbent
     (``_ReluGraph.incumbent``), and drops the node at once if that matches
     its relaxation; it branches on the split neuron whose triangle
     relaxation the node's duals weigh most (``_ReluGraph.branching``), and
     on the most fractional binary when no fractional block binary carries
-    dual weight (a zero objective has no duals).  The value returned is the
-    minimized one.  Every node LP ends optimal or infeasible; a
+    dual weight.  Every node LP ends optimal or infeasible; a
     ``SolverFailure``, an unbounded relaxation included, ends the search.
     """
     start = time.perf_counter()
     deadline = None if time_budget_ms is None else start + time_budget_ms / 1000.0
-    feasibility = objective is None
     lp = milp_to_lp(problem, objective)
     prep = prepare(lp)
-    graph = _ReluGraph(problem, prep) if not feasibility and problem.blocks else None
+    graph = _ReluGraph(problem, prep) \
+        if prep.cost is not None and problem.blocks else None
     binaries = np.array(lp.binaries, dtype=np.intp)
     # a node is its bounds, rows lb and ub of one array, and its start basis
     stack: list[tuple] = [(np.array((lp.lb, lp.ub)), forward_basis(problem))]
@@ -164,10 +159,7 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
     best_point = None
 
     def result(status, value=None, point=None):
-        witness = None
-        if point is not None:
-            witness = point[np.array(problem.input_vids, dtype=int)].copy()
-        return MilpOutcome(status, value, point, witness, nodes,
+        return MilpOutcome(status, value, point, nodes,
                            time.perf_counter() - start, iterations)
 
     def dropped(value: float) -> bool:
@@ -195,8 +187,8 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
         if vid is None:
             vid = _fractional_binaries(outcome.point, binaries, INTEGRALITY_TOL)
         if vid is None:
-            if feasibility:
-                return result(SAT, None, outcome.point)
+            if prep.cost is None:
+                return result(OPTIMAL, outcome.value, outcome.point)
             best_value = outcome.value
             best_point = outcome.point
             continue
@@ -205,8 +197,6 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
             child = bounds.copy()
             child[0, vid] = child[1, vid] = value
             stack.append((child, outcome.basis))
-    if feasibility:
-        return result(UNSAT)
     if best_point is None:
         return result(INFEASIBLE)
     return result(OPTIMAL, best_value, best_point)
@@ -217,36 +207,32 @@ def solve_feasibility(problem: MilpProblem, *,
     """Search for any assignment with integral binaries.
 
     On an exhausted time budget the outcome is ``unknown``: callers must
-    treat it as "could be satisfiable".
+    treat it as "could be feasible".
     """
     return _branch_and_bound(problem, None, time_budget_ms)
 
 
-def optimize(problem: MilpProblem, objective: Mapping[int, float],
-             sense: str) -> MilpOutcome:
-    """Exact MILP optimum of ``objective`` (``sense`` is min or max)."""
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be min or max, got {sense!r}")
-    flip = -1.0 if sense == "max" else 1.0
-    internal = {vid: flip * coef for vid, coef in objective.items()}
-    out = _branch_and_bound(problem, internal, None)
-    if out.status != OPTIMAL:
-        return out
-    return replace(out, value=flip * out.value)
+def optimize(problem: MilpProblem, objective: Mapping[int, float]) -> MilpOutcome:
+    """Exact MILP minimum of ``objective``; negate it for a maximum."""
+    return _branch_and_bound(problem, objective, None)
 
 
 class SolverBackend(abc.ABC):
-    """Seam for swapping the MILP engine under the explanation loop."""
+    """Seam for swapping the MILP engine under the explanation loop.
+
+    Both calls minimize and end ``optimal``, ``infeasible`` or ``unknown``
+    (a time budget ran out); an optimal outcome carries its point, a value
+    for every problem variable."""
 
     @abc.abstractmethod
     def feasibility(self, problem: MilpProblem, *,
                     time_budget_ms: Optional[float] = None) -> MilpOutcome:
-        """Decide satisfiability; SAT must carry a valid witness."""
+        """Any point with integral binaries; optimal with value 0 if found."""
 
     @abc.abstractmethod
-    def optimize(self, problem: MilpProblem, objective: Mapping[int, float],
-                 sense: str) -> MilpOutcome:
-        """Exact optimum within 1e-6 relative tolerance."""
+    def optimize(self, problem: MilpProblem,
+                 objective: Mapping[int, float]) -> MilpOutcome:
+        """Exact minimum within 1e-6 relative tolerance."""
 
 
 class BranchAndBoundBackend(SolverBackend):
@@ -255,8 +241,8 @@ class BranchAndBoundBackend(SolverBackend):
     def feasibility(self, problem, *, time_budget_ms=None):
         return solve_feasibility(problem, time_budget_ms=time_budget_ms)
 
-    def optimize(self, problem, objective, sense):
-        return optimize(problem, objective, sense)
+    def optimize(self, problem, objective):
+        return optimize(problem, objective)
 
 
 DEFAULT_BACKEND = BranchAndBoundBackend()

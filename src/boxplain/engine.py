@@ -36,7 +36,7 @@ from numpy.random import default_rng
 
 from .box import (BoundsMap, ShortcutResult, box_propagate,
                   margin_lower_bounds, shortcut_check)
-from .bnb import (DEFAULT_BACKEND, SAT, UNKNOWN, UNSAT, MilpOutcome,
+from .bnb import (DEFAULT_BACKEND, INFEASIBLE, OPTIMAL, UNKNOWN, MilpOutcome,
                   SolverBackend)
 from .encoding import (MilpProblem, attach_rival_query, encode_network,
                        encode_prefix, fix_attributes, forward_point,
@@ -170,16 +170,17 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
     """Per-neuron bounds over the whole input domain.
 
     ``milp`` optimizes each pre-activation exactly, layer by layer: layer
-    ``l``'s bounds are the minimum and maximum of each output of its prefix
-    (``encode_prefix``), whose big-M constants are the bounds already proven
-    for earlier layers.  Layer 0 sees only the input box, over which
-    interval propagation is already exact (up to rounding), so it takes the
-    box bounds without a solve.
-    Every solved neuron and sense logs one DEBUG line on this module's
-    logger: layer (the output layer numbers after the hidden ones), neuron,
-    B&B nodes, LP iterations, seconds, and whether the optimum is a
+    ``l``'s bounds are the minimum of each output of its prefix
+    (``encode_prefix``) and the negated minimum of its negation; the
+    prefix's big-M constants are the bounds already proven for earlier
+    layers.  Layer 0 sees only the input box, over which interval
+    propagation is already exact (up to rounding), so it takes the box
+    bounds without a solve.
+    Every solved neuron and end (min or max) logs one DEBUG line on this
+    module's logger: layer (the output layer numbers after the hidden ones),
+    neuron, B&B nodes, LP iterations, seconds, and whether the optimum is a
     forward-pass incumbent or an LP leaf.  A bound MILP that is not optimal
-    raises ``SolverFailure`` naming its sense.  ``box`` falls back to plain
+    raises ``SolverFailure`` naming its end.  ``box`` falls back to plain
     interval propagation.
     """
     bounds = box_propagate(net, domain.lows, domain.highs)
@@ -197,14 +198,14 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
         width = len(prefix.output_vids)
         lo, hi = np.zeros(width), np.zeros(width)
         for j, vid in enumerate(prefix.output_vids):
-            for sense, found in (("min", lo), ("max", hi)):
+            for end, sign, found in (("min", 1.0, lo), ("max", -1.0, hi)):
                 start = time.perf_counter()
-                out = backend.optimize(prefix, {vid: 1.0}, sense)
+                out = backend.optimize(prefix, {vid: sign})
                 seconds = time.perf_counter() - start
-                if out.status != "optimal":
+                if out.status != OPTIMAL:
                     raise SolverFailure(
-                        f"bound optimization failed: {sense} {out.status}")
-                found[j] = out.value
+                        f"bound optimization failed: {end} {out.status}")
+                found[j] = sign * out.value
                 if logger.isEnabledFor(logging.DEBUG):
                     # an incumbent from the forward pass is exactly the
                     # forward point of its own inputs; an LP leaf is not
@@ -213,7 +214,7 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
                                              out.point)
                     logger.debug(
                         "tight %s layer %d neuron %d: %d nodes, %d LP "
-                        "iterations, %.6f s, %s", sense, l, j, out.node_count,
+                        "iterations, %.6f s, %s", end, l, j, out.node_count,
                         out.lp_iterations, seconds,
                         "forward-pass incumbent" if forward else "LP leaf")
         layers[l] = (lo, hi)
@@ -242,10 +243,12 @@ def is_entailed(problem: MilpProblem, target: int, *,
     feasibility query per class in ``rivals``, the distinct non-target
     classes still to decide (every class but the target, in index order, by
     default), in that order, stopping at the first counterexample, and
-    appends each query's ``MilpOutcome`` to ``outcomes`` when given.  Returns
-    ``(True, None)`` when no rival in ``rivals`` can win, ``(False,
-    witness)``, or ``(None, None)`` when a time budget ran out before a
-    decision; any other query status raises ``SolverFailure``.
+    appends each query's ``MilpOutcome`` to ``outcomes`` when given.  An
+    optimal outcome is a counterexample, an infeasible one proves its rival
+    cannot win.  Returns ``(True, None)`` when no rival in ``rivals`` can
+    win, ``(False, witness)`` with the counterexample's point restricted to
+    ``problem.input_vids``, or ``(None, None)`` when a time budget ran out
+    before a decision; any other query status raises ``SolverFailure``.
     """
     k = len(problem.output_vids)
     if not 0 <= target < k:
@@ -260,11 +263,11 @@ def is_entailed(problem: MilpProblem, target: int, *,
         outcome = backend.feasibility(query, time_budget_ms=time_budget_ms)
         if outcomes is not None:
             outcomes.append(outcome)
-        if outcome.status == SAT:
-            return False, outcome.witness
+        if outcome.status == OPTIMAL:
+            return False, outcome.point[np.array(problem.input_vids, dtype=int)]
         if outcome.status == UNKNOWN:
             return None, None
-        if outcome.status != UNSAT:
+        if outcome.status != INFEASIBLE:
             raise SolverFailure(f"unexpected solver status {outcome.status!r}")
     return True, None
 
@@ -418,7 +421,7 @@ def _beaten(net: Network, point: np.ndarray, target: int) -> bool:
     """Whether an exact forward pass at ``point`` puts a rival at or above
     the target (ties count, as in ``attach_rival_query``).  Such a point
     satisfies the rows of the rival query, whose hidden values follow from
-    the inputs, so the solver would answer SAT as well."""
+    the inputs, so the solver would find that query feasible as well."""
     exact = forward(net, point).outputs
     return bool(np.delete(exact, target).max() >= exact[target])
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -156,12 +157,22 @@ class Activations:
         return self.post[-1]
 
 
+def _input_dim(value) -> int:
+    """``value`` as an int; ModelFormatError unless it is an integer value,
+    so a bool, a string or 2.9 is rejected, not truncated."""
+    integral = isinstance(value, numbers.Integral) or \
+        isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ModelFormatError(f"input_dim must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_network(document: dict) -> Network:
     """Build a validated :class:`Network` from a model document (see README schema)."""
     if not isinstance(document, dict):
         raise ModelFormatError("model document must be a JSON object")
     try:
-        input_dim = int(document["input_dim"])
+        input_dim = _input_dim(document["input_dim"])
         raw_layers = document["layers"]
     except KeyError as exc:
         raise ModelFormatError(f"missing required key {exc.args[0]!r}") from None
@@ -185,7 +196,7 @@ def load_domain(document: dict) -> InputDomain:
     except KeyError:
         raise ModelFormatError("missing required key 'input_domain'") from None
     domain = InputDomain.from_pairs(pairs)
-    if domain.size != int(document.get("input_dim", domain.size)):
+    if domain.size != _input_dim(document.get("input_dim", domain.size)):
         raise ModelFormatError(
             f"input_domain has {domain.size} entries, input_dim is {document['input_dim']}"
         )
@@ -219,15 +230,10 @@ def forward(net: Network, point) -> Activations:
     x = np.asarray(point, dtype=np.float64)
     if x.shape != (net.input_dim,):
         raise ValueError(f"point has shape {x.shape}, expected ({net.input_dim},)")
-    pre, post = [], []
-    cur = x
-    for layer in net.layers:
-        z = layer.weights @ cur + layer.biases
-        a = np.maximum(z, 0.0) if layer.activation == RELU else z
-        pre.append(z)
-        post.append(a)
-        cur = a
-    return Activations(tuple(pre), tuple(post))
+    pre = tuple(z[0] for z in batch_pre_activations(net, x[None]))
+    post = tuple(np.maximum(z, 0.0) if layer.activation == RELU else z
+                 for layer, z in zip(net.layers, pre))
+    return Activations(pre, post)
 
 
 def batch_pre_activations(net: Network,
@@ -235,8 +241,8 @@ def batch_pre_activations(net: Network,
     """Every layer's pre-activations for a (m, input_dim) batch, one (m,
     width) array per layer, the outputs last.
 
-    Agrees with forward() per row up to BLAS accumulation-order noise
-    (~1e-16 relative), not bit-for-bit.
+    A one-row batch is ``forward``; other rows agree with it up to BLAS
+    accumulation-order noise (~1e-16 relative).
     """
     cur = np.asarray(points, dtype=np.float64).T
     if cur.ndim != 2 or cur.shape[0] != net.input_dim:

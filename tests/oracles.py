@@ -10,7 +10,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from boxplain.bnb import SAT, UNSAT, MilpOutcome, milp_to_lp
+from boxplain.bnb import MilpOutcome, milp_to_lp
 from boxplain.simplex import (_AT_LOWER, _AT_UPPER, EQ, FEAS_TOL, GE, INF,
                               INFEASIBLE, LE, OPTIMAL, PIVOT_TOL,
                               LpProblem, SolverFailure, _Simplex, prepare,
@@ -120,13 +120,13 @@ def _forced_violation(lp: LpProblem, lb, ub) -> np.ndarray:
     return np.maximum(over, under)
 
 
-def oracle_enumerate(problem, objective=None, sense="min") -> MilpOutcome:
+def oracle_enumerate(problem, objective=None) -> MilpOutcome:
     """Ground truth by exhausting every 0/1 assignment of the binaries.
 
     One LP per assignment; refuses problems with more than
-    ``ORACLE_BINARY_CAP`` binaries.  Without an objective this is a
-    feasibility check (first satisfiable assignment wins); with one it
-    returns the exact optimum.  The loop is its own, not branch and bound's,
+    ``ORACLE_BINARY_CAP`` binaries.  It minimizes ``objective``; without
+    one, or with an all-zero one, the first feasible assignment wins, as in
+    branch and bound.  The loop is its own, not branch and bound's,
     because branch and bound is what it checks.  Every LP starts cold from
     phase 1, with no ``warm`` basis: branch and bound starts each root from
     the encoding's forward-pass basis and re-solves each child warm from its
@@ -140,10 +140,7 @@ def oracle_enumerate(problem, objective=None, sense="min") -> MilpOutcome:
     if len(binaries) > ORACLE_BINARY_CAP:
         raise ValueError(
             f"oracle refuses {len(binaries)} binaries (cap {ORACLE_BINARY_CAP})")
-    feasibility = objective is None
-    flip = -1.0 if sense == "max" else 1.0
-    internal = None if feasibility else {v: flip * c for v, c in objective.items()}
-    lp = milp_to_lp(problem, internal)
+    lp = milp_to_lp(problem, objective)
     prep = prepare(lp)
     row_tol = FEAS_TOL * np.maximum(1.0, np.abs(lp.rhs))
     nodes = 0
@@ -158,23 +155,13 @@ def oracle_enumerate(problem, objective=None, sense="min") -> MilpOutcome:
         outcome = solve_prepared(prep, lb, ub)
         if outcome.status != OPTIMAL:
             continue
-        if feasibility:
-            best_point = outcome.point
-            break
         if outcome.value < best_value:
             best_value = outcome.value
             best_point = outcome.point
-    if feasibility:
-        status, value = (SAT if best_point is not None else UNSAT), None
-    elif best_point is None:
-        status, value = INFEASIBLE, None
-    else:
-        status, value = OPTIMAL, flip * best_value
-    witness = None
-    if best_point is not None:
-        witness = best_point[np.array(problem.input_vids, dtype=int)].copy()
-    return MilpOutcome(status, value, best_point, witness, nodes,
-                       time.perf_counter() - start)
+            if prep.cost is None:
+                break
+    status, value = (INFEASIBLE, None) if best_point is None else (OPTIMAL, best_value)
+    return MilpOutcome(status, value, best_point, nodes, time.perf_counter() - start)
 
 
 # The reference loops, ``reference_run`` and ``reference_run_dual``, price

@@ -179,12 +179,12 @@ def test_criterion_03_pinned_refinement_values(demo):
 
 @criterion(4, "worked MILP example: minimum 1.0 at (x1, z1) = (1, 1)")
 def test_criterion_04_worked_milp(worked_milp):  # noqa: F811
-    out = optimize(worked_milp, {1: 1.0}, "min")
+    out = optimize(worked_milp, {1: 1.0})
     assert out.status == "optimal"
     assert out.value == pytest.approx(1.0, abs=1e-6)
     assert out.point[0] == pytest.approx(1.0, abs=1e-6)
     assert out.point[2] == pytest.approx(1.0, abs=1e-6)
-    truth = oracle_enumerate(worked_milp, {1: 1.0}, "min")
+    truth = oracle_enumerate(worked_milp, {1: 1.0})
     assert truth.value == pytest.approx(1.0, abs=1e-6)
 
 

@@ -47,28 +47,28 @@ def domain_box(net, domain):
 
 class TestWorkedMilp:
     def test_optimize_minimum(self, worked_milp):
-        out = optimize(worked_milp, {1: 1.0}, "min")
+        out = optimize(worked_milp, {1: 1.0})
         assert out.status == "optimal"
         assert out.value == pytest.approx(1.0, abs=1e-6)
         assert out.point[0] == pytest.approx(1.0, abs=1e-6)
         assert out.point[2] == pytest.approx(1.0, abs=1e-6)
 
     def test_oracle_agrees(self, worked_milp):
-        truth = oracle_enumerate(worked_milp, {1: 1.0}, "min")
+        truth = oracle_enumerate(worked_milp, {1: 1.0})
         assert truth.status == "optimal"
         assert truth.value == pytest.approx(1.0, abs=1e-6)
         assert truth.node_count == 2
 
     def test_feasibility_sat(self, worked_milp):
         out = solve_feasibility(worked_milp)
-        assert out.status == "sat"
+        assert out.status == "optimal"
         assert abs(out.point[2] - round(out.point[2])) <= 1e-6
 
     def test_maximize(self, worked_milp):
-        out = optimize(worked_milp, {1: 1.0}, "max")
-        truth = oracle_enumerate(worked_milp, {1: 1.0}, "max")
+        out = optimize(worked_milp, {1: -1.0})
+        truth = oracle_enumerate(worked_milp, {1: -1.0})
         assert out.value == pytest.approx(truth.value, abs=1e-6)
-        assert out.value == pytest.approx(7.0, abs=1e-6)  # y1 = 3*3 - 2
+        assert -out.value == pytest.approx(7.0, abs=1e-6)  # y1 = 3*3 - 2
 
 
 class TestTrivial:
@@ -76,15 +76,15 @@ class TestTrivial:
         p = make_problem(make_lp([[1.0], [1.0]], (GE, LE), [2.0, 1.0],
                                  [-10.0], [10.0]), input_vids=(0,))
         out = solve_feasibility(p)
-        assert out.status == "unsat"
+        assert out.status == "infeasible"
         assert out.node_count == 1
 
     def test_no_binaries_single_lp(self):
         p = make_problem(make_lp([[1.0]], (GE,), [0.5], [0.0], [1.0]),
                          input_vids=(0,))
         out = solve_feasibility(p)
-        assert out.status == "sat" and out.node_count == 1
-        best = oracle_enumerate(p, {0: 1.0}, "min")
+        assert out.status == "optimal" and out.node_count == 1
+        best = oracle_enumerate(p, {0: 1.0})
         assert best.value == pytest.approx(0.5, abs=1e-9)
         assert best.node_count == 1
 
@@ -105,8 +105,8 @@ class TestDemoQueries:
         problem = encode_network(demo_net, domain_box(demo_net, demo_domain))
         fixed = fix_attributes(problem, *pinned_box(demo_domain, {0: 0.7}))
         query = attach_rival_query(fixed, 0, 1)
-        assert solve_feasibility(query).status == "unsat"
-        assert oracle_enumerate(query).status == "unsat"
+        assert solve_feasibility(query).status == "infeasible"
+        assert oracle_enumerate(query).status == "infeasible"
 
     def test_second_attribute_fixed_is_sat_with_valid_witness(self, demo_net,
                                                               demo_domain):
@@ -114,11 +114,12 @@ class TestDemoQueries:
         fixed = fix_attributes(problem, *pinned_box(demo_domain, {1: 0.2}))
         query = attach_rival_query(fixed, 0, 1)
         out = solve_feasibility(query)
-        assert out.status == "sat"
-        assert oracle_enumerate(query).status == "sat"
-        outs = forward(demo_net, out.witness).outputs
+        assert out.status == "optimal"
+        assert oracle_enumerate(query).status == "optimal"
+        witness = out.point[list(query.input_vids)]
+        outs = forward(demo_net, witness).outputs
         assert outs[1] >= outs[0] - 1e-6
-        assert out.witness[1] == pytest.approx(0.2, abs=1e-9)
+        assert witness[1] == pytest.approx(0.2, abs=1e-9)
 
 
 class TestRandomAgreement:
@@ -141,8 +142,8 @@ class TestRandomAgreement:
                 got = solve_feasibility(query)
                 truth = oracle_enumerate(query)
                 assert got.status == truth.status
-                if got.status == "sat":
-                    outs = forward(net, got.witness).outputs
+                if got.status == "optimal":
+                    outs = forward(net, got.point[list(query.input_vids)]).outputs
                     rel = np.abs(outs).max() + 1.0
                     # witness outputs agree with the o variables of the point
                     for j, vid in enumerate(query.output_vids):
@@ -150,9 +151,10 @@ class TestRandomAgreement:
                     assert outs[rival] >= outs[target] - 1e-6 * rel
                 checked += 1
             obj = {problem.output_vids[0]: 1.0}
-            for sense in ("min", "max"):
-                got = optimize(base, obj, sense)
-                truth = oracle_enumerate(base, obj, sense)
+            for sign in (1.0, -1.0):
+                objective = {v: sign * c for v, c in obj.items()}
+                got = optimize(base, objective)
+                truth = oracle_enumerate(base, objective)
                 assert got.status == truth.status == "optimal"
                 assert got.value == pytest.approx(truth.value, rel=1e-6, abs=1e-6)
         assert checked >= 25
@@ -176,13 +178,13 @@ def test_lp_iterations_sum_over_nodes(monkeypatch):
         target = predict(net, random_instance(rng, net, domain))
         rival = (target + 1) % net.class_count
         calls = (lambda: solve_feasibility(attach_rival_query(problem, target, rival)),
-                 lambda: optimize(problem, {problem.output_vids[0]: 1.0}, "max"))
+                 lambda: optimize(problem, {problem.output_vids[0]: -1.0}))
         for call in calls:
             per_node.clear()
             out = call()
             assert out.node_count == len(per_node)
             assert out.lp_iterations == sum(per_node)
-            if out.status == "sat" and out.lp_iterations == 0:
+            if out.status == "optimal" and out.lp_iterations == 0:
                 # the root's forward-pass basis was already a witness
                 assert out.node_count == 1
             branched += out.node_count > 1
@@ -206,7 +208,7 @@ def test_every_root_starts_from_the_forward_basis(monkeypatch):
         problem = encode_network(net, domain_box(net, domain))
         query = attach_rival_query(problem, 0, 1)
         for source, call in ((query, lambda: solve_feasibility(query)),
-                             (problem, lambda: optimize(problem, {0: 1.0}, "min"))):
+                             (problem, lambda: optimize(problem, {0: 1.0}))):
             starts.clear()
             call()
             expected = forward_basis(source)
@@ -233,12 +235,12 @@ def test_problems_without_blocks_match_oracle():
         truth = oracle_enumerate(problem)
         assert got.status == truth.status
         statuses.add(got.status)
-        if got.status == "sat":
+        if got.status == "optimal":
             objective = {j: float(c) for j, c in enumerate(lp.c)}
-            best = optimize(problem, objective, "min")
-            value = oracle_enumerate(problem, objective, "min").value
+            best = optimize(problem, objective)
+            value = oracle_enumerate(problem, objective).value
             assert best.value == pytest.approx(value, rel=1e-6, abs=1e-6)
-    assert statuses == {"sat", "unsat"}
+    assert statuses == {"optimal", "infeasible"}
 
 
 def test_abandoned_forward_root_gives_the_cold_answer(monkeypatch):
@@ -350,8 +352,8 @@ def test_optimize_branches_on_the_relu_the_duals_weigh_most(monkeypatch):
         assert len(picks) == before  # feasibility keeps the most fractional rule
         for l in range(1, len(net.hidden_layers)):
             prefix = encode_prefix(net, bounds, l)
-            optimize(prefix, {prefix.blocks[-1].post_var: 1.0}, "max")
-        optimize(problem, {problem.output_vids[0]: 1.0}, "min")
+            optimize(prefix, {prefix.blocks[-1].post_var: -1.0})
+        optimize(problem, {problem.output_vids[0]: 1.0})
     branched = 0
     for problem, prep, point, basis, vid in picks:
         # the duals solve y B = c_B for the node's basis
@@ -364,36 +366,37 @@ def test_optimize_branches_on_the_relu_the_duals_weigh_most(monkeypatch):
 
 
 def test_zero_objective_never_reads_duals(monkeypatch):
-    # {vid: 0.0} makes an optimize call whose _Prepared.cost is None: no
-    # duals, so every branching falls back to the most fractional binary,
-    # and the answer is that of a feasibility search with value 0
-    calls = []
-    branching = bnb._ReluGraph.branching
+    # {vid: 0.0} or {vid: -0.0} makes an optimize call whose _Prepared.cost
+    # is None: it builds no _ReluGraph, so it reads no duals, and it is a
+    # feasibility search whose answer has value 0
+    built = []
 
-    def recorded(graph, point, basis):
-        vid = branching(graph, point, basis)
-        calls.append((graph.prep.cost is None, vid))
-        return vid
+    class Recorded(bnb._ReluGraph):
+        def __init__(self, problem, prep):
+            built.append(prep.cost is None)
+            super().__init__(problem, prep)
 
-    monkeypatch.setattr(bnb._ReluGraph, "branching", recorded)
+    monkeypatch.setattr(bnb, "_ReluGraph", Recorded)
     rng = np.random.default_rng(3)
     statuses = []
     for _ in range(30):
         net, domain = random_network(rng)
         problem = encode_network(net, domain_box(net, domain))
         query = attach_rival_query(problem, 0, 1)
-        for sense in ("min", "max"):
-            # the forward pass from the root's inputs is an incumbent whose
-            # value matches the root's, so the search ends there
-            got = optimize(problem, {problem.output_vids[0]: 0.0}, sense)
+        for zero in (0.0, -0.0):
+            # the root starts from the forward pass of its encoding, whose
+            # binaries are integral, so the search ends there
+            got = optimize(problem, {problem.output_vids[0]: zero})
             assert (got.status, got.value, got.node_count) == (OPTIMAL, 0.0, 1)
-            got = optimize(query, {query.output_vids[0]: 0.0}, sense)
-            truth = oracle_enumerate(query, {query.output_vids[0]: 0.0}, sense)
+            got = optimize(query, {query.output_vids[0]: zero})
+            truth = oracle_enumerate(query, {query.output_vids[0]: zero})
             assert got.status == truth.status
             if got.status == OPTIMAL:
                 assert got.value == 0.0
             statuses.append(got.status)
-    assert calls and calls == [(True, None)] * len(calls)
+        # a nonzero cost on the same encoding does build one
+        optimize(problem, {problem.output_vids[0]: 1.0})
+    assert built == [False] * 30
     assert "infeasible" in statuses and OPTIMAL in statuses
 
 
@@ -444,8 +447,8 @@ def test_dual_weighted_branching_takes_fewer_nodes(monkeypatch):
         def __init__(self):
             self.nodes = 0
 
-        def optimize(self, problem, objective, sense):
-            out = super().optimize(problem, objective, sense)
+        def optimize(self, problem, objective):
+            out = super().optimize(problem, objective)
             self.nodes += out.node_count
             return out
 
@@ -486,9 +489,10 @@ def test_optimize_over_rival_queries_matches_oracle(monkeypatch):
         net, domain = random_network(rng)
         query = attach_rival_query(encode_network(net, domain_box(net, domain)), 0, 1)
         margin = {query.output_vids[1]: 1.0, query.output_vids[0]: -1.0}
-        for sense in ("min", "max"):
-            got = optimize(query, margin, sense)
-            truth = oracle_enumerate(query, margin, sense)
+        for sign in (1.0, -1.0):
+            objective = {v: sign * c for v, c in margin.items()}
+            got = optimize(query, objective)
+            truth = oracle_enumerate(query, objective)
             assert got.status == truth.status
             if got.status == OPTIMAL:
                 assert got.value == pytest.approx(truth.value, rel=1e-6, abs=1e-6)
@@ -502,9 +506,9 @@ def test_backend_contract():
     p = make_problem(make_lp([[1.0, 1.0]], (GE,), [1.5], [0.0, 0.0], [1.0, 1.0],
                              binaries=(1,)), input_vids=(0,))
     out = backend.feasibility(p)
-    assert out.status == "sat"
-    assert out.witness.shape == (1,)
-    best = backend.optimize(p, {0: 1.0}, "min")
+    assert out.status == "optimal"
+    assert out.point.shape == (2,)
+    best = backend.optimize(p, {0: 1.0})
     assert best.value == pytest.approx(0.5, abs=1e-6)
 
 
@@ -528,8 +532,8 @@ def _tree_nodes(monkeypatch):
                 if rival != target:
                     solve_feasibility(attach_rival_query(problem, target, rival))
         for vid in problem.output_vids:
-            for sense in ("min", "max"):
-                optimize(problem, {vid: 1.0}, sense)
+            for sign in (1.0, -1.0):
+                optimize(problem, {vid: sign})
     return nodes
 
 

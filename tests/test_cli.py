@@ -206,6 +206,14 @@ class TestExplain:
         assert (code, out) == (2, "")
         assert "error: output layer must have at least 2 classes" in err
 
+    def test_fractional_input_dim_is_input_error(self, capsys, tmp_path,
+                                                 demo_instances):
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps({**DEMO_DOC, "input_dim": 2.9}))
+        code, out, err = run_cli(capsys, "explain", str(path), str(demo_instances))
+        assert (code, out) == (2, "")
+        assert "error: input_dim must be an integer, got 2.9" in err
+
     def test_solver_failure_while_building_the_explainer(self, capsys, monkeypatch,
                                                          demo_model_path,
                                                          demo_instances):

@@ -16,7 +16,7 @@ from boxplain.engine import (Decision, EngineConfig, Explainer, Explanation,
                              verify_explanation)
 from boxplain.model import IDENTITY, RELU, InputDomain, Layer, Network, forward, predict
 from boxplain.simplex import FEAS_TOL, SolverFailure, _certify, prepare
-from conftest import DEMO_INSTANCE, pinned_box
+from conftest import DEMO_INSTANCE, MODELS, pinned_box
 from netgen import random_instance, random_network
 from oracles import ORACLE_BINARY_CAP, oracle_enumerate
 
@@ -36,10 +36,10 @@ class TestTightBounds:
 
     def test_failed_bound_milp_names_its_sense(self, demo_net, demo_domain):
         class NoMaximum(BranchAndBoundBackend):
-            def optimize(self, problem, objective, sense):
-                if sense == "max":
+            def optimize(self, problem, objective):
+                if min(objective.values()) < 0.0:  # a maximum, negated
                     return MilpOutcome("infeasible")
-                return super().optimize(problem, objective, sense)
+                return super().optimize(problem, objective)
 
         with pytest.raises(RuntimeError,
                            match="bound optimization failed: max infeasible"):
@@ -90,8 +90,9 @@ class TestTightBounds:
             for j in range(layer.width):
                 objective = dict(zip(prefix.input_vids, map(float, layer.weights[j])))
                 bias = float(layer.biases[j])
-                lo = optimize(prefix, objective, "min").value + bias
-                hi = optimize(prefix, objective, "max").value + bias
+                lo = optimize(prefix, objective).value + bias
+                negated = {vid: -c for vid, c in objective.items()}
+                hi = -optimize(prefix, negated).value + bias
                 assert lo == pytest.approx(tight.pre_lo[0][j], abs=1e-9)
                 assert hi == pytest.approx(tight.pre_hi[0][j], abs=1e-9)
 
@@ -131,7 +132,7 @@ class TestTightBounds:
             net, domain = random_network(rng, depth=depth)
             backend = _RecordingOptimize()
             Explainer(net, domain, EngineConfig(backend=backend))
-            for problem, objective, sense, out in backend.calls:
+            for problem, objective, out in backend.calls:
                 assert out.status == "optimal"
                 point = out.point
                 z = point[list(problem.binary_vids)]
@@ -161,8 +162,9 @@ class TestTightBounds:
         expected = [(sense, l, j) for l in range(1, len(net.layers))
                     for j in range(net.layers[l].width) for sense in ("min", "max")]
         assert [(m[1], int(m[2]), int(m[3])) for m in lines] == expected
-        for m, (problem, _, sense, out) in zip(lines, backend.calls):
-            assert m[1] == sense
+        for m, (problem, objective, out) in zip(lines, backend.calls):
+            (coef,) = objective.values()
+            assert m[1] == ("min" if coef > 0.0 else "max")
             assert (int(m[4]), int(m[5])) == (out.node_count, out.lp_iterations)
             inputs = out.point[list(problem.input_vids)]
             from_forward = np.array_equal(forward_point(problem, inputs), out.point)
@@ -184,8 +186,8 @@ def _bounds_match_the_oracle(net, domain) -> int:
         prefix = encode_prefix(net, seen, l)
         assert len(prefix.binary_vids) <= ORACLE_BINARY_CAP
         for j, vid in enumerate(prefix.output_vids):
-            for sense, got in (("min", found_lo[l][j]), ("max", found_hi[l][j])):
-                truth = oracle_enumerate(prefix, {vid: 1.0}, sense).value
+            for sign, got in ((1.0, found_lo[l][j]), (-1.0, found_hi[l][j])):
+                truth = sign * oracle_enumerate(prefix, {vid: sign}).value
                 assert got == pytest.approx(truth, rel=1e-6, abs=1e-6)
                 compared += 1
     return compared
@@ -196,11 +198,11 @@ class _RecordingOptimize(BranchAndBoundBackend):
 
     def __init__(self):
         super().__init__()
-        self.calls = []  # (problem, objective, sense, outcome)
+        self.calls = []  # (problem, objective, outcome)
 
-    def optimize(self, problem, objective, sense):
-        out = super().optimize(problem, objective, sense)
-        self.calls.append((problem, objective, sense, out))
+    def optimize(self, problem, objective):
+        out = super().optimize(problem, objective)
+        self.calls.append((problem, objective, out))
         return out
 
 
@@ -574,14 +576,14 @@ class TestRivalOrder:
         assert len(outcomes) == 1
 
     def test_unexpected_status_is_a_solver_failure(self):
-        class Optimal(BranchAndBoundBackend):
+        class Sat(BranchAndBoundBackend):
             def feasibility(self, problem, *, time_budget_ms=None):
-                return MilpOutcome("optimal")
+                return MilpOutcome("sat")  # not a MILP status
 
         net, domain = random_network(np.random.default_rng(103), n_classes=3)
         problem = Explainer(net, domain).base_problem
-        with pytest.raises(SolverFailure, match="unexpected solver status 'optimal'"):
-            is_entailed(problem, 0, backend=Optimal())
+        with pytest.raises(SolverFailure, match="unexpected solver status 'sat'"):
+            is_entailed(problem, 0, backend=Sat())
 
     def test_order_changes_no_answer(self):
         rng = np.random.default_rng(107)
@@ -758,3 +760,16 @@ class TestVerification:
                                         samples=400, rng=4,
                                         base_problem=ex.base_problem)
             assert report.ok
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    # the README's "Library" block, run from the repository root as written
+    root = MODELS.parent
+    text = (root / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", text, re.S | re.M)
+    monkeypatch.chdir(root)
+    namespace = {}
+    exec(compile(block[1], "README.md", "exec"), namespace)
+    assert namespace["explanation"].kept == ((0, 0.7),)
+    assert namespace["report"].ok
+    assert capsys.readouterr().out.splitlines()[0] == "((0, 0.7),)"

@@ -111,6 +111,23 @@ class TestLoad:
             load_network(doc)
             load_domain(doc)
 
+    @pytest.mark.parametrize("value", [2.9, True, "2", "1", None, [2],
+                                       float("nan"), float("inf")])
+    def test_input_dim_not_an_integer_is_rejected(self, value):
+        # not truncated: int() would load 2.9 as 2, True and "1" as 1
+        doc = {**DEMO_DOC, "input_dim": value}
+        for load in (load_network, load_domain):
+            message = f"input_dim must be an integer, got {value!r}"
+            with pytest.raises(ModelFormatError, match=re.escape(message)):
+                load(doc)
+
+    @pytest.mark.parametrize("value", [2, 2.0])
+    def test_integral_input_dim_loads(self, value):
+        doc = {**DEMO_DOC, "input_dim": value}
+        net = load_network(doc)
+        assert net.input_dim == 2 and type(net.input_dim) is int
+        assert load_domain(doc).size == 2
+
     def test_domain_arrays_of_unequal_shape(self):
         with pytest.raises(ModelFormatError, match="1-d and equally sized"):
             InputDomain(np.zeros(2), np.ones(3))

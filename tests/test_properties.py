@@ -18,8 +18,8 @@ from boxplain.box import box_propagate, margin_lower_bounds  # noqa: E402
 from boxplain.encoding import fix_attributes, merge_bounds  # noqa: E402
 from boxplain.engine import (ASCENT_STARTS, Decision, Explainer,  # noqa: E402
                              _ascended, _query_box, _sampled, is_entailed)
-from boxplain.model import (Layer, Network, batch_outputs, forward,  # noqa: E402
-                            predict)
+from boxplain.model import (InputDomain, Layer, Network,  # noqa: E402
+                            batch_outputs, forward, predict)
 from conftest import pinned_box  # noqa: E402
 from netgen import random_instance, random_network  # noqa: E402
 from oracles import ORACLE_BINARY_CAP, oracle_enumerate  # noqa: E402
@@ -89,6 +89,28 @@ def test_shortcuts_keep_what_the_solver_keeps(seed, gap, duplicate, dead):
                 ex.base_problem, *pinned_box(domain, {j: instance[j] for j in fixed}))
             entailed, _ = is_entailed(problem, ours.target)
             assert entailed is False
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_zero_width_attributes_are_never_kept(seed):
+    # about 40% of the attributes get a domain of the instance's value
+    # alone: freeing one changes no query, so neither mode keeps it
+    rng = np.random.default_rng(seed)
+    net, domain = random_network(rng)
+    instance = random_instance(rng, net, domain)
+    pinned = rng.uniform(size=net.input_dim) < 0.4
+    hypothesis.assume(pinned.any())
+    top = np.sort(forward(net, instance).outputs)
+    hypothesis.assume(top[-1] - top[-2] >= 1e-3)
+    domain = InputDomain(np.where(pinned, instance, domain.lows),
+                         np.where(pinned, instance, domain.highs))
+
+    ex = Explainer(net, domain)
+    base, _ = ex.explain(instance, "baseline")
+    ours, _ = ex.explain(instance, "improved")
+    assert base.kept == ours.kept
+    assert not pinned[list(ours.kept_indices)].any()
 
 
 # below the solver's 1e-6 row tolerance, and just above it
