@@ -225,9 +225,11 @@ def compute_tight_bounds(net: Network, domain: InputDomain,
 def attribute_order(order: Optional[tuple], n: int) -> tuple:
     """``order`` as a tuple of attribute indices, index order for None;
     ValueError unless its entries equal a permutation of ``0..n-1``, so an
-    entry that is not an integer value is rejected, not truncated."""
+    entry that is not an integer value is rejected, not truncated, and
+    unless none is a bool, which would compare equal to 0 or 1."""
     resolved = tuple(range(n)) if order is None else tuple(order)
-    if sorted(resolved) != list(range(n)):
+    if any(isinstance(i, (bool, np.bool_)) for i in resolved) \
+            or sorted(resolved) != list(range(n)):
         raise ValueError(f"order must be a permutation of 0..{n - 1}")
     return tuple(int(i) for i in resolved)
 

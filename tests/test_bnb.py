@@ -331,14 +331,19 @@ def _dual_weighted_by_loop(problem, prep, point, basis, tol):
 
 
 def test_optimize_branches_on_the_relu_the_duals_weigh_most(monkeypatch):
-    picks = []
-    branching = bnb._ReluGraph.branching
+    picks, bases = [], []
+    duals, branching = bnb._ReluGraph.duals, bnb._ReluGraph.branching
 
-    def recorded(graph, point, basis):
-        vid = branching(graph, point, basis)
-        picks.append((graph.problem, graph.prep, point, basis, vid))
+    def recorded_duals(graph, basis):
+        bases.append(basis)
+        return duals(graph, basis)
+
+    def recorded(graph, point, y):
+        vid = branching(graph, point, y)
+        picks.append((graph.problem, graph.prep, point, bases[-1], y, vid))
         return vid
 
+    monkeypatch.setattr(bnb._ReluGraph, "duals", recorded_duals)
     monkeypatch.setattr(bnb._ReluGraph, "branching", recorded)
     rng = np.random.default_rng(109)
     for _ in range(10):
@@ -355,10 +360,9 @@ def test_optimize_branches_on_the_relu_the_duals_weigh_most(monkeypatch):
             optimize(prefix, {prefix.blocks[-1].post_var: -1.0})
         optimize(problem, {problem.output_vids[0]: 1.0})
     branched = 0
-    for problem, prep, point, basis, vid in picks:
+    for problem, prep, point, basis, y, vid in picks:
         # the duals solve y B = c_B for the node's basis
-        duals = prep.cost[basis.columns] @ basis.inverse
-        assert np.allclose(duals @ prep.A[:, basis.columns], prep.cost[basis.columns])
+        assert np.allclose(y @ prep.A[:, basis.columns], prep.cost[basis.columns])
         assert vid == _dual_weighted_by_loop(problem, prep, point, basis,
                                              bnb.INTEGRALITY_TOL)
         branched += vid is not None
@@ -402,25 +406,24 @@ def test_zero_objective_never_reads_duals(monkeypatch):
 
 def test_node_without_dual_weight_branches_most_fractional(monkeypatch):
     # a node whose fractional block binaries carry no dual weight on their
-    # upper-side rows branches on _fractional_binaries' pick: depth first,
-    # the next LP solved is its child with that binary pinned
+    # upper-side rows branches on _fractional_binaries' pick: the next
+    # children it pushes, floored by ``floors``, pin that binary
     events = []
-    branching = bnb._ReluGraph.branching
-    solve_prepared = bnb.solve_prepared
+    branching, floors = bnb._ReluGraph.branching, bnb._ReluGraph.floors
 
-    def recorded_branching(graph, point, basis):
-        vid = branching(graph, point, basis)
+    def recorded_branching(graph, point, duals):
+        vid = branching(graph, point, duals)
         z = point[graph.z]
         if vid is None and (np.abs(z - np.round(z)) > bnb.INTEGRALITY_TOL).any():
             events.append(("fallback", point, graph.problem.lp.binaries))
         return vid
 
-    def recorded_solve(prep, lb, ub, warm=None):
-        events.append(("solve", lb.copy(), ub.copy()))
-        return solve_prepared(prep, lb, ub, warm)
+    def recorded_floors(graph, outcome, bounds, vid, duals):
+        events.append(("children", outcome.point, vid))
+        return floors(graph, outcome, bounds, vid, duals)
 
     monkeypatch.setattr(bnb._ReluGraph, "branching", recorded_branching)
-    monkeypatch.setattr(bnb, "solve_prepared", recorded_solve)
+    monkeypatch.setattr(bnb._ReluGraph, "floors", recorded_floors)
     rng = np.random.default_rng(4)
     for _ in range(10):
         net, domain = random_network(rng, max_hidden_total=16)
@@ -431,12 +434,10 @@ def test_node_without_dual_weight_branches_most_fractional(monkeypatch):
             continue
         fallbacks += 1
         _, point, binaries = event
-        (_, lb, ub), (_, child_lb, child_ub) = events[k - 1], events[k + 1]
+        kind, children_of, pinned = events[k + 1]
         vid = bnb._fractional_binaries(point, binaries, bnb.INTEGRALITY_TOL)
         assert vid is not None
-        pinned = np.flatnonzero((child_lb != lb) | (child_ub != ub))
-        assert pinned.tolist() == [vid]
-        assert child_lb[vid] == child_ub[vid] == round(point[vid])
+        assert kind == "children" and children_of is point and pinned == vid
     assert fallbacks >= 10
 
 
@@ -460,7 +461,7 @@ def test_dual_weighted_branching_takes_fewer_nodes(monkeypatch):
         return backend.nodes, tights
 
     nodes, tights = precompute()
-    monkeypatch.setattr(bnb._ReluGraph, "branching", lambda graph, point, basis: None)
+    monkeypatch.setattr(bnb._ReluGraph, "branching", lambda graph, point, duals: None)
     fractional_nodes, fractional_tights = precompute()
     assert nodes < fractional_nodes
     for got, want in zip(tights, fractional_tights):
@@ -514,7 +515,7 @@ def test_backend_contract():
 
 def _tree_nodes(monkeypatch):
     """(prep, lb, ub, warm basis) of every node of feasibility and optimize
-    trees on eight random three-layer networks."""
+    trees on fourteen random three-layer networks."""
     nodes = []
     solve_prepared = bnb.solve_prepared
 
@@ -524,7 +525,7 @@ def _tree_nodes(monkeypatch):
 
     monkeypatch.setattr(bnb, "solve_prepared", recorded)
     rng = np.random.default_rng(131)
-    for _ in range(8):
+    for _ in range(14):
         net, domain = random_network(rng, depth=3, max_hidden_total=16)
         problem = encode_network(net, domain_box(net, domain))
         for target in range(net.class_count):
@@ -564,3 +565,138 @@ def test_every_node_agrees_with_refactoring_always(monkeypatch):
             assert abs(checked.value - refactored.value) <= \
                 1e-9 * max(1.0, abs(refactored.value))
     assert len(nodes) >= 400
+
+
+def _precompute_corpus():
+    rng = np.random.default_rng(23)
+    return [random_network(rng, max_hidden_total=16) for _ in range(20)]
+
+
+def test_child_floors_never_exceed_the_child_lp(monkeypatch):
+    # every child of every node that branches in 20 precomputes, solved
+    # anyway from its parent's basis: its floor lies between the parent's
+    # value and its own LP value
+    seen = {"optimal": 0, "infeasible": 0, "raised": 0}
+    floors = bnb._ReluGraph.floors
+
+    def checked(graph, outcome, bounds, vid, duals):
+        got = floors(graph, outcome, bounds, vid, duals)
+        for value in (0, 1):
+            child = bounds.copy()
+            child[:, vid] = value
+            lp = solve_prepared(graph.prep, child[0], child[1], outcome.basis)
+            assert got[value] >= outcome.value
+            seen[lp.status] += 1
+            if lp.status == OPTIMAL:
+                assert got[value] <= lp.value + 1e-9 * max(1.0, abs(lp.value))
+            seen["raised"] += got[value] > outcome.value
+        return got
+
+    monkeypatch.setattr(bnb._ReluGraph, "floors", checked)
+    for net, domain in _precompute_corpus():
+        compute_tight_bounds(net, domain)
+    assert seen["infeasible"] >= 5 and seen["optimal"] >= 500
+    assert seen["raised"] >= 0.5 * (seen["optimal"] + seen["infeasible"])
+
+
+def _precompute_nodes(monkeypatch, floored: bool):
+    """The corpus' tight bounds, and each node LP of their searches in
+    order: (call, lb and ub bytes, whether the node went on to offer an
+    incumbent, which every node with a cost that is neither infeasible nor
+    dropped does)."""
+    nodes, calls = [], [0]
+    solve, incumbent, optimize_ = bnb.solve_prepared, bnb._ReluGraph.incumbent, bnb.optimize
+
+    def counted(problem, objective):
+        calls[0] += 1
+        return optimize_(problem, objective)
+
+    def recorded(prep, lb, ub, warm=None):
+        nodes.append([calls[0], lb.tobytes() + ub.tobytes(), False])
+        return solve(prep, lb, ub, warm)
+
+    def offered(graph, point):
+        nodes[-1][2] = True
+        return incumbent(graph, point)
+
+    with monkeypatch.context() as m:
+        m.setattr(bnb, "solve_prepared", recorded)
+        m.setattr(bnb._ReluGraph, "incumbent", offered)
+        m.setattr(bnb, "optimize", counted)
+        if not floored:
+            m.setattr(bnb._ReluGraph, "floors",
+                      lambda graph, outcome, bounds, vid, duals: (-np.inf, -np.inf))
+        tights = [compute_tight_bounds(net, domain) for net, domain in _precompute_corpus()]
+    return tights, [tuple(node) for node in nodes]
+
+
+def test_floors_keep_the_search(monkeypatch):
+    # without floors the same searches solve every child: bounds agree bit
+    # for bit, and the nodes solved with floors are a subsequence of theirs
+    tights, nodes = _precompute_nodes(monkeypatch, True)
+    plain_tights, plain_nodes = _precompute_nodes(monkeypatch, False)
+    for got, want in zip(tights, plain_tights):
+        for ends, want_ends in zip(got.layers, want.layers):
+            for bound, want_bound in zip(ends, want_ends):
+                assert bound.tobytes() == want_bound.tobytes()
+    rest = iter(plain_nodes)
+    assert all(node in rest for node in nodes)
+
+
+def test_floors_skip_only_children_the_search_drops(monkeypatch):
+    # the LPs the floors save are nodes that, solved, turn out infeasible
+    # or no better than the incumbent, and they are many
+    _, nodes = _precompute_nodes(monkeypatch, True)
+    _, plain_nodes = _precompute_nodes(monkeypatch, False)
+    kept = set(node[:2] for node in nodes)
+    skipped = [node for node in plain_nodes if node[:2] not in kept]
+    assert not any(offered for _, _, offered in skipped)
+    assert len(nodes) + len(skipped) == len(plain_nodes)
+    assert len(nodes) <= 0.8 * len(plain_nodes)
+
+
+def test_dual_step_gain_by_hand():
+    inf = np.inf
+    # no column may enter (a slope at PIVOT_TOL does not count): no rise,
+    # and the child's LP decides whether it is infeasible
+    assert bnb._dual_step_gain(0.5, np.array([0.0, -1.0, simplex.PIVOT_TOL]),
+                               np.ones(3), np.full(3, inf)) == 0.0
+    # one unboxed column: the first breakpoint, violation * d / slope
+    assert bnb._dual_step_gain(0.5, np.array([2.0]), np.array([3.0]),
+                               np.array([inf])) == 0.75
+    # a reduced cost signed the wrong way by rounding enters at once
+    assert bnb._dual_step_gain(0.5, np.array([1e-6]), np.array([-1e-10]),
+                               np.array([inf])) == 0.0
+    # the long step: breakpoints 1, 2 and 4, rates 1 -> 0.5 -> 0.25 -> -inf
+    slope, reduced = np.array([0.5, 0.25, 1.0]), np.array([0.5, 0.5, 4.0])
+    span = np.array([1.0, 1.0, inf])
+    assert bnb._dual_step_gain(1.0, slope, reduced, span) == 1.0 + 0.5 + 0.5
+    # every breakpoint passed with the rate still positive: the last one,
+    # never an infinite rise
+    assert bnb._dual_step_gain(10.0, slope, reduced, span[[0, 1, 0]]) == \
+        10.0 + 9.5 + 2 * 9.25
+
+
+def _dual_step_gain_by_peak(violation, slope, reduced, span):
+    """Reference for ``_dual_step_gain``: the dual objective's rise at each
+    breakpoint, ``violation * t`` less ``slope * span * (t - t_j)`` for each
+    breakpoint ``t_j`` below ``t``, and the highest of them (0 without
+    one); concave along the row, it peaks where the long step stops."""
+    points = [(max(d, 0.0) / s, s * w)
+              for s, d, w in zip(slope, reduced, span) if s > simplex.PIVOT_TOL]
+    rises = [violation * t - sum(cost * (t - t_j) for t_j, cost in points if t_j < t)
+             for t, _ in points]
+    return max([0.0] + rises)
+
+
+def test_dual_step_gain_matches_the_peak():
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        n = int(rng.integers(0, 8))
+        slope = rng.normal(size=n) * rng.choice([1.0, 1e-10], size=n)
+        reduced = rng.normal(size=n) * rng.choice([1.0, 0.0, 1e-12], size=n)
+        span = np.where(rng.random(n) < 0.3, np.inf, rng.choice([0.5, 1.0, 3.0], size=n))
+        violation = float(rng.uniform(1e-6, 1.0))
+        got = bnb._dual_step_gain(violation, slope, reduced, span)
+        assert got == pytest.approx(_dual_step_gain_by_peak(violation, slope, reduced, span),
+                                    rel=1e-12, abs=1e-15)

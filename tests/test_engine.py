@@ -277,6 +277,15 @@ class TestExplainDemo:
         order = attribute_order((np.int64(1), np.int64(0)), 2)
         assert order == (1, 0) and all(type(i) is int for i in order)
 
+    @pytest.mark.parametrize("order", [(True, 0), (np.True_, 0), (1, False),
+                                       (np.True_, np.False_)])
+    def test_order_entries_must_not_be_bools(self, demo_net, demo_domain, order):
+        # sorted((True, 0)) == [0, 1], so a bool would pass as an index
+        with pytest.raises(ValueError, match="permutation"):
+            attribute_order(order, 2)
+        with pytest.raises(ValueError, match="permutation"):
+            Explainer(demo_net, demo_domain, EngineConfig(order=order))
+
 
 class TestExplainEdgeCases:
     def test_ignoring_network_gives_empty_explanation(self):
