@@ -51,6 +51,12 @@ class NeuronBlock:
         equality of an active neuron, the lower side of a split one."""
         return self.constraint_ids[1 if self.mode == MODE_SPLIT else 0]
 
+    @property
+    def upper_rows(self) -> tuple:
+        """The two upper-side rows of a split neuron, post <= pre - l (1 - z)
+        and post <= u z; none for a stable one."""
+        return self.constraint_ids[::2] if self.mode == MODE_SPLIT else ()
+
 
 @dataclass(frozen=True)
 class SimplificationStats:

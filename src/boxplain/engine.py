@@ -41,7 +41,7 @@ from .bnb import (DEFAULT_BACKEND, INFEASIBLE, OPTIMAL, UNKNOWN, MilpOutcome,
 from .encoding import (MilpProblem, attach_rival_query, encode_network,
                        encode_prefix, fix_attributes, forward_point,
                        merge_bounds, tighten_and_simplify)
-from .model import (InputDomain, Network, batch_outputs,
+from .model import (InputDomain, Network, _real_type, batch_outputs,
                     batch_pre_activations, forward)
 from .simplex import FEAS_TOL, SolverFailure
 
@@ -150,7 +150,8 @@ class EngineConfig:
     deletion loop, a permutation of the attribute indices, or None for
     index order; the ``Explainer`` checks it against its network
     (``attribute_order``).  ``time_budget_ms``, the budget of each solver
-    query, is a positive finite number or None for no budget."""
+    query, is a positive finite real number (not a bool) or None for no
+    budget."""
 
     tight_bounds_mode: str = TIGHT_MILP
     order: Optional[tuple] = None
@@ -159,7 +160,7 @@ class EngineConfig:
 
     def __post_init__(self):
         budget = self.time_budget_ms
-        if budget is not None and not 0.0 < budget < float("inf"):
+        if budget is not None and not (_real_type(type(budget)) and 0.0 < budget < np.inf):
             raise ValueError(f"time budget must be a positive finite number "
                              f"of milliseconds, got {budget!r}")
 

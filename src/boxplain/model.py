@@ -17,22 +17,36 @@ class ModelFormatError(ValueError):
     """A model document failed schema, shape or finiteness validation."""
 
 
-def _as_matrix(rows) -> np.ndarray:
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ModelFormatError("weights must be a 2-d matrix")
-    if not np.isfinite(arr).all():
-        raise ModelFormatError("non-finite weight value")
-    arr.setflags(write=False)
-    return arr
+def _real_type(kind: type) -> bool:
+    """Whether ``kind`` is a type of real numbers other than bool (an int)."""
+    return issubclass(kind, numbers.Real) and kind is not bool
 
 
-def _as_vector(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ModelFormatError("biases must be a 1-d vector")
+def _reals(values, what: str) -> np.ndarray:
+    """``values``, nested lists of real numbers, as a float64 array.  An
+    entry that is a bool or not a real number (a string, say), which numpy
+    would convert, or ragged rows are a ModelFormatError naming ``what``."""
+    entries = np.asarray(values, dtype=object).ravel()
+    # a list here is a row of a ragged array; each distinct type is checked
+    # once, and the entries one by one only to name the first that fails
+    if not all(kind is list or _real_type(kind) for kind in set(map(type, entries))):
+        bad = next(v for v in entries if not (type(v) is list or _real_type(type(v))))
+        raise ModelFormatError(f"{what} entry {bad!r} is not a number")
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except ValueError:
+        raise ModelFormatError(f"{what} is not a rectangular array") from None
+
+
+def _as_array(values, field: str, ndim: int, shape: str, entry: str) -> np.ndarray:
+    """A layer's ``field``, ``values``, as a read-only float64 array; a
+    ModelFormatError unless it is a ``shape`` of ``ndim`` dimensions and
+    each ``entry`` in it is finite."""
+    arr = _reals(values, field)
+    if arr.ndim != ndim:
+        raise ModelFormatError(f"{field} must be a {ndim}-d {shape}")
     if not np.isfinite(arr).all():
-        raise ModelFormatError("non-finite bias value")
+        raise ModelFormatError(f"non-finite {entry} value")
     arr.setflags(write=False)
     return arr
 
@@ -83,7 +97,7 @@ class InputDomain:
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "InputDomain":
-        arr = np.asarray(pairs, dtype=np.float64)
+        arr = _reals(pairs, "input_domain")
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ModelFormatError("input_domain must be a list of [lb, ub] pairs")
         return cls(arr[:, 0].copy(), arr[:, 1].copy())
@@ -181,8 +195,9 @@ def load_network(document: dict) -> Network:
     layers = []
     for idx, raw in enumerate(raw_layers):
         try:
-            layers.append(Layer(_as_matrix(raw["weights"]),
-                                _as_vector(raw["biases"]), raw["activation"]))
+            layers.append(Layer(_as_array(raw["weights"], "weights", 2, "matrix", "weight"),
+                                _as_array(raw["biases"], "biases", 1, "vector", "bias"),
+                                raw["activation"]))
         except KeyError as exc:
             raise ModelFormatError(f"layer {idx}: missing key {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:  # ModelFormatError included

@@ -55,6 +55,14 @@ status masks every iteration; the dual loop writes the basic values back
 into the full point only when it returns.  These are the same pivots, bit
 for bit, as the loops that gathered everything per iteration, which
 ``tests/oracles.py`` keeps as the reference.
+
+Every computation on a basis stays in this module.  An optimal solve with
+a cost returns its duals with its basis (``LpOutcome.duals``), and
+``branch_floors`` bounds from below, before either is solved, the LP values
+of the two problems that pin one of its fractional columns to 0 and to 1:
+one bounded dual simplex step along that column's tableau row.  Branch and
+bound reads both and nothing else of the basis, which it only hands back
+as a warm start.
 """
 
 from __future__ import annotations
@@ -152,11 +160,16 @@ class Basis(NamedTuple):
 
 @dataclass(frozen=True)
 class LpOutcome:
+    """A solve's status, with, when optimal, its value, structural point and
+    final basis; ``duals`` are the LP duals ``y`` solving ``y B = c_B`` for
+    that basis, set when the problem has a cost."""
+
     status: str
     value: Optional[float] = None
     point: Optional[np.ndarray] = None
     iterations: int = 0
     basis: Optional[Basis] = None  # set on every optimal solve
+    duals: Optional[np.ndarray] = None
 
 
 class _Prepared:
@@ -205,6 +218,16 @@ class _Prepared:
         self.c = p.c.astype(np.float64)
         self.cost = np.concatenate([self.c, np.zeros(2 * m)]) \
             if np.count_nonzero(self.c) else None
+
+
+def _signs(lo: np.ndarray, hi: np.ndarray, stat: np.ndarray) -> np.ndarray:
+    """The direction each nonbasic column with bounds ``lo``/``hi`` and
+    status ``stat`` can move off its bound: +1 up from its lower bound, -1
+    down from its upper one, 0 for a basic or fixed column.  A column prices
+    as entering when its sign times its reduced cost (or tableau entry)
+    clears the pivot tolerance, so the loops keep this one vector instead of
+    status masks and update it at each pivot."""
+    return np.where(hi > lo, _SIGN[stat], 0.0)
 
 
 class _Simplex:
@@ -315,16 +338,6 @@ class _Simplex:
         self.binv[r] = row_r
         self.pivots_since_refactor += 1
 
-    def _signs(self, k: int) -> np.ndarray:
-        """Over the first ``k`` columns, the direction each nonbasic column
-        can move off its bound: +1 up from its lower bound, -1 down from its
-        upper one, 0 for a basic or fixed column.  A column prices as
-        entering when its sign times its reduced cost (or tableau entry)
-        clears the pivot tolerance, so the loops keep this one vector
-        instead of status masks and update it at each pivot."""
-        lo, hi = self.lo[:k], self.hi[:k]
-        return np.where(hi > lo, _SIGN[self.stat[:k]], 0.0)
-
     def run(self, cost: np.ndarray, artificials: bool = False) -> None:
         """Minimize ``cost @ x`` from the current state, ending optimal;
         an unbounded direction raises ``SolverFailure``.
@@ -341,7 +354,7 @@ class _Simplex:
         bland = False
         stall = 0
         best = None  # objective at the last improving iteration
-        sign = self._signs(k)  # bounds stay fixed within one run
+        sign = _signs(lo[:k], hi[:k], stat[:k])  # bounds stay fixed within one run
         c_priced, cb = cost[:k], cost[basis]
         lob, hib = lo[basis], hi[basis]
         unreached = np.full(self.m, INF)  # the step of a row delta leaves alone
@@ -436,7 +449,7 @@ class _Simplex:
         A, priced, ncols = prep.A, prep.priced, prep.ncols
         lo, hi, x, stat, basis = self.lo, self.hi, self.x, self.stat, self.basis
         tol = PIVOT_TOL
-        sign = self._signs(ncols)
+        sign = _signs(lo[:ncols], hi[:ncols], stat[:ncols])
         lob, hib = lo[basis], hi[basis]
         if cost is not None:
             c_priced, cb = cost[:ncols], cost[basis]
@@ -579,8 +592,9 @@ def _finish(core: _Simplex, spent: int = 0) -> LpOutcome:
 
     point = core.x[:prep.n].copy()
     _certify(prep, core.lo[:prep.n], core.hi[:prep.n], point, _ROUNDING)
+    duals = None if prep.cost is None else prep.cost[core.basis] @ core.binv
     return LpOutcome(OPTIMAL, float(prep.c @ point), point, spent + core.iterations,
-                     Basis(core.basis, core.stat, core.binv))
+                     Basis(core.basis, core.stat, core.binv), duals)
 
 
 def crash_basis(p: LpProblem, basic: np.ndarray, upper) -> Basis:
@@ -638,6 +652,69 @@ def solve_prepared(prep: _Prepared, lb, ub, warm: Optional[Basis] = None) -> LpO
         return LpOutcome(INFEASIBLE, iterations=spent + core.iterations)
     core.close_phase_one()
     return _finish(core, spent)
+
+
+def _dual_step_gain(violation: float, slope: np.ndarray, reduced: np.ndarray,
+                    span: np.ndarray) -> float:
+    """The rise of the bounded dual objective along one tableau row of an
+    optimal basis whose basic variable must move by ``violation`` (the long
+    step of the dual ratio test).
+
+    A column may enter when its ``slope``, how far a unit move off its bound
+    takes the basic variable toward its target, exceeds ``PIVOT_TOL``.  It
+    enters at the breakpoint ``max(reduced, 0) / slope``, where ``reduced``
+    is its reduced cost in the direction it moves, so a reduced cost that
+    rounding signs the wrong way enters at once and never adds to the rise.
+    The dual rises at the rate ``violation`` at first, and each breakpoint
+    passed lowers the rate by ``slope * span``, ``span`` being how far the
+    column can move.  The step stops at the first breakpoint past which
+    the rate is not positive, or at the last one; zero when no column may
+    enter.
+    """
+    eligible = slope > PIVOT_TOL
+    slope = slope[eligible]
+    theta = np.maximum(reduced[eligible], 0.0) / slope
+    drop = slope * span[eligible]
+    order = theta.argsort()
+    # the dual objective is concave along the row, and few breakpoints lie
+    # before its peak, so a loop over them stops early
+    rate, gain, last = violation, 0.0, 0.0
+    for point, cost in zip(theta[order].tolist(), drop[order].tolist()):
+        gain += rate * (point - last)
+        rate, last = rate - cost, point
+        if rate <= 0.0:
+            break
+    return gain
+
+
+def branch_floors(prep: _Prepared, outcome: LpOutcome, lb: np.ndarray,
+                  ub: np.ndarray, col: int) -> tuple:
+    """Lower bounds on the LP values of the two problems that pin column
+    ``col`` to 0 and to 1, from ``outcome``, an optimal solve of ``prep``
+    with a cost under bounds ``lb``/``ub`` in which ``col`` is basic (a
+    fractional column is: a nonbasic one sits at a bound).
+
+    Each is the parent's value plus the rise of one bounded dual simplex
+    step from its basis along ``col``'s tableau row ``B^-1[r] @ A``, priced
+    with the reduced costs ``c - y A`` of its duals (the penalties of
+    Driebeek 1966 and Tomlin 1971, ``_dual_step_gain``).  A child that no
+    column can reach keeps the parent's value, not an infinite floor: its
+    own LP decides, by the tolerances of a solve, whether it is infeasible.
+    """
+    basis, ncols, m = outcome.basis, prep.ncols, prep.m
+    r = int((basis.columns == col).argmax())
+    alpha = basis.inverse[r] @ prep.priced
+    # the slack bounds follow the structural ones
+    lo = np.concatenate((lb, prep.lo_tail[:m]))
+    hi = np.concatenate((ub, prep.hi_tail[:m]))
+    sign = _signs(lo, hi, basis.status[:ncols])
+    reduced = sign * (prep.cost[:ncols] - outcome.duals @ prep.priced)
+    span = hi - lo
+    # pinning to 0 lowers the basic column by its value f, to 1 raises it by
+    # 1 - f; a column moving by t moves it by -alpha t
+    f = float(outcome.point[col])
+    return (outcome.value + _dual_step_gain(f, sign * alpha, reduced, span),
+            outcome.value + _dual_step_gain(1.0 - f, -sign * alpha, reduced, span))
 
 
 def prepare(p: LpProblem) -> _Prepared:

@@ -21,6 +21,16 @@ DEMO_DOC = {
 
 DEMO_INSTANCE = np.array([0.7, 0.2])
 
+# no hidden layer: three affine outputs of three inputs
+AFFINE_DOC = {
+    "input_dim": 3,
+    "input_domain": [[0.0, 1.0]] * 3,
+    "layers": [
+        {"weights": [[1.0, -0.5, 0.25], [-0.3, 0.8, 0.1], [0.2, 0.1, -0.9]],
+         "biases": [0.1, 0.0, 0.2], "activation": "identity"},
+    ],
+}
+
 
 def pinned_box(domain, fixed):
     """The input box that pins each attribute in ``fixed`` (index -> value)

@@ -219,24 +219,29 @@ def test_every_root_starts_from_the_forward_basis(monkeypatch):
             assert all(start.inverse is not None for start in starts[1:])
 
 
-def test_problems_without_blocks_match_oracle():
-    # hand-built rows: the forward-pass basis is all slacks
-    rng = np.random.default_rng(73)
-    statuses = set()
-    for _ in range(150):
+def _blockless_milps(rng, count):
+    """``count`` hand-built MILPs without blocks, each with the objective of
+    its random LP; each column is a binary over [0, 1] with probability 1/2."""
+    for _ in range(count):
         lp = random_bounded_lp(rng)
         n = lp.lb.size
         binaries = tuple(int(j) for j in np.nonzero(rng.uniform(size=n) < 0.5)[0])
         lb, ub = lp.lb.copy(), lp.ub.copy()
         lb[list(binaries)], ub[list(binaries)] = 0.0, 1.0
-        problem = make_problem(replace(lp, lb=lb, ub=ub, binaries=binaries))
-        assert (forward_basis(problem).columns >= n).all()
+        yield (make_problem(replace(lp, lb=lb, ub=ub, binaries=binaries)),
+               {j: float(c) for j, c in enumerate(lp.c)})
+
+
+def test_problems_without_blocks_match_oracle():
+    # hand-built rows: the forward-pass basis is all slacks
+    statuses = set()
+    for problem, objective in _blockless_milps(np.random.default_rng(73), 150):
+        assert (forward_basis(problem).columns >= problem.lp.lb.size).all()
         got = solve_feasibility(problem)
         truth = oracle_enumerate(problem)
         assert got.status == truth.status
         statuses.add(got.status)
         if got.status == "optimal":
-            objective = {j: float(c) for j, c in enumerate(lp.c)}
             best = optimize(problem, objective)
             value = oracle_enumerate(problem, objective).value
             assert best.value == pytest.approx(value, rel=1e-6, abs=1e-6)
@@ -331,19 +336,22 @@ def _dual_weighted_by_loop(problem, prep, point, basis, tol):
 
 
 def test_optimize_branches_on_the_relu_the_duals_weigh_most(monkeypatch):
-    picks, bases = [], []
-    duals, branching = bnb._ReluGraph.duals, bnb._ReluGraph.branching
+    picks, outcomes = [], []
+    solve, branching = bnb.solve_prepared, bnb._ReluGraph.branching
 
-    def recorded_duals(graph, basis):
-        bases.append(basis)
-        return duals(graph, basis)
+    def recorded_solve(prep, lb, ub, warm=None):
+        outcomes.append(solve(prep, lb, ub, warm))
+        return outcomes[-1]
 
     def recorded(graph, point, y):
         vid = branching(graph, point, y)
-        picks.append((graph.problem, graph.prep, point, bases[-1], y, vid))
+        outcome = outcomes[-1]
+        # the node's own outcome: its point and its duals
+        assert point is outcome.point and y is outcome.duals
+        picks.append((graph.problem, graph.prep, point, outcome.basis, y, vid))
         return vid
 
-    monkeypatch.setattr(bnb._ReluGraph, "duals", recorded_duals)
+    monkeypatch.setattr(bnb, "solve_prepared", recorded_solve)
     monkeypatch.setattr(bnb._ReluGraph, "branching", recorded)
     rng = np.random.default_rng(109)
     for _ in range(10):
@@ -371,16 +379,24 @@ def test_optimize_branches_on_the_relu_the_duals_weigh_most(monkeypatch):
 
 def test_zero_objective_never_reads_duals(monkeypatch):
     # {vid: 0.0} or {vid: -0.0} makes an optimize call whose _Prepared.cost
-    # is None: it builds no _ReluGraph, so it reads no duals, and it is a
+    # is None: it builds no _ReluGraph, its LPs return no duals, and it is a
     # feasibility search whose answer has value 0
-    built = []
+    built, duals = [], []
+    solve = bnb.solve_prepared
 
     class Recorded(bnb._ReluGraph):
         def __init__(self, problem, prep):
             built.append(prep.cost is None)
             super().__init__(problem, prep)
 
+    def recorded(prep, lb, ub, warm=None):
+        outcome = solve(prep, lb, ub, warm)
+        if outcome.status == OPTIMAL:
+            duals.append((prep.cost is None, outcome.duals is None))
+        return outcome
+
     monkeypatch.setattr(bnb, "_ReluGraph", Recorded)
+    monkeypatch.setattr(bnb, "solve_prepared", recorded)
     rng = np.random.default_rng(3)
     statuses = []
     for _ in range(30):
@@ -402,14 +418,16 @@ def test_zero_objective_never_reads_duals(monkeypatch):
         optimize(problem, {problem.output_vids[0]: 1.0})
     assert built == [False] * 30
     assert "infeasible" in statuses and OPTIMAL in statuses
+    # an optimal LP carries duals exactly when it has a cost
+    assert set(duals) == {(True, True), (False, False)}
 
 
 def test_node_without_dual_weight_branches_most_fractional(monkeypatch):
     # a node whose fractional block binaries carry no dual weight on their
     # upper-side rows branches on _fractional_binaries' pick: the next
-    # children it pushes, floored by ``floors``, pin that binary
+    # children it pushes, floored by ``branch_floors``, pin that binary
     events = []
-    branching, floors = bnb._ReluGraph.branching, bnb._ReluGraph.floors
+    branching, floors = bnb._ReluGraph.branching, bnb.branch_floors
 
     def recorded_branching(graph, point, duals):
         vid = branching(graph, point, duals)
@@ -418,12 +436,12 @@ def test_node_without_dual_weight_branches_most_fractional(monkeypatch):
             events.append(("fallback", point, graph.problem.lp.binaries))
         return vid
 
-    def recorded_floors(graph, outcome, bounds, vid, duals):
-        events.append(("children", outcome.point, vid))
-        return floors(graph, outcome, bounds, vid, duals)
+    def recorded_floors(prep, outcome, lb, ub, col):
+        events.append(("children", outcome.point, col))
+        return floors(prep, outcome, lb, ub, col)
 
     monkeypatch.setattr(bnb._ReluGraph, "branching", recorded_branching)
-    monkeypatch.setattr(bnb._ReluGraph, "floors", recorded_floors)
+    monkeypatch.setattr(bnb, "branch_floors", recorded_floors)
     rng = np.random.default_rng(4)
     for _ in range(10):
         net, domain = random_network(rng, max_hidden_total=16)
@@ -573,18 +591,18 @@ def _precompute_corpus():
 
 
 def test_child_floors_never_exceed_the_child_lp(monkeypatch):
-    # every child of every node that branches in 20 precomputes, solved
-    # anyway from its parent's basis: its floor lies between the parent's
-    # value and its own LP value
+    # every child of every node that branches in 600 hand-built MILPs
+    # without blocks and in 20 precomputes, solved anyway from its parent's
+    # basis: its floor lies between the parent's value and its own LP value
     seen = {"optimal": 0, "infeasible": 0, "raised": 0}
-    floors = bnb._ReluGraph.floors
+    floors = bnb.branch_floors
 
-    def checked(graph, outcome, bounds, vid, duals):
-        got = floors(graph, outcome, bounds, vid, duals)
+    def checked(prep, outcome, lb, ub, col):
+        got = floors(prep, outcome, lb, ub, col)
         for value in (0, 1):
-            child = bounds.copy()
-            child[:, vid] = value
-            lp = solve_prepared(graph.prep, child[0], child[1], outcome.basis)
+            child_lb, child_ub = lb.copy(), ub.copy()
+            child_lb[col] = child_ub[col] = value
+            lp = solve_prepared(prep, child_lb, child_ub, outcome.basis)
             assert got[value] >= outcome.value
             seen[lp.status] += 1
             if lp.status == OPTIMAL:
@@ -592,10 +610,15 @@ def test_child_floors_never_exceed_the_child_lp(monkeypatch):
             seen["raised"] += got[value] > outcome.value
         return got
 
-    monkeypatch.setattr(bnb._ReluGraph, "floors", checked)
+    monkeypatch.setattr(bnb, "branch_floors", checked)
+    for problem, objective in _blockless_milps(np.random.default_rng(73), 600):
+        optimize(problem, objective)
+    blockless = dict(seen)
+    assert blockless["optimal"] >= 80 and blockless["infeasible"] >= 40
+    assert blockless["raised"] >= 80
     for net, domain in _precompute_corpus():
         compute_tight_bounds(net, domain)
-    assert seen["infeasible"] >= 5 and seen["optimal"] >= 500
+    assert seen["infeasible"] >= 5 and seen["optimal"] >= 500 + blockless["optimal"]
     assert seen["raised"] >= 0.5 * (seen["optimal"] + seen["infeasible"])
 
 
@@ -624,8 +647,8 @@ def _precompute_nodes(monkeypatch, floored: bool):
         m.setattr(bnb._ReluGraph, "incumbent", offered)
         m.setattr(bnb, "optimize", counted)
         if not floored:
-            m.setattr(bnb._ReluGraph, "floors",
-                      lambda graph, outcome, bounds, vid, duals: (-np.inf, -np.inf))
+            m.setattr(bnb, "branch_floors",
+                      lambda prep, outcome, lb, ub, col: (-np.inf, -np.inf))
         tights = [compute_tight_bounds(net, domain) for net, domain in _precompute_corpus()]
     return tights, [tuple(node) for node in nodes]
 
@@ -653,50 +676,3 @@ def test_floors_skip_only_children_the_search_drops(monkeypatch):
     assert not any(offered for _, _, offered in skipped)
     assert len(nodes) + len(skipped) == len(plain_nodes)
     assert len(nodes) <= 0.8 * len(plain_nodes)
-
-
-def test_dual_step_gain_by_hand():
-    inf = np.inf
-    # no column may enter (a slope at PIVOT_TOL does not count): no rise,
-    # and the child's LP decides whether it is infeasible
-    assert bnb._dual_step_gain(0.5, np.array([0.0, -1.0, simplex.PIVOT_TOL]),
-                               np.ones(3), np.full(3, inf)) == 0.0
-    # one unboxed column: the first breakpoint, violation * d / slope
-    assert bnb._dual_step_gain(0.5, np.array([2.0]), np.array([3.0]),
-                               np.array([inf])) == 0.75
-    # a reduced cost signed the wrong way by rounding enters at once
-    assert bnb._dual_step_gain(0.5, np.array([1e-6]), np.array([-1e-10]),
-                               np.array([inf])) == 0.0
-    # the long step: breakpoints 1, 2 and 4, rates 1 -> 0.5 -> 0.25 -> -inf
-    slope, reduced = np.array([0.5, 0.25, 1.0]), np.array([0.5, 0.5, 4.0])
-    span = np.array([1.0, 1.0, inf])
-    assert bnb._dual_step_gain(1.0, slope, reduced, span) == 1.0 + 0.5 + 0.5
-    # every breakpoint passed with the rate still positive: the last one,
-    # never an infinite rise
-    assert bnb._dual_step_gain(10.0, slope, reduced, span[[0, 1, 0]]) == \
-        10.0 + 9.5 + 2 * 9.25
-
-
-def _dual_step_gain_by_peak(violation, slope, reduced, span):
-    """Reference for ``_dual_step_gain``: the dual objective's rise at each
-    breakpoint, ``violation * t`` less ``slope * span * (t - t_j)`` for each
-    breakpoint ``t_j`` below ``t``, and the highest of them (0 without
-    one); concave along the row, it peaks where the long step stops."""
-    points = [(max(d, 0.0) / s, s * w)
-              for s, d, w in zip(slope, reduced, span) if s > simplex.PIVOT_TOL]
-    rises = [violation * t - sum(cost * (t - t_j) for t_j, cost in points if t_j < t)
-             for t, _ in points]
-    return max([0.0] + rises)
-
-
-def test_dual_step_gain_matches_the_peak():
-    rng = np.random.default_rng(29)
-    for _ in range(2000):
-        n = int(rng.integers(0, 8))
-        slope = rng.normal(size=n) * rng.choice([1.0, 1e-10], size=n)
-        reduced = rng.normal(size=n) * rng.choice([1.0, 0.0, 1e-12], size=n)
-        span = np.where(rng.random(n) < 0.3, np.inf, rng.choice([0.5, 1.0, 3.0], size=n))
-        violation = float(rng.uniform(1e-6, 1.0))
-        got = bnb._dual_step_gain(violation, slope, reduced, span)
-        assert got == pytest.approx(_dual_step_gain_by_peak(violation, slope, reduced, span),
-                                    rel=1e-12, abs=1e-15)

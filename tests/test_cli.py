@@ -15,7 +15,7 @@ import boxplain
 import boxplain.engine as engine
 from boxplain.engine import Explainer
 from boxplain.simplex import SolverFailure
-from conftest import DEMO_DOC, MODELS
+from conftest import AFFINE_DOC, DEMO_DOC, MODELS
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +206,14 @@ class TestExplain:
         assert (code, out) == (2, "")
         assert "error: output layer must have at least 2 classes" in err
 
+    def test_string_weight_is_input_error(self, capsys, tmp_path, demo_instances):
+        path = tmp_path / "string_weight.json"
+        hidden = {**DEMO_DOC["layers"][0], "weights": [["1", True], [False, "-1"]]}
+        path.write_text(json.dumps({**DEMO_DOC, "layers": [hidden, DEMO_DOC["layers"][1]]}))
+        code, out, err = run_cli(capsys, "explain", str(path), str(demo_instances))
+        assert (code, out) == (2, "")
+        assert "error: layer 0: weights entry '1' is not a number" in err
+
     def test_fractional_input_dim_is_input_error(self, capsys, tmp_path,
                                                  demo_instances):
         path = tmp_path / "fractional.json"
@@ -328,6 +336,25 @@ class TestBounds:
         for row in rows:
             tight_lb, tight_ub, box_lb, box_ub = map(float, row[2:])
             assert box_lb <= tight_lb <= tight_ub <= box_ub, row
+
+    def test_network_without_hidden_layer(self, capsys, tmp_path):
+        # bounds and explain both run on a lone identity layer; its tight
+        # bounds are the box's, outputs being affine
+        model = tmp_path / "affine.json"
+        model.write_text(json.dumps(AFFINE_DOC))
+        instances = tmp_path / "affine.csv"
+        instances.write_text("x1,x2,x3\n0.64,0.27,0.04\n0.94,0.82,0.0\n")
+        code, out, _ = run_cli(capsys, "bounds", str(model))
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [(r[0], r[1]) for r in rows] == [("1", "0"), ("1", "1"), ("1", "2")]
+        for row in rows:
+            tight_lb, tight_ub, box_lb, box_ub = map(float, row[2:])
+            assert (tight_lb, tight_ub) == pytest.approx((box_lb, box_ub), abs=1e-12)
+        code, out, _ = run_cli(capsys, "explain", str(model), str(instances))
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[2] for row in rows] == ["0;1", "0"]
 
     def test_box_mode_tight_equals_box(self, capsys, demo_model_path):
         code, out, _ = run_cli(capsys, "bounds", str(demo_model_path),

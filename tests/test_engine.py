@@ -14,9 +14,10 @@ from boxplain.engine import (Decision, EngineConfig, Explainer, Explanation,
                              ExplainStats, InstanceError, PredictionTieError,
                              attribute_order, compute_tight_bounds, is_entailed,
                              verify_explanation)
-from boxplain.model import IDENTITY, RELU, InputDomain, Layer, Network, forward, predict
+from boxplain.model import (IDENTITY, RELU, InputDomain, Layer, Network, forward,
+                            load_domain, load_network, predict)
 from boxplain.simplex import FEAS_TOL, SolverFailure, _certify, prepare
-from conftest import DEMO_INSTANCE, MODELS, pinned_box
+from conftest import AFFINE_DOC, DEMO_INSTANCE, MODELS, pinned_box
 from netgen import random_instance, random_network
 from oracles import ORACLE_BINARY_CAP, oracle_enumerate
 
@@ -317,7 +318,8 @@ class TestExplainEdgeCases:
             explanation, _ = explain(net, [0.5], domain, mode)
             assert explanation.kept == ((0, 0.5),)
 
-    @pytest.mark.parametrize("budget", [-5.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("budget", [-5.0, 0.0, float("nan"), float("inf"),
+                                        True, False, "5", [5.0]])
     def test_meaningless_time_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="positive finite number"):
             EngineConfig(time_budget_ms=budget)
@@ -782,3 +784,27 @@ def test_readme_library_example_runs(monkeypatch, capsys):
     assert namespace["explanation"].kept == ((0, 0.7),)
     assert namespace["report"].ok
     assert capsys.readouterr().out.splitlines()[0] == "((0, 0.7),)"
+
+
+def test_network_without_hidden_layer_end_to_end():
+    # one identity layer: the outputs are affine in the inputs, so interval
+    # propagation is exact, and the bound MILPs, calls with a cost over an
+    # encoding without blocks, must reach the same bounds
+    net, domain = load_network(AFFINE_DOC), load_domain(AFFINE_DOC)
+    assert net.hidden_layers == ()
+    milp = compute_tight_bounds(net, domain)
+    box = compute_tight_bounds(net, domain, "box")
+    for ends, box_ends in zip(milp.layers, box.layers, strict=True):
+        for bound, box_bound in zip(ends, box_ends):
+            assert np.abs(bound - box_bound).max() <= 1e-12
+    explainer = Explainer(net, domain)
+    sizes = set()
+    for x in np.random.default_rng(0).uniform(size=(8, 3)):
+        baseline, _ = explainer.explain(x, "baseline")
+        improved, _ = explainer.explain(x, "improved")
+        assert baseline.kept == improved.kept
+        report = verify_explanation(net, x, baseline, domain,
+                                    rng=np.random.default_rng(1))
+        assert report.ok
+        sizes.add(len(baseline.kept))
+    assert len(sizes) >= 2

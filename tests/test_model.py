@@ -38,6 +38,10 @@ MALFORMED = [
                  id="domain-size"),
     pytest.param(_demo(input_domain=None),
                  "missing required key 'input_domain'", id="no-domain"),
+    pytest.param(_demo(layers=[{**HIDDEN, "weights": [[1.0, 1.0], [1.0]]}, OUTPUT]),
+                 "layer 0: weights is not a rectangular array", id="weights-ragged"),
+    pytest.param(_demo(input_domain=[[0.0, 0.7], [0.2]]),
+                 "input_domain is not a rectangular array", id="domain-ragged"),
     pytest.param(_demo(layers=[]), "'layers' must be a non-empty list",
                  id="no-layers"),
     pytest.param(_demo(layers={"0": HIDDEN}), "'layers' must be a non-empty list",
@@ -120,6 +124,38 @@ class TestLoad:
             message = f"input_dim must be an integer, got {value!r}"
             with pytest.raises(ModelFormatError, match=re.escape(message)):
                 load(doc)
+
+    @pytest.mark.parametrize("value", ["1", True, False],
+                             ids=["string", "true", "false"])
+    @pytest.mark.parametrize("field", ["weights", "biases", "input_domain"])
+    def test_entry_not_a_number_is_rejected(self, field, value):
+        # np.asarray(..., dtype=float64) would load "1" and True as 1.0 and
+        # False as 0.0
+        doc = copy.deepcopy(DEMO_DOC)
+        if field == "input_domain":
+            doc[field][1][0] = value
+            load, message = load_domain, f"input_domain entry {value!r}"
+        else:
+            entries = doc["layers"][1][field]
+            if field == "weights":
+                entries = entries[1]
+            entries[0] = value
+            load, message = load_network, f"layer 1: {field} entry {value!r}"
+        with pytest.raises(ModelFormatError, match=re.escape(message + " is not a number")):
+            load(doc)
+
+    def test_numeric_document_loads_bit_equal(self):
+        # ints and floats load as before: float64 of each entry
+        doc = copy.deepcopy(DEMO_DOC)
+        doc["layers"][0]["weights"] = [[1, -2.5], [3, 0.1]]
+        doc["input_domain"] = [[0, 0.7], [-1, 2]]
+        net, domain = load_network(doc), load_domain(doc)
+        for layer, raw in zip(net.layers, doc["layers"]):
+            assert layer.weights.tobytes() == np.array(raw["weights"], dtype=np.float64).tobytes()
+            assert layer.biases.tobytes() == np.array(raw["biases"], dtype=np.float64).tobytes()
+        pairs = np.array(doc["input_domain"], dtype=np.float64)
+        assert domain.lows.tobytes() == pairs[:, 0].tobytes()
+        assert domain.highs.tobytes() == pairs[:, 1].tobytes()
 
     @pytest.mark.parametrize("value", [2, 2.0])
     def test_integral_input_dim_loads(self, value):

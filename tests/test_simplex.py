@@ -620,3 +620,79 @@ class TestWarmStart:
         assert {True, False, None} <= verdicts
         assert pivoted >= 300
         assert phase_two >= 200
+
+
+def test_optimal_solves_carry_the_duals_of_their_basis():
+    # y = c_B B^-1 for the final basis, so y B = c_B, and its reduced costs
+    # c - y A over the structural and slack columns let no nonbasic column
+    # improve; a feasibility problem (zero c) carries none
+    rng = np.random.default_rng(41)
+    priced = 0
+    for _ in range(300):
+        lp = random_bounded_lp(rng)
+        if rng.uniform() < 0.2:
+            lp = replace(lp, c=np.zeros_like(lp.c))
+        prep = prepare(lp)
+        out = solve_prepared(prep, lp.lb, lp.ub)
+        if out.status != OPTIMAL:
+            continue
+        if prep.cost is None:
+            assert out.duals is None
+            continue
+        basis = out.basis
+        assert out.duals.tobytes() == (prep.cost[basis.columns] @ basis.inverse).tobytes()
+        assert np.allclose(out.duals @ prep.A[:, basis.columns], prep.cost[basis.columns])
+        lo = np.concatenate((lp.lb, prep.lo_tail[:prep.m]))
+        hi = np.concatenate((lp.ub, prep.hi_tail[:prep.m]))
+        sign = simplex._signs(lo, hi, basis.status[:prep.ncols])
+        reduced = prep.cost[:prep.ncols] - out.duals @ prep.priced
+        assert (sign * reduced >= -simplex.PIVOT_TOL).all()
+        priced += 1
+    assert priced >= 100
+
+
+def test_dual_step_gain_by_hand():
+    inf = np.inf
+    # no column may enter (a slope at PIVOT_TOL does not count): no rise,
+    # and the child's LP decides whether it is infeasible
+    assert simplex._dual_step_gain(0.5, np.array([0.0, -1.0, simplex.PIVOT_TOL]),
+                                   np.ones(3), np.full(3, inf)) == 0.0
+    # one unboxed column: the first breakpoint, violation * d / slope
+    assert simplex._dual_step_gain(0.5, np.array([2.0]), np.array([3.0]),
+                                   np.array([inf])) == 0.75
+    # a reduced cost signed the wrong way by rounding enters at once
+    assert simplex._dual_step_gain(0.5, np.array([1e-6]), np.array([-1e-10]),
+                                   np.array([inf])) == 0.0
+    # the long step: breakpoints 1, 2 and 4, rates 1 -> 0.5 -> 0.25 -> -inf
+    slope, reduced = np.array([0.5, 0.25, 1.0]), np.array([0.5, 0.5, 4.0])
+    span = np.array([1.0, 1.0, inf])
+    assert simplex._dual_step_gain(1.0, slope, reduced, span) == 1.0 + 0.5 + 0.5
+    # every breakpoint passed with the rate still positive: the last one,
+    # never an infinite rise
+    assert simplex._dual_step_gain(10.0, slope, reduced, span[[0, 1, 0]]) == \
+        10.0 + 9.5 + 2 * 9.25
+
+
+def _dual_step_gain_by_peak(violation, slope, reduced, span):
+    """Reference for ``_dual_step_gain``: the dual objective's rise at each
+    breakpoint, ``violation * t`` less ``slope * span * (t - t_j)`` for each
+    breakpoint ``t_j`` below ``t``, and the highest of them (0 without
+    one); concave along the row, it peaks where the long step stops."""
+    points = [(max(d, 0.0) / s, s * w)
+              for s, d, w in zip(slope, reduced, span) if s > simplex.PIVOT_TOL]
+    rises = [violation * t - sum(cost * (t - t_j) for t_j, cost in points if t_j < t)
+             for t, _ in points]
+    return max([0.0] + rises)
+
+
+def test_dual_step_gain_matches_the_peak():
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        n = int(rng.integers(0, 8))
+        slope = rng.normal(size=n) * rng.choice([1.0, 1e-10], size=n)
+        reduced = rng.normal(size=n) * rng.choice([1.0, 0.0, 1e-12], size=n)
+        span = np.where(rng.random(n) < 0.3, np.inf, rng.choice([0.5, 1.0, 3.0], size=n))
+        violation = float(rng.uniform(1e-6, 1.0))
+        got = simplex._dual_step_gain(violation, slope, reduced, span)
+        assert got == pytest.approx(_dual_step_gain_by_peak(violation, slope, reduced, span),
+                                    rel=1e-12, abs=1e-15)
