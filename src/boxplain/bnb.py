@@ -1,22 +1,27 @@
 """Branch-and-bound over ReLU indicator binaries.
 
-Every call minimizes, as the LP core does, and ends ``optimal``,
+Every call minimizes a cost, as the LP core does, and ends ``optimal``,
 ``infeasible``, or ``unknown`` when a time budget runs out; an optimal
-outcome carries its point.  A zero cost asks for any point with integral
-binaries (an entailment query's counterexample): the search stops at the
-first and branches on the most fractional binary.  A call with a cost, such
-as a bound MILP minimizing a neuron (or its negation for the upper bound)
-over an encoding, takes one path whatever the encoding: every node's
-forward pass from its inputs is a candidate incumbent, the search branches
-on the ReLU whose triangle relaxation the node's LP duals
-(``LpOutcome.duals``) weigh most, and each child carries a floor from the
-LP core (``branch_floors``), a lower bound on its LP value from one bounded
-dual simplex step off its parent's optimal basis, so that a child whose
-floor is no better than the incumbent is never solved.  This module reads
-nothing else of an LP basis: it only hands a node's final basis to its
-children as their warm start.  Both searches are depth first.  The
-``SolverBackend`` seam lets an external MILP engine stand in as long as it
-honors the same contract: the statuses above, a point satisfying every
+outcome carries its point.  ``optimize`` minimizes an objective over an
+encoding, as a bound MILP does for a neuron (or its negation for the upper
+bound).  ``solve_feasibility`` minimizes the problem's own cost, such as a
+rival query's margin ``o_target - o_rival`` (``attach_rival_query``), under
+a cutoff of ``FEAS_TOL``: it stops at the first point at or below the
+cutoff and answers ``infeasible`` when none exists.
+
+Both take one path, whatever the encoding.  Every node's forward pass from
+its inputs is a candidate incumbent; the search branches on the ReLU whose
+triangle relaxation the node's LP duals (``LpOutcome.duals``) weigh most,
+or on the most fractional binary when none carries dual weight (a zero
+cost has no duals); and each child carries a floor from the LP core
+(``branch_floors``), a lower bound on its LP value from one bounded dual
+simplex step off its parent's optimal basis.  A child whose floor is no
+better than the incumbent, or above the cutoff, is never solved.  This
+module reads nothing else of an LP basis: it hands a node's final basis to
+its children as their warm start, and returns the root's so that a later
+search over the same rows can start from it.  The search is depth first.
+The ``SolverBackend`` seam lets an external MILP engine stand in as long as
+it honors the same contract: the statuses above, a point satisfying every
 constraint within the feasibility tolerance, and binaries integral within
 the integrality tolerance.
 """
@@ -31,8 +36,9 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .encoding import MODE_SPLIT, MilpProblem, forward_basis, forward_point
-from .simplex import (INFEASIBLE, OPTIMAL, LpProblem, SolverFailure, _certify,
-                      _replace_unchecked, branch_floors, prepare, solve_prepared)
+from .simplex import (FEAS_TOL, INFEASIBLE, OPTIMAL, Basis, LpProblem,
+                      SolverFailure, _certify, _replace_unchecked,
+                      branch_floors, prepare, solve_prepared)
 
 UNKNOWN = "unknown"
 
@@ -44,9 +50,11 @@ class MilpOutcome:
     """Result of a MILP solve: ``optimal``, ``infeasible`` or ``unknown``.
 
     An optimal outcome's ``point`` holds a value for every problem variable
-    (vid-indexed) and ``value`` is the minimized cost at it, 0 for a call
-    without one; ``lp_iterations`` sums the simplex iterations of every
-    node.
+    (vid-indexed) and ``value`` is the minimized cost at it;
+    ``lp_iterations`` sums the simplex iterations of every node.  ``basis``
+    is the root LP's final basis when that LP ended optimal, an opaque value
+    that a later search over the same rows (the same ``lp.a``) can take as
+    its ``start``.
     """
 
     status: str
@@ -55,15 +63,18 @@ class MilpOutcome:
     node_count: int = 0
     wall_time: float = 0.0
     lp_iterations: int = 0
+    basis: Optional[Basis] = None
 
 
 def milp_to_lp(problem: MilpProblem,
                objective: Optional[Mapping[int, float]] = None) -> LpProblem:
-    """The problem's LP relaxation minimizing ``objective``, a feasibility
-    problem (zero ``c``) without one; binaries relax to their [0, 1] box."""
+    """The problem's LP relaxation minimizing ``objective``, or the
+    problem's own cost ``lp.c`` without one; binaries relax to their [0, 1]
+    box."""
+    if objective is None:
+        return problem.lp
     c = np.zeros(problem.lp.a.shape[1])
-    if objective:
-        c[list(objective)] = list(objective.values())
+    c[list(objective)] = list(objective.values())
     return _replace_unchecked(problem.lp, c=c)
 
 
@@ -81,7 +92,7 @@ def _fractional_binaries(point: np.ndarray, binaries, tol: float) -> Optional[in
 
 class _ReluGraph:
     """An encoding's split neurons, for reading a node's LP solution against
-    the network (calls with a cost only).
+    the network.
 
     ``incumbent`` runs the network forward from the point's inputs,
     clipped to the root's bounds; the result has integral binaries and is
@@ -94,7 +105,7 @@ class _ReluGraph:
     leaves above the ReLU, ``-l u / (u - l)`` for its big-M constants
     ``l < 0 < u``; the lowest vid on a tie.  None when no fractional binary
     scores above 0, which is always so for an encoding without split
-    neurons.
+    neurons or an LP without a cost (no duals).
     """
 
     def __init__(self, problem: MilpProblem, prep):
@@ -119,7 +130,10 @@ class _ReluGraph:
             return None
         return x
 
-    def branching(self, point: np.ndarray, duals: np.ndarray) -> Optional[int]:
+    def branching(self, point: np.ndarray,
+                  duals: Optional[np.ndarray]) -> Optional[int]:
+        if duals is None:
+            return None
         z = point[self.z]
         fractional = np.abs(z - np.round(z)) > INTEGRALITY_TOL
         if not np.count_nonzero(fractional):
@@ -131,52 +145,63 @@ class _ReluGraph:
 
 
 def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, float]],
-                      time_budget_ms: Optional[float]) -> MilpOutcome:
-    """Depth-first search over the binaries, minimizing ``objective``; a
-    zero cost (None included, so that ``_Prepared.cost`` is None) stops at
-    the first node whose binaries are all integral, and the simplex skips
-    phase 2 on its LPs.
+                      time_budget_ms: Optional[float], cutoff: Optional[float] = None,
+                      start: Optional[Basis] = None) -> MilpOutcome:
+    """Depth-first search over the binaries, minimizing ``objective`` (the
+    problem's own cost for None, ``milp_to_lp``).
 
     A node is one LP solve under its own bounds, warm-started: the root
-    from ``forward_basis``, each child from its parent's final basis.  Nodes
-    whose relaxation is no better than the incumbent are dropped.  The
-    search explores the branch matching the LP-relaxation value first.
+    from ``start``, or ``forward_basis`` without one, each child from its
+    parent's final basis.  At every node it does not drop, the search
+    offers the forward pass from the node's inputs as an incumbent
+    (``_ReluGraph.incumbent``), and an integral LP point is one too.  It
+    branches on the split neuron whose triangle relaxation the node's duals
+    weigh most (``_ReluGraph.branching``), or on the most fractional binary
+    when no fractional block binary carries dual weight, and explores the
+    branch matching the LP-relaxation value first.  Both children get a
+    floor (``branch_floors``).
 
-    Without a cost the search branches on the most fractional binary, and
-    every child is solved.  With one it also offers, at every node it does
-    not drop, the forward pass from the node's inputs as an incumbent
-    (``_ReluGraph.incumbent``), and drops the node at once if that matches
-    its relaxation; it branches on the split neuron whose triangle
-    relaxation the node's duals weigh most (``_ReluGraph.branching``), or
-    on the most fractional binary when no fractional block binary carries
-    dual weight, and floors both children (``branch_floors``).  A child
-    whose floor is dropped is not pushed, and one whose floor is dropped by
-    the time it is popped, the incumbent having improved meanwhile, is not
+    Without a ``cutoff`` the search optimizes: a node or child is dropped
+    when its LP value or floor is no better than the incumbent, and a child
+    whose floor the incumbent overtakes by the time it is popped is not
     solved.  Solved, either would have been dropped or found infeasible, so
     the nodes solved are a subsequence of those solved without floors, and
-    the outcome is the same.  Every node LP ends optimal or infeasible; a
-    ``SolverFailure``, an unbounded relaxation included, ends the search.
+    the outcome is the same.  With a ``cutoff`` it drops a node or child
+    whose LP value or floor is above the cutoff, stops at the first
+    incumbent at or below it, and ends infeasible without one.  Every node
+    LP ends optimal or infeasible; a ``SolverFailure``, an unbounded
+    relaxation included, ends the search.
     """
-    start = time.perf_counter()
-    deadline = None if time_budget_ms is None else start + time_budget_ms / 1000.0
+    started = time.perf_counter()
+    deadline = None if time_budget_ms is None else started + time_budget_ms / 1000.0
     lp = milp_to_lp(problem, objective)
     prep = prepare(lp)
-    graph = None if prep.cost is None else _ReluGraph(problem, prep)
+    graph = _ReluGraph(problem, prep)
     binaries = np.array(lp.binaries, dtype=np.intp)
     # a node is its bounds, rows lb and ub of one array, its start basis and
     # a lower bound on its LP value
-    stack: list[tuple] = [(np.array((lp.lb, lp.ub)), forward_basis(problem), -np.inf)]
+    root = forward_basis(problem) if start is None else start
+    stack: list[tuple] = [(np.array((lp.lb, lp.ub)), root, -np.inf)]
     nodes = iterations = 0
     best_value = np.inf
-    best_point = None
+    best_point = root_basis = None
 
     def result(status, value=None, point=None):
         return MilpOutcome(status, value, point, nodes,
-                           time.perf_counter() - start, iterations)
+                           time.perf_counter() - started, iterations, root_basis)
 
     def dropped(value: float) -> bool:
+        if cutoff is not None:
+            return value > cutoff
         return best_point is not None and \
             value >= best_value - 1e-9 * max(1.0, abs(best_value))
+
+    def found(value: float, point: np.ndarray) -> bool:
+        """Take a feasible point if it improves; True ends the search."""
+        nonlocal best_value, best_point
+        if value < best_value and (cutoff is None or value <= cutoff):
+            best_value, best_point = value, point
+        return cutoff is not None and best_point is not None
 
     while stack:
         if deadline is not None and time.perf_counter() > deadline:
@@ -186,28 +211,25 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
         if dropped(floor):
             continue
         outcome = solve_prepared(prep, bounds[0], bounds[1], basis)
+        if not nodes:
+            root_basis = outcome.basis
         nodes += 1
         iterations += outcome.iterations
         if outcome.status != OPTIMAL or dropped(outcome.value):
             continue
-        if prep.cost is None:
+        forward = graph.incumbent(outcome.point)
+        if forward is not None and found(float(prep.c @ forward), forward):
+            break
+        if dropped(outcome.value):
+            continue
+        vid = graph.branching(outcome.point, outcome.duals)
+        if vid is None:
             vid = _fractional_binaries(outcome.point, binaries, INTEGRALITY_TOL)
-            if vid is None:
-                return result(OPTIMAL, outcome.value, outcome.point)
-            floors = (-np.inf, -np.inf)
-        else:
-            forward = graph.incumbent(outcome.point)
-            if forward is not None and (value := float(prep.c @ forward)) < best_value:
-                best_value, best_point = value, forward
-                if dropped(outcome.value):
-                    continue
-            vid = graph.branching(outcome.point, outcome.duals)
-            if vid is None:
-                vid = _fractional_binaries(outcome.point, binaries, INTEGRALITY_TOL)
-            if vid is None:
-                best_value, best_point = outcome.value, outcome.point
-                continue
-            floors = branch_floors(prep, outcome, bounds[0], bounds[1], vid)
+        if vid is None:
+            if found(outcome.value, outcome.point):
+                break
+            continue
+        floors = branch_floors(prep, outcome, bounds[0], bounds[1], vid)
         first = int(round(outcome.point[vid]))
         for value in (1 - first, first):
             if dropped(floors[value]):
@@ -220,14 +242,19 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
     return result(OPTIMAL, best_value, best_point)
 
 
-def solve_feasibility(problem: MilpProblem, *,
-                      time_budget_ms: Optional[float] = None) -> MilpOutcome:
-    """Search for any assignment with integral binaries.
+def solve_feasibility(problem: MilpProblem, *, time_budget_ms: Optional[float] = None,
+                      start: Optional[Basis] = None) -> MilpOutcome:
+    """Search for a point with integral binaries at which the problem's own
+    cost ``lp.c`` is at most ``FEAS_TOL``: for a rival query, an input where
+    the rival comes within that tolerance of the target.  A zero cost asks
+    for any point with integral binaries.
 
-    On an exhausted time budget the outcome is ``unknown``: callers must
-    treat it as "could be feasible".
+    ``start`` is the root's warm start, the ``basis`` of an earlier outcome
+    over the same rows; ``forward_basis`` without one.  On an exhausted time
+    budget the outcome is ``unknown``: callers must treat it as "could be
+    feasible".
     """
-    return _branch_and_bound(problem, None, time_budget_ms)
+    return _branch_and_bound(problem, None, time_budget_ms, FEAS_TOL, start)
 
 
 def optimize(problem: MilpProblem, objective: Mapping[int, float]) -> MilpOutcome:
@@ -240,12 +267,17 @@ class SolverBackend(abc.ABC):
 
     Both calls minimize and end ``optimal``, ``infeasible`` or ``unknown``
     (a time budget ran out); an optimal outcome carries its point, a value
-    for every problem variable."""
+    for every problem variable.  An outcome's ``basis`` may be None: an
+    engine that keeps no basis ignores ``start``."""
 
     @abc.abstractmethod
     def feasibility(self, problem: MilpProblem, *,
-                    time_budget_ms: Optional[float] = None) -> MilpOutcome:
-        """Any point with integral binaries; optimal with value 0 if found."""
+                    time_budget_ms: Optional[float] = None,
+                    start: Optional[Basis] = None) -> MilpOutcome:
+        """A point with integral binaries where the cost ``problem.lp.c``
+        is at most ``FEAS_TOL``, optimal with its value if one exists;
+        ``start`` is the ``basis`` of an earlier outcome over the same
+        rows."""
 
     @abc.abstractmethod
     def optimize(self, problem: MilpProblem,
@@ -256,8 +288,8 @@ class SolverBackend(abc.ABC):
 class BranchAndBoundBackend(SolverBackend):
     """Default backend: the built-in simplex + branch-and-bound."""
 
-    def feasibility(self, problem, *, time_budget_ms=None):
-        return solve_feasibility(problem, time_budget_ms=time_budget_ms)
+    def feasibility(self, problem, *, time_budget_ms=None, start=None):
+        return solve_feasibility(problem, time_budget_ms=time_budget_ms, start=start)
 
     def optimize(self, problem, objective):
         return optimize(problem, objective)

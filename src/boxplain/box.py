@@ -119,9 +119,9 @@ def box_propagate(net: Network, lo, hi) -> BoundsMap:
 
 def shortcut_check(bounds: BoundsMap, target: int) -> ShortcutResult:
     """Removable iff the target output's lower bound beats every rival
-    output's upper bound by more than ``FEAS_TOL``, the solver's tolerance on
-    a rival row: a closer call falls through to the solver, which may accept
-    a witness within that tolerance."""
+    output's upper bound by more than ``FEAS_TOL``, the cutoff of a rival
+    query's margin: a closer call falls through to the solver, which may
+    accept a witness within that tolerance."""
     k = bounds.out_lo.shape[0]
     if not 0 <= target < k:
         raise ValueError(f"target class {target} out of range for {k} outputs")

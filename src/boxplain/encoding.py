@@ -76,7 +76,7 @@ class MilpProblem:
     serves; unchanged arrays are shared between a problem and its edits.
     """
 
-    lp: LpProblem  # objective-free (zero c); column j is vid j
+    lp: LpProblem  # zero c, or a rival query's margin; column j is vid j
     blocks: tuple  # NeuronBlock per encoded hidden neuron, layer-major
     input_vids: tuple
     output_vids: tuple
@@ -245,11 +245,10 @@ def forward_basis(problem: MilpProblem) -> Basis:
     rows keeping their slacks; with pre <= 0 it has z at 0 and its post
     basic in the indicator row, the other two rows keeping their slacks.
     An active neuron's post is basic in its equality, each output in its own
-    row, and every other row (a rival query's) keeps its slack.  Layer by
-    layer the basis matrix is triangular with unit diagonal blocks, so it is
-    nonsingular, and its basic solution is the forward pass: primal feasible
-    for an encoding, up to rounding, and off only in its rival row for a
-    rival query.
+    row, and every other row keeps its slack.  Layer by layer the basis
+    matrix is triangular with unit diagonal blocks, so it is nonsingular,
+    and its basic solution is the forward pass: primal feasible for an
+    encoding, up to rounding.
     """
     lp = problem.lp
     inputs = list(problem.input_vids)
@@ -272,20 +271,19 @@ def forward_basis(problem: MilpProblem) -> Basis:
 
 
 def attach_rival_query(problem: MilpProblem, target: int, rival: int) -> MilpProblem:
-    """Append ``o_rival - o_target >= 0``: feasibility then witnesses an input
-    where the rival scores at least the target (ties count)."""
+    """Set the cost to the margin ``o_target - o_rival``, keeping every row
+    array: a point of cost at most ``FEAS_TOL`` (``solve_feasibility``) is
+    an input where the rival scores at least the target, up to that
+    tolerance (ties count)."""
     k = len(problem.output_vids)
     if not (0 <= target < k and 0 <= rival < k):
         raise ValueError(f"class index out of range for {k} outputs")
     if target == rival:
         raise ValueError("target and rival must differ")
-    lp = problem.lp
-    row = np.zeros(lp.a.shape[1])
-    row[problem.output_vids[rival]] = 1.0
-    row[problem.output_vids[target]] = -1.0
-    return replace(problem, lp=_replace_unchecked(lp, a=np.vstack([lp.a, row]),
-                                                  rel=lp.rel + (GE,),
-                                                  rhs=np.append(lp.rhs, 0.0)))
+    c = np.zeros(problem.lp.a.shape[1])
+    c[problem.output_vids[target]] = 1.0
+    c[problem.output_vids[rival]] = -1.0
+    return replace(problem, lp=_replace_unchecked(problem.lp, c=c))
 
 
 def fix_attributes(problem: MilpProblem, lo, hi) -> MilpProblem:

@@ -109,7 +109,9 @@ class ExplainStats:
     attributes the margin bound removed, and ``margin_rivals_skipped`` the
     rival queries it made unnecessary, in those iterations and in the ones
     that went on to the solver; an iteration the gradient steps decide makes
-    no rival query, so it adds nothing.
+    no rival query, so it adds nothing.  ``solver_nodes`` and
+    ``lp_iterations`` sum the branch-and-bound nodes and simplex iterations
+    of every rival query (``MilpOutcome``).
     """
 
     total_time: float
@@ -125,6 +127,8 @@ class ExplainStats:
     removed_before_count: int
     removed_ours_count: int
     binaries_counted: int
+    solver_nodes: int = 0
+    lp_iterations: int = 0
 
     @classmethod
     def pooled(cls, runs) -> "ExplainStats":
@@ -239,19 +243,24 @@ def is_entailed(problem: MilpProblem, target: int, *,
                 backend: SolverBackend = DEFAULT_BACKEND,
                 time_budget_ms: Optional[float] = None,
                 outcomes: Optional[list] = None,
-                rivals: Optional[tuple] = None):
+                rivals: Optional[tuple] = None,
+                roots: Optional[list] = None):
     """Check that the target class wins for every point feasible in ``problem``.
 
     ``problem`` must already have its attributes fixed.  Runs one rival
-    feasibility query per class in ``rivals``, the distinct non-target
-    classes still to decide (every class but the target, in index order, by
-    default), in that order, stopping at the first counterexample, and
-    appends each query's ``MilpOutcome`` to ``outcomes`` when given.  An
-    optimal outcome is a counterexample, an infeasible one proves its rival
-    cannot win.  Returns ``(True, None)`` when no rival in ``rivals`` can
-    win, ``(False, witness)`` with the counterexample's point restricted to
-    ``problem.input_vids``, or ``(None, None)`` when a time budget ran out
-    before a decision; any other query status raises ``SolverFailure``.
+    query (``attach_rival_query``, ``backend.feasibility``) per class in
+    ``rivals``, the distinct non-target classes still to decide (every class
+    but the target, in index order, by default), in that order, stopping at
+    the first counterexample, and appends each query's ``MilpOutcome`` to
+    ``outcomes`` when given.  An optimal outcome is a counterexample, an
+    infeasible one proves its rival cannot win.  ``roots`` is a one-slot
+    holder ``[rows, basis]``: a query whose ``lp.a`` is ``rows`` starts its
+    root from ``basis``, and every query whose root ends optimal leaves its
+    rows and final root basis there.  Returns ``(True, None)`` when no
+    rival in ``rivals`` can win, ``(False, witness)`` with the
+    counterexample's point restricted to ``problem.input_vids``, or
+    ``(None, None)`` when a time budget ran out before a decision; any other
+    query status raises ``SolverFailure``.
     """
     k = len(problem.output_vids)
     if not 0 <= target < k:
@@ -263,7 +272,11 @@ def is_entailed(problem: MilpProblem, target: int, *,
         raise ValueError(f"rivals must be distinct classes other than {target}")
     for rival in rivals:
         query = attach_rival_query(problem, target, rival)
-        outcome = backend.feasibility(query, time_budget_ms=time_budget_ms)
+        start = roots[1] if roots is not None and roots[0] is query.lp.a else None
+        outcome = backend.feasibility(query, time_budget_ms=time_budget_ms,
+                                      start=start)
+        if roots is not None and outcome.basis is not None:
+            roots[:] = query.lp.a, outcome.basis
         if outcomes is not None:
             outcomes.append(outcome)
         if outcome.status == OPTIMAL:
@@ -282,8 +295,9 @@ class Explainer:
     ``order`` is ``config.order`` resolved once by ``attribute_order``
     (index order for None); one that is not a permutation of the attribute
     indices raises ValueError before any bound is computed.  Immutable once
-    constructed; explain() never mutates it, so one Explainer can serve many
-    instances (and threads) of the same network.
+    constructed; explain() never mutates it, and keeps its warm starts in
+    each call, so one Explainer can serve many instances (and threads) of
+    the same network.
     """
 
     def __init__(self, net: Network, domain: InputDomain,
@@ -313,6 +327,12 @@ class Explainer:
         exact-tie prediction, as PredictionTieError, since there is no
         unique class to explain.  An instance of another shape than
         ``(input_dim,)`` raises InstanceError naming both shapes.
+
+        Each rival query's root starts from the final root basis of the
+        call's last query over the same rows, where there is one
+        (``is_entailed``'s ``roots``): in baseline mode every query shares
+        the base encoding's rows, in improved mode the rivals of one
+        attribute share its encoding's.
         """
         if mode not in (MODE_BASELINE, MODE_IMPROVED):
             raise ValueError(f"unknown mode {mode!r}")
@@ -332,6 +352,7 @@ class Explainer:
 
         start = time.perf_counter()
         outcomes: list[MilpOutcome] = []
+        roots: list = [None, None]  # is_entailed's warm start, per call
         attributes = np.arange(net.input_dim)
         removed = np.zeros(net.input_dim, dtype=bool)
         decisions: dict[int, Decision] = {}
@@ -377,7 +398,8 @@ class Explainer:
                 rivals = None
             entailed, _ = is_entailed(problem, target, backend=self.backend,
                                       time_budget_ms=self.config.time_budget_ms,
-                                      outcomes=outcomes, rivals=rivals)
+                                      outcomes=outcomes, rivals=rivals,
+                                      roots=roots)
             if entailed is None:
                 decisions[i] = Decision.KEPT_BY_TIMEOUT
             elif entailed:
@@ -404,6 +426,8 @@ class Explainer:
             removed_before_count=simplified * self.removed_at_encode,
             removed_ours_count=removed_ours,
             binaries_counted=simplified * hidden,
+            solver_nodes=sum(o.node_count for o in outcomes),
+            lp_iterations=sum(o.lp_iterations for o in outcomes),
         )
         return Explanation(kept, decisions, target), stats
 
@@ -424,7 +448,8 @@ def _beaten(net: Network, point: np.ndarray, target: int) -> bool:
     """Whether an exact forward pass at ``point`` puts a rival at or above
     the target (ties count, as in ``attach_rival_query``).  Such a point
     satisfies the rows of the rival query, whose hidden values follow from
-    the inputs, so the solver would find that query feasible as well."""
+    the inputs, with a margin within its cutoff, so the solver would find a
+    counterexample to that query as well."""
     exact = forward(net, point).outputs
     return bool(np.delete(exact, target).max() >= exact[target])
 

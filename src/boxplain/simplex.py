@@ -21,12 +21,13 @@ problem without rows takes the same path, and its primal loop ends by bound
 flips alone.
 
 A warm solve starts from a given ``Basis`` of the same rows.  Either it is
-an earlier optimal solve's (branch and bound hands each child its
-parent's), which stays dual feasible under new variable bounds, since the
-costs are unchanged, or zero for a feasibility problem; or it is a crash
-basis (``crash_basis``; branch and bound seeds each root with the forward
-pass of its encoding), which is often primal feasible but need not be dual
-feasible.  A bounded dual simplex restores primal feasibility, and for an
+an earlier optimal solve's of the same costs (branch and bound hands each
+child its parent's), which stays dual feasible under new variable bounds,
+or zero for a feasibility problem; or it is a crash basis
+(``crash_basis``; branch and bound seeds a root with the forward pass of
+its encoding), or the final basis of a solve with other costs (the root of
+an earlier rival query over the same rows), either of which is often
+nearly primal feasible but need not be dual feasible.  A bounded dual simplex restores primal feasibility, and for an
 objective the primal loop then optimizes from there.  The dual loop proves
 infeasibility only when a row stays out of reach even with every row given
 its feasibility tolerance; on its iteration cap, a singular basis or an
@@ -624,9 +625,10 @@ def solve_prepared(prep: _Prepared, lb, ub, warm: Optional[Basis] = None) -> LpO
     vectors without re-validating or re-assembling the constraint matrix,
     warm-starting each from ``warm``.  That is either the basis of an
     earlier optimal solve of ``prep``, which is dual feasible, or a
-    ``crash_basis``, which need not be: the dual loop then only repairs
-    primal infeasibility (immediately done when the crash basis is primal
-    feasible) and the primal loop optimizes from there.  A warm attempt that
+    ``crash_basis`` or an optimal basis of other costs over the same rows,
+    which need not be: the dual loop then only repairs primal
+    infeasibility (immediately done when the basis is primal feasible) and
+    the primal loop optimizes from there.  A warm attempt that
     gives up or raises is dropped for a cold solve; its iterations still
     count.  The outcome is ``OPTIMAL`` or ``INFEASIBLE``; a cold solve that
     raises ``SolverFailure`` passes it on.
@@ -691,8 +693,8 @@ def branch_floors(prep: _Prepared, outcome: LpOutcome, lb: np.ndarray,
                   ub: np.ndarray, col: int) -> tuple:
     """Lower bounds on the LP values of the two problems that pin column
     ``col`` to 0 and to 1, from ``outcome``, an optimal solve of ``prep``
-    with a cost under bounds ``lb``/``ub`` in which ``col`` is basic (a
-    fractional column is: a nonbasic one sits at a bound).
+    under bounds ``lb``/``ub`` in which ``col`` is basic (a fractional
+    column is: a nonbasic one sits at a bound).
 
     Each is the parent's value plus the rise of one bounded dual simplex
     step from its basis along ``col``'s tableau row ``B^-1[r] @ A``, priced
@@ -700,7 +702,11 @@ def branch_floors(prep: _Prepared, outcome: LpOutcome, lb: np.ndarray,
     Driebeek 1966 and Tomlin 1971, ``_dual_step_gain``).  A child that no
     column can reach keeps the parent's value, not an infinite floor: its
     own LP decides, by the tolerances of a solve, whether it is infeasible.
+    Without a cost every reduced cost is zero, and both floors are the
+    parent's value.
     """
+    if prep.cost is None:
+        return outcome.value, outcome.value
     basis, ncols, m = outcome.basis, prep.ncols, prep.m
     r = int((basis.columns == col).argmax())
     alpha = basis.inverse[r] @ prep.priced

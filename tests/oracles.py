@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from dataclasses import replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -120,21 +121,39 @@ def _forced_violation(lp: LpProblem, lb, ub) -> np.ndarray:
     return np.maximum(over, under)
 
 
+def rival_row(problem):
+    """A problem whose cost ``c`` asks for a point of cost at most
+    ``FEAS_TOL``, such as a rival query (cost ``o_target - o_rival``), in
+    the form rival queries once had: the row ``-c @ x >= 0``
+    (``o_rival - o_target >= 0``, whose tolerance is ``FEAS_TOL``) appended,
+    and a zero cost."""
+    lp = problem.lp
+    row = 0.0 - lp.c
+    return replace(problem, lp=replace(lp, a=np.vstack([lp.a, row]),
+                                       rel=lp.rel + (GE,),
+                                       rhs=np.append(lp.rhs, 0.0),
+                                       c=np.zeros_like(lp.c)))
+
+
 def oracle_enumerate(problem, objective=None) -> MilpOutcome:
     """Ground truth by exhausting every 0/1 assignment of the binaries.
 
     One LP per assignment; refuses problems with more than
-    ``ORACLE_BINARY_CAP`` binaries.  It minimizes ``objective``; without
-    one, or with an all-zero one, the first feasible assignment wins, as in
-    branch and bound.  The loop is its own, not branch and bound's,
-    because branch and bound is what it checks.  Every LP starts cold from
-    phase 1, with no ``warm`` basis: branch and bound starts each root from
-    the encoding's forward-pass basis and re-solves each child warm from its
-    parent's basis, and this loop is the independent check of both paths
-    (criterion 05 runs it against the default backend).  An assignment
-    whose box already forces some row past that row's feasibility tolerance
-    is counted but not solved: the LP would report it infeasible.
+    ``ORACLE_BINARY_CAP`` binaries.  It minimizes ``objective``.  Without
+    one it asks for any feasible point, and the first feasible assignment
+    wins; a problem with a cost, such as a rival query's margin, is first
+    turned back into its row form (``rival_row``).  The loop is its own, not
+    branch and bound's, because branch and bound is what it checks.  Every
+    LP starts cold from phase 1, with no ``warm`` basis: branch and bound
+    starts each root from the encoding's forward-pass basis or from an
+    earlier root's, and re-solves each child warm from its parent's basis,
+    and this loop is the independent check of those paths (criterion 05
+    runs it against the default backend).  An assignment whose box already
+    forces some row past that row's feasibility tolerance is counted but
+    not solved: the LP would report it infeasible.
     """
+    if objective is None and np.count_nonzero(problem.lp.c):
+        problem = rival_row(problem)
     start = time.perf_counter()
     binaries = list(problem.binary_vids)
     if len(binaries) > ORACLE_BINARY_CAP:

@@ -196,8 +196,9 @@ class _CrossCheckBackend(BranchAndBoundBackend):
         self.checked = 0
         self.disagreements = []
 
-    def feasibility(self, problem, *, time_budget_ms=None):
-        out = super().feasibility(problem, time_budget_ms=time_budget_ms)
+    def feasibility(self, problem, *, time_budget_ms=None, start=None):
+        out = super().feasibility(problem, time_budget_ms=time_budget_ms,
+                                  start=start)
         truth = oracle_enumerate(problem)
         self.checked += 1
         if out.status != truth.status:

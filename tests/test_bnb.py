@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from boxplain.simplex import (GE, LE, OPTIMAL, LpProblem, _Simplex, prepare,
 from conftest import pinned_box
 from netgen import random_instance, random_network
 from oracles import (ORACLE_BINARY_CAP, eq2_style_milp, loop_records,
-                     oracle_enumerate, random_bounded_lp)
+                     oracle_enumerate, random_bounded_lp, rival_row)
 
 
 def make_problem(lp, input_vids=()):
@@ -172,7 +173,7 @@ def test_lp_iterations_sum_over_nodes(monkeypatch):
     monkeypatch.setattr(bnb, "solve_prepared", counted)
     rng = np.random.default_rng(61)
     branched = iterated = 0
-    for _ in range(8):
+    for _ in range(10):
         net, domain = random_network(rng, max_hidden_total=8)
         problem = encode_network(net, domain_box(net, domain))
         target = predict(net, random_instance(rng, net, domain))
@@ -267,7 +268,9 @@ def test_abandoned_forward_root_gives_the_cold_answer(monkeypatch):
         bounds = domain_box(net, domain)
         problem = encode_network(net, bounds)
         target = predict(net, random_instance(rng, net, domain))
-        query = attach_rival_query(problem, target, (target + 1) % net.class_count)
+        # the row form: the forward-pass basis misses the rival row
+        query = rival_row(
+            attach_rival_query(problem, target, (target + 1) % net.class_count))
         prefix = encode_prefix(net, bounds, 1)
         out = {query.output_vids[target]: 1.0}
         roots = ((query, milp_to_lp(query)),
@@ -359,10 +362,8 @@ def test_optimize_branches_on_the_relu_the_duals_weigh_most(monkeypatch):
         bounds = domain_box(net, domain)
         problem = encode_network(net, bounds)
         target = predict(net, random_instance(rng, net, domain))
-        before = len(picks)
         rival = (target + 1) % net.class_count
         solve_feasibility(attach_rival_query(problem, target, rival))
-        assert len(picks) == before  # feasibility keeps the most fractional rule
         for l in range(1, len(net.hidden_layers)):
             prefix = encode_prefix(net, bounds, l)
             optimize(prefix, {prefix.blocks[-1].post_var: -1.0})
@@ -379,15 +380,14 @@ def test_optimize_branches_on_the_relu_the_duals_weigh_most(monkeypatch):
 
 def test_zero_objective_never_reads_duals(monkeypatch):
     # {vid: 0.0} or {vid: -0.0} makes an optimize call whose _Prepared.cost
-    # is None: it builds no _ReluGraph, its LPs return no duals, and it is a
-    # feasibility search whose answer has value 0
-    built, duals = [], []
-    solve = bnb.solve_prepared
+    # is None: its LPs return no duals, so branching reads none and falls
+    # back to the most fractional binary, and the answer has value 0
+    branched, duals = [], []
+    solve, branching = bnb.solve_prepared, bnb._ReluGraph.branching
 
-    class Recorded(bnb._ReluGraph):
-        def __init__(self, problem, prep):
-            built.append(prep.cost is None)
-            super().__init__(problem, prep)
+    def recorded_branching(graph, point, y):
+        branched.append((graph.prep.cost is None, y is None))
+        return branching(graph, point, y)
 
     def recorded(prep, lb, ub, warm=None):
         outcome = solve(prep, lb, ub, warm)
@@ -395,14 +395,14 @@ def test_zero_objective_never_reads_duals(monkeypatch):
             duals.append((prep.cost is None, outcome.duals is None))
         return outcome
 
-    monkeypatch.setattr(bnb, "_ReluGraph", Recorded)
+    monkeypatch.setattr(bnb._ReluGraph, "branching", recorded_branching)
     monkeypatch.setattr(bnb, "solve_prepared", recorded)
     rng = np.random.default_rng(3)
     statuses = []
     for _ in range(30):
         net, domain = random_network(rng)
         problem = encode_network(net, domain_box(net, domain))
-        query = attach_rival_query(problem, 0, 1)
+        query = rival_row(attach_rival_query(problem, 0, 1))
         for zero in (0.0, -0.0):
             # the root starts from the forward pass of its encoding, whose
             # binaries are integral, so the search ends there
@@ -414,9 +414,9 @@ def test_zero_objective_never_reads_duals(monkeypatch):
             if got.status == OPTIMAL:
                 assert got.value == 0.0
             statuses.append(got.status)
-        # a nonzero cost on the same encoding does build one
+        # a nonzero cost on the same encoding does read them
         optimize(problem, {problem.output_vids[0]: 1.0})
-    assert built == [False] * 30
+    assert set(branched) == {(True, True), (False, False)}
     assert "infeasible" in statuses and OPTIMAL in statuses
     # an optimal LP carries duals exactly when it has a cost
     assert set(duals) == {(True, True), (False, False)}
@@ -490,9 +490,9 @@ def test_dual_weighted_branching_takes_fewer_nodes(monkeypatch):
 
 
 def test_optimize_over_rival_queries_matches_oracle(monkeypatch):
-    # A rival query's row can cut off the forward pass from a node's inputs,
-    # so some incumbents fail the certificate, and on nets where the rival
-    # never reaches the target the search ends infeasible.
+    # A rival query's row (its row form) can cut off the forward pass from a
+    # node's inputs, so some incumbents fail the certificate, and on nets
+    # where the rival never reaches the target the search ends infeasible.
     rejected = []
     incumbent = bnb._ReluGraph.incumbent
 
@@ -506,7 +506,8 @@ def test_optimize_over_rival_queries_matches_oracle(monkeypatch):
     statuses = []
     for _ in range(30):
         net, domain = random_network(rng)
-        query = attach_rival_query(encode_network(net, domain_box(net, domain)), 0, 1)
+        query = rival_row(
+            attach_rival_query(encode_network(net, domain_box(net, domain)), 0, 1))
         margin = {query.output_vids[1]: 1.0, query.output_vids[0]: -1.0}
         for sign in (1.0, -1.0):
             objective = {v: sign * c for v, c in margin.items()}
@@ -532,8 +533,9 @@ def test_backend_contract():
 
 
 def _tree_nodes(monkeypatch):
-    """(prep, lb, ub, warm basis) of every node of feasibility and optimize
-    trees on fourteen random three-layer networks."""
+    """(prep, lb, ub, warm basis) of every node of rival queries, of their
+    row forms (a zero cost) and of optimize trees on fourteen random
+    three-layer networks."""
     nodes = []
     solve_prepared = bnb.solve_prepared
 
@@ -549,7 +551,9 @@ def _tree_nodes(monkeypatch):
         for target in range(net.class_count):
             for rival in range(net.class_count):
                 if rival != target:
-                    solve_feasibility(attach_rival_query(problem, target, rival))
+                    query = attach_rival_query(problem, target, rival)
+                    solve_feasibility(query)
+                    solve_feasibility(rival_row(query))
         for vid in problem.output_vids:
             for sign in (1.0, -1.0):
                 optimize(problem, {vid: sign})
@@ -676,3 +680,106 @@ def test_floors_skip_only_children_the_search_drops(monkeypatch):
     assert not any(offered for _, _, offered in skipped)
     assert len(nodes) + len(skipped) == len(plain_nodes)
     assert len(nodes) <= 0.8 * len(plain_nodes)
+
+
+def test_margin_search_matches_the_row_query():
+    # every rival query of a seeded corpus, with some attributes pinned: the
+    # search that minimizes the margin under the cutoff FEAS_TOL and the
+    # zero-cost search over the row o_rival - o_target >= 0 agree, and so
+    # does the enumeration oracle where it can run
+    rng = np.random.default_rng(139)
+    seen = {"optimal": 0, "infeasible": 0}
+    for _ in range(40):
+        net, domain = random_network(rng, max_hidden_total=10)
+        problem = encode_network(net, domain_box(net, domain))
+        instance = random_instance(rng, net, domain)
+        target = int(rng.integers(net.class_count))
+        fixed = rng.choice(net.input_dim, size=rng.integers(0, net.input_dim),
+                           replace=False)
+        base = fix_attributes(problem,
+                              *pinned_box(domain, {j: instance[j] for j in fixed}))
+        for rival in range(net.class_count):
+            if rival == target:
+                continue
+            query = attach_rival_query(base, target, rival)
+            got = solve_feasibility(query)
+            row = solve_feasibility(rival_row(query))
+            assert got.status == row.status
+            if len(query.binary_vids) <= ORACLE_BINARY_CAP:
+                assert got.status == oracle_enumerate(query).status
+            seen[got.status] += 1
+            if got.status == OPTIMAL:
+                # a counterexample: within the cutoff, integral, and the
+                # rival within tolerance of the target at its inputs
+                assert got.value <= simplex.FEAS_TOL
+                z = got.point[list(query.binary_vids)]
+                assert (np.abs(z - np.round(z)) <= bnb.INTEGRALITY_TOL).all()
+                outs = forward(net, got.point[list(query.input_vids)]).outputs
+                assert outs[rival] >= outs[target] - 1e-6 * (np.abs(outs).max() + 1.0)
+    assert seen["optimal"] >= 30 and seen["infeasible"] >= 15
+
+
+def test_cutoff_drops_nodes_and_children_above_it(monkeypatch):
+    # only nodes whose LP value is within the cutoff branch, and a child
+    # whose floor is above it is never solved
+    values, above, solved = [], set(), set()
+    branch_floors, solve = bnb.branch_floors, bnb.solve_prepared
+
+    def recorded_floors(prep, outcome, lb, ub, col):
+        values.append(outcome.value)
+        got = branch_floors(prep, outcome, lb, ub, col)
+        for value, floor in enumerate(got):
+            if floor > simplex.FEAS_TOL:
+                child = np.array((lb, ub))
+                child[:, col] = value
+                above.add(child.tobytes())
+        return got
+
+    def recorded(prep, lb, ub, warm=None):
+        solved.add(np.array((lb, ub)).tobytes())
+        return solve(prep, lb, ub, warm)
+
+    monkeypatch.setattr(bnb, "branch_floors", recorded_floors)
+    monkeypatch.setattr(bnb, "solve_prepared", recorded)
+    rng = np.random.default_rng(149)
+    dropped = 0
+    for _ in range(60):
+        net, domain = random_network(rng, max_hidden_total=16)
+        problem = encode_network(net, domain_box(net, domain))
+        for target, rival in itertools.permutations(range(net.class_count), 2):
+            above.clear()
+            solved.clear()
+            solve_feasibility(attach_rival_query(problem, target, rival))
+            assert not above & solved
+            dropped += len(above)
+    assert values and max(values) <= simplex.FEAS_TOL
+    assert dropped >= 10
+
+
+def test_given_start_seeds_the_root(monkeypatch):
+    # a search handed the root basis of an earlier search over the same rows
+    # starts there; its children still start from their parent's basis
+    starts = []
+    solve = bnb.solve_prepared
+
+    def recorded(prep, lb, ub, warm=None):
+        starts.append(warm)
+        return solve(prep, lb, ub, warm)
+
+    monkeypatch.setattr(bnb, "solve_prepared", recorded)
+    rng = np.random.default_rng(151)
+    seeded = 0
+    for _ in range(20):
+        net, domain = random_network(rng, n_classes=3)
+        problem = encode_network(net, domain_box(net, domain))
+        first = solve_feasibility(attach_rival_query(problem, 0, 1))
+        if first.basis is None:
+            continue
+        query = attach_rival_query(problem, 0, 2)
+        assert query.lp.a is problem.lp.a
+        starts.clear()
+        warm = solve_feasibility(query, start=first.basis)
+        assert starts[0] is first.basis
+        assert warm.status == solve_feasibility(query).status
+        seeded += 1
+    assert seeded >= 15

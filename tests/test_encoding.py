@@ -185,12 +185,14 @@ class TestEncode:
 
 
 class TestQueryAndFix:
-    def test_rival_query_row(self, demo_problem):
+    def test_rival_query_cost(self, demo_problem):
         q = attach_rival_query(demo_problem, 0, 1)
-        assert q.lp.a.shape[0] == structural_rows(q) + 1
-        coeffs, rel, rhs = row_terms(q, -1)
-        assert rel == GE and rhs == 0.0
-        assert coeffs == {q.output_vids[1]: 1.0, q.output_vids[0]: -1.0}
+        # the margin o_target - o_rival as the cost, over the same rows
+        assert q.lp.a is demo_problem.lp.a and q.lp.a.shape[0] == structural_rows(q)
+        assert q.lp.rel is demo_problem.lp.rel and q.lp.rhs is demo_problem.lp.rhs
+        cols = np.nonzero(q.lp.c)[0]
+        assert {int(c): q.lp.c[c] for c in cols} == \
+            {q.output_vids[0]: 1.0, q.output_vids[1]: -1.0}
 
     def test_query_index_validation(self, demo_problem):
         with pytest.raises(ValueError):

@@ -1,13 +1,15 @@
 import logging
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+import boxplain.bnb as bnb
 from boxplain.box import box_propagate, margin_lower_bounds
 from boxplain.bnb import (INTEGRALITY_TOL, BranchAndBoundBackend, MilpOutcome,
-                          milp_to_lp, optimize)
+                          milp_to_lp, optimize, solve_feasibility)
 from boxplain.encoding import (encode_prefix, fix_attributes, forward_point,
                                merge_bounds)
 from boxplain.engine import (Decision, EngineConfig, Explainer, Explanation,
@@ -434,15 +436,16 @@ class _RecordingBackend(BranchAndBoundBackend):
         super().__init__()
         self.calls = []  # (frozenset of free attributes, rival)
 
-    def feasibility(self, problem, *, time_budget_ms=None):
+    def feasibility(self, problem, *, time_budget_ms=None, start=None):
         lp = problem.lp
         free = frozenset(a for a, vid in enumerate(problem.input_vids)
                          if lp.lb[vid] < lp.ub[vid])
-        # attach_rival_query appends o_rival - o_target >= 0 as the last row
+        # attach_rival_query sets the cost o_target - o_rival
         rival = next(r for r, vid in enumerate(problem.output_vids)
-                     if lp.a[-1, vid] == 1.0)
+                     if lp.c[vid] == -1.0)
         self.calls.append((free, rival))
-        return super().feasibility(problem, time_budget_ms=time_budget_ms)
+        return super().feasibility(problem, time_budget_ms=time_budget_ms,
+                                   start=start)
 
 
 def _proven(net, domain, tight, instance, free, target) -> set:
@@ -588,7 +591,7 @@ class TestRivalOrder:
 
     def test_unexpected_status_is_a_solver_failure(self):
         class Sat(BranchAndBoundBackend):
-            def feasibility(self, problem, *, time_budget_ms=None):
+            def feasibility(self, problem, *, time_budget_ms=None, start=None):
                 return MilpOutcome("sat")  # not a MILP status
 
         net, domain = random_network(np.random.default_rng(103), n_classes=3)
@@ -684,7 +687,113 @@ class TestMarginBound:
         assert skipped >= 5
 
 
+class _WarmAgainstForward(BranchAndBoundBackend):
+    """Solves every rival query from the ``start`` it is handed and again
+    from the forward-pass basis, and records both; returns the first, so the
+    deletion loop hands its root bases on as it would by default."""
+
+    def __init__(self, roots):
+        super().__init__()
+        self.roots = roots  # iterations of each root solved, in order
+        self.last = (None, None)  # rows and root basis of the last outcome
+        self.calls = []  # (warm status, forward status, warm root, forward root)
+
+    def feasibility(self, problem, *, time_budget_ms=None, start=None):
+        rows, basis = self.last
+        # a start is handed on exactly when the rows are the last root's
+        assert (start is not None) == (rows is problem.lp.a)
+        assert start is None or start is basis
+        self.roots.clear()
+        out = solve_feasibility(problem, time_budget_ms=time_budget_ms, start=start)
+        warm_root = self.roots[0]
+        self.roots.clear()
+        forward = solve_feasibility(problem, time_budget_ms=time_budget_ms)
+        self.calls.append((out.status, forward.status, warm_root, self.roots[0],
+                           start is not None))
+        if out.basis is not None:
+            self.last = (problem.lp.a, out.basis)
+        return out
+
+
+class TestWarmRoots:
+    def test_warm_roots_answer_as_forward_roots_in_fewer_iterations(self, monkeypatch):
+        roots = []
+        solve = bnb.solve_prepared
+
+        def recorded(prep, lb, ub, warm=None):
+            outcome = solve(prep, lb, ub, warm)
+            roots.append(outcome.iterations)
+            return outcome
+
+        monkeypatch.setattr(bnb, "solve_prepared", recorded)
+        rng = np.random.default_rng(163)
+        calls = {}
+        for _ in range(20):
+            net, domain = random_network(rng, n_classes=5)
+            ex = Explainer(net, domain)
+            for _ in range(2):
+                instance = random_instance(rng, net, domain)
+                for mode in ("baseline", "improved"):
+                    backend = _WarmAgainstForward(roots)
+                    warm = Explainer(net, domain, EngineConfig(backend=backend),
+                                     tight=ex.tight)
+                    assert warm.explain(instance, mode)[0] == \
+                        ex.explain(instance, mode)[0]
+                    calls.setdefault(mode, []).extend(backend.calls)
+        for mode, made in calls.items():
+            assert all(got == want for got, want, *_ in made)
+            started = [(warm, forward) for *_, warm, forward, seeded in made if seeded]
+            assert len(started) >= 10
+            assert sum(w for w, _ in started) < sum(f for _, f in started)
+
+    def test_threads_sharing_one_explainer_match_serial_runs(self):
+        rng = np.random.default_rng(167)
+        net, domain = random_network(rng, n_inputs=8, n_classes=3,
+                                     max_hidden_total=12)
+        ex = Explainer(net, domain)
+        jobs = [(random_instance(rng, net, domain), mode)
+                for _ in range(6) for mode in ("baseline", "improved")]
+
+        def run(job):
+            explanation, stats = ex.explain(*job)
+            return explanation, (stats.solver_calls, stats.solver_nodes,
+                                 stats.lp_iterations)
+
+        serial = [run(job) for job in jobs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(run, jobs))
+        assert threaded == serial
+        assert sum(counts[2] for _, counts in serial) > 0
+
+
 class TestExplainStats:
+    def test_solver_counts_sum_the_rival_queries(self):
+        class Summing(BranchAndBoundBackend):
+            def __init__(self):
+                super().__init__()
+                self.outcomes = []
+
+            def feasibility(self, problem, **kwargs):
+                self.outcomes.append(super().feasibility(problem, **kwargs))
+                return self.outcomes[-1]
+
+        rng = np.random.default_rng(173)
+        nodes = 0
+        for _ in range(6):
+            net, domain = random_network(rng, max_hidden_total=8)
+            tight = compute_tight_bounds(net, domain)
+            instance = random_instance(rng, net, domain)
+            for mode in ("baseline", "improved"):
+                backend = Summing()
+                _, stats = Explainer(net, domain, EngineConfig(backend=backend),
+                                     tight=tight).explain(instance, mode)
+                assert stats.solver_calls == len(backend.outcomes)
+                assert stats.solver_nodes == sum(o.node_count for o in backend.outcomes)
+                assert stats.lp_iterations == \
+                    sum(o.lp_iterations for o in backend.outcomes)
+                nodes += stats.solver_nodes
+        assert nodes >= 20
+
     def test_pooled_nothing_is_zero(self):
         # the bench row when every instance failed
         pooled = ExplainStats.pooled([])
