@@ -9,17 +9,21 @@ rival query's margin ``o_target - o_rival`` (``attach_rival_query``), under
 a cutoff of ``FEAS_TOL``: it stops at the first point at or below the
 cutoff and answers ``infeasible`` when none exists.
 
-Both take one path, whatever the encoding.  Every node's forward pass from
-its inputs is a candidate incumbent; the search branches on the ReLU whose
-triangle relaxation the node's LP duals (``LpOutcome.duals``) weigh most,
-or on the most fractional binary when none carries dual weight (a zero
-cost has no duals); and each child carries a floor from the LP core
-(``branch_floors``), a lower bound on its LP value from one bounded dual
-simplex step off its parent's optimal basis.  A child whose floor is no
-better than the incumbent, or above the cutoff, is never solved.  This
-module reads nothing else of an LP basis: it hands a node's final basis to
-its children as their warm start, and returns the root's so that a later
-search over the same rows can start from it.  The search is depth first.
+Both take one path, whatever the encoding, and every search over one
+encoding shares what does not change between them: the LP core's prepared
+rows and the arrays of the split neurons (``_Encoded``), built by the
+first.  Every node's forward pass from its inputs is a candidate
+incumbent, certified only when the search would take it; the search
+branches on the ReLU whose triangle relaxation the node's LP duals
+(``LpOutcome.duals``) weigh most, or on the most fractional binary when
+none carries dual weight (a zero cost has no duals); and each child
+carries a floor from the LP core (``branch_floors``), a lower bound on its
+LP value from one bounded dual simplex step off its parent's optimal
+basis.  A child whose floor is no better than the incumbent, or above the
+cutoff, is never solved.  This module reads nothing else of an LP basis:
+it hands a node's final basis to its children as their warm start, and
+returns the root's so that a later search over the same rows can start
+from it.  The search is depth first.
 The ``SolverBackend`` seam lets an external MILP engine stand in as long as
 it honors the same contract: the statuses above, a point satisfying every
 constraint within the feasibility tolerance, and binaries integral within
@@ -90,27 +94,25 @@ def _fractional_binaries(point: np.ndarray, binaries, tol: float) -> Optional[in
     return int(binaries[k]) if frac[k] > tol else None
 
 
-class _ReluGraph:
-    """An encoding's split neurons, for reading a node's LP solution against
-    the network.
+class _Encoded:
+    """What every search over one encoding shares, read-only once built:
+    its rows as the LP core prepares them (``prepare``), and the arrays of
+    its inputs and split neurons that ``_ReluGraph`` reads.
 
-    ``incumbent`` runs the network forward from the point's inputs,
-    clipped to the root's bounds; the result has integral binaries and is
-    kept only if it passes the LP core's acceptance rule (``_certify``) on
-    the root's bounds, so it is a feasible point of the MILP.
-    ``branching`` picks the fractional binary of the split neuron whose
-    triangle relaxation the node's LP duals (``LpOutcome.duals``) weigh
-    most (BaBSR's score, Bunel et al., JMLR 2020): the dual weight ``|y|``
-    on the neuron's two upper-side rows, times the widest gap the triangle
-    leaves above the ReLU, ``-l u / (u - l)`` for its big-M constants
-    ``l < 0 < u``; the lowest vid on a tie.  None when no fractional binary
-    scores above 0, which is always so for an encoding without split
-    neurons or an LP without a cost (no duals).
+    ``_ReluGraph`` takes it from the problem's ``searched`` holder when it
+    was built for the same ``blocks`` and ``input_vids`` (by identity), and
+    otherwise builds it, storing it there when the holder has none: the
+    baseline queries of an ``Explainer``, the rival queries of one
+    simplified encoding and the bound MILPs of one prefix each build it
+    once.  ``prepare`` reuses its rows only for a search whose ``lp.a``,
+    ``rel`` and ``rhs`` are the arrays they came from.
     """
 
-    def __init__(self, problem: MilpProblem, prep):
-        self.problem, self.prep = problem, prep
-        self.lb, self.ub = problem.lp.lb, problem.lp.ub
+    __slots__ = ("blocks", "input_vids", "rows", "inputs", "z", "upper", "gap")
+
+    def __init__(self, problem: MilpProblem, rows):
+        self.blocks, self.input_vids = problem.blocks, problem.input_vids
+        self.rows = rows
         self.inputs = np.array(problem.input_vids, dtype=int)
         # blocks are layer-major and number their binaries in that order, so
         # the z vids ascend and argmax's first maximum is the lowest vid
@@ -121,14 +123,54 @@ class _ReluGraph:
         hi = np.array([block.pre_ub for block in split])
         self.gap = -lo * hi / (hi - lo)
 
-    def incumbent(self, point: np.ndarray) -> Optional[np.ndarray]:
+    def fits(self, problem: MilpProblem) -> bool:
+        return problem.blocks is self.blocks and problem.input_vids is self.input_vids
+
+
+class _ReluGraph:
+    """A search's view of its encoding's split neurons, for reading a
+    node's LP solution against the network; ``prep`` is the search's LP,
+    prepared on the rows its encoding shares (``_Encoded``).
+
+    ``incumbent`` runs the network forward from the point's inputs,
+    clipped to the root's bounds, which gives a candidate with integral
+    binaries; ``certified`` checks a candidate against the LP core's
+    acceptance rule (``_certify``) on the root's bounds, which makes it a
+    feasible point of the MILP.
+    ``branching`` picks the fractional binary of the split neuron whose
+    triangle relaxation the node's LP duals (``LpOutcome.duals``) weigh
+    most (BaBSR's score, Bunel et al., JMLR 2020): the dual weight ``|y|``
+    on the neuron's two upper-side rows, times the widest gap the triangle
+    leaves above the ReLU, ``-l u / (u - l)`` for its big-M constants
+    ``l < 0 < u``; the lowest vid on a tie.  None when no fractional binary
+    scores above 0, which is always so for an encoding without split
+    neurons or an LP without a cost (no duals).
+    """
+
+    def __init__(self, problem: MilpProblem, lp: LpProblem):
+        shared = problem.searched.get(_Encoded)
+        if shared is not None and shared.fits(problem):
+            self.prep = prepare(lp, shared.rows)
+        else:
+            self.prep = prepare(lp)
+            shared = _Encoded(problem, self.prep.rows)
+            # one call, so of threads racing here the first to store wins
+            problem.searched.setdefault(_Encoded, shared)
+        self.problem = problem
+        self.lb, self.ub = lp.lb, lp.ub
+        self.inputs, self.z, self.upper, self.gap = \
+            shared.inputs, shared.z, shared.upper, shared.gap
+
+    def incumbent(self, point: np.ndarray) -> np.ndarray:
         inputs = np.clip(point[self.inputs], self.lb[self.inputs], self.ub[self.inputs])
-        x = forward_point(self.problem, inputs)
+        return forward_point(self.problem, inputs)
+
+    def certified(self, x: np.ndarray) -> bool:
         try:
             _certify(self.prep, self.lb, self.ub, x)
         except SolverFailure:
-            return None
-        return x
+            return False
+        return True
 
     def branching(self, point: np.ndarray,
                   duals: Optional[np.ndarray]) -> Optional[int]:
@@ -150,11 +192,17 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
     """Depth-first search over the binaries, minimizing ``objective`` (the
     problem's own cost for None, ``milp_to_lp``).
 
-    A node is one LP solve under its own bounds, warm-started: the root
-    from ``start``, or ``forward_basis`` without one, each child from its
-    parent's final basis.  At every node it does not drop, the search
-    offers the forward pass from the node's inputs as an incumbent
-    (``_ReluGraph.incumbent``), and an integral LP point is one too.  It
+    Every node solves the search's one prepared LP (``_ReluGraph.prep``),
+    whose rows it shares with every other search over the same encoding
+    (``_Encoded``).  A node is one LP solve under its own bounds,
+    warm-started: the root from ``start``, or ``forward_basis`` without
+    one, each child from its parent's final basis.  At every node it does
+    not drop, the search offers the forward pass from the node's inputs as
+    an incumbent (``_ReluGraph.incumbent``).  It prices that point first
+    and certifies it (``_ReluGraph.certified``) only when it would take it,
+    that is when its cost is below the best so far and within any cutoff:
+    a point it would pass over changes nothing, certified or not.  An
+    integral LP point is an incumbent too.  It
     branches on the split neuron whose triangle relaxation the node's duals
     weigh most (``_ReluGraph.branching``), or on the most fractional binary
     when no fractional block binary carries dual weight, and explores the
@@ -175,8 +223,8 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
     started = time.perf_counter()
     deadline = None if time_budget_ms is None else started + time_budget_ms / 1000.0
     lp = milp_to_lp(problem, objective)
-    prep = prepare(lp)
-    graph = _ReluGraph(problem, prep)
+    graph = _ReluGraph(problem, lp)
+    prep = graph.prep
     binaries = np.array(lp.binaries, dtype=np.intp)
     # a node is its bounds, rows lb and ub of one array, its start basis and
     # a lower bound on its LP value
@@ -196,12 +244,9 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
         return best_point is not None and \
             value >= best_value - 1e-9 * max(1.0, abs(best_value))
 
-    def found(value: float, point: np.ndarray) -> bool:
-        """Take a feasible point if it improves; True ends the search."""
-        nonlocal best_value, best_point
-        if value < best_value and (cutoff is None or value <= cutoff):
-            best_value, best_point = value, point
-        return cutoff is not None and best_point is not None
+    def improves(value: float) -> bool:
+        """Whether the search takes a feasible point of this cost."""
+        return value < best_value and (cutoff is None or value <= cutoff)
 
     while stack:
         if deadline is not None and time.perf_counter() > deadline:
@@ -217,17 +262,24 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
         iterations += outcome.iterations
         if outcome.status != OPTIMAL or dropped(outcome.value):
             continue
+        # priced first and certified only when it would be taken: a point
+        # the search passes over changes nothing
         forward = graph.incumbent(outcome.point)
-        if forward is not None and found(float(prep.c @ forward), forward):
-            break
+        value = float(prep.c @ forward)
+        if improves(value) and graph.certified(forward):
+            best_value, best_point = value, forward
+            if cutoff is not None:
+                break
         if dropped(outcome.value):
             continue
         vid = graph.branching(outcome.point, outcome.duals)
         if vid is None:
             vid = _fractional_binaries(outcome.point, binaries, INTEGRALITY_TOL)
         if vid is None:
-            if found(outcome.value, outcome.point):
-                break
+            if improves(outcome.value):
+                best_value, best_point = outcome.value, outcome.point
+                if cutoff is not None:
+                    break
             continue
         floors = branch_floors(prep, outcome, bounds[0], bounds[1], vid)
         first = int(round(outcome.point[vid]))

@@ -16,7 +16,7 @@ variable bounds [0, 0].  Output neurons are affine equalities.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -74,6 +74,13 @@ class MilpProblem:
     Transformations return new values.  The arrays are read-only because one
     base problem is shared by every instance (and thread) an ``Explainer``
     serves; unchanged arrays are shared between a problem and its edits.
+
+    ``searched`` holds what branch and bound builds on the first search
+    over these rows and blocks and reuses in every later one
+    (``bnb._Encoded``).  Each encoding gets its own, and the edits that keep
+    its rows (``fix_attributes``, ``attach_rival_query``) carry it through
+    ``replace``; a search checks what it finds there against its own
+    problem before use.  An entry, once stored, never changes.
     """
 
     lp: LpProblem  # zero c, or a rival query's margin; column j is vid j
@@ -82,6 +89,7 @@ class MilpProblem:
     output_vids: tuple
     # the output rows, one per output in order, start here
     output_row: int
+    searched: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         for arr in (self.lp.a, self.lp.rhs, self.lp.lb, self.lp.ub, self.lp.c):

@@ -295,9 +295,11 @@ class Explainer:
     ``order`` is ``config.order`` resolved once by ``attribute_order``
     (index order for None); one that is not a permutation of the attribute
     indices raises ValueError before any bound is computed.  Immutable once
-    constructed; explain() never mutates it, and keeps its warm starts in
-    each call, so one Explainer can serve many instances (and threads) of
-    the same network.
+    constructed, but for one store: the first search over the base
+    encoding keeps what every later one shares in
+    ``base_problem.searched``, which nothing changes afterwards.  explain()
+    keeps its warm starts in each call, so one Explainer can serve many
+    instances (and threads) of the same network.
     """
 
     def __init__(self, net: Network, domain: InputDomain,

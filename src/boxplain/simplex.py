@@ -5,9 +5,10 @@ dense data.  An ``LpProblem`` minimizes ``c @ x``; one whose ``c`` is all
 zero is a feasibility problem, and a solve of it skips phase 2.  A solve
 ends ``OPTIMAL`` or ``INFEASIBLE``; an LP without a finite optimum raises
 ``SolverFailure``, as does any numerical breakdown.  ``prepare`` fixes the
-rows and objective; each solve takes its own bounds.  A nonbasic column
-sits at the bound its status names, or at the other when that one is
-infinite (no column is free).
+objective, once per search, on rows prepared once per row array
+(``_Rows``, reused by every search over the same ``a``); each solve takes
+its own bounds.  A nonbasic column sits at the bound its status names, or
+at the other when that one is infinite (no column is free).
 
 A cold solve is a two-phase primal simplex: Dantzig pricing by default,
 switching permanently to Bland's rule once more than ``stall_limit``
@@ -42,12 +43,12 @@ An inverse whose residual ``max|A_B @ binv - I|`` is within
 ``_INVERSE_TOL`` is kept and gives the basic values again, any other (NaN
 included) is refactored, and either way the loop prices once more, so stale
 arithmetic cannot end a solve early.  A solve therefore ends on a checked
-inverse, and only the basic values, moved by bound flips since, are
-computed again.  Children inherit that inverse, so along a chain of warm
-starts it is the check, not a pivot count, that bounds the drift.
+inverse, and only the basic values are computed again, when bound flips
+have moved them since.  Children inherit that inverse, so along a chain of
+warm starts it is the check, not a pivot count, that bounds the drift.
 
 A warm solve, and phase 2 of a cold one, prices only the structural and
-slack columns, through a contiguous copy of them (``_Prepared.priced``):
+slack columns, through a contiguous copy of them (``_Rows.priced``):
 the artificials are bounded there and can never enter.  From one pivot to
 the next both loops carry the basic values, the basic bounds and one sign
 per priced column (+1 or -1 for the direction a nonbasic column can move, 0
@@ -173,8 +174,9 @@ class LpOutcome:
     duals: Optional[np.ndarray] = None
 
 
-class _Prepared:
-    """Rows and objective shared by every solve of one problem (bounds vary).
+class _Rows:
+    """The rows of one problem, prepared once per row array and shared by
+    every objective and every set of bounds solved over them (``prepare``).
 
     Columns are laid out structural | slack | artificial, with both the slack
     and artificial blocks as identity matrices (``eye``); artificial signs
@@ -184,14 +186,15 @@ class _Prepared:
     ``lo_tail``/``hi_tail`` are the slack and the pinned artificial bounds
     that follow a solve's structural ones.  ``row_tol`` is each row's
     feasibility tolerance, ``FEAS_TOL`` scaled by ``max(1, |rhs|)``, and
-    ``row_lo``/``row_hi`` are ``rhs`` minus and plus it.  ``c`` is the
-    objective to minimize, ``cost`` the same over every column, None when
-    ``c`` has no nonzero entry (a feasibility problem: no phase 2).
+    ``row_lo``/``row_hi`` are ``rhs`` minus and plus it.  ``source`` holds
+    the arrays they were built from: they serve a problem only when its
+    ``a``, ``rel`` and ``rhs`` are those same objects (``fits``).  Read-only
+    once built.
     """
 
     __slots__ = ("A", "eye", "priced", "rhs", "rel", "m", "n", "ncols",
                  "total", "lo_tail", "hi_tail", "row_tol", "row_lo", "row_hi",
-                 "is_le", "is_ge", "c", "cost")
+                 "is_le", "is_ge", "source")
 
     def __init__(self, p: LpProblem):
         m, n = p.a.shape
@@ -216,8 +219,27 @@ class _Prepared:
         self.row_tol = FEAS_TOL * np.maximum(1.0, np.abs(self.rhs))
         self.row_lo = self.rhs - self.row_tol
         self.row_hi = self.rhs + self.row_tol
-        self.c = p.c.astype(np.float64)
-        self.cost = np.concatenate([self.c, np.zeros(2 * m)]) \
+        self.source = (p.a, p.rel, p.rhs)
+
+    def fits(self, p: LpProblem) -> bool:
+        """Whether these are ``p``'s rows: its arrays are the very objects
+        they were built from."""
+        a, rel, rhs = self.source
+        return p.a is a and p.rel is rel and p.rhs is rhs
+
+
+class _Prepared:
+    """One objective over prepared rows, shared by every solve of one
+    search (bounds vary): ``rows`` (``_Rows``), ``c`` the objective to
+    minimize, and ``cost`` the same over every column, None when ``c`` has
+    no nonzero entry (a feasibility problem: no phase 2)."""
+
+    __slots__ = ("rows", "c", "cost")
+
+    def __init__(self, rows: _Rows, c: np.ndarray):
+        self.rows = rows
+        self.c = c.astype(np.float64)
+        self.cost = np.concatenate([self.c, np.zeros(2 * rows.m)]) \
             if np.count_nonzero(self.c) else None
 
 
@@ -240,18 +262,22 @@ class _Simplex:
 
     ``x`` holds every column's value and ``xb`` the basic ones, row by row.
     Between loops the two agree; inside ``run_dual`` only ``xb`` moves, and
-    ``x`` takes it back when the loop returns.
+    ``x`` takes it back when the loop returns.  ``moved`` is False while the
+    basic values are those ``_solve_basics`` last computed from the rows,
+    and a pivot or a bound flip sets it.
     """
 
     def __init__(self, prep: _Prepared, lb: np.ndarray, ub: np.ndarray,
                  start: Optional[Basis] = None):
-        self.prep = prep
-        m, total = prep.m, prep.total
+        rows = prep.rows
+        self.prep, self.rows = prep, rows
+        m, total = rows.m, rows.total
         self.m = m
-        self.lo = np.concatenate((lb, prep.lo_tail))
-        self.hi = np.concatenate((ub, prep.hi_tail))
+        self.lo = np.concatenate((lb, rows.lo_tail))
+        self.hi = np.concatenate((ub, rows.hi_tail))
         self.iterations = 0
         self.pivots_since_refactor = 0
+        self.moved = True
         self.max_iter = 500 + 60 * total
         self.dual_max_iter = 50 + 4 * m
         self.stall_limit = 40
@@ -271,17 +297,17 @@ class _Simplex:
         self.x = np.where(upper, hi, lo)
 
     def _start_cold(self) -> None:
-        prep, lo, hi = self.prep, self.lo, self.hi
-        ncols = prep.ncols
-        self._place(np.full(prep.total, _AT_LOWER))
-        resid = prep.rhs - prep.A[:, :ncols] @ self.x[:ncols]
+        rows, lo, hi = self.rows, self.lo, self.hi
+        ncols = rows.ncols
+        self._place(np.full(rows.total, _AT_LOWER))
+        resid = rows.rhs - rows.A[:, :ncols] @ self.x[:ncols]
         self.art_sign = np.where(resid >= 0.0, 1.0, -1.0)
         lo[ncols:] = np.where(resid >= 0.0, 0.0, -INF)
         hi[ncols:] = np.where(resid >= 0.0, INF, 0.0)
         self.x[ncols:] = resid
         self.stat[ncols:] = _BASIC
-        self.basis = np.arange(ncols, prep.total)
-        self.binv = np.eye(prep.m)  # initial basis is the artificial identity
+        self.basis = np.arange(ncols, rows.total)
+        self.binv = np.eye(rows.m)  # initial basis is the artificial identity
         self.xb = resid.copy()
 
     def _start_warm(self, start: Basis) -> None:
@@ -298,11 +324,12 @@ class _Simplex:
     def _solve_basics(self) -> None:
         x, basis = self.x, self.basis
         x[basis] = 0.0  # the rows give the basics from the nonbasic values
-        self.xb = self.binv @ (self.prep.rhs - self.prep.A @ x)
+        self.xb = self.binv @ (self.rows.rhs - self.rows.A @ x)
         x[basis] = self.xb
+        self.moved = False
 
     def _refactor(self) -> None:
-        B = self.prep.A[:, self.basis]
+        B = self.rows.A[:, self.basis]
         try:
             self.binv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
@@ -318,8 +345,8 @@ class _Simplex:
         caller prices again before deciding."""
         if self.pivots_since_refactor == 0:
             return False
-        resid = self.prep.A[:, self.basis] @ self.binv
-        resid -= self.prep.eye
+        resid = self.rows.A[:, self.basis] @ self.binv
+        resid -= self.rows.eye
         if np.abs(resid, out=resid).max() <= _INVERSE_TOL:
             self._solve_basics()
             self.pivots_since_refactor = 0
@@ -338,6 +365,7 @@ class _Simplex:
         self.binv -= w[:, None] * row_r
         self.binv[r] = row_r
         self.pivots_since_refactor += 1
+        self.moved = True
 
     def run(self, cost: np.ndarray, artificials: bool = False) -> None:
         """Minimize ``cost @ x`` from the current state, ending optimal;
@@ -346,9 +374,9 @@ class _Simplex:
         Prices the structural and slack columns, and the artificials too
         when ``artificials`` is set (phase 1, before they are bounded).
         """
-        prep = self.prep
-        A = prep.A
-        priced = A if artificials else prep.priced
+        rows = self.rows
+        A = rows.A
+        priced = A if artificials else rows.priced
         k = priced.shape[1]
         lo, hi, x, stat, basis = self.lo, self.hi, self.x, self.stat, self.basis
         tol = PIVOT_TOL
@@ -406,11 +434,12 @@ class _Simplex:
                     x[q] = lo[q]
                     stat[q] = _AT_LOWER
                 sign[q] = -sigma
+                self.moved = True
                 continue
 
             blocking = steps <= t_basic + 1e-12
             if bland:
-                r = int(np.where(blocking, basis, prep.total).argmin())
+                r = int(np.where(blocking, basis, rows.total).argmin())
             else:
                 r = int(np.where(blocking, np.abs(w), -1.0).argmax())
             leaving = int(basis[r])
@@ -446,8 +475,8 @@ class _Simplex:
         """
         if not self.m:
             return True  # no rows, nothing to violate
-        prep = self.prep
-        A, priced, ncols = prep.A, prep.priced, prep.ncols
+        rows = self.rows
+        A, priced, ncols = rows.A, rows.priced, rows.ncols
         lo, hi, x, stat, basis = self.lo, self.hi, self.x, self.stat, self.basis
         tol = PIVOT_TOL
         sign = _signs(lo[:ncols], hi[:ncols], stat[:ncols])
@@ -491,11 +520,11 @@ class _Simplex:
                 x[basis] = xb
                 helps = sg > 0
                 room = hi[:ncols] - lo[:ncols]
-                room[prep.n:] = np.minimum(room[prep.n:], self._slack_room())
-                reach = (np.abs(self.binv[r]) @ prep.row_tol
+                room[rows.n:] = np.minimum(room[rows.n:], self._slack_room())
+                reach = (np.abs(self.binv[r]) @ rows.row_tol
                          + float((np.abs(g[helps]) * room[helps]).sum()))
                 if p >= ncols:  # an artificial's own row may miss by row_tol
-                    reach += prep.row_tol[p - ncols]
+                    reach += rows.row_tol[p - ncols]
                 return False if viol[r] > reach else None
             self.iterations += 1
 
@@ -524,27 +553,27 @@ class _Simplex:
         """How far each row's slack can move off zero, the bound it sits at
         when nonbasic: its row's activity range over the structural bounds,
         widened by the row's tolerance."""
-        prep, n = self.prep, self.prep.n
-        a, lb, ub = prep.A[:, :n], self.lo[:n], self.hi[:n]
+        rows, n = self.rows, self.rows.n
+        a, lb, ub = rows.A[:, :n], self.lo[:n], self.hi[:n]
         pos, neg = a > 0, a < 0
         # each entry times the bound that minimizes (maximizes) its term; a
         # zero entry meets 0, never an infinite bound
         act_lo = (a * np.where(pos, lb, np.where(neg, ub, 0.0))).sum(axis=1)
         act_hi = (a * np.where(pos, ub, np.where(neg, lb, 0.0))).sum(axis=1)
-        room = np.where(prep.is_le, prep.rhs - act_lo, act_hi - prep.rhs)
-        return np.maximum(room, 0.0) + prep.row_tol
+        room = np.where(rows.is_le, rows.rhs - act_lo, act_hi - rows.rhs)
+        return np.maximum(room, 0.0) + rows.row_tol
 
     def phase_one(self) -> bool:
         """Minimize the artificials' total; feasible iff the structural
         point it ends on passes ``_certify``, the check an optimal outcome
         must pass."""
-        prep, n = self.prep, self.prep.n
-        cost = np.zeros(prep.total)
-        cost[prep.ncols:] = self.art_sign
+        rows, n = self.rows, self.rows.n
+        cost = np.zeros(rows.total)
+        cost[rows.ncols:] = self.art_sign
         self.run(cost, artificials=True)
         self._solve_basics()
         try:
-            _certify(prep, self.lo[:n], self.hi[:n], self.x[:n])
+            _certify(self.prep, self.lo[:n], self.hi[:n], self.x[:n])
         except SolverFailure:
             return False
         return True
@@ -554,7 +583,7 @@ class _Simplex:
         between zero and the residual phase 1 left it, so phase 2 cannot
         reuse an artificial and can shrink an accepted residual but never
         grow it."""
-        ncols = self.prep.ncols
+        ncols = self.rows.ncols
         nb_art = self.stat[ncols:] != _BASIC
         self.x[ncols:][nb_art] = 0.0
         self.stat[ncols:][nb_art] = _AT_LOWER
@@ -571,28 +600,35 @@ def _certify(prep: _Prepared, lb, ub, point: np.ndarray,
         raise SolverFailure("non-finite solution")
     if np.count_nonzero((point < lb - FEAS_TOL) | (point > ub + FEAS_TOL)):
         raise SolverFailure("solution violates variable bounds")
-    lhs = prep.A[:, :prep.n] @ point
-    widen = rounding * prep.row_tol
-    violated = np.where(prep.is_le, lhs > prep.row_hi + widen,
-                        np.where(prep.is_ge, lhs < prep.row_lo - widen,
-                                 np.abs(lhs - prep.rhs) > prep.row_tol + widen))
+    rows = prep.rows
+    lhs = rows.A[:, :rows.n] @ point
+    widen = rounding * rows.row_tol
+    violated = np.where(rows.is_le, lhs > rows.row_hi + widen,
+                        np.where(rows.is_ge, lhs < rows.row_lo - widen,
+                                 np.abs(lhs - rows.rhs) > rows.row_tol + widen))
     if np.count_nonzero(violated):
         i = int(violated.argmax())
-        raise SolverFailure(f"row {i} violated: {lhs[i]} {prep.rel[i]} {prep.rhs[i]}")
+        raise SolverFailure(f"row {i} violated: {lhs[i]} {rows.rel[i]} {rows.rhs[i]}")
 
 
 def _finish(core: _Simplex, spent: int = 0) -> LpOutcome:
     """Phase 2 from a primal feasible state, then the certificate check
     against the structural bounds the core was built from, which lets a row
     cross its tolerance by ``_ROUNDING`` of it.  ``spent`` counts iterations
-    of an abandoned warm attempt."""
-    prep = core.prep
+    of an abandoned warm attempt.
+
+    The basic values are computed again from the rows only when phase 2
+    moved them since they last were (``_Simplex.moved``); a loop that ends
+    on a checked inverse has just computed them, so only a bound flip after
+    that check leaves them to refresh."""
+    prep, n = core.prep, core.rows.n
     if prep.cost is not None:
         core.run(prep.cost)
-        core._solve_basics()
+        if core.moved:
+            core._solve_basics()
 
-    point = core.x[:prep.n].copy()
-    _certify(prep, core.lo[:prep.n], core.hi[:prep.n], point, _ROUNDING)
+    point = core.x[:n].copy()
+    _certify(prep, core.lo[:n], core.hi[:n], point, _ROUNDING)
     duals = None if prep.cost is None else prep.cost[core.basis] @ core.binv
     return LpOutcome(OPTIMAL, float(prep.c @ point), point, spent + core.iterations,
                      Basis(core.basis, core.stat, core.binv), duals)
@@ -707,14 +743,15 @@ def branch_floors(prep: _Prepared, outcome: LpOutcome, lb: np.ndarray,
     """
     if prep.cost is None:
         return outcome.value, outcome.value
-    basis, ncols, m = outcome.basis, prep.ncols, prep.m
+    rows, basis = prep.rows, outcome.basis
+    ncols, m = rows.ncols, rows.m
     r = int((basis.columns == col).argmax())
-    alpha = basis.inverse[r] @ prep.priced
+    alpha = basis.inverse[r] @ rows.priced
     # the slack bounds follow the structural ones
-    lo = np.concatenate((lb, prep.lo_tail[:m]))
-    hi = np.concatenate((ub, prep.hi_tail[:m]))
+    lo = np.concatenate((lb, rows.lo_tail[:m]))
+    hi = np.concatenate((ub, rows.hi_tail[:m]))
     sign = _signs(lo, hi, basis.status[:ncols])
-    reduced = sign * (prep.cost[:ncols] - outcome.duals @ prep.priced)
+    reduced = sign * (prep.cost[:ncols] - outcome.duals @ rows.priced)
     span = hi - lo
     # pinning to 0 lowers the basic column by its value f, to 1 raises it by
     # 1 - f; a column moving by t moves it by -alpha t
@@ -723,9 +760,16 @@ def branch_floors(prep: _Prepared, outcome: LpOutcome, lb: np.ndarray,
             outcome.value + _dual_step_gain(1.0 - f, -sign * alpha, reduced, span))
 
 
-def prepare(p: LpProblem) -> _Prepared:
-    """Factor out the per-problem rows and objective for repeated solves."""
-    return _Prepared(p)
+def prepare(p: LpProblem, rows: Optional[_Rows] = None) -> _Prepared:
+    """Factor out ``p``'s rows and objective for repeated solves.
+
+    The rows are ``rows``, those of an earlier ``prepare``, when they are
+    ``p``'s own (``_Rows.fits``: the same ``a``, ``rel`` and ``rhs``
+    objects), and are prepared afresh otherwise; only the objective is
+    built per call."""
+    if rows is None or not rows.fits(p):
+        rows = _Rows(p)
+    return _Prepared(rows, p.c)
 
 
 def solve_lp(p: LpProblem) -> LpOutcome:

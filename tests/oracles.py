@@ -255,7 +255,7 @@ def _core_state(core):
 
 def reference_run(self, cost: np.ndarray) -> None:
     """Minimize ``cost @ x`` from the current state."""
-    A = self.prep.A
+    A = self.rows.A
     lo, hi, x, stat = self.lo, self.hi, self.x, self.stat
     tol = PIVOT_TOL
     bland = False
@@ -346,8 +346,8 @@ def reference_run_dual(self, cost: Optional[np.ndarray]) -> Optional[bool]:
     applies.  None to give up: the cap of ``dual_max_iter`` iterations,
     or a violated row that tolerance might still close.
     """
-    prep = self.prep
-    A, ncols = prep.A, prep.ncols
+    rows = self.rows
+    A, ncols = rows.A, rows.ncols
     lo, hi, x, stat = self.lo, self.hi, self.x, self.stat
     tol = PIVOT_TOL
     span = hi - lo
@@ -379,12 +379,12 @@ def reference_run_dual(self, cost: Optional[np.ndarray]) -> Optional[bool]:
                 continue
             helps = movable & ((at_lo & (g > 0)) | (at_hi & (g < 0)))
             room = span.copy()
-            room[prep.n:ncols] = np.minimum(span[prep.n:ncols],
+            room[rows.n:ncols] = np.minimum(span[rows.n:ncols],
                                             self._slack_room())
-            reach = (np.abs(self.binv[r]) @ prep.row_tol
+            reach = (np.abs(self.binv[r]) @ rows.row_tol
                      + float((np.abs(g[helps]) * room[helps]).sum()))
             if p >= ncols:  # an artificial's own row may miss by row_tol
-                reach += prep.row_tol[p - ncols]
+                reach += rows.row_tol[p - ncols]
             return False if viol[r] > reach else None
         self.iterations += 1
 

@@ -371,7 +371,7 @@ def test_optimize_branches_on_the_relu_the_duals_weigh_most(monkeypatch):
     branched = 0
     for problem, prep, point, basis, y, vid in picks:
         # the duals solve y B = c_B for the node's basis
-        assert np.allclose(y @ prep.A[:, basis.columns], prep.cost[basis.columns])
+        assert np.allclose(y @ prep.rows.A[:, basis.columns], prep.cost[basis.columns])
         assert vid == _dual_weighted_by_loop(problem, prep, point, basis,
                                              bnb.INTEGRALITY_TOL)
         branched += vid is not None
@@ -491,17 +491,18 @@ def test_dual_weighted_branching_takes_fewer_nodes(monkeypatch):
 
 def test_optimize_over_rival_queries_matches_oracle(monkeypatch):
     # A rival query's row (its row form) can cut off the forward pass from a
-    # node's inputs, so some incumbents fail the certificate, and on nets
-    # where the rival never reaches the target the search ends infeasible.
+    # node's inputs, so some incumbents the search would take fail the
+    # certificate, and on nets where the rival never reaches the target the
+    # search ends infeasible.
     rejected = []
-    incumbent = bnb._ReluGraph.incumbent
+    certified = bnb._ReluGraph.certified
 
-    def recorded(graph, point):
-        x = incumbent(graph, point)
-        rejected.append(x is None)
-        return x
+    def recorded(graph, x):
+        ok = certified(graph, x)
+        rejected.append(not ok)
+        return ok
 
-    monkeypatch.setattr(bnb._ReluGraph, "incumbent", recorded)
+    monkeypatch.setattr(bnb._ReluGraph, "certified", recorded)
     rng = np.random.default_rng(1)
     statuses = []
     for _ in range(30):
@@ -587,6 +588,64 @@ def test_every_node_agrees_with_refactoring_always(monkeypatch):
             assert abs(checked.value - refactored.value) <= \
                 1e-9 * max(1.0, abs(refactored.value))
     assert len(nodes) >= 400
+
+
+def test_phase_two_skips_only_a_recompute_that_changes_nothing(monkeypatch):
+    # _finish computes the basic values again after phase 2 only when a
+    # pivot or a bound flip moved them since they last were; at every node
+    # where none did, the recompute it skips changes no bit, whether phase 2
+    # did nothing or ended on the check that follows its last pivot
+    nodes = _tree_nodes(monkeypatch)
+    run = _Simplex.run
+    skipped = []
+
+    def checked(core, cost, artificials=False):
+        before = core.iterations
+        run(core, cost, artificials)
+        if not artificials and not core.moved:
+            x, xb = core.x.tobytes(), core.xb.tobytes()
+            core._solve_basics()
+            assert (core.x.tobytes(), core.xb.tobytes()) == (x, xb)
+            skipped.append(core.iterations - before > 1)
+
+    monkeypatch.setattr(_Simplex, "run", checked)
+    for prep, lb, ub, warm in nodes:
+        solve_prepared(prep, lb, ub, warm)
+    assert skipped.count(False) >= 100 and skipped.count(True) >= 100
+
+
+def test_search_prepares_rows_afresh_for_other_row_arrays(monkeypatch):
+    # an edit that replaces the row arrays keeps the encoding's holder
+    # (``MilpProblem.searched``) but not its rows: every search solves on
+    # rows prepared from its own arrays, as a search with a holder of its
+    # own does
+    prepared = []
+    prepare_ = bnb.prepare
+
+    def recorded(lp, rows=None):
+        prep = prepare_(lp, rows)
+        prepared.append((lp, prep.rows))
+        return prep
+
+    monkeypatch.setattr(bnb, "prepare", recorded)
+    rng = np.random.default_rng(211)
+    for _ in range(12):
+        net, domain = random_network(rng, max_hidden_total=10)
+        query = attach_rival_query(encode_network(net, domain_box(net, domain)), 0, 1)
+        lp = query.lp
+        solve_feasibility(query)
+        # a row appended (new a, rel and rhs), and a new a alone
+        for edit in (rival_row(query),
+                     replace(query, lp=replace(lp, a=2.0 * lp.a))):
+            assert edit.searched is query.searched
+            got = solve_feasibility(edit)
+            alone = solve_feasibility(replace(edit, searched={}))
+            assert (got.status, got.value, got.node_count, got.lp_iterations) == \
+                (alone.status, alone.value, alone.node_count, alone.lp_iterations)
+    assert len(prepared) == 12 * 5
+    for lp, rows in prepared:
+        assert rows.A[:, :lp.a.shape[1]].tobytes() == lp.a.tobytes()
+        assert rows.rhs.tobytes() == lp.rhs.tobytes() and rows.rel == lp.rel
 
 
 def _precompute_corpus():

@@ -443,7 +443,7 @@ class TestForwardBasis:
             prep = prepare(problem.lp)
             assert sorted(set(basis.columns)) == sorted(basis.columns)
             # block triangular with unit diagonal blocks
-            assert abs(np.linalg.det(prep.A[:, basis.columns])) == \
+            assert abs(np.linalg.det(prep.rows.A[:, basis.columns])) == \
                 pytest.approx(1.0, abs=1e-9)
             kinds.add(kind)
         assert kinds == {"full", "rival", "prefix"}

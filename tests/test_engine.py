@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import boxplain.bnb as bnb
+import boxplain.engine as engine
+import boxplain.simplex as simplex
 from boxplain.box import box_propagate, margin_lower_bounds
 from boxplain.bnb import (INTEGRALITY_TOL, BranchAndBoundBackend, MilpOutcome,
                           milp_to_lp, optimize, solve_feasibility)
@@ -764,6 +766,84 @@ class TestWarmRoots:
             threaded = list(pool.map(run, jobs))
         assert threaded == serial
         assert sum(counts[2] for _, counts in serial) > 0
+
+
+class TestPreparedRows:
+    """Every search over one encoding solves on the rows prepared for its
+    first (``bnb._Encoded``): ``built`` lists the ``a`` of every rows part
+    the LP core prepares."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        built = []
+        init = simplex._Rows.__init__
+
+        def counted(rows, p):
+            built.append(p.a)
+            init(rows, p)
+
+        monkeypatch.setattr(simplex._Rows, "__init__", counted)
+        return built
+
+    @staticmethod
+    def _recorded(monkeypatch, name):
+        """The results of ``engine.<name>``, recorded as it is called."""
+        results = []
+        original = getattr(engine, name)
+
+        def recorded(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(engine, name, recorded)
+        return results
+
+    def test_baseline_queries_prepare_the_base_rows_once(self, built):
+        # every rival query of two baseline explanations, and of the
+        # verification of one, solves on the rows the first query prepared
+        rng = np.random.default_rng(191)
+        for _ in range(6):
+            net, domain = random_network(rng, max_hidden_total=12)
+            ex = Explainer(net, domain)
+            built.clear()
+            calls = 0
+            for _ in range(2):
+                instance = random_instance(rng, net, domain)
+                explanation, stats = ex.explain(instance, "baseline")
+                calls += stats.solver_calls
+            verify_explanation(net, instance, explanation, domain, samples=10,
+                               rng=0, base_problem=ex.base_problem)
+            assert calls >= 2 * net.input_dim
+            assert len(built) == 1 and built[0] is ex.base_problem.lp.a
+
+    def test_precompute_prepares_each_prefix_once(self, monkeypatch, built):
+        # the 2 x width bound MILPs of a prefix share its rows
+        prefixes = self._recorded(monkeypatch, "encode_prefix")
+        rng = np.random.default_rng(193)
+        for _ in range(6):
+            net, domain = random_network(rng, depth=3, max_hidden_total=12)
+            compute_tight_bounds(net, domain)
+        assert len(built) == len(prefixes) >= 12
+        assert all(a is prefix.lp.a for a, prefix in zip(built, prefixes))
+        assert max(len(prefix.output_vids) for prefix in prefixes) >= 3
+
+    def test_rival_queries_of_one_attribute_share_its_rows(self, monkeypatch,
+                                                           built):
+        simplified = self._recorded(monkeypatch, "tighten_and_simplify")
+        rng = np.random.default_rng(197)
+        queries = encodings = 0
+        for _ in range(8):
+            net, domain = random_network(rng, n_classes=4, max_hidden_total=12)
+            ex = Explainer(net, domain)
+            built.clear()
+            simplified.clear()
+            _, stats = ex.explain(random_instance(rng, net, domain), "improved")
+            queries += stats.solver_calls
+            encodings += len(simplified)
+            assert len(built) == len(simplified)
+            assert all(a is problem.lp.a for a, (problem, _) in zip(built, simplified))
+        # some encoding served more than one rival query
+        assert queries > encodings > 0
 
 
 class TestExplainStats:

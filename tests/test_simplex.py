@@ -120,8 +120,8 @@ class TestStatuses:
         prep = prepare(LpProblem(np.eye(3), (LE, GE, EQ), np.ones(3), np.zeros(3),
                                  np.ones(3), np.zeros(3)))
         # the slacks' bounds, then the artificials pinned at zero
-        assert prep.lo_tail.tolist() == [0.0, -np.inf, 0.0, 0.0, 0.0, 0.0]
-        assert prep.hi_tail.tolist() == [np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert prep.rows.lo_tail.tolist() == [0.0, -np.inf, 0.0, 0.0, 0.0, 0.0]
+        assert prep.rows.hi_tail.tolist() == [np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_oracle_agreement_random_lps():
@@ -532,7 +532,7 @@ class TestWarmStart:
         def tracked(core):
             if not core.pivots_since_refactor:
                 return refreshed(core)
-            resid = np.abs(core.prep.A[:, core.basis] @ core.binv
+            resid = np.abs(core.rows.A[:, core.basis] @ core.binv
                            - np.eye(core.m)).max()
             before = len(inversions)
             verdict = refreshed(core)
@@ -551,7 +551,7 @@ class TestWarmStart:
         children = set()  # the senses of the children solved
         for p, prep, sense, parent, (lb, ub) in _children(
                 np.random.default_rng(229), 600):
-            if not prep.m:
+            if not prep.rows.m:
                 continue
             bad = parent.basis.inverse * (1.0 + 1e3 * _INVERSE_TOL)
             if spoil == "nan":
@@ -641,11 +641,12 @@ def test_optimal_solves_carry_the_duals_of_their_basis():
             continue
         basis = out.basis
         assert out.duals.tobytes() == (prep.cost[basis.columns] @ basis.inverse).tobytes()
-        assert np.allclose(out.duals @ prep.A[:, basis.columns], prep.cost[basis.columns])
-        lo = np.concatenate((lp.lb, prep.lo_tail[:prep.m]))
-        hi = np.concatenate((lp.ub, prep.hi_tail[:prep.m]))
-        sign = simplex._signs(lo, hi, basis.status[:prep.ncols])
-        reduced = prep.cost[:prep.ncols] - out.duals @ prep.priced
+        rows = prep.rows
+        assert np.allclose(out.duals @ rows.A[:, basis.columns], prep.cost[basis.columns])
+        lo = np.concatenate((lp.lb, rows.lo_tail[:rows.m]))
+        hi = np.concatenate((lp.ub, rows.hi_tail[:rows.m]))
+        sign = simplex._signs(lo, hi, basis.status[:rows.ncols])
+        reduced = prep.cost[:rows.ncols] - out.duals @ rows.priced
         assert (sign * reduced >= -simplex.PIVOT_TOL).all()
         priced += 1
     assert priced >= 100

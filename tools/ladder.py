@@ -7,12 +7,15 @@ Each rung builds ``NETWORKS`` networks of its shape with the benchmark's
 generator (``benchmark/workloads.py``, construction seed ``SEED``, the same
 minority-share filter) and explains the first ``INSTANCES`` rounds of
 ``instance_stream(docs, STREAM_SEED)`` in baseline and improved mode.  It
-records per mode the median seconds per explanation, the summed
-branch-and-bound nodes, LP iterations and solver calls, and the pooled
-reduction of improved against baseline time, as ``paper.time_reduction_pct``
-in ``benchmark/run.py`` pools it.  Every explanation is checked by
-``benchmark/checker.py`` (HiGHS and a forward pass of its own), and the two
-modes must keep the same attributes.
+records per network the setup seconds and the branch-and-bound nodes of
+its tight-bound precompute, and per mode the median seconds per
+explanation, the summed branch-and-bound nodes, LP iterations and solver
+calls, and the pooled reduction of improved against baseline time, as
+``paper.time_reduction_pct`` in ``benchmark/run.py`` pools it.  Every
+network's tight bounds and every explanation are checked by
+``benchmark/checker.py`` (HiGHS and a forward pass of its own), as
+``benchmark/run.py`` checks them, and the two modes must keep the same
+attributes.
 
 Each rung has a setup budget per network.  A precompute that runs past it
 is stopped and the rung is reported as ``over setup budget``, with no
@@ -20,7 +23,9 @@ explanations.  The exit status is 1 when the modes diverge or a check
 fails on any rung, and 0 otherwise.
 
 ``--src`` points at another checkout's ``src/``, so one copy of this script
-measures two revisions on the same networks.
+measures two revisions on the same networks; the output records that
+checkout's git revision and whether its tree had changes, or null outside a
+git checkout.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import json
 import os
 import signal
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -61,7 +67,8 @@ def _alarm(signum, frame):
 
 def _counting_backend(bnb):
     """A default backend that sums the nodes, LP iterations and calls of
-    its feasibility (rival) queries; optimize calls are the precompute's."""
+    its feasibility (rival) queries, and apart from them the nodes of its
+    optimize calls, which are the precompute's."""
 
     class Counting(bnb.BranchAndBoundBackend):
         def __init__(self):
@@ -69,7 +76,7 @@ def _counting_backend(bnb):
             self.reset()
 
         def reset(self):
-            self.calls = self.nodes = self.iterations = 0
+            self.calls = self.nodes = self.iterations = self.optimize_nodes = 0
 
         def feasibility(self, problem, **kwargs):
             out = super().feasibility(problem, **kwargs)
@@ -78,7 +85,25 @@ def _counting_backend(bnb):
             self.iterations += out.lp_iterations
             return out
 
+        def optimize(self, problem, objective):
+            out = super().optimize(problem, objective)
+            self.optimize_nodes += out.node_count
+            return out
+
     return Counting()
+
+
+def _revision(src: Path):
+    """``{"commit", "dirty"}`` of the git checkout holding ``src``, or None
+    when it is not in one (or git is missing)."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(src), *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    try:
+        return {"commit": git("rev-parse", "HEAD"),
+                "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 def run_rung(name: str, workloads, checker, engine, model, bnb) -> dict:
@@ -88,13 +113,15 @@ def run_rung(name: str, workloads, checker, engine, model, bnb) -> dict:
     docs = workloads.network_documents(shape)
     stream = workloads.instance_stream(docs, STREAM_SEED)
     rounds = [next(stream) for _ in range(INSTANCES)]
-    record = {"rung": name, "setup_budget_s": budget, "setup_s": []}
+    record = {"rung": name, "setup_budget_s": budget, "setup_s": [],
+              "setup_nodes": []}
     backend = _counting_backend(bnb)
     config = engine.EngineConfig(backend=backend)
     explainers = []
     signal.signal(signal.SIGALRM, _alarm)
     for doc in docs:
         net, domain = model.load_network(doc), model.load_domain(doc)
+        backend.reset()
         signal.setitimer(signal.ITIMER_REAL, budget)
         start = time.perf_counter()
         try:
@@ -105,12 +132,16 @@ def run_rung(name: str, workloads, checker, engine, model, bnb) -> dict:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
         record["setup_s"].append(time.perf_counter() - start)
+        record["setup_nodes"].append(backend.optimize_nodes)
 
     times = {mode: [] for mode in MODES}
     counts = {mode: {"nodes": 0, "lp_iterations": 0, "solver_calls": 0}
               for mode in MODES}
-    problems = []
     checkers = [checker.IndependentChecker(doc) for doc in docs]
+    tight_rng = np.random.default_rng([SEED, 2])
+    problems = [f"network {k}: {p}" for k, (check, explainer)
+                in enumerate(zip(checkers, explainers))
+                for p in check.check_tight(explainer.tight, tight_rng)]
     rng = np.random.default_rng([SEED, 1])
     for round_ in rounds:
         for k, x in enumerate(round_):
@@ -157,6 +188,7 @@ def main(argv=None) -> int:
         rungs.append(run_rung(name, workloads, checker, engine, model, bnb))
         print(json.dumps(rungs[-1]), file=sys.stderr)
     print(json.dumps({"src": str(args.src.resolve()),
+                      "revision": _revision(args.src),
                       "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
                       "networks_per_rung": NETWORKS, "instances_per_network": INSTANCES,
                       "rungs": rungs}, indent=1))
