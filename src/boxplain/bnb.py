@@ -9,14 +9,14 @@ rival query's margin ``o_target - o_rival`` (``attach_rival_query``), under
 a cutoff of ``FEAS_TOL``: it stops at the first point at or below the
 cutoff and answers ``infeasible`` when none exists.
 
-Both take one path, whatever the encoding, and every search over one
-encoding shares what does not change between them: the LP core's prepared
-rows and the arrays of the split neurons (``_Encoded``), built by the
-first.  Every node's forward pass from its inputs is a candidate
-incumbent, certified only when the search would take it; the search
-branches on the ReLU whose triangle relaxation the node's LP duals
-(``LpOutcome.duals``) weigh most, or on the most fractional binary when
-none carries dual weight (a zero cost has no duals); and each child
+Both take one path, whatever the encoding or cost, and every search over
+one encoding reads its blocks as the arrays the encoding built
+(``MilpProblem.arrays``) and solves on the LP core's rows prepared by the
+first (``MilpProblem.searched``).  Every node's forward pass from its
+inputs is a candidate incumbent, certified only when the search would take
+it; the search branches on the ReLU whose triangle relaxation the node's LP
+duals (``LpOutcome.duals``) weigh most, or on the most fractional binary
+when none carries dual weight (a zero cost has zero duals); and each child
 carries a floor from the LP core (``branch_floors``), a lower bound on its
 LP value from one bounded dual simplex step off its parent's optimal
 basis.  A child whose floor is no better than the incumbent, or above the
@@ -39,7 +39,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .encoding import MODE_SPLIT, MilpProblem, forward_basis, forward_point
+from .encoding import MilpProblem, forward_basis, forward_point
 from .simplex import (FEAS_TOL, INFEASIBLE, OPTIMAL, Basis, LpProblem,
                       SolverFailure, _certify, _replace_unchecked,
                       branch_floors, prepare, solve_prepared)
@@ -94,43 +94,11 @@ def _fractional_binaries(point: np.ndarray, binaries, tol: float) -> Optional[in
     return int(binaries[k]) if frac[k] > tol else None
 
 
-class _Encoded:
-    """What every search over one encoding shares, read-only once built:
-    its rows as the LP core prepares them (``prepare``), and the arrays of
-    its inputs and split neurons that ``_ReluGraph`` reads.
-
-    ``_ReluGraph`` takes it from the problem's ``searched`` holder when it
-    was built for the same ``blocks`` and ``input_vids`` (by identity), and
-    otherwise builds it, storing it there when the holder has none: the
-    baseline queries of an ``Explainer``, the rival queries of one
-    simplified encoding and the bound MILPs of one prefix each build it
-    once.  ``prepare`` reuses its rows only for a search whose ``lp.a``,
-    ``rel`` and ``rhs`` are the arrays they came from.
-    """
-
-    __slots__ = ("blocks", "input_vids", "rows", "inputs", "z", "upper", "gap")
-
-    def __init__(self, problem: MilpProblem, rows):
-        self.blocks, self.input_vids = problem.blocks, problem.input_vids
-        self.rows = rows
-        self.inputs = np.array(problem.input_vids, dtype=int)
-        # blocks are layer-major and number their binaries in that order, so
-        # the z vids ascend and argmax's first maximum is the lowest vid
-        split = [block for block in problem.blocks if block.mode == MODE_SPLIT]
-        self.z = np.array([block.z_var for block in split], dtype=int)
-        self.upper = np.array([block.upper_rows for block in split], dtype=int)
-        lo = np.array([block.pre_lb for block in split])
-        hi = np.array([block.pre_ub for block in split])
-        self.gap = -lo * hi / (hi - lo)
-
-    def fits(self, problem: MilpProblem) -> bool:
-        return problem.blocks is self.blocks and problem.input_vids is self.input_vids
-
-
 class _ReluGraph:
-    """A search's view of its encoding's split neurons, for reading a
-    node's LP solution against the network; ``prep`` is the search's LP,
-    prepared on the rows its encoding shares (``_Encoded``).
+    """A search's view of its encoding's split neurons (``BlockArrays``),
+    for reading a node's LP solution against the network; ``prep`` is the
+    search's LP, prepared on the rows of the encoding's first search
+    (``MilpProblem.searched``) when they are its own.
 
     ``incumbent`` runs the network forward from the point's inputs,
     clipped to the root's bounds, which gives a candidate with integral
@@ -144,22 +112,16 @@ class _ReluGraph:
     leaves above the ReLU, ``-l u / (u - l)`` for its big-M constants
     ``l < 0 < u``; the lowest vid on a tie.  None when no fractional binary
     scores above 0, which is always so for an encoding without split
-    neurons or an LP without a cost (no duals).
+    neurons or an LP with a zero cost (zero duals).
     """
 
     def __init__(self, problem: MilpProblem, lp: LpProblem):
-        shared = problem.searched.get(_Encoded)
-        if shared is not None and shared.fits(problem):
-            self.prep = prepare(lp, shared.rows)
-        else:
-            self.prep = prepare(lp)
-            shared = _Encoded(problem, self.prep.rows)
-            # one call, so of threads racing here the first to store wins
-            problem.searched.setdefault(_Encoded, shared)
+        self.prep = prepare(lp, problem.searched.get("rows"))
+        # one call, so of threads racing here the first to store wins
+        problem.searched.setdefault("rows", self.prep.rows)
         self.problem = problem
         self.lb, self.ub = lp.lb, lp.ub
-        self.inputs, self.z, self.upper, self.gap = \
-            shared.inputs, shared.z, shared.upper, shared.gap
+        self.inputs, self.z, self.upper, self.gap = problem.arrays
 
     def incumbent(self, point: np.ndarray) -> np.ndarray:
         inputs = np.clip(point[self.inputs], self.lb[self.inputs], self.ub[self.inputs])
@@ -172,10 +134,7 @@ class _ReluGraph:
             return False
         return True
 
-    def branching(self, point: np.ndarray,
-                  duals: Optional[np.ndarray]) -> Optional[int]:
-        if duals is None:
-            return None
+    def branching(self, point: np.ndarray, duals: np.ndarray) -> Optional[int]:
         z = point[self.z]
         fractional = np.abs(z - np.round(z)) > INTEGRALITY_TOL
         if not np.count_nonzero(fractional):
@@ -194,7 +153,7 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
 
     Every node solves the search's one prepared LP (``_ReluGraph.prep``),
     whose rows it shares with every other search over the same encoding
-    (``_Encoded``).  A node is one LP solve under its own bounds,
+    (``MilpProblem.searched``).  A node is one LP solve under its own bounds,
     warm-started: the root from ``start``, or ``forward_basis`` without
     one, each child from its parent's final basis.  At every node it does
     not drop, the search offers the forward pass from the node's inputs as
@@ -205,7 +164,8 @@ def _branch_and_bound(problem: MilpProblem, objective: Optional[Mapping[int, flo
     integral LP point is an incumbent too.  It
     branches on the split neuron whose triangle relaxation the node's duals
     weigh most (``_ReluGraph.branching``), or on the most fractional binary
-    when no fractional block binary carries dual weight, and explores the
+    when no fractional block binary carries dual weight (always so under a
+    zero cost, whose duals are zero), and explores the
     branch matching the LP-relaxation value first.  Both children get a
     floor (``branch_floors``).
 

@@ -192,6 +192,8 @@ def cmd_bench(args) -> int:
         lambda row: (explainer.explain(row, MODE_BASELINE),
                      explainer.explain(row, MODE_IMPROVED)),
         runs.__setitem__)
+    if not runs:  # no instance finished: nothing to aggregate
+        return code
     for idx, ((base_exp, _), (ours_exp, _)) in runs.items():
         if base_exp.kept_indices != ours_exp.kept_indices:
             raise SolverFailure(

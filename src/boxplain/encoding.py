@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -58,6 +58,30 @@ class NeuronBlock:
         return self.constraint_ids[::2] if self.mode == MODE_SPLIT else ()
 
 
+class BlockArrays(NamedTuple):
+    """An encoding's input vids and, per split neuron in block order, its
+    binary's vid ``z``, its two upper-side rows ``upper`` and ``gap``, the
+    widest gap its triangle relaxation leaves above the ReLU, ``-l u / (u -
+    l)`` for its big-M constants ``l < 0 < u``: what branch and bound reads
+    of the blocks.  Blocks are layer-major and number their binaries in that
+    order, so the z vids ascend."""
+
+    inputs: np.ndarray
+    z: np.ndarray
+    upper: np.ndarray
+    gap: np.ndarray
+
+
+def _block_arrays(blocks: tuple, input_vids: tuple) -> BlockArrays:
+    split = [block for block in blocks if block.mode == MODE_SPLIT]
+    lo = np.array([block.pre_lb for block in split])
+    hi = np.array([block.pre_ub for block in split])
+    return BlockArrays(np.array(input_vids, dtype=int),
+                       np.array([block.z_var for block in split], dtype=int),
+                       np.array([block.upper_rows for block in split], dtype=int),
+                       -lo * hi / (hi - lo))
+
+
 @dataclass(frozen=True)
 class SimplificationStats:
     """Counters behind the bounds-tightened / binaries-removed percentages."""
@@ -75,12 +99,13 @@ class MilpProblem:
     base problem is shared by every instance (and thread) an ``Explainer``
     serves; unchanged arrays are shared between a problem and its edits.
 
-    ``searched`` holds what branch and bound builds on the first search
-    over these rows and blocks and reuses in every later one
-    (``bnb._Encoded``).  Each encoding gets its own, and the edits that keep
-    its rows (``fix_attributes``, ``attach_rival_query``) carry it through
-    ``replace``; a search checks what it finds there against its own
-    problem before use.  An entry, once stored, never changes.
+    ``searched`` holds what is built once per encoding, on first use, for
+    every later use to share: the blocks as arrays (``arrays``, under
+    ``"arrays"``) and the rows the LP core prepared for the first search
+    (under ``"rows"``; ``prepare`` checks them against each search's own
+    before use).  The edits that keep the rows and blocks
+    (``fix_attributes``, ``attach_rival_query``) carry it through
+    ``replace``.  An entry, once stored, never changes.
     """
 
     lp: LpProblem  # zero c, or a rival query's margin; column j is vid j
@@ -94,6 +119,15 @@ class MilpProblem:
     def __post_init__(self):
         for arr in (self.lp.a, self.lp.rhs, self.lp.lb, self.lp.ub, self.lp.c):
             arr.setflags(write=False)
+
+    @property
+    def arrays(self) -> BlockArrays:
+        arrays = self.searched.get("arrays")
+        if arrays is None:
+            # one call, so of threads racing here the first to store wins
+            arrays = self.searched.setdefault(
+                "arrays", _block_arrays(self.blocks, self.input_vids))
+        return arrays
 
     @property
     def binary_vids(self) -> tuple:
@@ -227,7 +261,7 @@ def forward_point(problem: MilpProblem, inputs: np.ndarray) -> np.ndarray:
     """
     lp = problem.lp
     x = np.zeros(lp.a.shape[1])
-    x[list(problem.input_vids)] = inputs
+    x[problem.arrays.inputs] = inputs
     for block in problem.blocks:  # layer-major: each block's inputs are set
         if block.mode == MODE_INACTIVE:
             continue
@@ -259,7 +293,7 @@ def forward_basis(problem: MilpProblem) -> Basis:
     encoding, up to rounding.
     """
     lp = problem.lp
-    inputs = list(problem.input_vids)
+    inputs = problem.arrays.inputs
     lo = lp.lb[inputs]
     x = forward_point(problem, np.where(np.isfinite(lo), lo, lp.ub[inputs]))
     basic = np.full(lp.a.shape[0], -1)

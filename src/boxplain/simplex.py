@@ -1,11 +1,11 @@
 """Dense bounded-variable simplex for small LPs, cold or warm-started.
 
 Geared to the LP relaxations coming out of network encodings: tens of rows,
-dense data.  An ``LpProblem`` minimizes ``c @ x``; one whose ``c`` is all
-zero is a feasibility problem, and a solve of it skips phase 2.  A solve
-ends ``OPTIMAL`` or ``INFEASIBLE``; an LP without a finite optimum raises
-``SolverFailure``, as does any numerical breakdown.  ``prepare`` fixes the
-objective, once per search, on rows prepared once per row array
+dense data.  An ``LpProblem`` minimizes ``c @ x``, an all-zero ``c`` as
+any other: every feasible point minimizes it, and its duals are zero.  A
+solve ends ``OPTIMAL`` or ``INFEASIBLE``; an LP without a finite optimum
+raises ``SolverFailure``, as does any numerical breakdown.  ``prepare``
+fixes the objective, once per search, on rows prepared once per row array
 (``_Rows``, reused by every search over the same ``a``); each solve takes
 its own bounds.  A nonbasic column sits at the bound its status names, or
 at the other when that one is infinite (no column is free).
@@ -23,17 +23,16 @@ flips alone.
 
 A warm solve starts from a given ``Basis`` of the same rows.  Either it is
 an earlier optimal solve's of the same costs (branch and bound hands each
-child its parent's), which stays dual feasible under new variable bounds,
-or zero for a feasibility problem; or it is a crash basis
-(``crash_basis``; branch and bound seeds a root with the forward pass of
-its encoding), or the final basis of a solve with other costs (the root of
-an earlier rival query over the same rows), either of which is often
-nearly primal feasible but need not be dual feasible.  A bounded dual simplex restores primal feasibility, and for an
-objective the primal loop then optimizes from there.  The dual loop proves
-infeasibility only when a row stays out of reach even with every row given
-its feasibility tolerance; on its iteration cap, a singular basis or an
-undecided row it gives up, and the solve starts again cold, as it does when
-the warm attempt raises.
+child its parent's), which stays dual feasible under new variable bounds;
+or it is a crash basis (``crash_basis``; branch and bound seeds a root with
+the forward pass of its encoding), or the final basis of a solve with other
+costs (the root of an earlier rival query over the same rows), either of
+which is often nearly primal feasible but need not be dual feasible.  A
+bounded dual simplex restores primal feasibility, and the primal loop then
+optimizes from there.  The dual loop proves infeasibility only when a row
+stays out of reach even with every row given its feasibility tolerance; on
+its iteration cap, a singular basis or an undecided row it gives up, and
+the solve starts again cold, as it does when the warm attempt raises.
 
 The basis inverse is kept explicitly and updated per pivot; a warm start
 inverts a basis that comes without an inverse or with a non-finite one.
@@ -58,8 +57,8 @@ into the full point only when it returns.  These are the same pivots, bit
 for bit, as the loops that gathered everything per iteration, which
 ``tests/oracles.py`` keeps as the reference.
 
-Every computation on a basis stays in this module.  An optimal solve with
-a cost returns its duals with its basis (``LpOutcome.duals``), and
+Every computation on a basis stays in this module.  Every optimal solve
+returns its duals with its basis (``LpOutcome.duals``), and
 ``branch_floors`` bounds from below, before either is solved, the LP values
 of the two problems that pin one of its fractional columns to 0 and to 1:
 one bounded dual simplex step along that column's tableau row.  Branch and
@@ -164,14 +163,14 @@ class Basis(NamedTuple):
 class LpOutcome:
     """A solve's status, with, when optimal, its value, structural point and
     final basis; ``duals`` are the LP duals ``y`` solving ``y B = c_B`` for
-    that basis, set when the problem has a cost."""
+    that basis, zero for a zero cost."""
 
     status: str
     value: Optional[float] = None
     point: Optional[np.ndarray] = None
     iterations: int = 0
     basis: Optional[Basis] = None  # set on every optimal solve
-    duals: Optional[np.ndarray] = None
+    duals: Optional[np.ndarray] = None  # set on every optimal solve
 
 
 class _Rows:
@@ -231,16 +230,14 @@ class _Rows:
 class _Prepared:
     """One objective over prepared rows, shared by every solve of one
     search (bounds vary): ``rows`` (``_Rows``), ``c`` the objective to
-    minimize, and ``cost`` the same over every column, None when ``c`` has
-    no nonzero entry (a feasibility problem: no phase 2)."""
+    minimize, and ``cost`` the same over every column, zero past ``c``."""
 
     __slots__ = ("rows", "c", "cost")
 
     def __init__(self, rows: _Rows, c: np.ndarray):
         self.rows = rows
         self.c = c.astype(np.float64)
-        self.cost = np.concatenate([self.c, np.zeros(2 * rows.m)]) \
-            if np.count_nonzero(self.c) else None
+        self.cost = np.concatenate([self.c, np.zeros(2 * rows.m)])
 
 
 def _signs(lo: np.ndarray, hi: np.ndarray, stat: np.ndarray) -> np.ndarray:
@@ -455,10 +452,11 @@ class _Simplex:
             lob[r], hib[r], cb[r] = lo[q], hi[q], cost[q]
             self._pivot(r, q, w)
 
-    def run_dual(self, cost: Optional[np.ndarray]) -> Optional[bool]:
+    def run_dual(self, cost: np.ndarray) -> Optional[bool]:
         """Bounded dual simplex: pivot basic columns out of their bound
         violations, the largest first, keeping the reduced costs of ``cost``
-        (all zero when None) sign-feasible.
+        sign-feasible; under a zero cost every ratio ties at 0, so each pivot
+        is the largest one.
 
         True once every basic column is within its bounds (up to
         ``PIVOT_TOL`` scaled by its magnitude).  False when a violated row
@@ -481,9 +479,8 @@ class _Simplex:
         tol = PIVOT_TOL
         sign = _signs(lo[:ncols], hi[:ncols], stat[:ncols])
         lob, hib = lo[basis], hi[basis]
-        if cost is not None:
-            c_priced, cb = cost[:ncols], cost[basis]
-            unpriced = np.full(ncols, INF)  # the ratio of a column that cannot enter
+        c_priced, cb = cost[:ncols], cost[basis]
+        unpriced = np.full(ncols, INF)  # the ratio of a column that cannot enter
         limit = self.iterations + self.dual_max_iter
         while True:
             xb = self.xb
@@ -509,9 +506,7 @@ class _Simplex:
             alpha = self.binv[r] @ priced
             # how far x_p moves toward its violated bound per unit rise of x_j
             g = -alpha if rise else alpha
-            # |g| where column j may enter, at most PIVOT_TOL elsewhere;
-            # without a cost every ratio is 0, so q is the largest pivot,
-            # the lowest column on a tie
+            # |g| where column j may enter, at most PIVOT_TOL elsewhere
             sg = sign * g
             q = int(sg.argmax())
             if not sg[q] > tol:  # no entering column
@@ -528,12 +523,11 @@ class _Simplex:
                 return False if viol[r] > reach else None
             self.iterations += 1
 
-            if cost is not None:
-                d = c_priced - priced.T @ (self.binv.T @ cb)
-                ratio = np.divide(np.abs(d), sg, out=unpriced.copy(), where=sg > tol)
-                # among tied ratios the largest pivot, then the lowest column
-                tied = ratio <= ratio.min() + tol
-                q = int(np.where(tied, sg, -1.0).argmax())
+            d = c_priced - priced.T @ (self.binv.T @ cb)
+            ratio = np.divide(np.abs(d), sg, out=unpriced.copy(), where=sg > tol)
+            # among tied ratios the largest pivot, then the lowest column
+            tied = ratio <= ratio.min() + tol
+            q = int(np.where(tied, sg, -1.0).argmax())
             w = self.binv @ A[:, q]
             target = lob[r] if rise else hib[r]
             t = (xb[r] - target) / w[r]
@@ -544,9 +538,7 @@ class _Simplex:
             if p < ncols:
                 sign[p] = (1.0 if rise else -1.0) if hib[r] > lob[r] else 0.0
             sign[q] = 0.0
-            lob[r], hib[r] = lo[q], hi[q]
-            if cost is not None:
-                cb[r] = cost[q]
+            lob[r], hib[r], cb[r] = lo[q], hi[q], cost[q]
             self._pivot(r, q, w)
 
     def _slack_room(self) -> np.ndarray:
@@ -622,16 +614,15 @@ def _finish(core: _Simplex, spent: int = 0) -> LpOutcome:
     on a checked inverse has just computed them, so only a bound flip after
     that check leaves them to refresh."""
     prep, n = core.prep, core.rows.n
-    if prep.cost is not None:
-        core.run(prep.cost)
-        if core.moved:
-            core._solve_basics()
+    core.run(prep.cost)
+    if core.moved:
+        core._solve_basics()
 
     point = core.x[:n].copy()
     _certify(prep, core.lo[:n], core.hi[:n], point, _ROUNDING)
-    duals = None if prep.cost is None else prep.cost[core.basis] @ core.binv
     return LpOutcome(OPTIMAL, float(prep.c @ point), point, spent + core.iterations,
-                     Basis(core.basis, core.stat, core.binv), duals)
+                     Basis(core.basis, core.stat, core.binv),
+                     prep.cost[core.basis] @ core.binv)
 
 
 def crash_basis(p: LpProblem, basic: np.ndarray, upper) -> Basis:
@@ -738,11 +729,9 @@ def branch_floors(prep: _Prepared, outcome: LpOutcome, lb: np.ndarray,
     Driebeek 1966 and Tomlin 1971, ``_dual_step_gain``).  A child that no
     column can reach keeps the parent's value, not an infinite floor: its
     own LP decides, by the tolerances of a solve, whether it is infeasible.
-    Without a cost every reduced cost is zero, and both floors are the
+    Under a zero cost every reduced cost is zero, and both floors are the
     parent's value.
     """
-    if prep.cost is None:
-        return outcome.value, outcome.value
     rows, basis = prep.rows, outcome.basis
     ncols, m = rows.ncols, rows.m
     r = int((basis.columns == col).argmax())

@@ -177,7 +177,7 @@ def oracle_enumerate(problem, objective=None) -> MilpOutcome:
         if outcome.value < best_value:
             best_value = outcome.value
             best_point = outcome.point
-            if prep.cost is None:
+            if not np.count_nonzero(prep.c):
                 break
     status, value = (INFEASIBLE, None) if best_point is None else (OPTIMAL, best_value)
     return MilpOutcome(status, value, best_point, nodes, time.perf_counter() - start)
@@ -195,10 +195,10 @@ class LoopRecord(NamedTuple):
     """What the loops did on one core.  ``pivots``: per pivot the row, the
     entering column, and the bytes of its tableau column and of the basic
     values it moved.  ``ends``: the dual loop's verdict with the state after
-    it and, when that loop ends primal feasible and there is a cost, the
-    state after phase 2, which ends optimal or raises; a state is the
-    iterations, basis, statuses and the bytes of ``x`` and of the inverse.
-    ``failure``: the message of a ``SolverFailure``."""
+    it and, when that loop ends primal feasible, the state after phase 2,
+    which ends optimal or raises; a state is the iterations, basis,
+    statuses and the bytes of ``x`` and of the inverse.  ``failure``: the
+    message of a ``SolverFailure``."""
 
     pivots: list
     ends: list
@@ -220,7 +220,7 @@ def loop_records(prep, lb, ub, start, cost, dual_max_iter=None):
                 core.dual_max_iter = dual_max_iter
             verdict = dual(core, cost)
             record.ends.append((verdict, *_core_state(core)))
-            if verdict and cost is not None:
+            if verdict:
                 primal(core, cost)
                 record.ends.append(_core_state(core))
         except SolverFailure as exc:
@@ -333,10 +333,10 @@ def reference_run(self, cost: np.ndarray) -> None:
 
 
 
-def reference_run_dual(self, cost: Optional[np.ndarray]) -> Optional[bool]:
+def reference_run_dual(self, cost: np.ndarray) -> Optional[bool]:
     """Bounded dual simplex: pivot basic columns out of their bound
     violations, the largest first, keeping the reduced costs of ``cost``
-    (all zero when None) sign-feasible.
+    sign-feasible.
 
     True once every basic column is within its bounds (up to
     ``PIVOT_TOL`` scaled by its magnitude).  False when a violated row
@@ -389,11 +389,8 @@ def reference_run_dual(self, cost: Optional[np.ndarray]) -> Optional[bool]:
         self.iterations += 1
 
         idx = eligible.nonzero()[0]
-        if cost is None:
-            ratio = np.zeros(idx.size)
-        else:
-            d = cost - A.T @ (self.binv.T @ cost[self.basis])
-            ratio = np.abs(d[idx]) / np.abs(g[idx])
+        d = cost - A.T @ (self.binv.T @ cost[self.basis])
+        ratio = np.abs(d[idx]) / np.abs(g[idx])
         # among tied ratios the largest pivot, then the lowest column
         tied = ratio <= ratio.min() + tol
         q = int(idx[np.where(tied, np.abs(g[idx]), -1.0).argmax()])

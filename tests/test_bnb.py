@@ -320,8 +320,6 @@ def _dual_weighted_by_loop(problem, prep, point, basis, tol):
     split neuron whose upper-side rows' dual weight, times the widest gap
     its triangle relaxation leaves above the ReLU, scores highest (the
     first, lowest vid, on a tie); None when none scores above 0."""
-    if prep.cost is None:
-        return None
     duals = prep.cost[basis.columns] @ basis.inverse
     best_vid, best = None, 0.0
     for blk in problem.blocks:
@@ -378,25 +376,43 @@ def test_optimize_branches_on_the_relu_the_duals_weigh_most(monkeypatch):
     assert branched >= 10
 
 
-def test_zero_objective_never_reads_duals(monkeypatch):
-    # {vid: 0.0} or {vid: -0.0} makes an optimize call whose _Prepared.cost
-    # is None: its LPs return no duals, so branching reads none and falls
-    # back to the most fractional binary, and the answer has value 0
-    branched, duals = [], []
+def test_zero_objective_has_zero_duals(monkeypatch):
+    # {vid: 0.0} or {vid: -0.0} makes an optimize call with a zero cost: its
+    # optimal LPs carry zero duals, so branching scores no binary and falls
+    # back to the most fractional one, both children's floors are the
+    # parent's value, and the answer has value 0, as the oracle's does
+    duals, fallbacks, floored = [], [], []
     solve, branching = bnb.solve_prepared, bnb._ReluGraph.branching
-
-    def recorded_branching(graph, point, y):
-        branched.append((graph.prep.cost is None, y is None))
-        return branching(graph, point, y)
+    floors = bnb.branch_floors
 
     def recorded(prep, lb, ub, warm=None):
         outcome = solve(prep, lb, ub, warm)
         if outcome.status == OPTIMAL:
-            duals.append((prep.cost is None, outcome.duals is None))
+            zero = not np.count_nonzero(prep.c)
+            duals.append((zero, not np.count_nonzero(outcome.duals)))
         return outcome
 
-    monkeypatch.setattr(bnb._ReluGraph, "branching", recorded_branching)
+    def recorded_branching(graph, point, y):
+        vid = branching(graph, point, y)
+        if not np.count_nonzero(graph.prep.c):
+            assert vid is None
+            fallbacks.append((point, graph.problem.lp.binaries))
+        return vid
+
+    def recorded_floors(prep, outcome, lb, ub, col):
+        got = floors(prep, outcome, lb, ub, col)
+        if not np.count_nonzero(prep.c):
+            point, binaries = fallbacks[-1]
+            assert outcome.point is point
+            assert col == bnb._fractional_binaries(point, binaries,
+                                                   bnb.INTEGRALITY_TOL)
+            assert got == (outcome.value, outcome.value) == (0.0, 0.0)
+            floored.append(col)
+        return got
+
     monkeypatch.setattr(bnb, "solve_prepared", recorded)
+    monkeypatch.setattr(bnb._ReluGraph, "branching", recorded_branching)
+    monkeypatch.setattr(bnb, "branch_floors", recorded_floors)
     rng = np.random.default_rng(3)
     statuses = []
     for _ in range(30):
@@ -414,11 +430,17 @@ def test_zero_objective_never_reads_duals(monkeypatch):
             if got.status == OPTIMAL:
                 assert got.value == 0.0
             statuses.append(got.status)
-        # a nonzero cost on the same encoding does read them
+        # the row forms' own searches: a zero cost under a cutoff
+        for rival in range(1, net.class_count):
+            query = rival_row(attach_rival_query(problem, 0, rival))
+            assert solve_feasibility(query).status == \
+                oracle_enumerate(query).status
+        # a nonzero cost on the same encoding prices nonzero duals
         optimize(problem, {problem.output_vids[0]: 1.0})
-    assert set(branched) == {(True, True), (False, False)}
+    assert len(fallbacks) >= 10 and len(floored) >= 10
     assert "infeasible" in statuses and OPTIMAL in statuses
-    # an optimal LP carries duals exactly when it has a cost
+    # a zero cost's optimal LPs carry zero duals, and on these encodings
+    # every nonzero cost's carry a nonzero one
     assert set(duals) == {(True, True), (False, False)}
 
 
@@ -569,7 +591,7 @@ def test_every_node_matches_the_reference_loops(monkeypatch):
     for prep, lb, ub, warm in nodes:
         core, reference = loop_records(prep, lb, ub, warm, prep.cost)
         assert core == reference
-        pivoted["feas" if prep.cost is None else "min"] += bool(core.pivots)
+        pivoted["min" if np.count_nonzero(prep.c) else "feas"] += bool(core.pivots)
     assert len(nodes) >= 400
     assert pivoted["feas"] >= 60 and pivoted["min"] >= 300
 

@@ -529,6 +529,17 @@ class TestBench:
         assert BAD_ROWS[0] in err
         assert len(parse_csv(out)[1]) == 1
 
+    def test_no_finished_instance_writes_the_header_alone(self, capsys, tmp_path,
+                                                          demo_model_path):
+        # an all-zero aggregate row would read as a measurement
+        outside = tmp_path / "outside.csv"
+        outside.write_text("x1,x2\n5.0,0.2\n")
+        code, out, err = run_cli(capsys, "bench", str(demo_model_path), str(outside))
+        assert code == 2
+        assert "input error: instance 0: instance lies outside the input domain" in err
+        header, rows = parse_csv(out)
+        assert header[0] == "exp_s_baseline" and rows == []
+
 
 class TestVerify:
     def test_demo_reports_ok(self, capsys, demo_model_path, demo_instances):

@@ -255,6 +255,27 @@ class TestSharedArrays:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 1.0
 
+    def test_block_arrays_are_built_once_per_encoding(self):
+        rng = np.random.default_rng(53)
+        splits = 0
+        for _ in range(10):
+            net, domain = random_network(rng, max_hidden_total=10)
+            problem = encode_network(net, domain_box(net, domain))
+            fixed = fix_attributes(problem, *pinned_box(domain, {0: domain.lows[0]}))
+            query = attach_rival_query(fixed, 0, 1)
+            # the first use from any edit builds them for all of its encoding
+            arrays = query.arrays
+            assert fixed.arrays is arrays and problem.arrays is arrays
+            assert encode_network(net, domain_box(net, domain)).arrays is not arrays
+            split = [b for b in problem.blocks if b.mode == MODE_SPLIT]
+            assert arrays.inputs.tolist() == list(problem.input_vids)
+            assert arrays.z.tolist() == [b.z_var for b in split]
+            assert arrays.upper.reshape(-1, 2).tolist() == [list(b.upper_rows) for b in split]
+            for b, gap in zip(split, arrays.gap):
+                assert gap == pytest.approx(-b.pre_lb * b.pre_ub / (b.pre_ub - b.pre_lb))
+            splits += len(split)
+        assert splits >= 10
+
 
 class TestMergeAndSimplify:
     def test_merge_keeps_max_lower_min_upper(self):
@@ -487,7 +508,8 @@ class TestForwardBasis:
         dual_checked = 0
         for net, problem, kind in _forward_cases(np.random.default_rng(97), 15):
             lp = problem.lp
-            core = _Simplex(prepare(lp), lp.lb, lp.ub, forward_basis(problem))
+            prep = prepare(lp)
+            core = _Simplex(prep, lp.lb, lp.ub, forward_basis(problem))
             xb = core.x[core.basis]
             off = (xb < core.lo[core.basis] - 1e-9 * np.maximum(1.0, np.abs(xb))) | \
                 (xb > core.hi[core.basis] + 1e-9 * np.maximum(1.0, np.abs(xb)))
@@ -496,7 +518,7 @@ class TestForwardBasis:
                 continue
             assert not off.any()
             # a prefix (or a plain encoding) is accepted as it stands
-            assert core.run_dual(None) is True
+            assert core.run_dual(prep.cost) is True
             assert core.iterations == 0
             dual_checked += kind == "prefix"
         assert dual_checked >= 15

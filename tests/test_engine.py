@@ -770,8 +770,8 @@ class TestWarmRoots:
 
 class TestPreparedRows:
     """Every search over one encoding solves on the rows prepared for its
-    first (``bnb._Encoded``): ``built`` lists the ``a`` of every rows part
-    the LP core prepares."""
+    first (``MilpProblem.searched``): ``built`` lists the ``a`` of every
+    rows part the LP core prepares."""
 
     @pytest.fixture()
     def built(self, monkeypatch):

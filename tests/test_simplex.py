@@ -625,9 +625,9 @@ class TestWarmStart:
 def test_optimal_solves_carry_the_duals_of_their_basis():
     # y = c_B B^-1 for the final basis, so y B = c_B, and its reduced costs
     # c - y A over the structural and slack columns let no nonbasic column
-    # improve; a feasibility problem (zero c) carries none
+    # improve; a zero c carries zero duals
     rng = np.random.default_rng(41)
-    priced = 0
+    priced = zeros = 0
     for _ in range(300):
         lp = random_bounded_lp(rng)
         if rng.uniform() < 0.2:
@@ -636,9 +636,9 @@ def test_optimal_solves_carry_the_duals_of_their_basis():
         out = solve_prepared(prep, lp.lb, lp.ub)
         if out.status != OPTIMAL:
             continue
-        if prep.cost is None:
-            assert out.duals is None
-            continue
+        if not np.count_nonzero(lp.c):
+            assert not np.count_nonzero(out.duals)
+            zeros += 1
         basis = out.basis
         assert out.duals.tobytes() == (prep.cost[basis.columns] @ basis.inverse).tobytes()
         rows = prep.rows
@@ -649,7 +649,7 @@ def test_optimal_solves_carry_the_duals_of_their_basis():
         reduced = prep.cost[:rows.ncols] - out.duals @ rows.priced
         assert (sign * reduced >= -simplex.PIVOT_TOL).all()
         priced += 1
-    assert priced >= 100
+    assert priced >= 100 and zeros >= 20
 
 
 def test_dual_step_gain_by_hand():

@@ -9,11 +9,11 @@ minority-share filter) and explains the first ``INSTANCES`` rounds of
 ``instance_stream(docs, STREAM_SEED)`` in baseline and improved mode.  It
 records per network the setup seconds and the branch-and-bound nodes of
 its tight-bound precompute, and per mode the median seconds per
-explanation, the summed branch-and-bound nodes, LP iterations and solver
-calls, and the pooled reduction of improved against baseline time, as
-``paper.time_reduction_pct`` in ``benchmark/run.py`` pools it.  Every
-network's tight bounds and every explanation are checked by
-``benchmark/checker.py`` (HiGHS and a forward pass of its own), as
+explanation, the branch-and-bound nodes, LP iterations and solver calls
+that its ``ExplainStats`` sum, and the pooled reduction of improved against
+baseline time, as ``paper.time_reduction_pct`` in ``benchmark/run.py``
+pools it.  Every network's tight bounds and every explanation are checked
+by ``benchmark/checker.py`` (HiGHS and a forward pass of its own), as
 ``benchmark/run.py`` checks them, and the two modes must keep the same
 attributes.
 
@@ -66,24 +66,11 @@ def _alarm(signum, frame):
 
 
 def _counting_backend(bnb):
-    """A default backend that sums the nodes, LP iterations and calls of
-    its feasibility (rival) queries, and apart from them the nodes of its
-    optimize calls, which are the precompute's."""
+    """A default backend that sums the nodes of its optimize calls, which
+    are the precompute's."""
 
     class Counting(bnb.BranchAndBoundBackend):
-        def __init__(self):
-            super().__init__()
-            self.reset()
-
-        def reset(self):
-            self.calls = self.nodes = self.iterations = self.optimize_nodes = 0
-
-        def feasibility(self, problem, **kwargs):
-            out = super().feasibility(problem, **kwargs)
-            self.calls += 1
-            self.nodes += out.node_count
-            self.iterations += out.lp_iterations
-            return out
+        optimize_nodes = 0
 
         def optimize(self, problem, objective):
             out = super().optimize(problem, objective)
@@ -121,7 +108,7 @@ def run_rung(name: str, workloads, checker, engine, model, bnb) -> dict:
     signal.signal(signal.SIGALRM, _alarm)
     for doc in docs:
         net, domain = model.load_network(doc), model.load_domain(doc)
-        backend.reset()
+        backend.optimize_nodes = 0
         signal.setitimer(signal.ITIMER_REAL, budget)
         start = time.perf_counter()
         try:
@@ -147,14 +134,13 @@ def run_rung(name: str, workloads, checker, engine, model, bnb) -> dict:
         for k, x in enumerate(round_):
             kept = {}
             for mode in MODES:
-                backend.reset()
                 start = time.perf_counter()
-                explanation, _ = explainers[k].explain(x, mode)
+                explanation, stats = explainers[k].explain(x, mode)
                 times[mode].append(time.perf_counter() - start)
                 tally = counts[mode]
-                tally["nodes"] += backend.nodes
-                tally["lp_iterations"] += backend.iterations
-                tally["solver_calls"] += backend.calls
+                tally["nodes"] += stats.solver_nodes
+                tally["lp_iterations"] += stats.lp_iterations
+                tally["solver_calls"] += stats.solver_calls
                 kept[mode] = (explanation.kept_indices, explanation.target)
             if kept["baseline"] != kept["improved"]:
                 problems.append(f"network {k}: modes diverge: {kept}")
